@@ -88,15 +88,14 @@ bench-transport:
 	$(PYTHON) tools/bench_transport.py --iterations 24 \
 		--output benchmarks/BENCH_8.json
 
-# Hot-path perf trajectory: time generate/search/compile/oracle plus the
-# compiled-plan sections (interpreter plain/compiled/batched, batched
-# gradcheck, prefix hit rate) on a pinned small workload and write the
-# iterations/sec point for this PR.  CI never thresholds these numbers
-# (tests/test_bench_hot_path.py validates only the schema); the JSON is the
-# trajectory future PRs append to.
+# End-to-end campaign benchmark (see perfbench/README.md): one run of each
+# workload, printing judged iterations/sec, latency percentiles, peak RSS and
+# the finding counts.
 bench:
-	$(PYTHON) tools/bench_hot_path.py --iterations 40 \
-		--output benchmarks/BENCH_9.json
+	$(PYTHON) perfbench/run.py --workload nnsmith-difftest --seed 0 \
+		--seconds 50 --trace 0
+	$(PYTHON) perfbench/run.py --workload graphfuzzer-oracles --seed 0 \
+		--seconds 50 --trace 0
 
 # Regenerate the paper's tables/figures on scaled-down budgets.
 benchmarks:

@@ -8,7 +8,7 @@ is not reachable from the graph level.
 
 from benchmarks.conftest import COVERAGE_ITERATIONS
 from repro.experiments import (
-    make_case_generator,
+    StrategyCaseGenerator,
     run_coverage_campaign,
     run_tzer_campaign,
     unique_counts,
@@ -19,7 +19,7 @@ from repro.experiments.venn import format_venn_table
 def test_fig8_nnsmith_vs_tzer(benchmark):
     def campaign():
         nnsmith = run_coverage_campaign(
-            make_case_generator("nnsmith", seed=4), "deepc",
+            StrategyCaseGenerator("nnsmith", seed=4), "deepc",
             max_iterations=COVERAGE_ITERATIONS, seed=4)
         tzer = run_tzer_campaign(max_iterations=COVERAGE_ITERATIONS * 2, seed=4)
         return nnsmith, tzer

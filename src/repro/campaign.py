@@ -102,6 +102,7 @@ from typing import List, Optional, Sequence
 from repro.compilers.base import registered_compilers
 from repro.compilers.bugs import bug_spec
 from repro.compilers.coverage import is_pass_arc
+from repro.core.cache import STAGES
 from repro.core.difftest import first_line
 from repro.core.fuzzer import CampaignResult, FuzzerConfig
 from repro.core.generator import GeneratorConfig
@@ -216,9 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "ill-formed IR surfaces as 'verifier' findings "
                              "that no execution-based oracle can observe")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the hot-path caches (repro.core.cache); "
-                             "findings are bit-identical either way — this "
-                             "only benchmarks the cold path")
+                        help="disable the hot-path caches (repro.core.cache: "
+                             "the shape-infer memo and interpreter execution "
+                             "plans); findings are bit-identical either way "
+                             "— this only benchmarks the cold path")
     parser.add_argument("--fault-tolerance", default="fail",
                         choices=("fail", "requeue"),
                         help="dead-worker policy: 'fail' aborts the campaign "
@@ -313,8 +315,7 @@ def print_summary(result: CampaignResult) -> None:
     print("\nPer-system counts:", result.bugs_by_system())
     if result.cache_stats:
         parts = []
-        for stage in ("artifact", "shape_infer", "exec_plan", "plan",
-                      "prefix"):
+        for stage in STAGES:
             counters = result.cache_stats.get(stage)
             if not counters:
                 continue

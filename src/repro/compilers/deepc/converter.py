@@ -129,8 +129,13 @@ def _import_where(graph: DGraph, model: Model, node: Node,
             from repro.graph.tensor_type import broadcast_shapes
 
             shapes = sorted([cond.shape, lhs.shape, rhs.shape], key=len)
-            partial = broadcast_shapes(shapes[1], shapes[2])
-            full = broadcast_shapes(partial, shapes[0])
+            try:
+                partial = broadcast_shapes(shapes[1], shapes[2])
+                full = broadcast_shapes(partial, shapes[0])
+            except ValueError:
+                # Operands that do not broadcast at all never reach the
+                # bug; the generic importer reports them.
+                partial = full = None
             if partial != full:
                 ctx.record_bug("deepc-import-where-broadcast-rank")
                 raise ConversionError(

@@ -37,9 +37,9 @@ class GraphRTExecutable(CompiledModel):
     def profile_nodes(self, inputs: Mapping[str, np.ndarray], timer):
         """Per-node dispatch times: ``[(node_name, op, seconds), ...]``.
 
-        The duck-typed hook :func:`repro.runtime.compiled_plan.
-        attribute_slow_nodes` looks for; backends without it (codegen
-        compilers) simply get no slow-node provenance.
+        The duck-typed hook :func:`repro.core.oracle.attribute_slow_nodes`
+        looks for; backends without it (codegen compilers) simply get no
+        slow-node provenance.
         """
         _outputs, times = runtime.execute_graph_profiled(self.model, inputs,
                                                          timer)

@@ -1,90 +1,49 @@
-"""Content-addressed caches for the campaign iteration hot path.
+"""Per-process memo tables for the campaign iteration hot path.
 
-Every campaign iteration used to recompile both backends from scratch and
-re-dispatch every interpreter node through :func:`execute_node`, even though
-the thousands of graphs a fuzzing campaign generates overlap heavily in
-structure.  This module is the LUT-specialization move (pLUTo / PALUTE in
-PAPERS.md): precompute the expensive per-node / per-graph work once, then
-serve repeated queries from tables.  Three cache layers:
-
-``artifact``
-    Compiled backends, keyed by a canonical *graph fingerprint* (structure +
-    initializer digests) plus everything that can change what a compiler
-    produces: compiler name, opt level, explicit pass pipeline (full content,
-    not just its display name), and the seeded-bug configuration.  A
-    seeded-bug compile can therefore never hit a clean-build entry, and two
-    pipelines that share a name but differ in passes never collide.
-    Deterministic compile *failures* (``ReproError``) are cached and
-    re-raised too, so error-path campaigns stay bit-identical.
+Two stages, both keyed on work that does repeat inside one campaign:
 
 ``shape_infer``
     Memoized :func:`repro.ops.shape_infer.infer_output_types`, keyed by
-    ``(op_type, attrs, input_types)``.  Successes only — error messages may
-    embed node-specific text, and errors are the rare path.
+    ``(op_type, attrs, input_types)``.  Model validation, the graph
+    builder and the DeepC importer infer the same small set of operator
+    signatures over and over.  Successes only — error messages may embed
+    node-specific text, and errors are the rare path.
 
 ``exec_plan``
     A per-model interpreter *execution plan*: topological order with each
     node's kernel pre-resolved and per-value consumer refcounts precomputed,
     so :meth:`Interpreter.run_detailed` skips registry dispatch and
-    ``topological_order()`` on every run.  Keyed weakly by the live
+    ``topological_order()`` on every run.  Value search and the gradcheck
+    oracle run the same model many times.  Keyed weakly by the live
     :class:`~repro.graph.model.Model` object and validated against its
     ``structure_version`` counter, so mutation through the Model API
     invalidates the plan.
 
-``plan``
-    The compiled form of an execution plan
-    (:class:`repro.runtime.compiled_plan.CompiledPlan`): the node loop
-    flattened into preresolved closures over a flat value slab, with
-    refcount decrements baked in at compile time.  Keyed alongside the
-    execution plan (same weak Model key, validated by plan identity);
-    counters track how often a model's compiled form was reused.  Models
-    the flattening cannot represent exactly compile to ``None`` once and
-    fall back to the legacy dict loop.
-
-``prefix``
-    A *cross-iteration* subgraph-prefix value cache: each topological
-    prefix of a compiled plan is fingerprinted by canonical structure
-    (positional, name-free) plus content digests of the inputs and
-    initializers it consumes; re-executing a previously seen prefix
-    (common under ``targeted`` motif repeats and LEMON-style mutation
-    chains) restores the cached boundary values instead.  LRU-bounded
-    like the artifact cache.
+Compiled artifacts and subgraph values are not cached: every iteration
+generates a new model, so they never repeat.
 
 Invisibility contract
 ---------------------
 Caching must be *provably invisible*: a campaign with caches on is
 bit-identical to caches off (findings, checkpoints, Venn sets) — enforced by
-``tests/core/test_hot_path_cache.py``.  Two consequences baked in here:
-
-* Cache state never feeds checkpoints: :mod:`repro.core.parallel` strips
-  ``cache_stats`` before persisting, and the checkpoint fingerprint ignores
-  the cache knob, so resuming a run across cache settings is legal (stats
-  restart at zero after a resume — they are telemetry, not findings).
-* Coverage-traced campaigns disable the *artifact* layer only (a cache hit
-  would skip the traced compile arcs); the shape-infer memo, execution
-  plans, compiled plans and the prefix cache stay on because the tracer's
-  scope excludes ``repro/ops`` and ``repro/runtime`` — traced runs take
-  the same compiled path and produce the same arcs (pinned by the
-  coverage-equivalence test).
+``tests/core/test_hot_path_cache.py``.  Cache state never feeds checkpoints:
+:mod:`repro.core.parallel` strips ``cache_stats`` before persisting, and the
+checkpoint fingerprint ignores the cache knob, so resuming a run across
+cache settings is legal (stats restart at zero after a resume — they are
+telemetry, not findings).  Coverage-traced campaigns keep both stages on:
+the tracer's scope excludes ``repro/ops`` and ``repro/runtime``.
 
 Cache hits and misses are counted per stage and surface as
 ``CampaignResult.cache_stats`` via the worker → coordinator telemetry
-stream; ``tools/bench_hot_path.py`` reports the same counters per benchmark
-stage.
+stream.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.errors import ReproError
 from repro.graph.model import Model
 from repro.graph.node import Node
 from repro.ops import semantics, shape_infer
@@ -93,98 +52,21 @@ __all__ = [
     "STAGES",
     "ExecutionPlan",
     "HotPathCache",
-    "artifact_cache_key",
     "build_execution_plan",
-    "compile_with_cache",
-    "compiled_execution",
     "configure",
     "execution_plan",
     "get_cache",
-    "graph_fingerprint",
     "reset",
     "stats_delta",
     "stats_snapshot",
 ]
 
 #: Telemetry stages, in display order.
-STAGES = ("artifact", "shape_infer", "exec_plan", "plan", "prefix")
-
-#: Artifact entries kept before LRU eviction.  Generous for the tiny models
-#: campaigns generate; bounds memory on long runs.
-ARTIFACT_CAPACITY = 512
-
-#: Subgraph-prefix value entries kept before LRU eviction.  Each entry holds
-#: the boundary arrays of one executed prefix; campaign models are tiny, so
-#: this bounds memory at a few MB worst case.
-PREFIX_CAPACITY = 512
+STAGES = ("shape_infer", "exec_plan")
 
 #: Shape-infer memo entries kept before the table is cleared wholesale
 #: (entries are tiny; wholesale clearing keeps the bookkeeping trivial).
 SHAPE_MEMO_CAPACITY = 65536
-
-
-# ---------------------------------------------------------------------------
-# Graph fingerprint
-
-
-def _encode_attr(value: Any) -> Any:
-    if isinstance(value, (list, tuple)):
-        return [_encode_attr(item) for item in value]
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return [type(value).__name__, value]
-    return ["repr", repr(value)]
-
-
-def graph_fingerprint(model: Model) -> str:
-    """Canonical content hash of a model: structure + initializer digests.
-
-    Two models with identical structure, attrs and initializer bytes get the
-    same fingerprint regardless of object identity; any semantic difference
-    (shape, dtype, attr value, weight bytes, value names) changes it.
-    """
-    structure = {
-        "name": model.name,
-        "inputs": list(model.inputs),
-        "outputs": list(model.outputs),
-        "values": {
-            name: [list(vtype.shape), str(vtype.dtype)]
-            for name, vtype in sorted(model.value_types.items())
-        },
-        "nodes": [
-            [node.op, node.name, list(node.inputs), list(node.outputs),
-             sorted((key, _encode_attr(val)) for key, val in node.attrs.items())]
-            for node in model.nodes
-        ],
-    }
-    digest = hashlib.sha256()
-    digest.update(json.dumps(structure, sort_keys=True).encode("utf-8"))
-    for name in sorted(model.initializers):
-        array = np.ascontiguousarray(model.initializers[name])
-        digest.update(name.encode("utf-8"))
-        digest.update(str(array.dtype).encode("utf-8"))
-        digest.update(repr(array.shape).encode("utf-8"))
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
-def artifact_cache_key(compiler: Any, model: Model) -> Tuple:
-    """Everything that can change what ``compiler.compile_model`` produces."""
-    options = getattr(compiler, "options", None)
-    pipeline = getattr(options, "pipeline", None)
-    bugs = getattr(options, "bugs", None)
-    return (
-        graph_fingerprint(model),
-        getattr(compiler, "name", type(compiler).__name__),
-        getattr(options, "opt_level", None),
-        # Key on full pipeline *content*: specs built outside the registry
-        # (e.g. pass bisection) may reuse a display name for different
-        # pass sequences.
-        None if pipeline is None else (pipeline.name, pipeline.stages),
-        None if bugs is None else tuple(sorted(bugs.enabled_ids())),
-        # Pass-boundary verification turns some cached successes into
-        # IRVerificationError failures.
-        bool(getattr(options, "verify_passes", False)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +80,9 @@ class ExecutionPlan:
     ``steps`` holds, per node in topological order, the resolved kernel (or
     ``None`` — raised as :class:`UnsupportedOperatorError` *when reached*,
     matching ``execute_node``), the node itself, and the first statically
-    unavailable input name (or ``None``) so the legacy ``GraphError`` fires
-    at the same point in the run.  ``consumers`` counts remaining reads per
-    value name (duplicate inputs count twice) for eager dead-value dropping;
+    unavailable input name (or ``None``) so the ``GraphError`` fires at the
+    same point in the run.  ``consumers`` counts remaining reads per value
+    name (duplicate inputs count twice) for eager dead-value dropping;
     ``protected`` is the graph-output set that must survive to the end.
     """
 
@@ -223,7 +105,7 @@ def build_execution_plan(model: Model) -> ExecutionPlan:
             consumers[input_name] = consumers.get(input_name, 0) + 1
         steps.append((semantics.kernel_for(node.op), node, bad_input))
         if bad_input is not None:
-            # Later steps never execute; stop mirroring the legacy walk here.
+            # Later steps never execute; stop the schedule here.
             break
         available.update(node.outputs)
     return ExecutionPlan(
@@ -259,23 +141,14 @@ def _freeze_attr(value: Any) -> Any:
 class HotPathCache:
     """Process-wide cache state.  One instance per process (:func:`get_cache`).
 
-    ``enabled`` gates every layer; ``artifact_enabled`` additionally gates
-    the artifact layer alone (turned off under coverage tracing, where a
-    cache hit would skip traced compile arcs).
+    ``enabled`` gates both stages.
     """
 
     def __init__(self) -> None:
         self.enabled = True
-        self.artifact_enabled = True
-        self.plan_enabled = True
-        self.prefix_enabled = True
-        self._artifacts: "OrderedDict[Tuple, Tuple[bool, Any]]" = OrderedDict()
         self._shape_memo: Dict[Tuple, Tuple] = {}
         self._plans: "weakref.WeakKeyDictionary[Model, Tuple[int, ExecutionPlan]]" = (
             weakref.WeakKeyDictionary())
-        self._compiled: "weakref.WeakKeyDictionary[Model, Tuple[ExecutionPlan, Any]]" = (
-            weakref.WeakKeyDictionary())
-        self._prefix: "OrderedDict[Tuple, Any]" = OrderedDict()
         self._hits = {stage: 0 for stage in STAGES}
         self._misses = {stage: 0 for stage in STAGES}
 
@@ -306,42 +179,15 @@ class HotPathCache:
 
     # -- configuration -----------------------------------------------------
 
-    def configure(self, enabled: Optional[bool] = None,
-                  artifact: Optional[bool] = None,
-                  plan: Optional[bool] = None,
-                  prefix: Optional[bool] = None) -> None:
-        if enabled is not None:
-            self.enabled = enabled
-        if artifact is not None:
-            self.artifact_enabled = artifact
-        if plan is not None:
-            self.plan_enabled = plan
-        if prefix is not None:
-            self.prefix_enabled = prefix
+    def configure(self, enabled: bool) -> None:
+        self.enabled = enabled
 
     def reset(self, stats_only: bool = False) -> None:
         self._hits = {stage: 0 for stage in STAGES}
         self._misses = {stage: 0 for stage in STAGES}
         if not stats_only:
-            self._artifacts.clear()
             self._shape_memo.clear()
             self._plans = weakref.WeakKeyDictionary()
-            self._compiled = weakref.WeakKeyDictionary()
-            self._prefix.clear()
-
-    # -- artifact layer ----------------------------------------------------
-
-    def artifact_get(self, key: Tuple) -> Optional[Tuple[bool, Any]]:
-        entry = self._artifacts.get(key)
-        if entry is not None:
-            self._artifacts.move_to_end(key)
-        return entry
-
-    def artifact_put(self, key: Tuple, entry: Tuple[bool, Any]) -> None:
-        self._artifacts[key] = entry
-        self._artifacts.move_to_end(key)
-        while len(self._artifacts) > ARTIFACT_CAPACITY:
-            self._artifacts.popitem(last=False)
 
     # -- shape-infer layer -------------------------------------------------
 
@@ -350,9 +196,11 @@ class HotPathCache:
         if not self.enabled:
             return None
         try:
-            return (node.op, _freeze_attr(node.attrs), tuple(input_types))
+            key = (node.op, _freeze_attr(node.attrs), tuple(input_types))
+            hash(key)
         except TypeError:
             return None  # unhashable attr — bypass the memo
+        return key
 
     def shape_get(self, key: Tuple) -> Optional[Tuple]:
         cached = self._shape_memo.get(key)
@@ -383,44 +231,6 @@ class HotPathCache:
         self._plans[model] = (version, plan)
         return plan
 
-    # -- compiled-plan layer ------------------------------------------------
-
-    def plan_and_compiled(self, model: Model) -> Tuple[Any, ExecutionPlan]:
-        """``(compiled_plan_or_None, execution_plan)`` for ``model``.
-
-        The compiled form is keyed by plan object identity, so the
-        ``exec_plan`` staleness contract (``structure_version`` + node
-        count) transitively invalidates it.  ``None`` is cached too: a
-        model the slab cannot represent compiles once, then keeps hitting
-        the legacy-loop decision.
-        """
-        plan = self.plan_for(model)
-        if not (self.enabled and self.plan_enabled):
-            return None, plan
-        entry = self._compiled.get(model)
-        if entry is not None and entry[0] is plan:
-            self.record_hit("plan")
-            return entry[1], plan
-        self.record_miss("plan")
-        from repro.runtime.compiled_plan import compile_plan
-        compiled = compile_plan(model, plan)
-        self._compiled[model] = (plan, compiled)
-        return compiled, plan
-
-    # -- subgraph-prefix layer ----------------------------------------------
-
-    def prefix_get(self, key: Tuple) -> Optional[Any]:
-        entry = self._prefix.get(key)
-        if entry is not None:
-            self._prefix.move_to_end(key)
-        return entry
-
-    def prefix_put(self, key: Tuple, entry: Any) -> None:
-        self._prefix[key] = entry
-        self._prefix.move_to_end(key)
-        while len(self._prefix) > PREFIX_CAPACITY:
-            self._prefix.popitem(last=False)
-
 
 _CACHE = HotPathCache()
 
@@ -429,13 +239,9 @@ def get_cache() -> HotPathCache:
     return _CACHE
 
 
-def configure(enabled: Optional[bool] = None,
-              artifact: Optional[bool] = None,
-              plan: Optional[bool] = None,
-              prefix: Optional[bool] = None) -> None:
-    """Process-wide cache switches (see :class:`HotPathCache.configure`)."""
-    _CACHE.configure(enabled=enabled, artifact=artifact, plan=plan,
-                     prefix=prefix)
+def configure(enabled: bool) -> None:
+    """Process-wide cache switch (see :class:`HotPathCache.configure`)."""
+    _CACHE.configure(enabled)
 
 
 def reset(stats_only: bool = False) -> None:
@@ -453,42 +259,6 @@ def stats_delta(before: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, int]]:
 def execution_plan(model: Model) -> ExecutionPlan:
     """The (possibly cached) execution plan of ``model``."""
     return _CACHE.plan_for(model)
-
-
-def compiled_execution(model: Model) -> Tuple[Any, ExecutionPlan]:
-    """``(compiled_plan_or_None, execution_plan)`` for the interpreter."""
-    return _CACHE.plan_and_compiled(model)
-
-
-def compile_with_cache(compiler: Any, model: Model) -> Any:
-    """``compiler.compile_model(model)`` through the artifact cache.
-
-    Deterministic compile failures (:class:`ReproError` subclasses) are
-    cached and re-raised so the error path is as hot as the success path.
-    Unknown compiler/model shapes (duck-typed test doubles) silently bypass
-    the cache rather than fail.
-    """
-    if not (_CACHE.enabled and _CACHE.artifact_enabled):
-        return compiler.compile_model(model)
-    try:
-        key = artifact_cache_key(compiler, model)
-    except (AttributeError, TypeError):
-        return compiler.compile_model(model)
-    entry = _CACHE.artifact_get(key)
-    if entry is not None:
-        _CACHE.record_hit("artifact")
-        ok, value = entry
-        if ok:
-            return value
-        raise value
-    _CACHE.record_miss("artifact")
-    try:
-        compiled = compiler.compile_model(model)
-    except ReproError as exc:
-        _CACHE.artifact_put(key, (False, exc))
-        raise
-    _CACHE.artifact_put(key, (True, compiled))
-    return compiled
 
 
 # ---------------------------------------------------------------------------

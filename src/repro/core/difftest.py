@@ -21,7 +21,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.compilers.base import CompileOptions, Compiler
-from repro.core.cache import compile_with_cache
 from repro.compilers.bugs import BugConfig
 from repro.errors import (CompilerError, ConversionError, ExecutionError,
                           IRVerificationError, ReproError)
@@ -236,7 +235,7 @@ class DifferentialTester:
                        oracle_outputs: Dict[str, np.ndarray],
                        numerically_valid: bool) -> CompilerVerdict:
         try:
-            compiled = compile_with_cache(compiler, exported)
+            compiled = compiler.compile_model(exported)
         except IRVerificationError as exc:
             # The pass-boundary verifier refused an executing-but-ill-formed
             # IR: a dedicated symptom, not a crash (the compiler would have
@@ -282,7 +281,7 @@ class DifferentialTester:
         """Recompile at O0: if it agrees with the oracle the optimizer is wrong."""
         unoptimized = type(compiler)(CompileOptions(opt_level=0, bugs=self.bugs))
         try:
-            compiled = compile_with_cache(unoptimized, exported)
+            compiled = unoptimized.compile_model(exported)
             outputs = compiled.run(inputs)
         except ReproError:
             return "conversion"
@@ -306,7 +305,7 @@ class DifferentialTester:
         canonical = type(compiler)(CompileOptions(
             opt_level=compiler.options.opt_level, bugs=self.bugs))
         try:
-            outputs = compile_with_cache(canonical, exported).run(inputs)
+            outputs = canonical.compile_model(exported).run(inputs)
         except ReproError as exc:
             return (f" [pipeline {token}: canonical pipeline also fails: "
                     f"{first_line(str(exc))}]")

@@ -108,8 +108,8 @@ class FuzzerConfig:
     #: None means "the canonical pipeline of each compiler's opt level" —
     #: the historical behavior.
     pipeline: Optional[str] = None
-    #: Hot-path caching (:mod:`repro.core.cache`): compiled-artifact reuse,
-    #: shape-infer memoization and interpreter execution plans.  Provably
+    #: Hot-path caching (:mod:`repro.core.cache`): shape-infer memoization
+    #: and interpreter execution plans.  Provably
     #: invisible to findings — a campaign with caches on is bit-identical
     #: to caches off (enforced by ``tests/core/test_hot_path_cache.py``) —
     #: so the only reason to turn this off is benchmarking the cold path.
@@ -583,14 +583,7 @@ class Fuzzer:
         """
         from repro.core.cache import get_cache
 
-        # Coverage tracing must see every compile: artifact-cache hits would
-        # skip the traced arcs (shape-infer/plan caches are outside the
-        # tracer's scope and stay on).
-        get_cache().configure(
-            enabled=self.config.enable_cache,
-            artifact=self.config.enable_cache and coverage is None,
-            plan=self.config.enable_cache,
-            prefix=self.config.enable_cache)
+        get_cache().configure(self.config.enable_cache)
         stats_before = get_cache().stats_snapshot()
         result = CampaignResult()
         seen_reports: Set[str] = set()

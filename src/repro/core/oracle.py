@@ -28,12 +28,12 @@ arrival via :func:`build_oracle`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from repro.compilers.base import Compiler
-from repro.core.cache import compile_with_cache
 from repro.compilers.bugs import BugConfig
 from repro.core.difftest import (CaseResult, CompilerVerdict,
                                  DifferentialTester, first_line)
@@ -185,7 +185,7 @@ class ShapeOnlyOracle(BaseOracle):
         from repro.core.difftest import _bugs_from_error
 
         try:
-            compiled = compile_with_cache(compiler, exported)
+            compiled = compiler.compile_model(exported)
         except IRVerificationError as exc:
             return CompilerVerdict(compiler.name, "verifier", "transformation",
                                    str(exc), _bugs_from_error(exc))
@@ -252,7 +252,7 @@ class CrashOnlyOracle(BaseOracle):
         for compiler in self.compilers:
             modified: List[str] = []
             try:
-                compiled = compile_with_cache(compiler, exported)
+                compiled = compiler.compile_model(exported)
                 triggered = list(getattr(compiled, "triggered_bugs", []))
                 modified = list(getattr(compiled, "modified_by", []))
                 compiled.run(inputs)
@@ -443,7 +443,7 @@ class PerfRegressionOracle(BaseOracle):
         from repro.core.difftest import _bugs_from_error
 
         try:
-            optimized = compile_with_cache(compiler, exported)
+            optimized = compiler.compile_model(exported)
         except IRVerificationError as exc:
             return CompilerVerdict(compiler.name, "verifier", "transformation",
                                    str(exc), _bugs_from_error(exc))
@@ -470,9 +470,9 @@ class PerfRegressionOracle(BaseOracle):
             return CompilerVerdict(compiler.name, "ok", "", "", triggered,
                                    modified)
         try:
-            baseline = compile_with_cache(
-                type(compiler)(CompileOptions(opt_level=0, bugs=self.bugs)),
-                exported)
+            baseline = type(compiler)(
+                CompileOptions(opt_level=0, bugs=self.bugs)
+            ).compile_model(exported)
             baseline.run(inputs)
         except ReproError:
             # The unoptimized build itself fails; crash-class oracles own
@@ -494,15 +494,72 @@ class PerfRegressionOracle(BaseOracle):
         # attribution is pure provenance: it runs only after the verdict is
         # already decided, never changes the message or dedup key, and
         # executables without per-node profiling hooks yield [].
-        try:
-            from repro.runtime.compiled_plan import attribute_slow_nodes
-            slow_nodes = attribute_slow_nodes(optimized, baseline, inputs,
-                                              timer=self._timer)
-        except Exception:
-            slow_nodes = []
+        slow_nodes = attribute_slow_nodes(optimized, baseline, inputs,
+                                          timer=self._timer)
         return CompilerVerdict(compiler.name, "perf", "transformation",
                                message, triggered, modified,
                                slow_nodes=slow_nodes)
+
+
+def _min_profile(profiler, inputs, timer, repeats: int
+                 ) -> List[Tuple[str, str, float]]:
+    order: List[Tuple[str, str]] = []
+    best: Dict[str, float] = {}
+    for _ in range(max(1, repeats)):
+        for name, op, seconds in profiler(inputs, timer):
+            if name not in best:
+                order.append((name, op))
+                best[name] = seconds
+            elif seconds < best[name]:
+                best[name] = seconds
+    return [(name, op, best[name]) for name, op in order]
+
+
+def attribute_slow_nodes(optimized: Any, baseline: Any,
+                         inputs: Mapping[str, np.ndarray],
+                         timer: Optional[Callable[[], float]] = None,
+                         repeats: int = 2, top: int = 3,
+                         share_floor: float = 0.8) -> List[Dict[str, str]]:
+    """Bisect a flagged perf regression to the nodes that carry it.
+
+    Both executables are profiled node-at-a-time through their own
+    ``profile_nodes(inputs, timer)`` hook (min-of-``repeats`` per node, the
+    same noise discipline as the perf oracle's measurements); per-node
+    excess over the baseline is ranked and the dominating nodes returned as
+    ``{"node", "op", "share"}`` provenance dicts.  Executables without the
+    hook (codegen backends, test doubles) yield ``[]`` — attribution is
+    strictly additive provenance, never a gate.
+    """
+    import time
+
+    timer = timer if timer is not None else time.perf_counter
+    optimized_profiler = getattr(optimized, "profile_nodes", None)
+    baseline_profiler = getattr(baseline, "profile_nodes", None)
+    if not callable(optimized_profiler) or not callable(baseline_profiler):
+        return []
+    try:
+        optimized_times = _min_profile(optimized_profiler, inputs, timer,
+                                       repeats)
+        baseline_times = _min_profile(baseline_profiler, inputs, timer,
+                                      repeats)
+    except Exception:
+        return []
+    baseline_by_name = {name: seconds for name, _op, seconds in baseline_times}
+    excess = [(name, op, seconds - baseline_by_name.get(name, 0.0))
+              for name, op, seconds in optimized_times]
+    positive = sorted((entry for entry in excess if entry[2] > 0.0),
+                      key=lambda entry: -entry[2])
+    total = sum(entry[2] for entry in positive)
+    if total <= 0.0:
+        return []
+    slow: List[Dict[str, str]] = []
+    covered = 0.0
+    for name, op, seconds in positive[:max(1, top)]:
+        slow.append({"node": name, "op": op, "share": f"{seconds / total:.0%}"})
+        covered += seconds
+        if covered / total >= share_floor:
+            break
+    return slow
 
 
 # --------------------------------------------------------------------------- #
@@ -583,22 +640,12 @@ class GradientCheckOracle(BaseOracle):
         except ReproError:
             return self._skip_verdicts()  # some operator has no VJP
 
-        # When the compiled-plan layer is on, FD probes of the reference
-        # interpreter run in batched sweeps (all perturbations of one input
-        # through one plan walk) — bit-identical outputs, so the verdict is
-        # the same either way (pinned by the cache invisibility tests).
-        try:
-            from repro.runtime.compiled_plan import batched_reference_runner
-            batch_runner = batched_reference_runner(model)
-        except ReproError:
-            batch_runner = None
         try:
             reference = self._judge_runner(
                 "autodiff",
                 lambda perturbed: Interpreter(record_intermediates=False)
                 .run_detailed(model, perturbed).outputs,
-                inputs, float_outputs, targets, analytic, triggered,
-                batch_runner=batch_runner)
+                inputs, float_outputs, targets, analytic, triggered)
         except ReproError:
             # A perturbed reference run failed outright (domain edge):
             # gradients are not comparable here.
@@ -652,7 +699,7 @@ class GradientCheckOracle(BaseOracle):
         from repro.core.difftest import _bugs_from_error
 
         try:
-            compiled = compile_with_cache(compiler, exported)
+            compiled = compiler.compile_model(exported)
         except IRVerificationError as exc:
             return CompilerVerdict(compiler.name, "verifier", "transformation",
                                    str(exc), _bugs_from_error(exc))
@@ -680,51 +727,22 @@ class GradientCheckOracle(BaseOracle):
         return verdict
 
     def _judge_runner(self, system, runner, inputs, float_outputs, targets,
-                      analytic, triggered,
-                      batch_runner=None) -> CompilerVerdict:
+                      analytic, triggered) -> CompilerVerdict:
         """Compare analytic gradients against central FD through ``runner``.
 
         ``runner`` maps an inputs dict to an outputs dict; the scalar loss
         per output is the sum of its elements, so one pair of perturbed
-        runs yields every output's directional derivative at once.  With a
-        ``batch_runner`` (maps a list of input dicts to a list of output
-        dicts), the ±probes of *every* target tensor run as one batched
-        sweep instead of 2×samples sequential runs; runs are pure, so the
-        judged values are identical.
+        runs yields every output's directional derivative at once.
         """
-        per_name = []
+        worst: Dict[str, Tuple[float, str, int, float, float]] = {}
+        mismatched = False
         for name, indices in targets:
             base = np.asarray(inputs[name])
-            probes = []
             for index in indices:
                 value = float(base.reshape(-1)[index])
                 step = self.FD_STEP * max(1.0, abs(value))
-                probes.append((index, step,
-                               self._perturbed(inputs, name, index, step),
-                               self._perturbed(inputs, name, index, -step)))
-            per_name.append((name, probes))
-        if batch_runner is not None:
-            flat = [sample for _name, probes in per_name
-                    for _i, _s, plus, minus in probes
-                    for sample in (plus, minus)]
-            outs = batch_runner(flat) if flat else []
-            pairs_of = []
-            cursor = 0
-            for _name, probes in per_name:
-                pairs_of.append([(outs[cursor + 2 * i],
-                                  outs[cursor + 2 * i + 1])
-                                 for i in range(len(probes))])
-                cursor += 2 * len(probes)
-        else:
-            pairs_of = [[(runner(plus), runner(minus))
-                         for _i, _s, plus, minus in probes]
-                        for _name, probes in per_name]
-
-        worst: Dict[str, Tuple[float, str, int, float, float]] = {}
-        mismatched = False
-        for (name, probes), pairs in zip(per_name, pairs_of):
-            for (index, step, _plus, _minus), (outs_plus, outs_minus) in zip(
-                    probes, pairs):
+                outs_plus = runner(self._perturbed(inputs, name, index, step))
+                outs_minus = runner(self._perturbed(inputs, name, index, -step))
                 for out in float_outputs:
                     if out not in outs_plus or out not in outs_minus:
                         continue
@@ -776,6 +794,7 @@ __all__ = [
     "Oracle",
     "PerfRegressionOracle",
     "ShapeOnlyOracle",
+    "attribute_slow_nodes",
     "build_oracle",
     "first_line",
     "register_oracle",

@@ -535,17 +535,9 @@ def _cell_tester(task: CellTask, factory: CompilerFactory
     if task.trace_coverage:
         systems = sorted({compiler.name for compiler in tester.compilers})
         coverage = CoverageFeedback(systems=systems)
-    # Per-process cache switches: coverage-traced cells must see every
-    # compile (an artifact-cache hit would skip the traced arcs); the
-    # shape-infer memo, execution/compiled plans and the prefix cache live
-    # outside the tracer's scope and stay on for traced cells too.
     from repro.core.cache import get_cache
 
-    get_cache().configure(
-        enabled=config.enable_cache,
-        artifact=config.enable_cache and not task.trace_coverage,
-        plan=config.enable_cache,
-        prefix=config.enable_cache)
+    get_cache().configure(config.enable_cache)
     return tester, config, strategy, coverage
 
 

@@ -15,9 +15,7 @@ from repro.experiments.bug_study import (
 )
 from repro.experiments.coverage_experiment import (
     CoverageCampaignResult,
-    NNSmithCaseGenerator,
     StrategyCaseGenerator,
-    make_case_generator,
     run_coverage_campaign,
     run_fuzzer_comparison,
     run_tzer_campaign,
@@ -52,7 +50,6 @@ __all__ = [
     "GradcheckComparisonResult",
     "GradientAblationResult",
     "InstanceDiversityResult",
-    "NNSmithCaseGenerator",
     "NanRateResult",
     "StrategyCaseGenerator",
     "build_model_group",
@@ -60,7 +57,6 @@ __all__ = [
     "campaign_cell_sets",
     "campaign_venn",
     "format_venn_table",
-    "make_case_generator",
     "measure_nan_rate",
     "reachability_analysis",
     "run_binning_coverage",

@@ -16,7 +16,7 @@ from repro.core.generator import GeneratorConfig, generate_model
 from repro.errors import ReproError
 from repro.experiments.coverage_experiment import (
     CoverageCampaignResult,
-    NNSmithCaseGenerator,
+    StrategyCaseGenerator,
     run_coverage_campaign,
 )
 
@@ -87,9 +87,9 @@ def run_binning_coverage(compiler_name: str, max_iterations: int = 30,
                          seed: int = 0) -> BinningCoverageResult:
     """Coverage campaigns for NNSmith with and without attribute binning."""
     with_binning = run_coverage_campaign(
-        NNSmithCaseGenerator(seed=seed, use_binning=True), compiler_name,
-        max_iterations=max_iterations, seed=seed)
+        StrategyCaseGenerator("nnsmith", seed=seed, use_binning=True),
+        compiler_name, max_iterations=max_iterations, seed=seed)
     without_binning = run_coverage_campaign(
-        NNSmithCaseGenerator(seed=seed, use_binning=False), compiler_name,
-        max_iterations=max_iterations, seed=seed)
+        StrategyCaseGenerator("nnsmith", seed=seed, use_binning=False),
+        compiler_name, max_iterations=max_iterations, seed=seed)
     return BinningCoverageResult(compiler_name, with_binning, without_binning)

@@ -12,12 +12,8 @@ checkpointable campaign, same figures.
 
 Generators come from the strategy registry (:mod:`repro.core.strategy`):
 :class:`StrategyCaseGenerator` adapts any registered
-:class:`~repro.core.strategy.GenerationStrategy` to the historical
-``next_case()`` protocol (and carries the campaign config the engine path
-reuses).  :func:`make_case_generator` and :class:`NNSmithCaseGenerator`
-survive as thin back-compat shims; third-party objects implementing the
-bare :class:`CaseGenerator` protocol still run through the legacy serial
-loop.
+:class:`~repro.core.strategy.GenerationStrategy` to a ``next_case()``
+protocol (and carries the campaign config the engine path reuses).
 
 Tzer is driven through its own entry point because it mutates DeepC's
 low-level IR directly rather than producing models.
@@ -29,34 +25,20 @@ import dataclasses
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence
-
-import numpy as np
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.baselines.tzer import TzerFuzzer
-from repro.compilers import CompileOptions, make_compiler
 from repro.compilers.bugs import BugConfig
 from repro.compilers.coverage import (CoverageTimeline, CoverageTracer,
                                       arc_from_str)
 from repro.core.generator import GeneratorConfig
 from repro.core.strategy import build_strategy
-from repro.errors import ReproError
 from repro.graph.model import Model
-from repro.runtime.exporter import export_model
-from repro.runtime.interpreter import random_inputs
-
-
-class CaseGenerator(Protocol):
-    """Anything that can produce one test model per iteration."""
-
-    name: str
-
-    def next_case(self) -> Model:  # pragma: no cover - protocol signature
-        ...
 
 
 class StrategyCaseGenerator:
-    """A registered generation strategy behind the CaseGenerator protocol.
+    """A registered generation strategy that produces one model per
+    ``next_case()`` call.
 
     Seeds each iteration exactly like the campaign engine
     (:func:`repro.core.fuzzer.iteration_seed`), so a coverage experiment and
@@ -90,27 +72,6 @@ class StrategyCaseGenerator:
         return generated.model
 
 
-class NNSmithCaseGenerator(StrategyCaseGenerator):
-    """Back-compat shim: the NNSmith strategy as a case generator."""
-
-    def __init__(self, seed: int = 0, n_nodes: int = 10,
-                 use_binning: bool = True) -> None:
-        super().__init__("nnsmith", seed=seed, n_nodes=n_nodes,
-                         use_binning=use_binning)
-
-
-def make_case_generator(name: str, seed: int = 0, n_nodes: int = 10,
-                        use_binning: bool = True) -> CaseGenerator:
-    """Instantiate a case generator by its short name.
-
-    Deprecated alias for :class:`StrategyCaseGenerator`: any strategy in the
-    registry (including ``targeted`` and third-party registrations) is
-    accepted, not just the original three names.
-    """
-    return StrategyCaseGenerator(name, seed=seed, n_nodes=n_nodes,
-                                 use_binning=use_binning)
-
-
 @dataclass
 class CoverageCampaignResult:
     """Outcome of one fuzzer-vs-compiler coverage campaign."""
@@ -140,86 +101,28 @@ class CoverageCampaignResult:
 LEMON_ITERATION_PENALTY = 0.05
 
 
-def run_coverage_campaign(generator: CaseGenerator, compiler_name: str,
+def run_coverage_campaign(generator: StrategyCaseGenerator,
+                          compiler_name: str,
                           max_iterations: Optional[int] = 50,
                           time_budget: Optional[float] = None,
                           seed: int = 0) -> CoverageCampaignResult:
     """Fuzz one compiler with one generator while tracing branch coverage.
 
-    Registry-backed generators (:class:`StrategyCaseGenerator` and its
-    shims) run as a single-cell campaign on the matrix engine with the
-    coverage feedback channel; ``seed`` is the campaign seed there (it
-    drives the per-iteration generation *and* input streams — the
-    generator's construction seed only fixes its config defaults), matching
-    every in-repo caller, which passes the same seed to both.  Bare
-    :class:`CaseGenerator` protocol objects fall back to the legacy serial
-    loop, where ``seed`` only feeds the random-input RNG.
+    Runs as a single-cell campaign on the matrix engine with the coverage
+    feedback channel.  ``seed`` is the campaign seed (it drives the
+    per-iteration generation *and* input streams — the generator's
+    construction seed only fixes its config defaults), matching every
+    in-repo caller, which passes the same seed to both.
     """
-    if isinstance(generator, StrategyCaseGenerator):
-        config = dataclasses.replace(
-            generator._config,
-            max_iterations=max_iterations,
-            time_budget=time_budget,
-            seed=seed)
-        result = _run_coverage_matrix(config, compiler_name,
-                                      generators=None, n_workers=1)
-        return _slice_fuzzer_result(result, generator.name,
-                                    compiler_name,
-                                    match_generator=None)
-    return _legacy_coverage_loop(generator, compiler_name,
-                                 max_iterations=max_iterations,
-                                 time_budget=time_budget, seed=seed)
-
-
-def _legacy_coverage_loop(generator: CaseGenerator, compiler_name: str,
-                          max_iterations: Optional[int] = 50,
-                          time_budget: Optional[float] = None,
-                          seed: int = 0) -> CoverageCampaignResult:
-    """The historical serial loop, kept for third-party case generators."""
-    compiler = make_compiler(compiler_name,
-                             CompileOptions(opt_level=2, bugs=BugConfig.none()))
-    tracer = CoverageTracer(systems=(compiler_name,))
-    timeline = CoverageTimeline()
-    rng = np.random.default_rng(seed)
-    crashes = 0
-    start = time.monotonic()
-    iteration = 0
-
-    while True:
-        if max_iterations is not None and iteration >= max_iterations:
-            break
-        if time_budget is not None and (time.monotonic() - start) >= time_budget:
-            break
-        iteration += 1
-        try:
-            model = generator.next_case()
-        except ReproError:
-            continue
-        if generator.name == "lemon":
-            time.sleep(LEMON_ITERATION_PENALTY)
-        try:
-            exported = export_model(model, bugs=BugConfig.none())
-        except ReproError:
-            continue
-        with tracer:
-            try:
-                compiled = compiler.compile_model(exported)
-                compiled.run(random_inputs(exported, rng))
-            except ReproError:
-                crashes += 1
-        timeline.record(time.monotonic() - start, iteration,
-                        tracer.count(), tracer.count(pass_only=True))
-
-    return CoverageCampaignResult(
-        fuzzer=generator.name,
-        compiler=compiler_name,
-        iterations=iteration,
-        elapsed=time.monotonic() - start,
-        arcs=tracer.arcs_by_scope(pass_only=False),
-        pass_arcs=tracer.arcs_by_scope(pass_only=True),
-        timeline=timeline,
-        crashes=crashes,
-    )
+    config = dataclasses.replace(
+        generator._config,
+        max_iterations=max_iterations,
+        time_budget=time_budget,
+        seed=seed)
+    result = _run_coverage_matrix(config, compiler_name,
+                                  generators=None, n_workers=1)
+    return _slice_fuzzer_result(result, generator.name, compiler_name,
+                                match_generator=None)
 
 
 def run_tzer_campaign(max_iterations: Optional[int] = 50,
@@ -305,8 +208,8 @@ def _slice_fuzzer_result(result, fuzzer: str, compiler_name: str,
     applied on top (see ``LEMON_ITERATION_PENALTY`` — wall-clock only,
     never coverage math).  ``crashes`` counts *deduplicated* crash
     signatures (the engine streams deduplicated reports), not crashing
-    iterations like the legacy serial loop — a deliberate semantic change,
-    consistent with how the campaign engine counts findings everywhere.
+    iterations, consistent with how the campaign engine counts findings
+    everywhere.
     """
     cells = {key: cell for key, cell in result.cells.items()
              if cell.generator == match_generator}

@@ -9,20 +9,12 @@ search uses the recorded intermediates and NaN/Inf positions.
 
 Execution runs over a cached per-model *execution plan*
 (:mod:`repro.core.cache`): topological order with each node's kernel
-pre-resolved once per model instead of re-dispatched per run.  When the
-plan additionally compiles to a flat-slab :class:`CompiledPlan`
-(:mod:`repro.runtime.compiled_plan` — the common case), ``run_detailed``
-delegates to it: same outputs, same ``RunResult`` fields, same exception
-behavior, just without per-step dict lookups; models the slab cannot
-represent keep the legacy dict loop below.  Coverage-traced runs take the
-compiled path too — the tracer's scope excludes ``repro/runtime``, so the
-arcs a traced campaign observes are unchanged.  Two correctness
-properties of the run loop (preserved by both paths):
+pre-resolved once per model instead of re-dispatched per run.  Two
+correctness properties of the run loop:
 
 * Initializers enter the value environment as **read-only views** — a
   mutating kernel or a caller poking at ``RunResult.values`` can no longer
-  silently corrupt the model's weights for later iterations (a hard
-  precondition for sharing cached compiled artifacts across iterations).
+  silently corrupt the model's weights for later iterations.
 * With ``record_intermediates=False``, dead intermediates are dropped
   eagerly (refcounted by remaining consumers from the plan) instead of
   being retained until function exit; ``RunResult.peak_live_values``
@@ -93,12 +85,7 @@ class Interpreter:
     def run_detailed(self, model: Model,
                      inputs: Mapping[str, np.ndarray]) -> RunResult:
         """Execute the model, recording intermediates and NaN/Inf producers."""
-        cache_module = _hot_cache()
-        compiled, plan = cache_module.compiled_execution(model)
-        if compiled is not None:
-            return compiled.execute(model, inputs, self.record_intermediates,
-                                    cache_module.get_cache())
-
+        plan = _hot_cache().execution_plan(model)
         values: Dict[str, np.ndarray] = {}
         for name in model.inputs:
             if name not in inputs:
@@ -174,49 +161,27 @@ def _has_exceptional(arrays: List[np.ndarray]) -> bool:
 
 
 def _integer_draw(rng: np.random.Generator, low: float, high: float,
-                  size, int_bounds: str) -> np.ndarray:
-    """Integer sampling for :func:`random_inputs`/:func:`random_weights`.
+                  size) -> np.ndarray:
+    """Integers uniform over the closed range ``[int(low), int(high)]``.
 
-    ``int_bounds`` picks between two distributions:
-
-    ``"inclusive"`` (default)
-        The intended distribution: uniform over the closed range
-        ``[int(low), int(high)]``, every integer reachable, never
-        degenerate.  This became the default in PR 9, which regenerated
-        the seeded corpus and re-pinned the smoke seeds on the new stream
-        (the standing seed-stream debt called out in ROADMAP).
-
-    ``"legacy"``
-        ``rng.integers(int(low), max(int(high), int(low) + 1))`` — the
-        historical stream.  The high bound is *exclusive*, so the
-        documented ``[low, high)`` float range becomes
-        ``[int(low), int(high))`` over ints: with the default 1.0/9.0
-        range, 9 is never sampled, and when ``int(high) == int(low)`` the
-        draw degenerates to the single value ``int(low)``.  Kept as an
-        explicit opt-out so pre-PR-9 campaign seeds remain replayable.
-
-    Both streams are pinned by seeded tests in
-    ``tests/runtime/test_interpreter_hot_path.py``.
+    Every integer in the range is reachable (with the default 1.0/9.0
+    range, 9 is drawn); swapped bounds are reordered.  The seeded corpus
+    and the pinned smoke seeds depend on this exact stream.
     """
-    if int_bounds == "legacy":
-        return rng.integers(int(low), max(int(high), int(low) + 1), size=size)
-    if int_bounds == "inclusive":
-        lo, hi = int(low), int(high)
-        if hi < lo:
-            lo, hi = hi, lo
-        return rng.integers(lo, hi + 1, size=size)
-    raise ValueError(f"unknown int_bounds mode {int_bounds!r}; "
-                     f"expected 'legacy' or 'inclusive'")
+    lo, hi = int(low), int(high)
+    if hi < lo:
+        lo, hi = hi, lo
+    return rng.integers(lo, hi + 1, size=size)
 
 
 def random_inputs(model: Model, rng: Optional[np.random.Generator] = None,
-                  low: float = 1.0, high: float = 9.0,
-                  int_bounds: str = "inclusive") -> Dict[str, np.ndarray]:
+                  low: float = 1.0,
+                  high: float = 9.0) -> Dict[str, np.ndarray]:
     """Sample random graph inputs (the paper's "Sampling" baseline range).
 
-    Floats are drawn uniformly from ``[low, high)`` and booleans as fair
-    coin flips.  Integer draws follow ``int_bounds`` — see
-    :func:`_integer_draw` for the inclusive-vs-legacy distinction.
+    Floats are drawn uniformly from ``[low, high)``, integers from the
+    closed range (see :func:`_integer_draw`) and booleans as fair coin
+    flips.
     """
     rng = rng or np.random.default_rng()
     result: Dict[str, np.ndarray] = {}
@@ -225,7 +190,7 @@ def random_inputs(model: Model, rng: Optional[np.random.Generator] = None,
         if ttype.dtype.is_float:
             data = rng.uniform(low, high, size=ttype.shape)
         elif ttype.dtype.is_int:
-            data = _integer_draw(rng, low, high, ttype.shape, int_bounds)
+            data = _integer_draw(rng, low, high, ttype.shape)
         else:
             data = rng.integers(0, 2, size=ttype.shape).astype(bool)
         result[name] = np.asarray(data, dtype=ttype.dtype.numpy)
@@ -233,12 +198,11 @@ def random_inputs(model: Model, rng: Optional[np.random.Generator] = None,
 
 
 def random_weights(model: Model, rng: Optional[np.random.Generator] = None,
-                   low: float = 1.0, high: float = 9.0,
-                   int_bounds: str = "inclusive") -> Dict[str, np.ndarray]:
+                   low: float = 1.0,
+                   high: float = 9.0) -> Dict[str, np.ndarray]:
     """Sample replacement values for the model's initializers.
 
-    Same distribution rules as :func:`random_inputs`, including the
-    ``int_bounds`` knob.
+    Same distribution rules as :func:`random_inputs`.
     """
     rng = rng or np.random.default_rng()
     result: Dict[str, np.ndarray] = {}
@@ -246,7 +210,7 @@ def random_weights(model: Model, rng: Optional[np.random.Generator] = None,
         if array.dtype.kind == "f":
             data = rng.uniform(low, high, size=array.shape)
         elif array.dtype.kind in "iu":
-            data = _integer_draw(rng, low, high, array.shape, int_bounds)
+            data = _integer_draw(rng, low, high, array.shape)
         else:
             data = rng.integers(0, 2, size=array.shape).astype(bool)
         result[name] = np.asarray(data, dtype=array.dtype)

@@ -14,6 +14,7 @@ from repro.compilers.deepc.passes import DeepCPassContext, run_pipeline
 from repro.dtypes import DType
 from repro.errors import ConversionError, TransformationError
 from repro.graph.builder import GraphBuilder
+from repro.graph.tensor_type import TensorType
 from repro.runtime import Interpreter, random_inputs
 
 from repro.testing import build_conv_model, build_mlp_model
@@ -84,6 +85,23 @@ class TestConverter:
         with pytest.raises(ConversionError, match="deepc-import-where-broadcast-rank"):
             convert_model(model, BugConfig.only("deepc-import-where-broadcast-rank"))
         assert_matches_oracle(model)
+
+    @pytest.mark.parametrize("bugs", [
+        BugConfig.only("deepc-import-where-broadcast-rank"), NO_BUGS])
+    def test_where_broadcast_rank_bug_ignores_unbroadcastable_operands(
+            self, bugs):
+        # The bug's seeding code broadcasts the two higher-ranked operands
+        # first; a pair that does not broadcast must surface as the generic
+        # importer's ConversionError, not as a bare ValueError.
+        builder = GraphBuilder("where_bad")
+        cond = builder.input([3], DType.bool_)
+        lhs = builder.input([2, 3])
+        rhs = builder.input([2, 3])
+        builder.op1("Where", [cond, lhs, rhs])
+        model = builder.build()
+        model.value_types[rhs] = TensorType((4, 3), DType.float32)
+        with pytest.raises(ConversionError):
+            convert_model(model, bugs)
 
     def test_bool_argmax_bug_flips_op(self):
         builder = GraphBuilder("argb")

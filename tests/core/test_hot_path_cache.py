@@ -2,10 +2,8 @@
 
 Findings, checkpoints and Venn slices of a campaign with caching enabled
 must be bit-identical to the same campaign with caching disabled, across
-worker counts and through a kill/resume — while the artifact cache shows a
-non-zero hit rate on a repeated-graph workload.  Plus unit coverage of the
-cache keys themselves: pipeline tokens and ``BugConfig`` discriminate, a
-seeded-bug compile never hits a clean-build entry.
+worker counts and through a kill/resume.  Plus unit coverage of the two
+stages themselves: the shape-infer memo keys and execution-plan staleness.
 """
 
 import copy
@@ -14,19 +12,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.compilers.base import CompileOptions, Compiler, create_compiler
 from repro.compilers.bugs import BugConfig
-from repro.compilers.pipeline import PipelineSpec, canonical_spec
 from repro.core import cache
 from repro.core.fuzzer import Fuzzer
 from repro.core.parallel import ParallelCampaign, default_compiler_factory
-from repro.errors import CompilerError
 from repro.ops.shape_infer import infer_output_types
 from repro.graph.node import Node
 from repro.graph.tensor_type import TensorType
 from repro.dtypes import DType
-from repro.runtime.exporter import export_model
-from repro.runtime.interpreter import Interpreter
+from repro.runtime.interpreter import Interpreter, random_inputs
 from repro.testing import (build_mlp_model, campaign_signature,
                            tiny_campaign_config)
 
@@ -37,10 +31,10 @@ pytestmark = pytest.mark.campaign
 def _fresh_cache():
     """Each test starts cold and leaves the process-default switches on."""
     cache.reset()
-    cache.configure(enabled=True, artifact=True, plan=True, prefix=True)
+    cache.configure(enabled=True)
     yield
     cache.reset()
-    cache.configure(enabled=True, artifact=True, plan=True, prefix=True)
+    cache.configure(enabled=True)
 
 
 def _config(enabled, **kwargs):
@@ -48,129 +42,6 @@ def _config(enabled, **kwargs):
 
     return dataclasses.replace(tiny_campaign_config(**kwargs),
                                enable_cache=enabled)
-
-
-# --------------------------------------------------------------------------- #
-# Fingerprint / key discrimination
-# --------------------------------------------------------------------------- #
-class TestGraphFingerprint:
-    def test_clone_shares_fingerprint(self):
-        model = build_mlp_model()
-        assert cache.graph_fingerprint(model) == \
-            cache.graph_fingerprint(model.clone())
-
-    def test_weight_bytes_change_fingerprint(self):
-        model = build_mlp_model()
-        other = model.clone()
-        name = next(iter(other.initializers))
-        other.initializers[name] = other.initializers[name] + 1
-        assert cache.graph_fingerprint(model) != cache.graph_fingerprint(other)
-
-    def test_attr_change_fingerprint(self):
-        model = build_mlp_model()
-        other = model.clone()
-        for node in other.nodes:
-            if node.attrs:
-                key = next(iter(node.attrs))
-                node.attrs[key] = node.attrs[key]
-                node.attrs["__probe__"] = 1
-                break
-        assert cache.graph_fingerprint(model) != cache.graph_fingerprint(other)
-
-
-class TestArtifactKey:
-    def test_pipeline_content_discriminates_shared_names(self):
-        # Two specs with the *same* display name but different pass content
-        # (the pass-bisection pattern) must never share a cache entry.
-        full = canonical_spec(2)
-        trimmed = PipelineSpec(name=full.name, stages=tuple(
-            (stage, names[:1]) for stage, names in full.stages))
-        model = export_model(build_mlp_model())
-        with_full = create_compiler("graphrt",
-                                    CompileOptions(opt_level=2, pipeline=full))
-        with_trimmed = create_compiler(
-            "graphrt", CompileOptions(opt_level=2, pipeline=trimmed))
-        assert cache.artifact_cache_key(with_full, model) != \
-            cache.artifact_cache_key(with_trimmed, model)
-
-    def test_bug_config_discriminates(self):
-        model = export_model(build_mlp_model())
-        seeded = create_compiler("graphrt",
-                                 CompileOptions(bugs=BugConfig.all()))
-        clean = create_compiler("graphrt",
-                                CompileOptions(bugs=BugConfig.none()))
-        assert cache.artifact_cache_key(seeded, model) != \
-            cache.artifact_cache_key(clean, model)
-
-    def test_seeded_compile_never_hits_clean_entry(self):
-        model = export_model(build_mlp_model())
-        clean = create_compiler("graphrt",
-                                CompileOptions(bugs=BugConfig.none()))
-        cache.compile_with_cache(clean, model)
-        before = cache.stats_snapshot()
-        seeded = create_compiler("graphrt",
-                                 CompileOptions(bugs=BugConfig.all()))
-        cache.compile_with_cache(seeded, model)
-        delta = cache.stats_delta(before)
-        assert delta["artifact"] == {"hits": 0, "misses": 1}
-
-    def test_opt_level_and_compiler_discriminate(self):
-        model = export_model(build_mlp_model())
-        keys = {
-            cache.artifact_cache_key(
-                create_compiler(name, CompileOptions(opt_level=level)), model)
-            for name in ("graphrt", "deepc")
-            for level in (0, 2)
-        }
-        assert len(keys) == 4
-
-
-class _CountingCompiler(Compiler):
-    name = "counting"
-
-    def __init__(self, options=None, fail=False):
-        super().__init__(options or CompileOptions())
-        self.calls = 0
-        self.fail = fail
-
-    def compile_model(self, model):
-        self.calls += 1
-        if self.fail:
-            raise CompilerError("deterministic failure [graphrt-probe-bug]")
-        return object.__new__(_FakeCompiled)
-
-
-class _FakeCompiled:
-    pass
-
-
-class TestCompileWithCache:
-    def test_hit_returns_same_artifact_without_recompiling(self):
-        model = export_model(build_mlp_model())
-        compiler = _CountingCompiler()
-        first = cache.compile_with_cache(compiler, model)
-        second = cache.compile_with_cache(compiler, model)
-        assert first is second
-        assert compiler.calls == 1
-        assert cache.stats_snapshot()["artifact"] == {"hits": 1, "misses": 1}
-
-    def test_deterministic_failures_are_cached_and_reraised(self):
-        model = export_model(build_mlp_model())
-        compiler = _CountingCompiler(fail=True)
-        with pytest.raises(CompilerError) as first:
-            cache.compile_with_cache(compiler, model)
-        with pytest.raises(CompilerError) as second:
-            cache.compile_with_cache(compiler, model)
-        assert compiler.calls == 1
-        assert str(first.value) == str(second.value)
-
-    def test_disabled_cache_always_recompiles(self):
-        cache.configure(artifact=False)
-        model = export_model(build_mlp_model())
-        compiler = _CountingCompiler()
-        cache.compile_with_cache(compiler, model)
-        cache.compile_with_cache(compiler, model)
-        assert compiler.calls == 2
 
 
 # --------------------------------------------------------------------------- #
@@ -205,6 +76,44 @@ class TestShapeInferMemo:
         assert first is not second
         first.append("sentinel")
         assert infer_output_types(node, types) == second
+
+    def test_unhashable_attr_bypasses_the_memo(self):
+        # An array-valued attr cannot key the memo; inference must still
+        # answer exactly as it does with the cache off.
+        node = Node("Relu", "r", ["x"], ["y"],
+                    attrs={"extra": np.array([1, 2])})
+        types = [TensorType((2,), DType.float32)]
+        cache.configure(enabled=False)
+        want = infer_output_types(node, types)
+        cache.configure(enabled=True)
+        before = cache.stats_snapshot()
+        assert infer_output_types(node, types) == want
+        assert cache.stats_delta(before) == {}
+
+    def test_failed_inference_is_not_memoized(self):
+        from repro.errors import ShapeInferenceError
+
+        node = Node("Add", "a", ["x", "y"], ["z"])
+        types = [TensorType((3,), DType.float32),
+                 TensorType((4,), DType.float32)]
+        before = cache.stats_snapshot()
+        for _ in range(2):
+            with pytest.raises(ShapeInferenceError, match="broadcast"):
+                infer_output_types(node, types)
+        assert cache.stats_delta(before) == {
+            "shape_infer": {"hits": 0, "misses": 2}}
+
+    def test_memo_clears_wholesale_at_capacity(self, monkeypatch):
+        monkeypatch.setattr(cache, "SHAPE_MEMO_CAPACITY", 2)
+        node = Node("Relu", "r", ["x"], ["y"])
+        for size in (1, 2, 3):
+            infer_output_types(node, [TensorType((size,), DType.float32)])
+        # The third entry found the table full: the first two are gone.
+        before = cache.stats_snapshot()
+        infer_output_types(node, [TensorType((3,), DType.float32)])
+        infer_output_types(node, [TensorType((1,), DType.float32)])
+        assert cache.stats_delta(before) == {
+            "shape_infer": {"hits": 1, "misses": 1}}
 
 
 class TestExecutionPlanStaleness:
@@ -249,6 +158,62 @@ class TestExecutionPlanStaleness:
                                       np.array([11.0, 22.0]))
         assert cache.stats_delta(before)["exec_plan"]["hits"] == 1
 
+    def test_plans_are_not_shared_between_models(self):
+        # Structurally identical models still get a plan each: the plan
+        # holds the model's own Node objects.
+        first, second = build_mlp_model(), build_mlp_model()
+        inputs = random_inputs(first, np.random.default_rng(0))
+        interp = Interpreter(record_intermediates=False)
+        interp.run_detailed(first, inputs)
+        before = cache.stats_snapshot()
+        interp.run_detailed(second, inputs)
+        interp.run_detailed(first, inputs)
+        assert cache.stats_delta(before)["exec_plan"] == {"hits": 1,
+                                                          "misses": 1}
+        assert cache.execution_plan(first) is not \
+            cache.execution_plan(second)
+
+    def test_plan_is_released_with_its_model(self):
+        import gc
+
+        model = build_mlp_model()
+        cache.execution_plan(model)
+        assert len(cache.get_cache()._plans) == 1
+        del model
+        gc.collect()
+        assert len(cache.get_cache()._plans) == 0
+
+    def test_disabled_cache_builds_a_fresh_plan_per_run(self):
+        model = build_mlp_model()
+        cache.configure(enabled=False)
+        before = cache.stats_snapshot()
+        assert cache.execution_plan(model) is not \
+            cache.execution_plan(model)
+        Interpreter(record_intermediates=False).run_detailed(
+            model, random_inputs(model, np.random.default_rng(0)))
+        assert cache.stats_delta(before) == {}
+        assert len(cache.get_cache()._plans) == 0
+
+    def test_stats_only_reset_keeps_cached_plans(self):
+        model = build_mlp_model()
+        plan = cache.execution_plan(model)
+        cache.reset(stats_only=True)
+        assert cache.stats_snapshot()["exec_plan"] == {"hits": 0,
+                                                       "misses": 0}
+        assert cache.execution_plan(model) is plan
+        assert cache.stats_snapshot()["exec_plan"] == {"hits": 1,
+                                                       "misses": 0}
+
+
+class TestStages:
+    def test_two_stages_behind_one_switch(self):
+        import inspect
+
+        assert cache.STAGES == ("shape_infer", "exec_plan")
+        assert tuple(cache.stats_snapshot()) == cache.STAGES
+        assert list(inspect.signature(cache.configure).parameters) == \
+            ["enabled"]
+
 
 # --------------------------------------------------------------------------- #
 # Campaign-level equivalence
@@ -268,15 +233,16 @@ class TestSerialEquivalence:
         on = Fuzzer(default_compiler_factory(BugConfig.all()),
                     _config(True, iterations=3, seed=5)).run()
         assert on.cache_stats  # at least exec_plan/shape_infer activity
+        assert set(on.cache_stats) <= {"shape_infer", "exec_plan"}
         cache.reset()
         off = Fuzzer(default_compiler_factory(BugConfig.all()),
                      _config(False, iterations=3, seed=5)).run()
         assert off.cache_stats == {}
 
     def test_gradcheck_campaign_identical_with_and_without_cache(self):
-        # With caching on, gradcheck probes run through the batched compiled
-        # plan; off, through the sequential legacy loop.  Findings must not
-        # be able to tell.
+        # Gradcheck reruns each model once per finite-difference probe, so
+        # its reference runs hit the cached execution plan.  Findings must
+        # not be able to tell.
         signatures = []
         for enabled in (True, False):
             cache.reset()
@@ -285,14 +251,6 @@ class TestSerialEquivalence:
                                     oracle="gradcheck"))
             signatures.append(campaign_signature(fuzzer.run()))
         assert signatures[0] == signatures[1]
-
-    def test_plan_and_prefix_stages_appear_in_campaign_stats(self):
-        cache.reset()
-        result = Fuzzer(default_compiler_factory(BugConfig.all()),
-                        _config(True, iterations=4, seed=7)).run()
-        assert result.cache_stats.get("plan", {}).get("misses", 0) > 0
-        prefix = result.cache_stats.get("prefix", {})
-        assert prefix.get("hits", 0) + prefix.get("misses", 0) > 0
 
 
 class TestParallelEquivalence:
@@ -309,34 +267,9 @@ class TestParallelEquivalence:
         assert len(signatures) == 1
 
     @pytest.mark.smoke
-    def test_artifact_hit_rate_positive_on_repeated_graph_workload(self):
-        # The oracle axis re-judges identical shard seed streams per oracle:
-        # every cell beyond the first re-compiles graphs the first cell
-        # already built — the repeated-graph workload of the acceptance
-        # criteria.  One worker keeps all cells in one process/cache.
-        result = ParallelCampaign(
-            config=_config(True, iterations=6, seed=23),
-            n_workers=1, n_shards=1,
-            oracles=["difftest", "crash"]).run()
-        artifact = result.cache_stats.get("artifact", {})
-        assert artifact.get("hits", 0) > 0
-
-    @pytest.mark.smoke
-    def test_prefix_hit_rate_positive_on_repeated_graph_workload(self):
-        # The prefix cache keys on structure + content, not object identity:
-        # replaying the same seed stream through a warm process cache
-        # regenerates every model from scratch (fresh Model objects, plan
-        # misses) yet resolves the reference runs out of the value cache.
-        config = _config(True, iterations=6, seed=23)
-        ParallelCampaign(config=config, n_workers=1, n_shards=1).run()
-        result = ParallelCampaign(config=config, n_workers=1,
-                                  n_shards=1).run()
-        assert result.cache_stats.get("prefix", {}).get("hits", 0) > 0
-
-    @pytest.mark.smoke
     def test_gradcheck_oracle_bit_identical_across_workers_and_cache(self):
-        # The batched-probe path must be invisible under parallel folding
-        # too, not just in the serial fuzzer.
+        # The cache must be invisible under parallel folding too, not just
+        # in the serial fuzzer.
         signatures = set()
         for enabled in (True, False):
             for workers in (1, 2):
@@ -441,22 +374,18 @@ class TestKillResume:
 
 
 class TestCoverageInteraction:
-    def test_coverage_run_disables_artifact_layer_only(self):
+    def test_coverage_run_keeps_the_cache_on(self):
+        # The tracer's scope excludes repro/ops and repro/runtime, so both
+        # stages stay on under tracing.
         from repro.compilers.coverage import CoverageFeedback
 
         fuzzer = Fuzzer(default_compiler_factory(BugConfig.all()),
                         _config(True, iterations=2, seed=3))
         fuzzer.run(coverage=CoverageFeedback(systems=["graphrt", "deepc"]))
         assert cache.get_cache().enabled is True
-        assert cache.get_cache().artifact_enabled is False
-        # Compiled plans and the prefix cache stay on under tracing: the
-        # tracer's scope excludes repro/runtime, so they cannot perturb arcs.
-        assert cache.get_cache().plan_enabled is True
-        assert cache.get_cache().prefix_enabled is True
 
     def test_traced_arcs_identical_with_and_without_cache(self):
-        # Satellite fix pin: routing traced runs through the compiled plan
-        # must leave the observed arc set bit-identical — coverage-guided
+        # The observed arc set must be bit-identical — coverage-guided
         # dedup would otherwise diverge between cache settings.
         from repro.compilers.coverage import CoverageFeedback
 

@@ -4,7 +4,9 @@ The perf oracle's timing harness is driven by an injectable clock, so the
 detection logic (calibration, thresholding, verdict shape) is tested fully
 deterministically — CI never depends on real wall time except for the one
 end-to-end check of the seeded repack bug, whose ~100x slowdown dwarfs any
-plausible scheduler noise.  Also pins the ``BaseOracle.run_case`` satellite
+plausible scheduler noise.  Per-node slow-node attribution is tested on
+scripted profiles, and gradcheck's finite-difference probes run by run
+through the reference interpreter.  Also pins the ``BaseOracle.run_case`` satellite
 fixes: the optional ``rng`` threads through to random-input generation and
 ``numerically_valid=None`` is preserved instead of being coerced to False.
 """
@@ -19,10 +21,11 @@ from repro.core.oracle import (
     BaseOracle,
     GradientCheckOracle,
     PerfRegressionOracle,
+    attribute_slow_nodes,
     build_oracle,
     registered_oracles,
 )
-from repro.errors import CompilerError
+from repro.errors import CompilerError, ExecutionError
 from repro.graph.builder import GraphBuilder
 
 
@@ -250,6 +253,71 @@ class TestPerfOracleEndToEnd:
                    for v in case.verdicts)
 
 
+class _FakeProfiled:
+    """Executable double with a scripted ``profile_nodes`` hook; each call
+    pops the next script (the last one repeats)."""
+
+    def __init__(self, *scripts):
+        self._scripts = list(scripts)
+
+    def profile_nodes(self, inputs, timer):
+        script = self._scripts[0]
+        if len(self._scripts) > 1:
+            self._scripts.pop(0)
+        return list(script)
+
+
+class TestSlowNodeAttribution:
+    def test_dominant_excess_node_is_named(self):
+        optimized = _FakeProfiled([("n0", "Gemm", 0.010),
+                                   ("n1", "Relu", 0.001)])
+        baseline = _FakeProfiled([("n0", "Gemm", 0.001),
+                                  ("n1", "Relu", 0.001)])
+        slow = attribute_slow_nodes(optimized, baseline, {}, repeats=1)
+        assert slow == [{"node": "n0", "op": "Gemm", "share": "100%"}]
+
+    def test_min_of_repeats_discards_noise_spikes(self):
+        # First optimized sample is a 20x outlier; min-of-repeats keeps the
+        # clean 2ms reading and the excess shrinks accordingly.
+        optimized = _FakeProfiled([("n0", "Gemm", 0.040)],
+                                  [("n0", "Gemm", 0.002)])
+        baseline = _FakeProfiled([("n0", "Gemm", 0.001)])
+        slow = attribute_slow_nodes(optimized, baseline, {}, repeats=2)
+        assert slow == [{"node": "n0", "op": "Gemm", "share": "100%"}]
+
+    def test_share_floor_truncates_the_tail(self):
+        optimized = _FakeProfiled([("n0", "MatMul", 0.80),
+                                   ("n1", "Add", 0.15),
+                                   ("n2", "Relu", 0.05)])
+        baseline = _FakeProfiled([("n0", "MatMul", 0.0),
+                                  ("n1", "Add", 0.0),
+                                  ("n2", "Relu", 0.0)])
+        slow = attribute_slow_nodes(optimized, baseline, {}, repeats=1,
+                                    share_floor=0.8)
+        assert slow == [{"node": "n0", "op": "MatMul", "share": "80%"}]
+
+    def test_no_positive_excess_returns_nothing(self):
+        same = [("n0", "Gemm", 0.002), ("n1", "Relu", 0.001)]
+        slow = attribute_slow_nodes(_FakeProfiled(same), _FakeProfiled(same),
+                                    {}, repeats=1)
+        assert slow == []
+
+    def test_executables_without_hook_are_skipped(self):
+        class _Plain:
+            pass
+
+        assert attribute_slow_nodes(_Plain(), _Plain(), {}) == []
+        assert attribute_slow_nodes(_FakeProfiled([]), _Plain(), {}) == []
+
+    def test_profiler_failure_is_swallowed(self):
+        class _Broken:
+            def profile_nodes(self, inputs, timer):
+                raise ExecutionError("kernel exploded mid-profile")
+
+        baseline = _FakeProfiled([("n0", "Gemm", 0.001)])
+        assert attribute_slow_nodes(_Broken(), baseline, {}) == []
+
+
 def _tanh_model():
     builder = GraphBuilder("tanh")
     x = builder.input([2, 3])
@@ -352,6 +420,94 @@ class TestGradcheckOracle:
         buggy = backpropagate(model, run.values, seed,
                               bugs=BugConfig.all(), triggered=[])
         assert not np.array_equal(plain["x1"], buggy["x1"])
+
+
+def _spy_reference_runs(monkeypatch):
+    """Record a copy of the inputs of every reference interpreter run."""
+    from repro.runtime.interpreter import Interpreter
+
+    seen = []
+    original = Interpreter.run_detailed
+
+    def spy(self, model, inputs):
+        seen.append({name: np.array(value, copy=True)
+                     for name, value in inputs.items()})
+        return original(self, model, inputs)
+
+    monkeypatch.setattr(Interpreter, "run_detailed", spy)
+    return seen
+
+
+class TestGradcheckProbes:
+    """Finite-difference probes run one at a time through the reference
+    interpreter: a +step run, then a -step run, per sampled element."""
+
+    def test_each_sampled_element_gets_one_run_pair(self, mlp_model,
+                                                    monkeypatch):
+        from repro.runtime.interpreter import random_inputs
+
+        inputs = random_inputs(mlp_model, np.random.default_rng(3))
+        oracle = GradientCheckOracle([], bugs=BugConfig.none())
+        seen = _spy_reference_runs(monkeypatch)
+        (verdict,) = oracle.evaluate(mlp_model, inputs)
+        assert verdict.status == "ok"
+        expected = [(name, index, sign)
+                    for name, indices in oracle._sampled_targets(mlp_model,
+                                                                 inputs)
+                    for index in indices for sign in (1.0, -1.0)]
+        assert len(expected) == 6
+        probes = seen[1:]  # seen[0] is the recorded forward run
+        assert len(probes) == len(expected)
+        for probe, (name, index, sign) in zip(probes, expected):
+            delta = (probe[name].astype(np.float64).reshape(-1)
+                     - np.asarray(inputs[name], np.float64).reshape(-1))
+            assert list(np.flatnonzero(delta)) == [index]
+            assert np.sign(delta[index]) == sign
+            for other in inputs:
+                if other != name:
+                    np.testing.assert_array_equal(probe[other], inputs[other])
+
+    def test_probes_leave_the_case_inputs_untouched(self, mlp_model):
+        from repro.runtime.interpreter import random_inputs
+
+        inputs = random_inputs(mlp_model, np.random.default_rng(4))
+        frozen = {name: array.copy() for name, array in inputs.items()}
+        GradientCheckOracle(
+            [GraphRTCompiler(CompileOptions(bugs=BugConfig.none()))],
+            bugs=BugConfig.none()).evaluate(mlp_model, inputs)
+        for name, array in frozen.items():
+            np.testing.assert_array_equal(inputs[name], array)
+
+    @pytest.mark.parametrize("seed", [1, 2, 4, 7, 9, 12])
+    def test_generated_model_verdicts_identical_with_and_without_cache(
+            self, seed, monkeypatch):
+        # Every probe reruns the same model, so with the cache on all but
+        # the first reference run are served a cached plan.
+        import dataclasses
+
+        from repro.core import cache
+        from repro.core.generator import GeneratorConfig, generate_model
+        from repro.runtime.interpreter import random_inputs
+
+        model = generate_model(GeneratorConfig(n_nodes=6, seed=seed)).model
+        inputs = random_inputs(model, np.random.default_rng(seed))
+        seen = _spy_reference_runs(monkeypatch)
+        outcomes = []
+        for enabled in (True, False):
+            cache.reset()
+            cache.configure(enabled=enabled)
+            del seen[:]
+            try:
+                oracle = GradientCheckOracle(
+                    [GraphRTCompiler(CompileOptions(bugs=BugConfig.all()))],
+                    bugs=BugConfig.all())
+                verdicts = oracle.evaluate(model, inputs)
+            finally:
+                cache.configure(enabled=True)
+            outcomes.append(([dataclasses.astuple(v) for v in verdicts],
+                             len(seen)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] > 1  # the reference was actually probed
 
 
 class _EchoOracle(BaseOracle):

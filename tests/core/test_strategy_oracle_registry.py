@@ -2,9 +2,9 @@
 
 Covers registration round-trips, the purity/determinism contract of every
 builtin strategy, worker-style rebuild-by-name (picklability), the seed-
-stream back-compat guarantee for the default strategy, and the deprecation
-shims (``make_case_generator``, direct ``DifferentialTester``
-construction).
+stream back-compat guarantee for the default strategy, the
+``StrategyCaseGenerator`` adapter, and the deprecation shim (direct
+``DifferentialTester`` construction).
 """
 
 import json
@@ -221,18 +221,20 @@ class TestOracleRegistry:
             oracle.evaluate(build_mlp_model(), {})
 
 
-class TestDeprecationShims:
-    def test_make_case_generator_still_importable_and_working(self):
-        from repro.experiments import NNSmithCaseGenerator, make_case_generator
+class TestStrategyCaseGenerator:
+    def test_wraps_registered_strategies(self):
+        from repro.experiments import StrategyCaseGenerator
 
-        generator = make_case_generator("graphfuzzer", seed=0, n_nodes=5)
+        generator = StrategyCaseGenerator("graphfuzzer", seed=0, n_nodes=5)
         assert generator.name == "graphfuzzer"
         assert validation_errors(generator.next_case()) == []
-        nnsmith = NNSmithCaseGenerator(seed=0, n_nodes=5)
+        nnsmith = StrategyCaseGenerator("nnsmith", seed=0, n_nodes=5)
         model = nnsmith.next_case()
         assert validation_errors(model) == []
         assert nnsmith.op_instances
 
+
+class TestDeprecationShims:
     def test_direct_differential_tester_construction(self):
         # The pre-registry spelling keeps working for library users.
         tester = DifferentialTester(default_compiler_factory(BugConfig.none()),

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.experiments import (
+    StrategyCaseGenerator,
     build_model_group,
     format_venn_table,
-    make_case_generator,
     measure_nan_rate,
     reachability_analysis,
     run_bug_study,
@@ -56,19 +56,19 @@ class TestReporting:
 class TestCaseGenerators:
     @pytest.mark.parametrize("name", ["nnsmith", "graphfuzzer", "lemon"])
     def test_generators_produce_valid_models(self, name):
-        generator = make_case_generator(name, seed=0, n_nodes=6)
+        generator = StrategyCaseGenerator(name, seed=0, n_nodes=6)
         for _ in range(3):
             model = generator.next_case()
             assert validation_errors(model) == []
 
     def test_unknown_generator(self):
         with pytest.raises(KeyError):
-            make_case_generator("csmith")
+            StrategyCaseGenerator("csmith")
 
 
 class TestCoverageCampaigns:
     def test_nnsmith_campaign_collects_coverage(self):
-        generator = make_case_generator("nnsmith", seed=0, n_nodes=6)
+        generator = StrategyCaseGenerator("nnsmith", seed=0, n_nodes=6)
         result = run_coverage_campaign(generator, "graphrt", max_iterations=4)
         assert result.total_coverage > 0
         assert result.pass_coverage > 0
