@@ -4,9 +4,11 @@ SMT solvers (and the repo's backtracking solver alike) return boundary values
 for under-constrained integers — typically 1 for every free dimension and
 attribute — which collapses attribute diversity.  Binning adds extra
 constraints that push each attribute into a randomly chosen exponential
-range ``[2^(i-1), 2^i)``; if the combined system becomes unsatisfiable, half
-of the binning constraints are dropped at random until it is satisfiable
-again.
+range ``[2^(i-1), 2^i)``.  In the paper, half of the binning constraints are
+dropped at random whenever the combined system becomes unsatisfiable; here
+each attribute's bin is offered to the solver on its own under a small node
+budget and dropped when the solver gives up on it, which can happen before
+it finds a model that exists.
 
 Operator specifications may contribute *specialized* bins (``C*`` in the
 paper) via :meth:`AbsOpBase.bin_hints` — e.g. a dedicated ``{0}`` bin for
@@ -56,8 +58,10 @@ def binning_constraints_for(var_name: str, rng: random.Random, k: int,
     return constraints
 
 
-#: Node budget for each incremental binning query; a rejection only means the
-#: attribute keeps its boundary value, so giving up quickly is fine.
+#: Node budget of each search restart of an incremental binning query.  The
+#: solver makes up to ``max_restarts`` (3) restarts, so a rejected query costs
+#: up to three times this.  A rejection only means the attribute keeps its
+#: boundary value, so giving up quickly is fine.
 _BINNING_SOLVER_BUDGET = 4000
 
 
@@ -65,12 +69,13 @@ def apply_attribute_binning(graph: SymbolicGraph, rng: random.Random,
                             k: int = 7) -> List[Constraint]:
     """Apply Algorithm 2 to a freshly generated symbolic graph.
 
-    Binning constraints are asserted only when the combined system stays
-    satisfiable.  Algorithm 2 adds them in bulk and drops a random half on
-    failure; asserting them variable-by-variable (in random order, with a
-    small solver budget) converges to the same fixed point — the maximal
-    satisfiable subset reachable by random dropping — while keeping every
-    individual solver query cheap.
+    Algorithm 2 adds the binning constraints in bulk and drops a random half
+    on failure.  Here they are offered variable by variable, in random
+    order, each with the small per-restart budget ``_BINNING_SOLVER_BUDGET``:
+    a bin is asserted when the solver finds a model of the combined system
+    within that budget and dropped when it gives up.  A dropped bin is not
+    necessarily unsatisfiable; the budget may have run out first.  This keeps
+    every individual solver query cheap.
 
     Returns the binning constraints that were accepted.
     """

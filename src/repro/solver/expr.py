@@ -8,23 +8,60 @@ predicates.
 
 The original NNSmith hands such expressions to Z3; here they are evaluated
 and solved by :mod:`repro.solver.solver`.
+
+Evaluation is the solver's inner loop, so a node does not walk its tree:
+on first use it compiles to a closure over its children's closures
+(:attr:`Expr.evaluator`), memoised on the node together with
+:meth:`Expr.variables`.  The memo is never invalidated because nothing
+mutates a node after construction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Union
+import operator
+from typing import Callable, Dict, FrozenSet, Iterable, Union
 
 Assignment = Dict[str, int]
 ExprLike = Union["Expr", int]
+Evaluator = Callable[[Assignment], int]
+
+
+def missing_variable(error: KeyError) -> KeyError:
+    """The error raised when an assignment lacks a variable it is asked for."""
+    return KeyError(f"no value assigned to symbolic variable {error.args[0]!r}")
 
 
 class Expr:
     """Base class of the symbolic integer expression AST."""
 
+    __slots__ = ("_evaluator", "_variables")
+
+    @property
+    def evaluator(self) -> Evaluator:
+        """This expression compiled to a function of the assignment."""
+        try:
+            return self._evaluator
+        except AttributeError:
+            self._evaluator = evaluator = self._compile()
+            return evaluator
+
     def evaluate(self, assignment: Assignment) -> int:
-        raise NotImplementedError
+        try:
+            return self.evaluator(assignment)
+        except KeyError as error:
+            raise missing_variable(error) from None
 
     def variables(self) -> FrozenSet[str]:
+        try:
+            return self._variables
+        except AttributeError:
+            self._variables = names = self._collect_variables()
+            return names
+
+    def _compile(self) -> Evaluator:
+        raise NotImplementedError
+
+    def _collect_variables(self) -> FrozenSet[str]:
         raise NotImplementedError
 
     # -------------------------- arithmetic -------------------------- #
@@ -95,13 +132,10 @@ class SymVar(Expr):
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def evaluate(self, assignment: Assignment) -> int:
-        try:
-            return int(assignment[self.name])
-        except KeyError:
-            raise KeyError(f"no value assigned to symbolic variable {self.name!r}") from None
+    def _compile(self) -> Evaluator:
+        return operator.itemgetter(self.name)
 
-    def variables(self) -> FrozenSet[str]:
+    def _collect_variables(self) -> FrozenSet[str]:
         return frozenset({self.name})
 
     def __repr__(self) -> str:
@@ -119,10 +153,11 @@ class Const(Expr):
     def __init__(self, value: int) -> None:
         self.value = int(value)
 
-    def evaluate(self, assignment: Assignment) -> int:
-        return self.value
+    def _compile(self) -> Evaluator:
+        value = self.value
+        return lambda assignment: value
 
-    def variables(self) -> FrozenSet[str]:
+    def _collect_variables(self) -> FrozenSet[str]:
         return frozenset()
 
     def __repr__(self) -> str:
@@ -130,44 +165,6 @@ class Const(Expr):
 
     def __hash__(self) -> int:
         return hash(("Const", self.value))
-
-
-class BinOp(Expr):
-    """A binary arithmetic operation."""
-
-    __slots__ = ("op", "lhs", "rhs")
-
-    _OPS = {
-        "+": lambda a, b: a + b,
-        "-": lambda a, b: a - b,
-        "*": lambda a, b: a * b,
-        "//": lambda a, b: _floordiv(a, b),
-        "%": lambda a, b: _mod(a, b),
-        "min": min,
-        "max": max,
-    }
-
-    def __init__(self, op: str, lhs: Expr, rhs: Expr) -> None:
-        if op not in self._OPS:
-            raise ValueError(f"unsupported operator {op!r}")
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def evaluate(self, assignment: Assignment) -> int:
-        return int(self._OPS[self.op](self.lhs.evaluate(assignment),
-                                      self.rhs.evaluate(assignment)))
-
-    def variables(self) -> FrozenSet[str]:
-        return self.lhs.variables() | self.rhs.variables()
-
-    def __repr__(self) -> str:
-        if self.op in ("min", "max"):
-            return f"{self.op}({self.lhs!r}, {self.rhs!r})"
-        return f"({self.lhs!r} {self.op} {self.rhs!r})"
-
-    def __hash__(self) -> int:
-        return hash(("BinOp", self.op, hash(self.lhs), hash(self.rhs)))
 
 
 def _floordiv(a: int, b: int) -> int:
@@ -182,6 +179,45 @@ def _mod(a: int, b: int) -> int:
     if b == 0:
         return 1 << 62
     return a % b
+
+
+class BinOp(Expr):
+    """A binary arithmetic operation."""
+
+    __slots__ = ("op", "lhs", "rhs")
+
+    _OPS = {
+        "+": operator.add,
+        "-": operator.sub,
+        "*": operator.mul,
+        "//": _floordiv,
+        "%": _mod,
+        "min": min,
+        "max": max,
+    }
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr) -> None:
+        if op not in self._OPS:
+            raise ValueError(f"unsupported operator {op!r}")
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def _compile(self) -> Evaluator:
+        function = self._OPS[self.op]
+        lhs, rhs = self.lhs.evaluator, self.rhs.evaluator
+        return lambda assignment: function(lhs(assignment), rhs(assignment))
+
+    def _collect_variables(self) -> FrozenSet[str]:
+        return self.lhs.variables() | self.rhs.variables()
+
+    def __repr__(self) -> str:
+        if self.op in ("min", "max"):
+            return f"{self.op}({self.lhs!r}, {self.rhs!r})"
+        return f"({self.lhs!r} {self.op} {self.rhs!r})"
+
+    def __hash__(self) -> int:
+        return hash(("BinOp", self.op, hash(self.lhs), hash(self.rhs)))
 
 
 def to_expr(value: ExprLike) -> Expr:

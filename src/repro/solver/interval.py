@@ -54,7 +54,6 @@ class Domain:
         if self.width <= limit:
             return list(range(self.low, self.high + 1))
         values = set(range(self.low, self.low + limit // 2))
-        step = self.low if self.low > 0 else 1
         value = max(self.low, 1)
         while value <= self.high:
             values.add(int(value))

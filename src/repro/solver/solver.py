@@ -7,6 +7,14 @@ over bounded domains with constraint-readiness pruning, phase saving across
 incremental calls and random restarts solves the constraint systems produced
 during graph generation quickly.
 
+Search is the hot path of generation.  Constraints compile once to
+closures (:attr:`Constraint.predicate`), and each search builds its variable
+order, candidate values and per-variable checks before it descends, so a
+search node costs a dict store and a few closure calls.  Which nodes the
+search visits, in which order, and every random draw it makes define the
+generated stream; ``tests/solver/test_stream_pin.py`` pins them, and a change
+that alters them re-records that pin.
+
 The public surface mirrors how Algorithm 1 in the paper uses Z3:
 
 * ``int_var(name)`` introduces a symbolic integer,
@@ -23,7 +31,7 @@ import random
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import UnsatisfiableError
-from repro.solver.constraints import Constraint, all_satisfied
+from repro.solver.constraints import Constraint, Predicate, all_satisfied
 from repro.solver.expr import SymVar
 from repro.solver.interval import DEFAULT_MAX, DEFAULT_MIN, Domain, tighten
 
@@ -50,6 +58,7 @@ class Solver:
     def int_var(self, name: str, low: int = DEFAULT_MIN,
                 high: int = DEFAULT_MAX) -> SymVar:
         """Introduce (or re-scope) an integer variable with inclusive bounds."""
+        low, high = int(low), int(high)
         domain = self._domains.get(name)
         if domain is None:
             self._domains[name] = Domain(low, high)
@@ -70,9 +79,12 @@ class Solver:
 
         Returns True and keeps the constraints (updating the cached model) on
         success; returns False and leaves the solver state untouched when no
-        model is found within the search budget.  ``budget`` temporarily
-        overrides the node budget — callers that can cheaply live with a
-        rejection (e.g. attribute binning) pass a small budget.
+        model is found within the search budget, so False means the solver
+        gave up, not that the system is unsatisfiable.  ``budget``
+        temporarily overrides ``max_nodes``, the node budget of each of the
+        ``max_restarts`` search restarts, so a rejection can cost up to
+        ``max_restarts * budget`` nodes.  Callers that can cheaply live with
+        a rejection (e.g. attribute binning) pass a small budget.
         """
         constraints = list(constraints)
         marker = len(self._constraints)
@@ -206,64 +218,91 @@ class Solver:
 
     def _backtrack(self, pinned: Dict[str, int], free: List[str],
                    domains: Dict[str, Domain], randomize: bool) -> Optional[Dict[str, int]]:
-        """Depth-first assignment of ``free`` variables with early pruning."""
+        """Depth-first assignment of ``free`` variables with early pruning.
+
+        Everything that does not change during the search (variable order,
+        candidate values, the checks of each variable) is built once here,
+        so ``descend`` only tries values.
+        """
         assignment = dict(pinned)
         if not free:
             return assignment if all_satisfied(self._constraints, self._padded(assignment)) else None
 
-        # For pruning we check a constraint as soon as all of its variables
-        # are assigned; compute, for every free variable, the constraints
-        # that become checkable once it is assigned (given the chosen order).
         order = list(free)
         if randomize:
             self._rng.shuffle(order)
-        assigned_after: Dict[str, List[Constraint]] = {name: [] for name in order}
         position = {name: i for i, name in enumerate(order)}
-        pinned_names = set(pinned)
-        for constraint in self._constraints:
-            names = constraint.variables()
-            frees = [n for n in names if n not in pinned_names]
-            if not frees:
-                if not constraint.satisfied(self._padded(dict(pinned))):
-                    return None
-                continue
-            if any(n not in position for n in frees):
-                # Involves a variable that is neither pinned nor free (no
-                # domain registered yet) — checked at the end via _padded.
-                continue
-            last = max(frees, key=lambda n: position[n])
-            assigned_after[last].append(constraint)
 
-        budget = [self.max_nodes]
+        # For pruning we check a constraint as soon as all of its variables
+        # are assigned: when its last free variable in ``order`` is, or up
+        # front when all of them are pinned.  ``free`` is every constrained
+        # variable that is not pinned, so no constraint falls outside both.
+        checks_at: List[List[Predicate]] = [[] for _ in order]
+        for constraint in self._constraints:
+            indices = [position[name] for name in constraint.variables() if name in position]
+            if indices:
+                checks_at[max(indices)].append(constraint.predicate)
+            elif not constraint.predicate(assignment):
+                return None
+        checks = [tuple(predicates) for predicates in checks_at]
+
+        # Phase saving tries a variable's previous value first.  A randomized
+        # restart shuffles a fresh copy of the candidates on every visit (the
+        # draws define the stream); the deterministic one orders them once.
+        candidates_at: List[List[int]] = []
+        saved_at: List[Optional[int]] = []
+        for name in order:
+            domain = domains[name]
+            candidates = domain.candidates()
+            saved = self._model.get(name) if self.phase_saving else None
+            if saved is not None and not domain.contains(saved):
+                saved = None
+            if saved is not None and not randomize:
+                candidates = [saved] + [c for c in candidates if c != saved]
+            candidates_at.append(candidates)
+            saved_at.append(saved)
+
+        depth = len(order)
+        budget = self.max_nodes
+        nodes = 0
+        shuffle = self._rng.shuffle
 
         def descend(index: int) -> Optional[Dict[str, int]]:
-            if index == len(order):
+            nonlocal budget, nodes
+            if index == depth:
                 return assignment if all_satisfied(
                     self._constraints, self._padded(assignment)) else None
             name = order[index]
-            candidates = domains[name].candidates()
+            candidates = candidates_at[index]
             if randomize:
-                self._rng.shuffle(candidates)
-            saved = self._model.get(name)
-            if self.phase_saving and saved is not None and domains[name].contains(saved):
-                candidates = [saved] + [c for c in candidates if c != saved]
-            checks = assigned_after[name]
+                candidates = list(candidates)
+                shuffle(candidates)
+                saved = saved_at[index]
+                if saved is not None:
+                    candidates = [saved] + [c for c in candidates if c != saved]
+            variable_checks = checks[index]
             for value in candidates:
-                budget[0] -= 1
-                if budget[0] <= 0:
+                budget -= 1
+                if budget <= 0:
                     return None
                 assignment[name] = value
-                self.stats["nodes"] += 1
-                if all(c.satisfied(assignment) for c in checks):
+                nodes += 1
+                for check in variable_checks:
+                    if not check(assignment):
+                        break
+                else:
                     result = descend(index + 1)
                     if result is not None:
                         return result
-                if budget[0] <= 0:
+                if budget <= 0:
                     break
             assignment.pop(name, None)
             return None
 
-        return descend(0)
+        try:
+            return descend(0)
+        finally:
+            self.stats["nodes"] += nodes
 
 
 def solve(constraints: Sequence[Constraint], seed: Optional[int] = None,

@@ -1,11 +1,13 @@
 """Tests for the constraint solver: expressions, constraints, search."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import UnsatisfiableError
 from repro.solver import (
     And,
+    BinOp,
     Comparison,
     Const,
     Domain,
@@ -20,7 +22,74 @@ from repro.solver import (
     sym_min,
     to_expr,
 )
+from repro.solver.constraints import TRUE
 from repro.solver.interval import tighten
+
+
+# --------------------------------------------------------------------------- #
+# A recursive reference evaluator: the semantics the compiled closures keep.
+# --------------------------------------------------------------------------- #
+def reference_value(expr, assignment):
+    if isinstance(expr, SymVar):
+        return int(assignment[expr.name])
+    if isinstance(expr, Const):
+        return expr.value
+    a, b = reference_value(expr.lhs, assignment), reference_value(expr.rhs, assignment)
+    if expr.op == "+":
+        return a + b
+    if expr.op == "-":
+        return a - b
+    if expr.op == "*":
+        return a * b
+    if expr.op in ("//", "%") and b == 0:
+        return 1 << 62  # the zero-divisor sentinel
+    if expr.op == "//":
+        return a // b
+    if expr.op == "%":
+        return a % b
+    return min(a, b) if expr.op == "min" else max(a, b)
+
+
+def reference_truth(constraint, assignment):
+    if isinstance(constraint, Comparison):
+        a = reference_value(constraint.lhs, assignment)
+        b = reference_value(constraint.rhs, assignment)
+        return {"==": a == b, "!=": a != b, "<=": a <= b,
+                "<": a < b, ">=": a >= b, ">": a > b}[constraint.op]
+    if isinstance(constraint, And):
+        return all(reference_truth(part, assignment) for part in constraint.parts)
+    if isinstance(constraint, Or):
+        return any(reference_truth(part, assignment) for part in constraint.parts)
+    return not reference_truth(constraint.inner, assignment)
+
+
+def leaf_variables(node):
+    if isinstance(node, SymVar):
+        return {node.name}
+    if isinstance(node, Const):
+        return set()
+    if isinstance(node, (BinOp, Comparison)):
+        return leaf_variables(node.lhs) | leaf_variables(node.rhs)
+    if isinstance(node, Not):
+        return leaf_variables(node.inner)
+    return set().union(*(leaf_variables(part) for part in node.parts))
+
+
+_NAMES = ("a", "b", "c", "d")
+_leaves = st.one_of(st.sampled_from(_NAMES).map(SymVar),
+                    st.integers(min_value=-4, max_value=8).map(Const))
+expressions = st.recursive(_leaves, lambda children: st.builds(
+    BinOp, st.sampled_from(["+", "-", "*", "//", "%", "min", "max"]), children, children),
+    max_leaves=8)
+_comparisons = st.builds(Comparison, st.sampled_from(["==", "!=", "<=", "<", ">=", ">"]),
+                         expressions, expressions)
+constraint_trees = st.recursive(st.one_of(_comparisons, st.just(TRUE)), lambda children: st.one_of(
+    st.lists(children, max_size=3).map(And),
+    st.lists(children, max_size=3).map(Or),
+    children.map(Not)), max_leaves=6)
+# Pad variables range over [-4, 8], so zero divisors and negatives occur.
+assignments = st.fixed_dictionaries(
+    {name: st.integers(min_value=-4, max_value=8) for name in _NAMES})
 
 
 class TestExpressions:
@@ -56,12 +125,23 @@ class TestExpressions:
             to_expr(1.5)
 
     def test_missing_assignment(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no value assigned"):
             SymVar("zzz").evaluate({})
+        with pytest.raises(KeyError, match="no value assigned"):
+            (SymVar("a") <= SymVar("zzz")).satisfied({"a": 1})
 
     def test_repr_roundtrip_like(self):
         expr = (SymVar("a") + 1) * SymVar("b")
         assert "a" in repr(expr) and "b" in repr(expr)
+
+    @settings(max_examples=200, deadline=None)
+    @given(expressions, assignments)
+    def test_compiled_evaluation_matches_reference(self, expr, assignment):
+        expected = reference_value(expr, assignment)
+        for _ in range(2):  # compiles on the first call, reuses the memo after
+            value = expr.evaluate(assignment)
+            assert value == expected and type(value) is int
+        assert expr.variables() == leaf_variables(expr)
 
 
 class TestConstraints:
@@ -94,6 +174,15 @@ class TestConstraints:
 
     def test_conjunction_empty_is_true(self):
         assert conjunction([]).satisfied({})
+
+    @settings(max_examples=200, deadline=None)
+    @given(constraint_trees, assignments)
+    def test_compiled_predicate_matches_reference(self, constraint, assignment):
+        expected = reference_truth(constraint, assignment)
+        for _ in range(2):
+            truth = constraint.satisfied(assignment)
+            assert truth == expected and type(truth) is bool
+        assert constraint.variables() == leaf_variables(constraint)
 
 
 class TestDomains:
@@ -161,6 +250,17 @@ class TestSolver:
         assert solver.model()["a"] >= 9
         solver.pop()
         assert len(solver.constraints) == 1
+
+    def test_numpy_bounds_give_python_int_models(self):
+        """Bounds are coerced on entry: dimension arithmetic on numpy
+        integers wraps silently on overflow (``np.int64(4096) ** 6 == 0``)."""
+        solver = Solver(seed=0)
+        x = solver.int_var("x", np.int64(1), np.int64(8))
+        solver.int_var("y", np.int32(2), np.int64(6))
+        solver.int_var("y", np.int64(3), np.int64(5))  # re-scoped
+        assert all(type(value) is int for value in solver.model().values())
+        assert solver.try_add_constraints([x >= 2])
+        assert all(type(value) is int for value in solver.model().values())
 
     def test_pop_without_push(self):
         with pytest.raises(UnsatisfiableError):
