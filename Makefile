@@ -14,8 +14,9 @@ test-all:
 	$(PYTHON) -m pytest -x -q
 
 # Fast end-to-end smoke: exercises the sharded/matrix parallel campaign path
-# (2-worker ~10-iteration campaigns + the scaling benchmark) in well under
-# a minute.
+# (2-worker ~10-iteration campaigns + the scaling benchmark) and the
+# one-worker inline path (its pinned lease order and the check that
+# --workers 1 starts no process) in well under a minute.
 smoke:
 	$(PYTHON) -m pytest -q -m smoke tests benchmarks
 

@@ -102,7 +102,7 @@ def test_matrix_campaign_scaling(once):
             ), max_steps=8),
             n_workers=WORKERS, n_shards=2,
             compiler_sets=subsets, opt_levels=[0, 2],
-            adaptive=True)
+            schedule="adaptive")
         return result, time.monotonic() - start
 
     result, elapsed = once(run_matrix)

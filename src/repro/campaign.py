@@ -71,11 +71,13 @@ next chunk to the cell with the best recent novelty-per-second and records
 per-cell and global coverage-over-time series (the Figure 4/5-style
 curves).  Scheduling never changes *which* iterations run: for a fixed
 iteration budget the merged findings are bit-identical across all three
-(only lease order/placement moves).  ``--adaptive`` is the historical
-alias for ``--schedule adaptive``.
+(only lease order/placement moves).
 
-``--workers 1`` runs the campaign in-process — no worker processes, no
-queues — while keeping full checkpoint/resume support.  ``--workers 0`` (or
+``--workers 1`` runs the campaign in-process: the one worker is an inline
+transport whose lease frames the coordinator pulls one at a time, through
+the same drain loop that serves process pools and socket fleets — no
+worker process, no queues, and each iteration is folded and checkpointed
+before the next one runs.  ``--workers 0`` (or
 ``--serial``) runs the PR-1 reference path (one ``Fuzzer`` per shard,
 merged); it has no checkpoint support and refuses ``--checkpoint`` loudly.
 
@@ -184,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "coverage feedback (findings are identical "
                              "across schedulers; default "
                              f"{DEFAULT_SCHEDULER})")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="alias for --schedule adaptive")
     parser.add_argument("--nodes", type=int, default=10,
                         help="operators per generated model (default 10)")
     parser.add_argument("--seed", type=int, default=0,
@@ -398,11 +398,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("--compilers/--matrix/--generators/--oracles/"
                          "--pipelines require the parallel engine; use "
                          "--workers 1 for an in-process matrix run")
-        if args.schedule != DEFAULT_SCHEDULER or args.adaptive:
+        if args.schedule != DEFAULT_SCHEDULER:
             # The reference path has no lease scheduler at all; silently
             # ignoring the flag would look like coverage-guided scheduling.
-            parser.error("--schedule/--adaptive require the parallel "
-                         "engine; use --workers 1 for an in-process run")
+            parser.error("--schedule requires the parallel engine; use "
+                         "--workers 1 for an in-process run")
         print(f"Fuzzing graphrt, deepc, turbo for {args.iterations} "
               f"iterations serially ...")
         result = run_sharded_serial(config, n_workers)
@@ -423,11 +423,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         mode += f" x pipe[{','.join(pipelines)}]"
     how = "in-process" if n_workers == 1 else \
         f"across {n_workers} worker processes"
-    schedule = "adaptive" if (args.adaptive and
-                              args.schedule == DEFAULT_SCHEDULER) \
-        else args.schedule
     print(f"Fuzzing {mode} for {args.iterations} iterations {how} "
-          f"({schedule} scheduling) ...")
+          f"({args.schedule} scheduling) ...")
 
     def on_event(kind, cell_key, payload):
         if kind == "progress" and not args.quiet:
@@ -448,7 +445,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         schedule=args.schedule,
-        adaptive=args.adaptive,
         on_event=on_event,
         fault_tolerance=args.fault_tolerance,
         stagnation_budget=args.stagnation_budget,

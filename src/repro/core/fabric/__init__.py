@@ -1,4 +1,4 @@
-"""Distributed campaign fabric: one coordinator↔worker protocol, two wires.
+"""Distributed campaign fabric: one coordinator↔worker protocol, three wires.
 
 The matrix campaign engine (:mod:`repro.core.parallel`) has always been a
 coordinator talking to a fleet of workers; until this package the only wire
@@ -10,18 +10,20 @@ fleet to one host.  The fabric splits that conversation into three layers:
   ``checkpoint_ack``/``shutdown`` …) plus JSON round-trips for the campaign
   objects a remote worker needs rebuilt (``FuzzerConfig``, ``CellTask``).
 * :mod:`repro.core.fabric.transport` — the :class:`CoordinatorTransport`
-  contract and its two implementations: :class:`LocalTransport` (the
-  historical multiprocessing pool, now one client of the protocol) and
-  :class:`SocketTransport` (an asyncio TCP service speaking line-delimited
-  JSON frames, with heartbeat liveness and a live status endpoint).
+  contract and its three implementations: :class:`InlineTransport` (the
+  one worker of a ``--workers 1`` run, inside the coordinator's process),
+  :class:`LocalTransport` (the historical multiprocessing pool, now one
+  client of the protocol) and :class:`SocketTransport` (an asyncio TCP
+  service speaking line-delimited JSON frames, with heartbeat liveness and
+  a live status endpoint).
 * :mod:`repro.core.fabric.service` — the network-facing entry points:
   ``python -m repro.campaign serve`` (coordinator service),
   ``python -m repro.campaign worker`` (remote fleet member) and
   ``python -m repro.campaign status`` (live JSON snapshot).
 
 Findings are transport-independent by construction: iterations are seeded
-purely from ``(config, iteration)``, so the same campaign run over local
-queues or over sockets — or started on one wire and resumed on the other —
+purely from ``(config, iteration)``, so the same campaign run inline, over
+local queues or over sockets — or started on one wire and resumed on another —
 produces bit-identical findings and checkpoints (pinned by
 ``tests/core/test_transport_equivalence.py``).
 """
@@ -48,6 +50,7 @@ from repro.core.fabric.protocol import (
 )
 from repro.core.fabric.transport import (
     CoordinatorTransport,
+    InlineTransport,
     LocalTransport,
     SocketTransport,
 )
@@ -61,6 +64,7 @@ __all__ = [
     "CoverageDelta",
     "Heartbeat",
     "Hello",
+    "InlineTransport",
     "IterationResult",
     "Lease",
     "LocalTransport",

@@ -41,21 +41,17 @@ import socket
 import sys
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.core.fabric.protocol import (
-    ChunkDone,
-    Claim,
     Heartbeat,
     Hello,
     Lease,
     Message,
     ProtocolError,
-    Shutdown,
     StatusReply,
     StatusRequest,
     Welcome,
-    WorkerError,
     encode,
 )
 from repro.core.fabric.transport import (
@@ -66,6 +62,8 @@ from repro.core.fabric.transport import (
 )
 from repro.errors import ReproError
 
+#: Exit code of a worker that retired after one of its leases failed.
+EXIT_LEASE_FAILED = 1
 #: Exit code of a worker that lost its coordinator connection unexpectedly.
 EXIT_CONNECTION_LOST = 3
 
@@ -118,18 +116,15 @@ class FabricWorker:
         self._wfile = None
 
     # ------------------------------------------------------------------ #
-    def _send_payload(self, payload: Dict[str, Any]) -> None:
+    def _send(self, message: Message) -> None:
         with self._lock:
-            self._wfile.write(json.dumps(payload) + "\n")
+            self._wfile.write(json.dumps(encode(message)) + "\n")
             self._wfile.flush()
-        if payload.get("kind") == "iter":
+        if message.kind == "iter":
             self._sent_iterations += 1
             if self.die_after_iterations is not None and \
                     self._sent_iterations >= self.die_after_iterations:
                 os._exit(43)  # test knob: die mid-lease, no chunk_done
-
-    def _send(self, message: Message) -> None:
-        self._send_payload(encode(message))
 
     def _heartbeat(self) -> None:
         while not self._stop.wait(HEARTBEAT_INTERVAL):
@@ -140,7 +135,7 @@ class FabricWorker:
 
     # ------------------------------------------------------------------ #
     def run(self) -> int:
-        from repro.core.parallel import _execute_lease
+        from repro.core.parallel import lease_frames
 
         sock = socket.create_connection((self.host, self.port))
         rfile = sock.makefile("r", encoding="utf-8")
@@ -176,21 +171,13 @@ class FabricWorker:
                     continue
                 if not isinstance(message, Lease):
                     continue
-                self._send(Claim(worker=self.name,
-                                 chunk_id=message.chunk_id,
-                                 cell_index=message.cell_index))
-                try:
-                    _execute_lease(self.name, message, factory,
-                                   self._send_payload, runtimes, tasks=None)
-                    self._send(ChunkDone(worker=self.name,
-                                         chunk_id=message.chunk_id,
-                                         cell_index=message.cell_index))
-                except BaseException as exc:
-                    self._send(WorkerError(
-                        worker=self.name, chunk_id=message.chunk_id,
-                        cell_index=message.cell_index,
-                        message=f"{type(exc).__name__}: {exc}"))
-                    raise
+                for frame in lease_frames(self.name, message, factory,
+                                          runtimes):
+                    self._send(frame)
+                    if frame.kind == "error":
+                        self.log(f"[{self.name}] lease failed: "
+                                 f"{frame.message}")
+                        return EXIT_LEASE_FAILED
         finally:
             self._stop.set()
             try:
@@ -346,7 +333,6 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         schedule=args.schedule,
-        adaptive=args.adaptive,
         on_event=on_event,
         transport=transport,
         fault_tolerance=args.fault_tolerance,
@@ -420,6 +406,7 @@ def fabric_main(argv: Sequence[str]) -> int:
 
 __all__ = [
     "EXIT_CONNECTION_LOST",
+    "EXIT_LEASE_FAILED",
     "FabricWorker",
     "fabric_main",
     "import_factory",

@@ -1,10 +1,15 @@
-"""Coordinator-side transports: one protocol, two wires.
+"""Coordinator-side transports: one protocol, three wires.
 
 :class:`CoordinatorTransport` is the contract the campaign coordinator
 (:class:`repro.core.parallel.ParallelCampaign`) drives its worker fleet
 through; every frame crossing it is a :mod:`repro.core.fabric.protocol`
-message.  Two implementations:
+message, and every worker behind it runs the same lease generator
+(:func:`repro.core.parallel.lease_frames`).  Three implementations:
 
+* :class:`InlineTransport` — the one-worker fleet inside the coordinator's
+  own process.  It pulls a lease's frames one at a time, so nothing is
+  spawned or pickled and each iteration is folded (and checkpointed)
+  before the next one runs; it buffers no lease ahead (``lookahead`` 0).
 * :class:`LocalTransport` — the historical ``multiprocessing`` pool.  A
   shared task queue carries encoded leases, a shared result queue carries
   encoded worker messages, liveness is ``Process.is_alive``.  Because the
@@ -19,9 +24,9 @@ message.  Two implementations:
   answers :class:`~repro.core.fabric.protocol.StatusRequest` frames with
   the coordinator's latest status snapshot — the live dashboard feed.
 
-The coordinator's fold/checkpoint/schedule logic is identical over both —
-which is the point: campaign findings and checkpoints depend on the
-protocol, never on the wire.
+The coordinator's one drain loop folds, checkpoints and schedules
+identically over all three — which is the point: campaign findings and
+checkpoints depend on the protocol, never on the wire.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ import queue as queue_module
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, Iterator, List, Optional,
+                    Set, Tuple)
 
 from repro.core.fabric.protocol import (
     Hello,
@@ -92,6 +98,14 @@ class CoordinatorTransport(abc.ABC):
     #: non-elastic fleet that goes fully dead can never finish; an elastic
     #: one keeps the remaining leases offered for future joiners.
     elastic = False
+    #: Workers the fleet starts with (the coordinator primes one lease
+    #: each); elastic fleets start empty and grow as workers join.
+    n_workers = 0
+
+    def lookahead(self) -> int:
+        """Leases kept offered beyond those workers have claimed, so a
+        worker finishing a lease finds the next one waiting."""
+        return 1
 
     @abc.abstractmethod
     def start(self, tasks: List[Any], factory: Callable) -> None:
@@ -117,6 +131,18 @@ class CoordinatorTransport(abc.ABC):
         return sum(1 for worker in self.worker_ids()
                    if self.worker_alive(worker))
 
+    def exit_code(self, worker_id: str) -> Optional[int]:
+        """A dead worker's process exit code, when the transport knows it."""
+        return None
+
+    def note_claimed(self, chunk_id: int) -> None:
+        """Coordinator callback: a claim for this chunk was folded."""
+
+    def worker_view(self) -> Dict[str, Dict[str, Any]]:
+        """Status-endpoint roster of the fleet."""
+        return {worker: {"alive": self.worker_alive(worker)}
+                for worker in self.worker_ids()}
+
     def send(self, worker_id: str, message: Message) -> None:
         """Deliver a coordinator→worker message (best effort; transports
         without per-worker addressing drop it)."""
@@ -127,6 +153,71 @@ class CoordinatorTransport(abc.ABC):
     @abc.abstractmethod
     def stop(self) -> None:
         """Shut the fleet down and release transport resources."""
+
+
+# --------------------------------------------------------------------------- #
+# Inline worker
+# --------------------------------------------------------------------------- #
+class InlineTransport(CoordinatorTransport):
+    """One worker running inside the coordinator's process.
+
+    ``run_lease`` is the engine's lease generator (the engine passes
+    :func:`repro.core.parallel.lease_frames`).  :meth:`offer` only queues a
+    lease; :meth:`recv` advances the running lease by one frame, so an
+    iteration runs only when the coordinator asks for the frame after the
+    previous iteration's result — folded and checkpointed by then.  A
+    ``WorkerError`` frame retires the worker, exactly as a pool worker
+    exits after sending one.
+    """
+
+    WORKER = "inline"
+    n_workers = 1
+
+    def __init__(self, run_lease: Callable[..., Iterator[Message]]) -> None:
+        self.run_lease = run_lease
+        self._leases: Deque[Lease] = deque()
+        self._frames: Optional[Iterator[Message]] = None
+        self._runtimes: Dict[int, Any] = {}
+        self._tasks: List[Any] = []
+        self._factory: Optional[Callable] = None
+        self._retired = False
+
+    def start(self, tasks: List[Any], factory: Callable) -> None:
+        self._tasks = list(tasks)
+        self._factory = factory
+
+    def lookahead(self) -> int:
+        return 0
+
+    def offer(self, lease: Lease) -> None:
+        self._leases.append(lease)
+
+    def recv(self, timeout: float) -> Optional[Tuple[str, Message]]:
+        # Nothing runs between calls, so there is nothing to wait for.
+        while not self._retired:
+            if self._frames is None:
+                if not self._leases:
+                    return None
+                self._frames = self.run_lease(
+                    self.WORKER, self._leases.popleft(), self._factory,
+                    self._runtimes, self._tasks)
+            frame = next(self._frames, None)
+            if frame is None:
+                self._frames = None
+                continue
+            self._retired = frame.kind == "error"
+            return self.WORKER, frame
+        return None
+
+    def worker_alive(self, worker_id: str) -> bool:
+        return worker_id == self.WORKER and not self._retired
+
+    def worker_ids(self) -> List[str]:
+        return [self.WORKER]
+
+    def stop(self) -> None:
+        if self._frames is not None:
+            self._frames.close()  # GeneratorExit ends an interrupted lease
 
 
 # --------------------------------------------------------------------------- #
@@ -252,6 +343,9 @@ class SocketTransport(CoordinatorTransport):
         self._peers: Dict[str, _Peer] = {}
         self._peers_lock = threading.Lock()
         self._pending: "deque[Lease]" = deque()
+        #: Chunk ids the coordinator has seen claims for; a dead peer's
+        #: assigned lease is silently re-offered only while unclaimed.
+        self._claimed_chunks: Set[int] = set()
         self._status: Dict[str, Any] = {}
         self._loop = None
         self._server = None
@@ -369,7 +463,7 @@ class SocketTransport(CoordinatorTransport):
                     # are the *coordinator's* problem (requeue-on-death).
                     lease = peer.assigned
                     peer.assigned = None
-                    if not self._lease_claimed(lease):
+                    if lease.chunk_id not in self._claimed_chunks:
                         self._pending.append(Lease(
                             **{**_lease_fields(lease),
                                "exclude": tuple(sorted(
@@ -380,15 +474,7 @@ class SocketTransport(CoordinatorTransport):
             except Exception:
                 pass
 
-    #: Chunk ids the coordinator has seen claims for; used to decide
-    #: whether a dead peer's assigned lease is safe to silently re-offer.
-    def _lease_claimed(self, lease: Lease) -> bool:
-        return lease.chunk_id in getattr(self, "_claimed_chunks", set())
-
     def note_claimed(self, chunk_id: int) -> None:
-        """Coordinator callback: a claim for this chunk was folded."""
-        if not hasattr(self, "_claimed_chunks"):
-            self._claimed_chunks = set()
         self._claimed_chunks.add(chunk_id)
 
     # ------------------------------------------------------------------ #
@@ -453,6 +539,11 @@ class SocketTransport(CoordinatorTransport):
         with self._peers_lock:
             return list(self._peers)
 
+    def lookahead(self) -> int:
+        # The fleet grows mid-campaign: one lease per live worker plus one
+        # buffered, so a fresh joiner never idles.
+        return self.live_worker_count() + 1
+
     def worker_view(self) -> Dict[str, Dict[str, Any]]:
         """Status-endpoint roster: liveness + heartbeat age per worker."""
         now = time.monotonic()
@@ -511,6 +602,7 @@ __all__ = [
     "DEFAULT_HEARTBEAT_TIMEOUT",
     "HEARTBEAT_INTERVAL",
     "CoordinatorTransport",
+    "InlineTransport",
     "LocalTransport",
     "SocketTransport",
     "factory_path",

@@ -2,10 +2,10 @@
 
 :class:`repro.core.fuzzer.Fuzzer` is a strictly serial loop; a campaign uses
 one core no matter how many are available.  The search is embarrassingly
-parallel, so this module schedules it over a pool of ``multiprocessing``
-workers.  The unit of work is a **matrix cell** — one shard's seed stream
-produced by one *generation strategy*, run against one *compiler subset* at
-one *optimization level* (:class:`MatrixCell`).  A classic PR-1-style
+parallel, so this module schedules it over a fleet of workers.  The unit
+of work is a **matrix cell** — one shard's seed stream produced by one
+*generation strategy*, run against one *compiler subset* at one
+*optimization level* (:class:`MatrixCell`).  A classic PR-1-style
 campaign is the degenerate 1×1 matrix: N shards against the single compiler
 set built by ``compiler_factory``, generated by the config's strategy.
 Generators and oracles are registry names (:mod:`repro.core.strategy`,
@@ -13,6 +13,13 @@ Generators and oracles are registry names (:mod:`repro.core.strategy`,
 subsets — which is what lets NNSmith-vs-baseline comparisons run as *one*
 sharded, checkpointed campaign with a generator axis
 (``generators=("nnsmith", "graphfuzzer", "lemon")``).
+
+One coordinator loop serves three transports
+(:mod:`repro.core.fabric.transport`): the inline worker of a one-worker
+campaign (nothing is spawned; each iteration is folded before the next
+runs), a ``multiprocessing`` pool, and a TCP socket fleet.  Every worker
+runs one lease generator, :func:`lease_frames`, and ``ParallelCampaign.
+_drain`` folds every iteration, whatever carried it.
 
 Three properties distinguish the matrix engine from a flat shard list:
 
@@ -27,7 +34,7 @@ Three properties distinguish the matrix engine from a flat shard list:
   generates from the same pool.
 * **Intra-cell checkpointing.**  Workers stream every completed iteration's
   folded result back to the coordinator, which persists an incremental JSON
-  checkpoint (`format_version` 5): per cell, the accumulated
+  checkpoint (``format_version`` 7): per cell, the accumulated
   :class:`CampaignResult` (including cumulative coverage arcs), the exact
   set of completed iterations, plus the scheduler's state.  An
   interrupted cell resumes *mid-stream* — only the missing iterations are
@@ -71,13 +78,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, FrozenSet, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Any, Callable, Deque, Dict, FrozenSet, Iterator, List,
+                    Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -87,16 +93,16 @@ from repro.compilers.coverage import CoverageFeedback, is_pass_arc
 from repro.core.difftest import DifferentialTester
 from repro.core.fabric.protocol import (PROTOCOL_VERSION, CheckpointAck,
                                         Claim, ChunkDone, CoverageDelta,
-                                        IterationResult, Lease, ProtocolError,
-                                        WorkerError, decode, encode,
-                                        task_from_dict)
-from repro.core.fabric.transport import (CoordinatorTransport, LocalTransport)
+                                        IterationResult, Lease, Message,
+                                        ProtocolError, WorkerError, decode,
+                                        encode, task_from_dict)
+from repro.core.fabric.transport import (CoordinatorTransport,
+                                         InlineTransport, LocalTransport)
 from repro.core.fuzzer import (BugReport, CampaignResult, CellOutcome, Fuzzer,
                                FuzzerConfig, probe_supported_pool,
                                single_iteration_result)
 from repro.core.oracle import build_oracle
-from repro.core.schedule import (DEFAULT_SCHEDULER, Scheduler,
-                                 build_scheduler)
+from repro.core.schedule import DEFAULT_SCHEDULER, build_scheduler
 from repro.core.strategy import (GenerationStrategy, build_strategy,
                                  registered_strategies)
 from repro.errors import ReproError
@@ -477,10 +483,12 @@ def _iterations_from_ranges(runs: Sequence[Sequence[int]]) -> Set[int]:
 # --------------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------------- #
-def _cell_tester(task: CellTask, factory: CompilerFactory
-                 ) -> Tuple[DifferentialTester, FuzzerConfig,
-                            GenerationStrategy,
-                            Optional[CoverageFeedback]]:
+#: A cell's built oracle, effective config, strategy and coverage channel.
+CellRuntime = Tuple[DifferentialTester, FuzzerConfig, GenerationStrategy,
+                    Optional[CoverageFeedback]]
+
+
+def _cell_tester(task: CellTask, factory: CompilerFactory) -> CellRuntime:
     """Build a cell's oracle, effective config, strategy and coverage channel.
 
     Named subsets come from the compiler registry at the cell's opt level;
@@ -541,122 +549,95 @@ def _cell_tester(task: CellTask, factory: CompilerFactory
     return tester, config, strategy, coverage
 
 
-def _run_chunk(tester: DifferentialTester, config: FuzzerConfig,
-               start: int, stop: Optional[int],
-               emit: Callable[[int, CampaignResult, float], None],
-               strategy: Optional[GenerationStrategy] = None,
-               time_budget: Optional[float] = None,
-               coverage: Optional[CoverageFeedback] = None) -> None:
-    """Execute one chunk's iterations, emitting each folded result.
+def lease_frames(worker: str, lease: Lease, factory: CompilerFactory,
+                 runtimes: Dict[int, CellRuntime],
+                 tasks: Optional[List[CellTask]] = None
+                 ) -> Iterator[Message]:
+    """Run one lease, yielding its protocol frames as they happen.
 
-    ``stop`` is inclusive; None means "until the chunk's time budget runs
-    out" (unbounded cells).  ``time_budget`` is the *effective* wall-clock
-    allowance of this chunk — for a resumed time-budget cell the planner
-    passes the cell's remaining budget, not the config's full one.  Each
-    emit carries the iteration's wall-clock duration so the coordinator can
-    account consumed budget across interruptions.  With a ``coverage``
-    channel each emitted partial's ``coverage_arcs`` holds the iteration's
-    arc delta (see :func:`repro.core.fuzzer.single_iteration_result`).
-    """
-    chunk_start = time.monotonic()
-    deadline = (None if time_budget is None else chunk_start + time_budget)
-    iteration = start
-    while stop is None or iteration <= stop:
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        iter_start = time.monotonic()
-        partial = single_iteration_result(
-            tester, config, iteration,
-            elapsed=iter_start - chunk_start, strategy=strategy,
-            coverage=coverage)
-        emit(iteration, partial, time.monotonic() - iter_start)
-        iteration += 1
+    The worker core of every transport: a :class:`Claim`, then per
+    iteration an optional :class:`CoverageDelta` (non-empty deltas only,
+    always *before* the matching result) and the :class:`IterationResult`,
+    then :class:`ChunkDone` — or a single :class:`WorkerError`, after which
+    the worker retires.  Only ``Exception`` becomes a ``WorkerError``:
+    ``GeneratorExit`` and Ctrl-C pass through.
 
-
-def _execute_lease(worker: str, lease: Lease, factory: CompilerFactory,
-                   send: Callable[[Any], None],
-                   runtimes: Dict[int, Tuple[DifferentialTester, FuzzerConfig,
-                                             GenerationStrategy,
-                                             Optional[CoverageFeedback]]],
-                   tasks: Optional[List[CellTask]] = None) -> None:
-    """Run one lease and stream its protocol frames through ``send``.
-
-    The shared worker core of both wires: local pool workers pass the task
-    list they were forked with, remote socket workers pass ``tasks=None``
-    and rebuild the cell task from the lease's serialized payload.  Per
-    completed iteration this sends an optional :class:`CoverageDelta`
-    (non-empty deltas only, always *before* the matching result frame)
-    followed by the :class:`IterationResult`.
+    Pool workers pass the task list they were forked with; socket workers
+    pass ``tasks=None`` and rebuild the cell task from the lease's payload.
+    ``runtimes`` caches each cell's built tester across a worker's leases.
+    ``lease.stop`` is inclusive; None means "until ``lease.time_budget``
+    runs out" (for a resumed time-budget cell, its remaining budget).
     """
     cell_index = lease.cell_index
-    if cell_index not in runtimes:
-        if tasks is not None:
-            task = tasks[cell_index]
-        elif lease.task is not None:
-            task = task_from_dict(lease.task)
-        else:
-            raise ProtocolError(
-                f"lease {lease.chunk_id} names cell {cell_index} but carries "
-                "no task payload and this worker holds no task list")
-        runtimes[cell_index] = _cell_tester(task, factory)
-    tester, config, strategy, coverage = runtimes[cell_index]
-
-    def emit(iteration, partial, duration):
-        payload = campaign_result_to_dict(partial)
-        delta = payload.pop("coverage_arcs", None) or None
-        if coverage is not None and delta:
-            send(encode(CoverageDelta(worker=worker, cell_index=cell_index,
-                                      iteration=iteration,
-                                      arcs=tuple(delta))))
-        send(encode(IterationResult(worker=worker, chunk_id=lease.chunk_id,
-                                    cell_index=cell_index,
-                                    iteration=iteration, duration=duration,
-                                    payload=payload)))
-
-    _run_chunk(tester, config, lease.start, lease.stop, emit,
-               strategy=strategy, time_budget=lease.time_budget,
-               coverage=coverage)
+    yield Claim(worker=worker, chunk_id=lease.chunk_id, cell_index=cell_index)
+    try:
+        if cell_index not in runtimes:
+            if tasks is not None:
+                task = tasks[cell_index]
+            elif lease.task is not None:
+                task = task_from_dict(lease.task)
+            else:
+                raise ProtocolError(
+                    f"lease {lease.chunk_id} names cell {cell_index} but "
+                    "carries no task payload and this worker holds no task "
+                    "list")
+            runtimes[cell_index] = _cell_tester(task, factory)
+        tester, config, strategy, coverage = runtimes[cell_index]
+        chunk_start = time.monotonic()
+        deadline = (None if lease.time_budget is None
+                    else chunk_start + lease.time_budget)
+        iteration = lease.start
+        while lease.stop is None or iteration <= lease.stop:
+            iter_start = time.monotonic()
+            if deadline is not None and iter_start >= deadline:
+                break
+            # Looked up as this module's global at call time: the
+            # benchmark harness rebinds it to time each iteration.
+            partial = single_iteration_result(
+                tester, config, iteration,
+                elapsed=iter_start - chunk_start, strategy=strategy,
+                coverage=coverage)
+            duration = time.monotonic() - iter_start
+            payload = campaign_result_to_dict(partial)
+            delta = payload.pop("coverage_arcs", None)
+            if coverage is not None and delta:
+                yield CoverageDelta(worker=worker, cell_index=cell_index,
+                                    iteration=iteration, arcs=tuple(delta))
+            yield IterationResult(worker=worker, chunk_id=lease.chunk_id,
+                                  cell_index=cell_index, iteration=iteration,
+                                  duration=duration, payload=payload)
+            iteration += 1
+    except Exception as exc:
+        yield WorkerError(worker=worker, chunk_id=lease.chunk_id,
+                          cell_index=cell_index,
+                          message=f"{type(exc).__name__}: {exc}")
+        return
+    yield ChunkDone(worker=worker, chunk_id=lease.chunk_id,
+                    cell_index=cell_index)
 
 
 def _matrix_worker(worker_index: int, tasks: List[CellTask],
                    factory: CompilerFactory, task_queue, result_queue) -> None:
-    """Pool worker: lease chunks from the shared queue until told to stop.
+    """Pool worker: run leases from the shared queue until told to stop.
 
     Both queues carry encoded fabric frames (:mod:`repro.core.fabric`):
     the task queue delivers ``lease`` frames (and a ``shutdown`` frame per
-    worker at teardown), the result queue receives ``claim`` /
-    ``coverage_delta`` / ``iter`` / ``chunk_done`` frames and, on a
-    worker-side exception, a final ``error`` frame — after which the worker
-    exits and surviving workers absorb the remaining queue.
+    worker at teardown), the result queue receives each lease's
+    :func:`lease_frames` — after an ``error`` frame the worker exits and
+    surviving workers absorb the remaining queue.
     """
     worker = f"local-{worker_index}"
-    runtimes: Dict[int, Tuple[DifferentialTester, FuzzerConfig,
-                              GenerationStrategy,
-                              Optional[CoverageFeedback]]] = {}
+    runtimes: Dict[int, CellRuntime] = {}
     while True:
-        item = task_queue.get()
-        if item is None:
-            break  # legacy stop sentinel
-        message = decode(item)
+        message = decode(task_queue.get())
         if message.kind == "shutdown":
-            break
+            return
         if message.kind != "lease":
             continue
-        result_queue.put(encode(Claim(worker=worker,
-                                      chunk_id=message.chunk_id,
-                                      cell_index=message.cell_index)))
-        try:
-            _execute_lease(worker, message, factory, result_queue.put,
-                           runtimes, tasks=tasks)
-            result_queue.put(encode(ChunkDone(worker=worker,
-                                              chunk_id=message.chunk_id,
-                                              cell_index=message.cell_index)))
-        except BaseException as exc:  # surface worker failure, then retire
-            result_queue.put(encode(WorkerError(
-                worker=worker, chunk_id=message.chunk_id,
-                cell_index=message.cell_index,
-                message=f"{type(exc).__name__}: {exc}")))
-            break
+        for frame in lease_frames(worker, message, factory, runtimes, tasks):
+            result_queue.put(encode(frame))
+            if frame.kind == "error":
+                return
 
 
 # --------------------------------------------------------------------------- #
@@ -752,9 +733,6 @@ class ParallelCampaign:
     #: schedulers; only lease order/placement (and, for ``coverage``, the
     #: collected telemetry) differ.
     schedule: str = DEFAULT_SCHEDULER
-    #: Back-compat alias: ``adaptive=True`` with the default schedule runs
-    #: the ``adaptive`` scheduler (the pre-registry work-stealing flag).
-    adaptive: bool = False
     #: Explicit chunk size in iterations (implies chunked scheduling).
     chunk_iterations: Optional[int] = None
     #: Save the checkpoint every N folded iterations (1 = every iteration).
@@ -765,7 +743,8 @@ class ParallelCampaign:
     #: Optional observer for streamed events (kind, cell_key, payload).
     on_event: Optional[Callable[[str, str, Any], None]] = None
     #: Transport carrying the coordinator↔worker protocol.  None picks
-    #: automatically: in-process for effectively-one-worker campaigns, a
+    #: automatically: an :class:`~repro.core.fabric.transport.InlineTransport`
+    #: (no process spawned) for effectively-one-worker campaigns, a
     #: :class:`~repro.core.fabric.transport.LocalTransport` pool otherwise.
     #: A :class:`~repro.core.fabric.transport.SocketTransport` here turns
     #: the campaign into the network coordinator service.
@@ -792,7 +771,8 @@ class ParallelCampaign:
             raise ValueError(
                 f"unknown fault_tolerance {self.fault_tolerance!r}; "
                 f"expected one of {FAULT_TOLERANCE_MODES}")
-        self._scheduler = self._build_scheduler()
+        self._scheduler = build_scheduler(
+            self.schedule, chunk_iterations=self.chunk_iterations)
         if self.stagnation_budget is not None and \
                 not self._scheduler.wants_coverage:
             raise ReproError(
@@ -820,10 +800,6 @@ class ParallelCampaign:
                     self._coverage_clock_offset = max(
                         self._coverage_clock_offset, sample["elapsed"])
         self._unsaved_folds = 0
-        #: (cell_index, iteration) -> duration, staged by the transport just
-        #: before the fold consumes it (keeps _fold_iteration's signature
-        #: stable for subclasses while still accounting consumed budget).
-        self._pending_durations: Dict[Tuple[int, int], float] = {}
         #: (cell_index, iteration) -> arc tuple, staged by a worker's
         #: ``coverage_delta`` frame until the matching ``iter`` frame folds.
         self._pending_deltas: Dict[Tuple[int, int], Tuple[str, ...]] = {}
@@ -847,26 +823,22 @@ class ParallelCampaign:
             if transport is None:
                 workers = min(self.n_workers,
                               self._estimate_parallelism(states))
-                if workers > 1:
-                    transport = LocalTransport(
-                        workers, mp_context=self.mp_context,
-                        worker_target=_matrix_worker)
-            if transport is None:
-                self._execute_inprocess(states)
-            else:
-                self._execute_transport(states, transport)
+                transport = (LocalTransport(workers,
+                                            mp_context=self.mp_context,
+                                            worker_target=_matrix_worker)
+                             if workers > 1 else InlineTransport(lease_frames))
+            transport.start([state.task for state in states],
+                            self.compiler_factory)
+            try:
+                self._drain(states, transport)
+            finally:
+                transport.stop()
             self._save_checkpoint(states, force=True)
 
         merged = CampaignResult.merge_all(
             [self._provenanced_result(state) for state in states])
         merged.elapsed = max(merged.elapsed, time.monotonic() - started)
         return merged
-
-    def _build_scheduler(self) -> Scheduler:
-        name = self.schedule
-        if self.adaptive and name == DEFAULT_SCHEDULER:
-            name = "adaptive"
-        return build_scheduler(name, chunk_iterations=self.chunk_iterations)
 
     # ------------------------------------------------------------------ #
     def _build_tasks(self) -> List[CellTask]:
@@ -1056,8 +1028,10 @@ class ParallelCampaign:
 
     # ------------------------------------------------------------------ #
     def _fold_iteration(self, states: List[_CellState], cell_index: int,
-                        iteration: int, partial: CampaignResult) -> None:
-        """Accumulate one iteration's result into its cell.
+                        iteration: int, partial: CampaignResult,
+                        duration: float) -> None:
+        """Accumulate one iteration's result (and its wall-clock
+        ``duration``, the cell's consumed budget) into its cell.
 
         A hand-rolled fold rather than ``CampaignResult.merge``: merge
         rebuilds the report dedup set and re-sorts the whole timeline on
@@ -1065,7 +1039,6 @@ class ParallelCampaign:
         size.  The observable outcome is identical (the property tests pin
         merge's semantics; this fold mirrors them with persistent state).
         """
-        duration = self._pending_durations.pop((cell_index, iteration), 0.0)
         state = states[cell_index]
         if iteration in state.completed:
             return  # replayed message (e.g. duplicate after a worker retry)
@@ -1200,66 +1173,15 @@ class ParallelCampaign:
             self.on_event(kind, cell_key, payload)
 
     # ------------------------------------------------------------------ #
-    def _execute_inprocess(self, states: List[_CellState]) -> None:
-        """Single-worker path: run every lease in this process.
-
-        No process spawn, no queues, no pickling — but the same fold,
-        scheduler and checkpoint pipeline, so ``--workers 1`` keeps full
-        mid-cell resume support and lease-by-lease scheduling decisions
-        (each lease is selected with the freshest telemetry).
-        """
-        runtimes: Dict[int, Tuple[DifferentialTester, FuzzerConfig,
-                                  GenerationStrategy,
-                                  Optional[CoverageFeedback]]] = {}
-        while True:
-            lease = self._next_lease(states)
-            if lease is None:
-                break
-            cell_index = lease.cell_index
-            try:
-                if cell_index not in runtimes:
-                    runtimes[cell_index] = _cell_tester(
-                        states[cell_index].task, self.compiler_factory)
-                tester, config, strategy, coverage = runtimes[cell_index]
-
-                def fold(iteration, partial, duration, cell_index=cell_index):
-                    self._pending_durations[(cell_index, iteration)] = duration
-                    self._fold_iteration(states, cell_index, iteration,
-                                         partial)
-
-                _run_chunk(tester, config, lease.start, lease.stop, fold,
-                           strategy=strategy, time_budget=lease.time_budget,
-                           coverage=coverage)
-            except ReproError:
-                raise
-            except Exception as exc:
-                raise ReproError(
-                    "campaign worker(s) failed: cell "
-                    f"{states[cell_index].task.cell.key}: "
-                    f"{type(exc).__name__}: {exc}") from exc
-            self._finish_chunk(states, cell_index)
-            self._publish_status(states, None)
-
-    # ------------------------------------------------------------------ #
-    def _execute_transport(self, states: List[_CellState],
-                           transport: CoordinatorTransport) -> None:
-        """Run the campaign over a worker fleet behind any transport."""
-        transport.start([state.task for state in states],
-                        self.compiler_factory)
-        try:
-            self._drain(states, transport)
-        finally:
-            transport.stop()
-
     def _requeue_lease(self, states: List[_CellState], lease: Lease,
                        dead_worker: Optional[str]) -> None:
         """Return a dead worker's lease to the ledger, dead worker excluded.
 
         Iterations the lease already folded stay folded (`_fold_iteration`
-        deduplicates replays and pops their staged durations first, so
-        nothing is double-counted); for time-budget leases the next lease
-        is granted only the still-unconsumed budget — one monotone
-        ``cell_elapsed`` clock across the death.
+        deduplicates replays, so nothing is double-counted); for
+        time-budget leases the next lease is granted only the
+        still-unconsumed budget — one monotone ``cell_elapsed`` clock
+        across the death.
         """
         state = states[lease.cell_index]
         if dead_worker:
@@ -1274,17 +1196,20 @@ class ParallelCampaign:
 
     def _drain(self, states: List[_CellState],
                transport: CoordinatorTransport) -> None:
-        """The transport-generic coordinator loop.
+        """The coordinator loop: every iteration of every transport is
+        folded here.
 
         Leases are dispatched lease-by-lease (scheduler-ordered), not
-        offered wholesale: the coordinator primes roughly one lease per
-        worker plus a one-lease lookahead buffer, then tops the buffer up
-        as claims arrive — so each lease decision is made with near-current
-        telemetry while workers still self-serve without waiting on a
-        coordinator round-trip.  Worker death is tolerated per
-        ``fault_tolerance``: ``"requeue"`` returns the dead worker's leases
-        to the ledger (that worker excluded) and finishes with the
-        survivors; ``"fail"`` fails the campaign loudly after draining.
+        offered wholesale: the coordinator primes one lease per worker plus
+        the transport's ``lookahead()`` buffer, then tops the buffer up as
+        claims arrive — so each lease decision is made with near-current
+        telemetry while pool and socket workers still self-serve without
+        waiting on a coordinator round-trip.  The inline worker has zero
+        lookahead: its next lease is chosen only after the previous one is
+        folded.  Worker death is tolerated per ``fault_tolerance``:
+        ``"requeue"`` returns the dead worker's leases to the ledger (that
+        worker excluded) and finishes with the survivors; ``"fail"`` fails
+        the campaign loudly after draining.
         """
         leases: Dict[int, Lease] = {}    # offered or claimed, by chunk id
         claims: Dict[int, str] = {}      # chunk_id -> worker id
@@ -1311,13 +1236,6 @@ class ParallelCampaign:
                 self._offer_times[lease.chunk_id] = time.monotonic()
                 in_queue[0] += 1
                 transport.offer(lease)
-
-        def buffer_target() -> int:
-            # Elastic fleets grow mid-campaign: keep one lease per live
-            # worker plus one buffered so a fresh joiner never idles.
-            # Fixed fleets keep the historical one-lease lookahead.
-            return transport.live_worker_count() + 1 if transport.elastic \
-                else 1
 
         def abandon(chunk_id: int, message: str) -> None:
             lease = leases.pop(chunk_id, None)
@@ -1358,15 +1276,15 @@ class ParallelCampaign:
                     errors.append(f"worker {worker_id} "
                                   f"{description}")
 
-        # Prime the pipeline: non-elastic fleets get one lease per worker
-        # plus the lookahead up front; elastic fleets are primed as their
-        # workers say hello.
-        if not transport.elastic:
-            offer_up_to(getattr(transport, "n_workers",
-                                transport.live_worker_count()) + 1)
+        # Prime the pipeline: one lease per worker the fleet starts with,
+        # plus the lookahead (elastic fleets start empty; their lookahead
+        # grows as workers say hello).
+        offer_up_to(transport.n_workers + transport.lookahead())
 
         while leases or self._dispatchable(states):
-            offer_up_to(max(buffer_target(), 1) if transport.elastic else 1)
+            # Keep the lookahead buffered — and with none (the inline
+            # worker), offer the next lease once no lease is outstanding.
+            offer_up_to(max(transport.lookahead(), 0 if leases else 1))
             item = transport.recv(timeout=POLL_TIMEOUT)
             if item is None:
                 # A worker killed by the OS (OOM, signal) never reports
@@ -1384,8 +1302,7 @@ class ParallelCampaign:
                     if dead_polls[worker_id] < DEAD_WORKER_POLLS:
                         continue
                     retired.add(worker_id)
-                    exit_code = getattr(transport, "exit_code",
-                                        lambda _w: None)(worker_id)
+                    exit_code = transport.exit_code(worker_id)
                     description = (f"died with exit code {exit_code}"
                                    if exit_code is not None
                                    else "died (heartbeat timeout)")
@@ -1444,9 +1361,7 @@ class ParallelCampaign:
                 if offered is not None:
                     self._lease_latencies.append(
                         time.monotonic() - offered)
-                note_claimed = getattr(transport, "note_claimed", None)
-                if note_claimed is not None:
-                    note_claimed(message.chunk_id)
+                transport.note_claimed(message.chunk_id)
             elif kind == "coverage_delta":
                 self._pending_deltas[(message.cell_index,
                                       message.iteration)] = message.arcs
@@ -1459,9 +1374,9 @@ class ParallelCampaign:
                 partial = campaign_result_from_dict(message.payload)
                 if delta:
                     partial.coverage_arcs = set(delta)
-                self._pending_durations[key] = message.duration
                 self._fold_iteration(states, message.cell_index,
-                                     message.iteration, partial)
+                                     message.iteration, partial,
+                                     message.duration)
                 if self.checkpoint_path and self._unsaved_folds == 0:
                     transport.send(worker_id, CheckpointAck(
                         worker=worker_id,
@@ -1487,8 +1402,7 @@ class ParallelCampaign:
 
     # ------------------------------------------------------------------ #
     def _publish_status(self, states: List[_CellState],
-                        transport: Optional[CoordinatorTransport]
-                        ) -> Dict[str, Any]:
+                        transport: CoordinatorTransport) -> None:
         """Build (and hand the transport) the live campaign snapshot."""
         scheduler = self._scheduler
         rate_of = getattr(scheduler, "novelty_rate", None)
@@ -1540,17 +1454,10 @@ class ParallelCampaign:
                 "mean_seconds": (round(sum(latencies) / len(latencies), 6)
                                  if latencies else None),
             },
+            "workers": transport.worker_view(),
         }
-        if transport is not None:
-            view = getattr(transport, "worker_view", None)
-            snapshot["workers"] = (
-                view() if view is not None else
-                {worker_id: {"alive": transport.worker_alive(worker_id)}
-                 for worker_id in transport.worker_ids()})
         self.last_status = snapshot
-        if transport is not None:
-            transport.publish_status(snapshot)
-        return snapshot
+        transport.publish_status(snapshot)
 
     # ------------------------------------------------------------------ #
     def _checkpoint_fingerprint(self, n_cells: int) -> Dict[str, Any]:
@@ -1734,50 +1641,14 @@ class ParallelCampaign:
 
 
 def run_parallel_campaign(config: Optional[FuzzerConfig] = None,
-                          n_workers: int = 2,
-                          compiler_factory: CompilerFactory = default_compiler_factory,
-                          compiler_sets: Optional[Sequence[Sequence[str]]] = None,
-                          opt_levels: Optional[Sequence[int]] = None,
-                          generators: Optional[Sequence[str]] = None,
-                          oracles: Optional[Sequence[str]] = None,
-                          pipelines: Optional[Sequence[str]] = None,
-                          pool_mode: str = "union",
-                          n_shards: Optional[int] = None,
-                          checkpoint_path: Optional[str] = None,
-                          checkpoint_every: int = 1,
-                          schedule: str = DEFAULT_SCHEDULER,
-                          adaptive: bool = False,
-                          chunk_iterations: Optional[int] = None,
-                          mp_context: Optional[str] = None,
-                          on_event: Optional[Callable[[str, str, Any], None]] = None,
-                          transport: Optional[CoordinatorTransport] = None,
-                          fault_tolerance: str = "fail",
-                          stagnation_budget: Optional[float] = None,
-                          ) -> CampaignResult:
-    """Convenience wrapper: build a :class:`ParallelCampaign` and run it."""
-    campaign = ParallelCampaign(
-        config=config or FuzzerConfig(),
-        n_workers=n_workers,
-        compiler_factory=compiler_factory,
-        compiler_sets=compiler_sets,
-        opt_levels=opt_levels,
-        generators=generators,
-        oracles=oracles,
-        pipelines=pipelines,
-        pool_mode=pool_mode,
-        n_shards=n_shards,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        schedule=schedule,
-        adaptive=adaptive,
-        chunk_iterations=chunk_iterations,
-        mp_context=mp_context,
-        on_event=on_event,
-        transport=transport,
-        fault_tolerance=fault_tolerance,
-        stagnation_budget=stagnation_budget,
-    )
-    return campaign.run()
+                          **fields: Any) -> CampaignResult:
+    """Convenience wrapper: ``ParallelCampaign(config, **fields).run()``.
+
+    ``fields`` are :class:`ParallelCampaign` fields (``n_workers``,
+    ``compiler_sets``, ``schedule``, ``checkpoint_path``, ...), with the
+    same defaults.
+    """
+    return ParallelCampaign(config=config or FuzzerConfig(), **fields).run()
 
 
 def run_sharded_serial(config: FuzzerConfig, n_workers: int,

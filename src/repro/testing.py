@@ -7,7 +7,8 @@ module so there is exactly one definition of:
 * the pytest markers the suites use (:func:`register_markers`);
 * the small reference models used across tests (:func:`build_mlp_model`,
   :func:`build_conv_model`);
-* the run-exactly-once pytest-benchmark adapter (:func:`run_once`).
+* the run-exactly-once pytest-benchmark adapter (:func:`run_once`);
+* the campaign fold harness (:class:`InterruptAfter`, :class:`FoldCounter`).
 
 Living under :mod:`repro` (rather than inside one of the two test roots)
 keeps it importable from both without ``sys.path`` games.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.parallel import ParallelCampaign, deterministic_config
 from repro.graph.builder import GraphBuilder
 from repro.graph.model import Model
 
@@ -85,7 +87,6 @@ def tiny_campaign_config(iterations=4, seed=0, n_nodes=5,
     from repro.compilers.bugs import BugConfig
     from repro.core.fuzzer import FuzzerConfig
     from repro.core.generator import GeneratorConfig
-    from repro.core.parallel import deterministic_config
 
     return deterministic_config(FuzzerConfig(
         generator=GeneratorConfig(n_nodes=n_nodes),
@@ -152,3 +153,35 @@ def checkpoint_signature(path):
                 sample.pop("elapsed", None)
                 sample.pop("cell_elapsed", None)
     return json.dumps(payload, sort_keys=True)
+
+
+class InterruptAfter(ParallelCampaign):
+    """Campaign that dies (after checkpointing) at the Nth folded iteration."""
+
+    def __init__(self, interrupt_after, **kwargs):
+        super().__init__(**kwargs)
+        self._folds_left = interrupt_after
+
+    def _fold_iteration(self, states, cell_index, iteration, partial,
+                        duration):
+        super()._fold_iteration(states, cell_index, iteration, partial,
+                                duration)
+        self._folds_left -= 1
+        if self._folds_left <= 0:
+            raise KeyboardInterrupt("simulated mid-campaign kill")
+
+
+class FoldCounter(ParallelCampaign):
+    """Campaign recording which iterations it actually executes:
+    ``folds`` maps each cell key to its folded iterations, in fold order."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.folds = {}
+
+    def _fold_iteration(self, states, cell_index, iteration, partial,
+                        duration):
+        key = states[cell_index].task.cell.key
+        self.folds.setdefault(key, []).append(iteration)
+        super()._fold_iteration(states, cell_index, iteration, partial,
+                                duration)

@@ -17,13 +17,13 @@ from repro.core.fuzzer import CampaignResult, FuzzerConfig
 from repro.core.generator import GeneratorConfig
 from repro.core.parallel import (
     MatrixCell,
-    ParallelCampaign,
     build_matrix,
     deterministic_config,
     run_parallel_campaign,
 )
 from repro.errors import ReproError
 from repro.experiments.venn import campaign_cell_sets, campaign_venn
+from repro.testing import FoldCounter, InterruptAfter
 
 SUBSETS = [["graphrt", "deepc"], ["turbo"]]
 OPT_LEVELS = [0, 2]
@@ -137,35 +137,8 @@ class TestMatrixCampaign:
         adaptive = run_parallel_campaign(
             config=config, n_workers=2, n_shards=2,
             compiler_sets=SUBSETS, opt_levels=[2],
-            adaptive=True, chunk_iterations=1)
+            schedule="adaptive", chunk_iterations=1)
         assert _signature(plain) == _signature(adaptive)
-
-
-class _InterruptAfter(ParallelCampaign):
-    """Campaign that dies (after checkpointing) at the Nth folded iteration."""
-
-    def __init__(self, interrupt_after, **kwargs):
-        super().__init__(**kwargs)
-        self._folds_left = interrupt_after
-
-    def _fold_iteration(self, states, cell_index, iteration, partial):
-        super()._fold_iteration(states, cell_index, iteration, partial)
-        self._folds_left -= 1
-        if self._folds_left <= 0:
-            raise KeyboardInterrupt("simulated mid-campaign kill")
-
-
-class _FoldCounter(ParallelCampaign):
-    """Campaign that records how many iterations it actually executes."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.folds = {}
-
-    def _fold_iteration(self, states, cell_index, iteration, partial):
-        key = states[cell_index].task.cell.key
-        self.folds[key] = self.folds.get(key, 0) + 1
-        super()._fold_iteration(states, cell_index, iteration, partial)
 
 
 @pytest.mark.campaign
@@ -179,7 +152,7 @@ class TestInterruptedResume:
         reference = run_parallel_campaign(config=config, n_workers=2, **matrix)
 
         path = str(tmp_path / "matrix.ckpt.json")
-        interrupted = _InterruptAfter(
+        interrupted = InterruptAfter(
             interrupt_after=5, config=config, n_workers=1,
             checkpoint_path=path, **matrix)
         with pytest.raises((KeyboardInterrupt, ReproError)):
@@ -196,8 +169,8 @@ class TestInterruptedResume:
         assert any(0 < count < budget_per_cell
                    for count in completed_before.values())
 
-        resumed = _FoldCounter(config=config, n_workers=2,
-                               checkpoint_path=path, **matrix)
+        resumed = FoldCounter(config=config, n_workers=2,
+                              checkpoint_path=path, **matrix)
         result = resumed.run()
 
         # exactly the remaining iterations were executed, cell by cell
@@ -206,7 +179,8 @@ class TestInterruptedResume:
             remaining = budget_per_cell - completed_before.get(task.cell.key, 0)
             if remaining:
                 expected_folds[task.cell.key] = remaining
-        assert resumed.folds == expected_folds
+        assert {key: len(iterations) for key, iterations
+                in resumed.folds.items()} == expected_folds
 
         # per-cell iteration counts are whole again
         assert {key: cell.iterations for key, cell in result.cells.items()} \
@@ -222,8 +196,8 @@ class TestInterruptedResume:
         matrix = dict(compiler_sets=[["turbo"]], opt_levels=[2], n_shards=2)
         first = run_parallel_campaign(config=config, n_workers=2,
                                       checkpoint_path=path, **matrix)
-        again = _FoldCounter(config=config, n_workers=2,
-                             checkpoint_path=path, **matrix)
+        again = FoldCounter(config=config, n_workers=2,
+                            checkpoint_path=path, **matrix)
         result = again.run()
         assert again.folds == {}
         assert _signature(result) == _signature(first)
@@ -231,13 +205,12 @@ class TestInterruptedResume:
 
 class TestInProcessSingleWorker:
     def test_workers_one_never_spawns_processes(self, tmp_path, monkeypatch):
-        import repro.core.parallel as parallel_module
+        from multiprocessing.process import BaseProcess
 
         def _no_processes(*args, **kwargs):
-            raise AssertionError("--workers 1 must not use multiprocessing")
+            raise AssertionError("--workers 1 must not spawn processes")
 
-        monkeypatch.setattr(parallel_module.multiprocessing, "get_context",
-                            _no_processes)
+        monkeypatch.setattr(BaseProcess, "start", _no_processes)
         path = str(tmp_path / "solo.ckpt.json")
         result = run_parallel_campaign(config=_config(3, seed=4), n_workers=1,
                                        checkpoint_path=path)
@@ -249,14 +222,14 @@ class TestInProcessSingleWorker:
     def test_workers_one_resumes_from_own_checkpoint(self, tmp_path):
         config = _config(4, seed=6)
         path = str(tmp_path / "solo.ckpt.json")
-        interrupted = _InterruptAfter(interrupt_after=2, config=config,
-                                      n_workers=1, checkpoint_path=path)
+        interrupted = InterruptAfter(interrupt_after=2, config=config,
+                                     n_workers=1, checkpoint_path=path)
         with pytest.raises((KeyboardInterrupt, ReproError)):
             interrupted.run()
-        resumed = _FoldCounter(config=config, n_workers=1,
-                               checkpoint_path=path)
+        resumed = FoldCounter(config=config, n_workers=1,
+                              checkpoint_path=path)
         result = resumed.run()
-        assert sum(resumed.folds.values()) == 2
+        assert sum(map(len, resumed.folds.values())) == 2
         assert result.iterations == 4
 
 

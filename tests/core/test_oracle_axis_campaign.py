@@ -20,13 +20,17 @@ from repro.core.fuzzer import CampaignResult, CellOutcome, FuzzerConfig
 from repro.core.parallel import (
     CHECKPOINT_FORMAT_VERSION,
     MatrixCell,
-    ParallelCampaign,
     build_matrix,
     run_parallel_campaign,
 )
 from repro.errors import ReproError
 from repro.experiments.venn import campaign_cell_sets
-from repro.testing import campaign_signature, tiny_campaign_config
+from repro.testing import (
+    FoldCounter,
+    InterruptAfter,
+    campaign_signature,
+    tiny_campaign_config,
+)
 
 ORACLES = ["difftest", "perf", "gradcheck"]
 
@@ -155,33 +159,6 @@ class TestOracleAxisCampaign:
                                           "autodiff-sigmoid-grad-unscaled"}
 
 
-class _InterruptAfter(ParallelCampaign):
-    """Campaign that dies (after checkpointing) at the Nth folded iteration."""
-
-    def __init__(self, interrupt_after, **kwargs):
-        super().__init__(**kwargs)
-        self._folds_left = interrupt_after
-
-    def _fold_iteration(self, states, cell_index, iteration, partial):
-        super()._fold_iteration(states, cell_index, iteration, partial)
-        self._folds_left -= 1
-        if self._folds_left <= 0:
-            raise KeyboardInterrupt("simulated mid-campaign kill")
-
-
-class _FoldCounter(ParallelCampaign):
-    """Campaign that records how many iterations it actually executes."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.folds = {}
-
-    def _fold_iteration(self, states, cell_index, iteration, partial):
-        key = states[cell_index].task.cell.key
-        self.folds[key] = self.folds.get(key, 0) + 1
-        super()._fold_iteration(states, cell_index, iteration, partial)
-
-
 @pytest.mark.campaign
 class TestCheckpointV5:
     def test_killed_oracle_axis_campaign_resumes_mid_cell(self, tmp_path):
@@ -196,9 +173,9 @@ class TestCheckpointV5:
         reference = run_parallel_campaign(config=config, n_workers=1, **axis)
 
         path = str(tmp_path / "oracle.ckpt.json")
-        interrupted = _InterruptAfter(interrupt_after=5, config=config,
-                                      n_workers=1, checkpoint_path=path,
-                                      **axis)
+        interrupted = InterruptAfter(interrupt_after=5, config=config,
+                                     n_workers=1, checkpoint_path=path,
+                                     **axis)
         with pytest.raises((KeyboardInterrupt, ReproError)):
             interrupted.run()
 
@@ -217,10 +194,10 @@ class TestCheckpointV5:
         assert any(key.endswith("|oracle:difftest")
                    for key in payload["cells"])
 
-        resumed = _FoldCounter(config=config, n_workers=1,
-                               checkpoint_path=path, **axis)
+        resumed = FoldCounter(config=config, n_workers=1,
+                              checkpoint_path=path, **axis)
         result = resumed.run()
-        assert sum(resumed.folds.values()) == \
+        assert sum(map(len, resumed.folds.values())) == \
             4 * budget_per_cell - 5  # only the missing iterations re-ran
         assert campaign_signature(result) == campaign_signature(reference)
 
@@ -243,11 +220,11 @@ class TestCheckpointV5:
         run_parallel_campaign(config=config, n_workers=1, n_shards=2,
                               oracles=["difftest", "perf"],
                               checkpoint_path=path)
-        rerun = _FoldCounter(config=config, n_workers=1, n_shards=2,
-                             oracles=["difftest"], checkpoint_path=path)
+        rerun = FoldCounter(config=config, n_workers=1, n_shards=2,
+                            oracles=["difftest"], checkpoint_path=path)
         rerun.run()
         # nothing restored: the full (smaller) campaign re-executed
-        assert sum(rerun.folds.values()) == 4
+        assert sum(map(len, rerun.folds.values())) == 4
 
     def test_same_oracle_axis_restores_fully(self, tmp_path):
         config = _study_config(iterations=4)
@@ -255,8 +232,8 @@ class TestCheckpointV5:
         axis = dict(oracles=["difftest", "perf"], n_shards=2)
         first = run_parallel_campaign(config=config, n_workers=1,
                                       checkpoint_path=path, **axis)
-        again = _FoldCounter(config=config, n_workers=1,
-                             checkpoint_path=path, **axis)
+        again = FoldCounter(config=config, n_workers=1,
+                            checkpoint_path=path, **axis)
         result = again.run()
         assert again.folds == {}
         assert campaign_signature(result) == campaign_signature(first)

@@ -19,13 +19,17 @@ import pytest
 from repro.core.fuzzer import CampaignResult, CellOutcome, FuzzerConfig
 from repro.core.parallel import (
     CHECKPOINT_FORMAT_VERSION,
-    ParallelCampaign,
     build_matrix,
     run_parallel_campaign,
 )
 from repro.errors import ReproError
 from repro.experiments.venn import campaign_cell_sets
-from repro.testing import campaign_signature, tiny_campaign_config
+from repro.testing import (
+    FoldCounter,
+    InterruptAfter,
+    campaign_signature,
+    tiny_campaign_config,
+)
 
 #: A sampled graphrt ordering that runs BiasSoftmaxFusion *before*
 #: ConstantFolding — the order no canonical ``O<k>`` pipeline ever uses.
@@ -159,33 +163,6 @@ class TestPipelineAxisCampaign:
         assert campaign_signature(solo) == campaign_signature(pool)
 
 
-class _InterruptAfter(ParallelCampaign):
-    """Campaign that dies (after checkpointing) at the Nth folded iteration."""
-
-    def __init__(self, interrupt_after, **kwargs):
-        super().__init__(**kwargs)
-        self._folds_left = interrupt_after
-
-    def _fold_iteration(self, states, cell_index, iteration, partial):
-        super()._fold_iteration(states, cell_index, iteration, partial)
-        self._folds_left -= 1
-        if self._folds_left <= 0:
-            raise KeyboardInterrupt("simulated mid-campaign kill")
-
-
-class _FoldCounter(ParallelCampaign):
-    """Campaign that records how many iterations it actually executes."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.folds = {}
-
-    def _fold_iteration(self, states, cell_index, iteration, partial):
-        key = states[cell_index].task.cell.key
-        self.folds[key] = self.folds.get(key, 0) + 1
-        super()._fold_iteration(states, cell_index, iteration, partial)
-
-
 @pytest.mark.campaign
 class TestCheckpointV6:
     def test_killed_pipeline_axis_campaign_resumes_mid_cell(self, tmp_path):
@@ -197,9 +174,9 @@ class TestCheckpointV6:
         reference = run_parallel_campaign(config=config, n_workers=1, **axis)
 
         path = str(tmp_path / "pipeline.ckpt.json")
-        interrupted = _InterruptAfter(interrupt_after=5, config=config,
-                                      n_workers=1, checkpoint_path=path,
-                                      **axis)
+        interrupted = InterruptAfter(interrupt_after=5, config=config,
+                                     n_workers=1, checkpoint_path=path,
+                                     **axis)
         with pytest.raises((KeyboardInterrupt, ReproError)):
             interrupted.run()
 
@@ -217,10 +194,10 @@ class TestCheckpointV6:
         assert all("|pipe:" in key for key in payload["cells"])
         assert any(key.endswith("|pipe:O0") for key in payload["cells"])
 
-        resumed = _FoldCounter(config=config, n_workers=1,
-                               checkpoint_path=path, **axis)
+        resumed = FoldCounter(config=config, n_workers=1,
+                              checkpoint_path=path, **axis)
         result = resumed.run()
-        assert sum(resumed.folds.values()) == \
+        assert sum(map(len, resumed.folds.values())) == \
             4 * budget_per_cell - 5  # only the missing iterations re-ran
         assert campaign_signature(result) == campaign_signature(reference)
 
@@ -241,12 +218,12 @@ class TestCheckpointV6:
                               compiler_sets=[["graphrt"]],
                               pipelines=["O0", "O2"],
                               checkpoint_path=path)
-        rerun = _FoldCounter(config=config, n_workers=1, n_shards=2,
-                             compiler_sets=[["graphrt"]],
-                             pipelines=["O0"], checkpoint_path=path)
+        rerun = FoldCounter(config=config, n_workers=1, n_shards=2,
+                            compiler_sets=[["graphrt"]],
+                            pipelines=["O0"], checkpoint_path=path)
         rerun.run()
         # nothing restored: the full (smaller) campaign re-executed
-        assert sum(rerun.folds.values()) == 4
+        assert sum(map(len, rerun.folds.values())) == 4
 
     def test_same_pipeline_axis_restores_fully(self, tmp_path):
         config = _study_config(iterations=4)
@@ -255,8 +232,8 @@ class TestCheckpointV6:
                     pipelines=["O0", "O2"])
         first = run_parallel_campaign(config=config, n_workers=1,
                                       checkpoint_path=path, **axis)
-        again = _FoldCounter(config=config, n_workers=1,
-                             checkpoint_path=path, **axis)
+        again = FoldCounter(config=config, n_workers=1,
+                            checkpoint_path=path, **axis)
         result = again.run()
         assert again.folds == {}
         assert campaign_signature(result) == campaign_signature(first)

@@ -31,7 +31,11 @@ from repro.core.schedule import (
 )
 from repro.errors import ReproError
 from repro.experiments.venn import campaign_cell_sets
-from repro.testing import campaign_signature, tiny_campaign_config
+from repro.testing import (
+    InterruptAfter,
+    campaign_signature,
+    tiny_campaign_config,
+)
 
 SCHEDULES = ("static", "adaptive", "coverage")
 MATRIX = dict(compiler_sets=[["graphrt", "deepc"], ["turbo"]],
@@ -169,15 +173,6 @@ class TestSchedulerEquivalence:
                                          schedule="coverage", **MATRIX)
         assert campaign_signature(static) == campaign_signature(coverage)
 
-    def test_adaptive_flag_is_an_alias(self):
-        config = tiny_campaign_config(iterations=4, seed=5)
-        campaign = ParallelCampaign(config=config, n_workers=1,
-                                    adaptive=True)
-        assert campaign._build_scheduler().name == "adaptive"
-        explicit = ParallelCampaign(config=config, n_workers=1,
-                                    schedule="coverage", adaptive=True)
-        assert explicit._build_scheduler().name == "coverage"
-
 
 @pytest.mark.campaign
 class TestCoverageTelemetry:
@@ -213,20 +208,6 @@ class TestCoverageTelemetry:
             campaign_cell_sets(result, what="banana")
 
 
-class _InterruptAfter(ParallelCampaign):
-    """Campaign that dies (after checkpointing) at the Nth folded iteration."""
-
-    def __init__(self, interrupt_after, **kwargs):
-        super().__init__(**kwargs)
-        self._folds_left = interrupt_after
-
-    def _fold_iteration(self, states, cell_index, iteration, partial):
-        super()._fold_iteration(states, cell_index, iteration, partial)
-        self._folds_left -= 1
-        if self._folds_left <= 0:
-            raise KeyboardInterrupt("simulated mid-campaign kill")
-
-
 @pytest.mark.campaign
 class TestCheckpointPersistence:
     def test_kill_and_resume_under_coverage_scheduler(self, tmp_path):
@@ -234,7 +215,7 @@ class TestCheckpointPersistence:
         reference = run_parallel_campaign(config=config, n_workers=1,
                                           schedule="coverage", **MATRIX)
         path = str(tmp_path / "coverage.ckpt.json")
-        interrupted = _InterruptAfter(
+        interrupted = InterruptAfter(
             interrupt_after=7, config=config, n_workers=1,
             schedule="coverage", checkpoint_path=path, **MATRIX)
         with pytest.raises((KeyboardInterrupt, ReproError)):
@@ -288,7 +269,7 @@ class TestCheckpointPersistence:
         reference = run_parallel_campaign(config=config, n_workers=1,
                                           schedule="static", **MATRIX)
         path = str(tmp_path / "coverage.ckpt.json")
-        interrupted = _InterruptAfter(
+        interrupted = InterruptAfter(
             interrupt_after=5, config=config, n_workers=1,
             schedule="coverage", checkpoint_path=path, **MATRIX)
         with pytest.raises((KeyboardInterrupt, ReproError)):

@@ -21,36 +21,14 @@ from repro.core.parallel import (
 )
 from repro.errors import ReproError
 from repro.experiments.venn import campaign_cell_sets
-from repro.testing import campaign_signature, tiny_campaign_config
+from repro.testing import (
+    FoldCounter,
+    InterruptAfter,
+    campaign_signature,
+    tiny_campaign_config,
+)
 
 GENERATORS = ["nnsmith", "graphfuzzer", "targeted"]
-
-
-class _InterruptAfter(ParallelCampaign):
-    """Campaign that dies (after checkpointing) at the Nth folded iteration."""
-
-    def __init__(self, interrupt_after, **kwargs):
-        super().__init__(**kwargs)
-        self._folds_left = interrupt_after
-
-    def _fold_iteration(self, states, cell_index, iteration, partial):
-        super()._fold_iteration(states, cell_index, iteration, partial)
-        self._folds_left -= 1
-        if self._folds_left <= 0:
-            raise KeyboardInterrupt("simulated mid-campaign kill")
-
-
-class _FoldCounter(ParallelCampaign):
-    """Campaign recording which iterations it actually executes."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.folds = {}
-
-    def _fold_iteration(self, states, cell_index, iteration, partial):
-        key = states[cell_index].task.cell.key
-        self.folds.setdefault(key, []).append(iteration)
-        super()._fold_iteration(states, cell_index, iteration, partial)
 
 
 class TestGeneratorAxisMatrix:
@@ -118,9 +96,9 @@ class TestGeneratorAxisCampaign:
         reference = run_parallel_campaign(config=config, n_workers=2, **matrix)
 
         path = str(tmp_path / "gen-matrix.ckpt.json")
-        interrupted = _InterruptAfter(interrupt_after=5, config=config,
-                                      n_workers=1, checkpoint_path=path,
-                                      **matrix)
+        interrupted = InterruptAfter(interrupt_after=5, config=config,
+                                     n_workers=1, checkpoint_path=path,
+                                     **matrix)
         with pytest.raises((KeyboardInterrupt, ReproError)):
             interrupted.run()
 
@@ -131,8 +109,8 @@ class TestGeneratorAxisCampaign:
             for start, end in entry["completed"])
         assert done_before == 5
 
-        resumed = _FoldCounter(config=config, n_workers=2,
-                               checkpoint_path=path, **matrix)
+        resumed = FoldCounter(config=config, n_workers=2,
+                              checkpoint_path=path, **matrix)
         result = resumed.run()
         executed = sum(len(iters) for iters in resumed.folds.values())
         assert executed == 4 * len(GENERATORS) - 5
@@ -206,8 +184,8 @@ class TestTimeBudgetResume:
     def test_interrupted_time_budget_cell_resumes_mid_stream(self, tmp_path):
         config = self._config()
         path = str(tmp_path / "tb.ckpt.json")
-        interrupted = _InterruptAfter(interrupt_after=4, config=config,
-                                      n_workers=1, checkpoint_path=path)
+        interrupted = InterruptAfter(interrupt_after=4, config=config,
+                                     n_workers=1, checkpoint_path=path)
         with pytest.raises((KeyboardInterrupt, ReproError)):
             interrupted.run()
 
@@ -217,8 +195,8 @@ class TestTimeBudgetResume:
         assert cell["time_used"] > 0
         assert not cell["done"]
 
-        resumed = _FoldCounter(config=config, n_workers=1,
-                               checkpoint_path=path)
+        resumed = FoldCounter(config=config, n_workers=1,
+                              checkpoint_path=path)
         result = resumed.run()
         executed = resumed.folds["shard0|<default>|O?"]
         # the resumed cell continued after iteration 4, never re-ran 1-4
@@ -231,8 +209,8 @@ class TestTimeBudgetResume:
         assert cell_after["time_used"] >= cell["time_used"]
 
         # a third run finds the budget consumed and executes nothing
-        third = _FoldCounter(config=config, n_workers=1,
-                             checkpoint_path=path)
+        third = FoldCounter(config=config, n_workers=1,
+                            checkpoint_path=path)
         final = third.run()
         assert third.folds == {}
         assert final.iterations == result.iterations
@@ -240,8 +218,8 @@ class TestTimeBudgetResume:
     def test_exhausted_budget_cell_is_done_on_load(self, tmp_path):
         config = self._config()
         path = str(tmp_path / "tb2.ckpt.json")
-        interrupted = _InterruptAfter(interrupt_after=2, config=config,
-                                      n_workers=1, checkpoint_path=path)
+        interrupted = InterruptAfter(interrupt_after=2, config=config,
+                                     n_workers=1, checkpoint_path=path)
         with pytest.raises((KeyboardInterrupt, ReproError)):
             interrupted.run()
         payload = json.loads(open(path, encoding="utf-8").read())
@@ -251,8 +229,8 @@ class TestTimeBudgetResume:
             config.time_budget - MIN_RESUME_BUDGET / 2
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
-        resumed = _FoldCounter(config=config, n_workers=1,
-                               checkpoint_path=path)
+        resumed = FoldCounter(config=config, n_workers=1,
+                              checkpoint_path=path)
         result = resumed.run()
         assert resumed.folds == {}
         assert result.iterations == 2

@@ -87,8 +87,6 @@ class TestSerialModeErrorsLoudly:
         with pytest.raises(SystemExit):
             main(["--serial", "--iterations", "2",
                   "--schedule", "coverage"])
-        with pytest.raises(SystemExit):
-            main(["--workers", "0", "--iterations", "2", "--adaptive"])
 
     def test_opt_levels_without_compilers_is_an_error(self, capsys):
         # factory mode fixes its own opt levels; ignoring the flag silently
@@ -105,15 +103,17 @@ class TestCampaignRuns:
                      "--deterministic", "--quiet"]) == 0
         assert "iterations" in capsys.readouterr().out
 
+    @pytest.mark.smoke
     def test_workers_one_runs_in_process_with_checkpoint(
             self, tmp_path, monkeypatch, capsys):
-        import repro.core.parallel as parallel_module
+        from multiprocessing.process import BaseProcess
 
         def _no_processes(*args, **kwargs):
             raise AssertionError("--workers 1 must not spawn processes")
 
-        monkeypatch.setattr(parallel_module.multiprocessing, "get_context",
-                            _no_processes)
+        # Every process start goes through BaseProcess.start, whatever the
+        # start method or context.
+        monkeypatch.setattr(BaseProcess, "start", _no_processes)
         path = tmp_path / "solo.ckpt.json"
         assert main(["--workers", "1", "--iterations", "2", "--nodes", "4",
                      "--deterministic", "--quiet", "--checkpoint-every", "2",
