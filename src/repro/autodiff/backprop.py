@@ -17,22 +17,19 @@ import numpy as np
 from repro.autodiff.proxy import DEFAULT_PROXY, ProxyConfig
 from repro.autodiff.vjp import backward_node
 from repro.graph.model import Model
+from repro.runtime.interpreter import execution_plan
 
 
 def _node_order(model: Model):
-    """Topological node order, served from the cached execution plan.
+    """Topological node order, served from the model's execution plan.
 
     The gradient-guided value search backpropagates once per search step, so
-    re-walking ``topological_order()`` per call is hot-path waste; the plan
-    layer (:mod:`repro.core.cache`) already holds the order per model.  A
-    truncated plan (statically-bad input or missing kernel — shapes the
-    forward run would have rejected) falls back to the plain walk.
+    re-walking ``topological_order()`` per call is hot-path waste; the
+    interpreter already holds the order per model.  A truncated plan
+    (statically-bad input or missing kernel — shapes the forward run would
+    have rejected) falls back to the plain walk.
     """
-    try:
-        from repro.core.cache import execution_plan
-        plan = execution_plan(model)
-    except Exception:
-        return model.topological_order()
+    plan = execution_plan(model)
     if len(plan.steps) == plan.n_nodes and all(
             step[0] is not None and step[2] is None for step in plan.steps):
         return [step[1] for step in plan.steps]

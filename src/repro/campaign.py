@@ -104,7 +104,6 @@ from typing import List, Optional, Sequence
 from repro.compilers.base import registered_compilers
 from repro.compilers.bugs import bug_spec
 from repro.compilers.coverage import is_pass_arc
-from repro.core.cache import STAGES
 from repro.core.difftest import first_line
 from repro.core.fuzzer import CampaignResult, FuzzerConfig
 from repro.core.generator import GeneratorConfig
@@ -216,11 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "boundary of every compile (repro.analysis); "
                              "ill-formed IR surfaces as 'verifier' findings "
                              "that no execution-based oracle can observe")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the hot-path caches (repro.core.cache: "
-                             "the shape-infer memo and interpreter execution "
-                             "plans); findings are bit-identical either way "
-                             "— this only benchmarks the cold path")
     parser.add_argument("--fault-tolerance", default="fail",
                         choices=("fail", "requeue"),
                         help="dead-worker policy: 'fail' aborts the campaign "
@@ -243,7 +237,6 @@ def make_config(args: argparse.Namespace) -> FuzzerConfig:
         value_search_method=args.method,
         seed=args.seed,
         oracle=getattr(args, "oracle", DEFAULT_ORACLE),
-        enable_cache=not getattr(args, "no_cache", False),
         verify_passes=getattr(args, "verify_passes", False),
     )
     if args.deterministic:
@@ -313,16 +306,6 @@ def print_summary(result: CampaignResult) -> None:
             spec = bug_spec(bug_id)
             print(f"  {bug_id:<38} {spec.system}/{spec.phase}/{spec.symptom}")
     print("\nPer-system counts:", result.bugs_by_system())
-    if result.cache_stats:
-        parts = []
-        for stage in STAGES:
-            counters = result.cache_stats.get(stage)
-            if not counters:
-                continue
-            total = counters["hits"] + counters["misses"]
-            parts.append(f"{stage} {counters['hits']}/{total} hits")
-        if parts:
-            print("Hot-path cache:", ", ".join(parts))
     if result.coverage_arcs:
         pass_arcs = sum(1 for arc in result.coverage_arcs
                         if is_pass_arc(arc))

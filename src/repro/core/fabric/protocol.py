@@ -343,7 +343,6 @@ def config_to_dict(config) -> Dict[str, Any]:
         "strategy": config.strategy,
         "oracle": config.oracle,
         "pipeline": config.pipeline,
-        "enable_cache": config.enable_cache,
         "verify_passes": config.verify_passes,
     }
 
@@ -393,7 +392,6 @@ def config_from_dict(payload: Dict[str, Any]):
         strategy=payload.get("strategy", FuzzerConfig().strategy),
         oracle=payload.get("oracle", FuzzerConfig().oracle),
         pipeline=payload.get("pipeline"),
-        enable_cache=payload.get("enable_cache", True),
         verify_passes=payload.get("verify_passes", False),
     )
 

@@ -27,8 +27,8 @@ Three subcommands hang off ``python -m repro.campaign``:
 
       python -m repro.campaign status --connect host:7777
 
-  The snapshot carries per-cell progress, novelty-per-second, cache hit
-  rates, findings count, worker roster and lease round-trip latency.
+  The snapshot carries per-cell progress, novelty-per-second, findings
+  count, worker roster and lease round-trip latency.
 """
 
 from __future__ import annotations

@@ -108,12 +108,6 @@ class FuzzerConfig:
     #: None means "the canonical pipeline of each compiler's opt level" —
     #: the historical behavior.
     pipeline: Optional[str] = None
-    #: Hot-path caching (:mod:`repro.core.cache`): shape-infer memoization
-    #: and interpreter execution plans.  Provably
-    #: invisible to findings — a campaign with caches on is bit-identical
-    #: to caches off (enforced by ``tests/core/test_hot_path_cache.py``) —
-    #: so the only reason to turn this off is benchmarking the cold path.
-    enable_cache: bool = True
     #: Check IR well-formedness at every pass boundary of every compile
     #: (:mod:`repro.analysis`).  Violations surface as ``verifier``
     #: verdicts; with the flag off campaign findings are bit-identical to
@@ -227,10 +221,8 @@ class CampaignResult:
     #: campaign coordinator per folded iteration — the data behind the
     #: Figure 4/5-style coverage curves, per cell and global.
     coverage_timeline: List[Dict[str, Any]] = field(default_factory=list)
-    #: Per-stage cache telemetry (``{stage: {"hits": n, "misses": m}}``,
-    #: stages from :data:`repro.core.cache.STAGES`).  Pure telemetry:
-    #: excluded from checkpoints and from every equivalence signature, and
-    #: reset to zero on a checkpoint resume.
+    #: Always empty.  Kept only because the benchmark harness
+    #: (``perfbench/child.py``) reads it; delete it together with that read.
     cache_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def unique_crashes(self, compiler: Optional[str] = None) -> int:
@@ -276,10 +268,6 @@ class CampaignResult:
         self.timeline = [{"elapsed": sample["elapsed"], "iteration": float(rank)}
                          for rank, sample in enumerate(samples, start=1)]
         self.coverage_arcs |= other.coverage_arcs
-        for stage, counters in other.cache_stats.items():
-            mine = self.cache_stats.setdefault(stage, {"hits": 0, "misses": 0})
-            mine["hits"] += counters.get("hits", 0)
-            mine["misses"] += counters.get("misses", 0)
         # Coverage samples keep their per-cell identity (unlike the
         # throughput timeline they are never renumbered); ``global_total``
         # is stamped by the coordinator that owned the campaign-wide union,
@@ -511,14 +499,10 @@ def single_iteration_result(tester: DifferentialTester, config: FuzzerConfig,
     (arcs new to the channel's seen-set) — compact novelty, not the
     cumulative set, which is what the worker→coordinator queue carries.
     """
-    from repro.core.cache import get_cache
-
     result = CampaignResult(iterations=1)
-    stats_before = get_cache().stats_snapshot()
     generated, case = run_campaign_iteration(
         tester, config, iteration, iteration_rng(config, iteration), strategy,
         coverage)
-    result.cache_stats = get_cache().stats_delta(stats_before)
     if coverage is not None:
         result.coverage_arcs = set(coverage.flush().arcs)
     if generated is None:
@@ -581,10 +565,6 @@ class Fuzzer:
         covered arcs in ``coverage_arcs`` — the serial loop speaks the same
         feedback protocol as the parallel engine's workers.
         """
-        from repro.core.cache import get_cache
-
-        get_cache().configure(self.config.enable_cache)
-        stats_before = get_cache().stats_snapshot()
         result = CampaignResult()
         seen_reports: Set[str] = set()
         start = time.monotonic()
@@ -612,7 +592,6 @@ class Fuzzer:
 
         result.iterations = iteration
         result.elapsed = time.monotonic() - start
-        result.cache_stats = get_cache().stats_delta(stats_before)
         return result
 
     # ------------------------------------------------------------------ #
@@ -624,13 +603,3 @@ class Fuzzer:
                 (time.monotonic() - start) >= self.config.time_budget:
             return True
         return False
-
-    def _generate(self, iteration: int) -> Optional[GeneratedModel]:
-        """Back-compat shim over :func:`generate_for_iteration`."""
-        return generate_for_iteration(self.config, iteration, self.strategy)
-
-    def _test_one(self, generated: GeneratedModel,
-                  rng: np.random.Generator) -> Optional[CaseResult]:
-        """Back-compat shim over :func:`search_and_difftest`."""
-        return search_and_difftest(self.tester, self.config, generated, rng,
-                                   self.strategy)

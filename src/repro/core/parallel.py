@@ -383,18 +383,9 @@ def build_matrix(config: FuzzerConfig, n_shards: int,
 # --------------------------------------------------------------------------- #
 # Campaign-result (de)serialization for checkpoints
 # --------------------------------------------------------------------------- #
-def campaign_result_to_dict(result: CampaignResult,
-                            include_cache_stats: bool = True
-                            ) -> Dict[str, Any]:
-    """JSON-compatible encoding of a campaign result.
-
-    ``include_cache_stats=False`` drops the cache telemetry — checkpoints
-    use it so their bytes stay bit-identical across cache settings (the
-    caching-invisibility contract of :mod:`repro.core.cache`).
-    """
+def campaign_result_to_dict(result: CampaignResult) -> Dict[str, Any]:
+    """JSON-compatible encoding of a campaign result."""
     return {
-        **({"cache_stats": to_jsonable(result.cache_stats)}
-           if include_cache_stats and result.cache_stats else {}),
         "iterations": result.iterations,
         "generated_models": result.generated_models,
         "generation_failures": result.generation_failures,
@@ -455,8 +446,6 @@ def campaign_result_from_dict(payload: Dict[str, Any]) -> CampaignResult:
         seeded_bugs_found=set(payload.get("seeded_bugs_found", [])),
         timeline=list(payload.get("timeline", [])),
         cells=cells,
-        cache_stats={stage: dict(counters) for stage, counters
-                     in payload.get("cache_stats", {}).items()},
         coverage_arcs=set(payload.get("coverage_arcs", [])),
         coverage_timeline=list(payload.get("coverage_timeline", [])),
     )
@@ -543,9 +532,6 @@ def _cell_tester(task: CellTask, factory: CompilerFactory) -> CellRuntime:
     if task.trace_coverage:
         systems = sorted({compiler.name for compiler in tester.compilers})
         coverage = CoverageFeedback(systems=systems)
-    from repro.core.cache import get_cache
-
-    get_cache().configure(config.enable_cache)
     return tester, config, strategy, coverage
 
 
@@ -1066,11 +1052,6 @@ class ParallelCampaign:
         result.operator_instances.update(partial.operator_instances)
         result.seeded_bugs_found.update(partial.seeded_bugs_found)
         result.timeline.extend(partial.timeline)
-        for stage, counters in partial.cache_stats.items():
-            mine = result.cache_stats.setdefault(
-                stage, {"hits": 0, "misses": 0})
-            mine["hits"] += counters.get("hits", 0)
-            mine["misses"] += counters.get("misses", 0)
         fresh_global = 0
         if self._scheduler.wants_coverage:
             # The partial carries this iteration's arc *delta* (new to the
@@ -1408,7 +1389,6 @@ class ParallelCampaign:
         rate_of = getattr(scheduler, "novelty_rate", None)
         cells: Dict[str, Any] = {}
         findings = 0
-        cache_totals: Dict[str, Dict[str, int]] = {}
         for index, state in enumerate(states):
             result = state.result
             reports = 0 if result is None else len(result.reports)
@@ -1426,21 +1406,6 @@ class ParallelCampaign:
                 entry["novelty_per_second"] = (
                     None if rate is None else round(rate, 4))
             cells[state.task.cell.key] = entry
-            if result is not None:
-                for stage, counters in result.cache_stats.items():
-                    mine = cache_totals.setdefault(stage,
-                                                   {"hits": 0, "misses": 0})
-                    mine["hits"] += counters.get("hits", 0)
-                    mine["misses"] += counters.get("misses", 0)
-        cache = {
-            stage: {
-                **counters,
-                "hit_rate": round(
-                    counters["hits"]
-                    / max(1, counters["hits"] + counters["misses"]), 4),
-            }
-            for stage, counters in cache_totals.items()
-        }
         latencies = self._lease_latencies
         snapshot: Dict[str, Any] = {
             "protocol": PROTOCOL_VERSION,
@@ -1448,7 +1413,6 @@ class ParallelCampaign:
             "iterations": sum(len(state.completed) for state in states),
             "findings": findings,
             "cells": cells,
-            "cache": cache,
             "lease_latency": {
                 "claims": len(latencies),
                 "mean_seconds": (round(sum(latencies) / len(latencies), 6)
@@ -1623,10 +1587,7 @@ class ParallelCampaign:
                     "completed": _ranges_from_iterations(state.completed),
                     "time_used": state.time_used,
                     "early_terminated": state.early_terminated,
-                    # Telemetry-free: checkpoint bytes must be
-                    # bit-identical across cache settings.
-                    "result": (campaign_result_to_dict(
-                                   state.result, include_cache_stats=False)
+                    "result": (campaign_result_to_dict(state.result)
                                if state.result is not None else None),
                 }
                 for state in states

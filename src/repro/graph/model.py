@@ -32,8 +32,9 @@ class Model:
         self.inputs: List[str] = []
         self.outputs: List[str] = []
         self.initializers: Dict[str, np.ndarray] = {}
-        #: Bumped by every structural mutation through the Model API; cached
-        #: per-model execution plans (:mod:`repro.core.cache`) validate
+        #: Bumped by every structural mutation through the Model API; the
+        #: interpreter's per-model plans
+        #: (:func:`repro.runtime.interpreter.execution_plan`) validate
         #: against it.  Replacing an *initializer value* under an existing
         #: name is not structural; rewiring nodes directly without the Model
         #: helpers bypasses the counter (don't).

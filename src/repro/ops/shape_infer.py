@@ -36,37 +36,15 @@ def rule(*names: str) -> Callable[[InferRule], InferRule]:
     return wrap
 
 
-#: Optional success-only memo installed by :mod:`repro.core.cache`.  Rules
-#: are pure functions of ``(node.op, node.attrs, input_types)``, which is
-#: exactly the memo key; errors are never cached (messages are the rare
-#: path and may embed call-site specifics).
-_MEMO = None
-
-
-def install_memo(memo) -> None:
-    """Install a memo object with ``key_for``/``get``/``put`` (or ``None``)."""
-    global _MEMO
-    _MEMO = memo
-
-
 def infer_output_types(node: Node, input_types: Sequence[TensorType]) -> List[TensorType]:
     """Infer the output types of ``node`` given its concrete input types."""
-    memo = _MEMO
-    key = None if memo is None else memo.key_for(node, input_types)
-    if key is not None:
-        cached = memo.get(key)
-        if cached is not None:
-            return list(cached)
     func = _RULES.get(node.op)
     if func is None:
         raise ShapeInferenceError(f"no shape inference rule for operator {node.op!r}")
     try:
-        result = func(node, list(input_types))
+        return func(node, list(input_types))
     except (ValueError, IndexError, ZeroDivisionError) as exc:
         raise ShapeInferenceError(f"{node.op}: {exc}") from exc
-    if key is not None:
-        memo.put(key, tuple(result))
-    return result
 
 
 def _float_like(dtype: DType) -> DType:

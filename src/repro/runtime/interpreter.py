@@ -7,10 +7,13 @@ differential-testing harness uses it as the trusted baseline (§4 motivates
 why the paper uses PyTorch the same way), and the gradient-guided value
 search uses the recorded intermediates and NaN/Inf positions.
 
-Execution runs over a cached per-model *execution plan*
-(:mod:`repro.core.cache`): topological order with each node's kernel
-pre-resolved once per model instead of re-dispatched per run.  Two
-correctness properties of the run loop:
+Execution runs over a per-model *execution plan* (:func:`execution_plan`):
+topological order with each node's kernel pre-resolved and per-value
+consumer refcounts precomputed once per model instead of per run.  Value
+search and the gradcheck oracle run one model many times, so they reuse
+the plan; a structural mutation through the :class:`Model` API bumps
+``structure_version`` and the next run rebuilds it.  Two correctness
+properties of the run loop:
 
 * Initializers enter the value environment as **read-only views** — a
   mutating kernel or a caller poking at ``RunResult.values`` can no longer
@@ -23,30 +26,79 @@ correctness properties of the run loop:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ExecutionError, GraphError, UnsupportedOperatorError
 from repro.graph.model import Model
+from repro.graph.node import Node
+from repro.ops import semantics
 
-_cache_module = None
 
+@dataclass
+class ExecutionPlan:
+    """Pre-resolved per-model interpreter schedule.
 
-def _hot_cache():
-    """Lazy import of :mod:`repro.core.cache`.
-
-    ``repro.core.__init__`` imports the whole core package (including the
-    cache module, which imports ``repro.ops``); importing it at this
-    module's import time would create a cycle for anyone importing the
-    runtime package first.
+    ``steps`` holds, per node in topological order, the resolved kernel (or
+    ``None`` — raised as :class:`UnsupportedOperatorError` *when reached*,
+    matching ``execute_node``), the node itself, and the first statically
+    unavailable input name (or ``None``) so the ``GraphError`` fires at the
+    same point in the run.  ``consumers`` counts remaining reads per value
+    name (duplicate inputs count twice) for eager dead-value dropping;
+    ``protected`` is the graph-output set that must survive to the end.
     """
-    global _cache_module
-    if _cache_module is None:
-        from repro.core import cache
-        _cache_module = cache
-    return _cache_module
+
+    steps: List[Tuple[Optional[Any], Node, Optional[str]]]
+    consumers: Dict[str, int]
+    protected: frozenset
+    n_nodes: int
+
+
+def build_execution_plan(model: Model) -> ExecutionPlan:
+    """A new plan for ``model``; runs reuse one through :func:`execution_plan`."""
+    available = set(model.inputs) | set(model.initializers)
+    consumers: Dict[str, int] = {}
+    steps: List[Tuple[Optional[Any], Node, Optional[str]]] = []
+    for node in model.topological_order():
+        bad_input = None
+        for input_name in node.inputs:
+            if input_name not in available:
+                bad_input = input_name
+                break
+            consumers[input_name] = consumers.get(input_name, 0) + 1
+        steps.append((semantics.kernel_for(node.op), node, bad_input))
+        if bad_input is not None:
+            # Later steps never execute; stop the schedule here.
+            break
+        available.update(node.outputs)
+    return ExecutionPlan(
+        steps=steps,
+        consumers=consumers,
+        protected=frozenset(model.outputs),
+        n_nodes=len(model.nodes),
+    )
+
+
+#: One plan per live model, with the ``structure_version`` it was built at.
+#: Keyed weakly, so a plan is released with its model.
+_PLANS: "weakref.WeakKeyDictionary[Model, Tuple[int, ExecutionPlan]]" = (
+    weakref.WeakKeyDictionary())
+
+
+def execution_plan(model: Model) -> ExecutionPlan:
+    """The execution plan of ``model``, rebuilt only after its structure
+    changed (a new ``structure_version`` or node count).  Replacing an
+    initializer value keeps the plan: runs read weights from the model."""
+    entry = _PLANS.get(model)
+    if (entry is not None and entry[0] == model.structure_version
+            and entry[1].n_nodes == len(model.nodes)):
+        return entry[1]
+    plan = build_execution_plan(model)
+    _PLANS[model] = (model.structure_version, plan)
+    return plan
 
 
 @dataclass
@@ -85,7 +137,7 @@ class Interpreter:
     def run_detailed(self, model: Model,
                      inputs: Mapping[str, np.ndarray]) -> RunResult:
         """Execute the model, recording intermediates and NaN/Inf producers."""
-        plan = _hot_cache().execution_plan(model)
+        plan = execution_plan(model)
         values: Dict[str, np.ndarray] = {}
         for name in model.inputs:
             if name not in inputs:

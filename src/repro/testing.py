@@ -146,7 +146,6 @@ def checkpoint_signature(path):
         result = entry.get("result")
         if isinstance(result, dict):
             result.pop("elapsed", None)
-            result.pop("cache_stats", None)
             for sample in result.get("timeline", []):
                 sample.pop("elapsed", None)
             for sample in result.get("coverage_timeline", []):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Adam, DEFAULT_PROXY, NO_PROXY, SGD, backpropagate, unbroadcast
+from repro.autodiff.backprop import _node_order
 from repro.autodiff.vjp import backward_node, has_vjp
 from repro.dtypes import DType
 from repro.graph.builder import GraphBuilder
@@ -11,7 +12,7 @@ from repro.graph.node import Node
 from repro.graph.tensor_type import TensorType
 from repro.ops.registry import all_ops
 from repro.ops.semantics import execute_node
-from repro.runtime.interpreter import Interpreter
+from repro.runtime.interpreter import Interpreter, execution_plan
 
 
 def _numeric_grad(op, attrs, inputs, which, epsilon=1e-5):
@@ -183,6 +184,45 @@ class TestGraphBackprop:
         grads = backpropagate(conv_model, run.values, seed, stop_after=first.name)
         assert grads[conv_model.inputs[0]].shape == conv_model.type_of(
             conv_model.inputs[0]).shape
+
+
+class TestNodeOrder:
+    """Backprop walks the interpreter's execution plan, falling back to
+    ``topological_order()`` when the plan is truncated."""
+
+    @staticmethod
+    def _names(nodes):
+        return [node.name for node in nodes]
+
+    def test_node_order_is_the_plan_order(self):
+        from repro.core.generator import GeneratorConfig, generate_model
+
+        model = generate_model(GeneratorConfig(n_nodes=6, seed=3)).model
+        plan = execution_plan(model)
+        assert _node_order(model) == [node for _k, node, _b in plan.steps]
+        assert self._names(_node_order(model)) == \
+            self._names(model.topological_order())
+
+    def test_node_order_follows_a_structural_mutation(self, mlp_model):
+        before = self._names(_node_order(mlp_model))
+        tail = mlp_model.outputs[0]
+        mlp_model.add_node(Node("Neg", "neg_tail", [tail], ["negated"]),
+                           [mlp_model.type_of(tail)])
+        assert self._names(_node_order(mlp_model)) == before + ["neg_tail"]
+
+    def test_truncated_plan_falls_back_to_the_topological_walk(self):
+        # Dropping the first producer leaves the next node reading a value
+        # that never exists: the plan stops there, the walk lists every node.
+        builder = GraphBuilder("g")
+        value = builder.input([3])
+        for op in ("Relu", "Neg", "Abs"):
+            value = builder.op1(op, [value])
+        model = builder.build()
+        model.remove_node(model.nodes[0])
+        assert len(execution_plan(model).steps) == 1
+        assert self._names(_node_order(model)) == \
+            self._names(model.topological_order())
+        assert len(_node_order(model)) == 2
 
 
 class TestOptimizers:

@@ -5,8 +5,10 @@ lease frames itself, through the same drain loop that serves process pools
 and socket fleets.  These tests pin what that worker must keep from the
 historical in-process executor — zero lease lookahead (each lease is
 chosen after the previous one is folded) and Ctrl-C stopping the run —
-and that a failing lease is reported like a one-worker pool's.  The
-no-spawn check is ``test_workers_one_runs_in_process_with_checkpoint`` in
+that a failing lease is reported like a one-worker pool's, and that a
+coordinator-side failure propagates unchanged and the run resumes from its
+checkpoint.  The no-spawn check is
+``test_workers_one_runs_in_process_with_checkpoint`` in
 ``tests/test_campaign_cli.py``.
 """
 
@@ -15,7 +17,7 @@ import pytest
 import repro.core.parallel as parallel_module
 from repro.core.parallel import ParallelCampaign, run_parallel_campaign
 from repro.errors import ReproError
-from repro.testing import tiny_campaign_config
+from repro.testing import campaign_signature, tiny_campaign_config
 
 
 class _StepClock:
@@ -96,3 +98,32 @@ def test_ctrl_c_stops_a_one_worker_run(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_parallel_campaign(tiny_campaign_config(iterations=2),
                               n_workers=1)
+
+
+@pytest.mark.smoke
+def test_kill_and_resume_keeps_findings_consistent(tmp_path, monkeypatch):
+    config = tiny_campaign_config(iterations=8, seed=41)
+    baseline = ParallelCampaign(config=config, n_workers=1,
+                                n_shards=1).run()
+
+    path = tmp_path / "killed.ckpt.json"
+    original_fold = ParallelCampaign._fold_iteration
+    folds = {"count": 0}
+
+    def dying_fold(self, *args):
+        folds["count"] += 1
+        if folds["count"] > 3:
+            raise RuntimeError("simulated coordinator death")
+        return original_fold(self, *args)
+
+    monkeypatch.setattr(ParallelCampaign, "_fold_iteration", dying_fold)
+    # A coordinator-side failure propagates unchanged (it is not a
+    # worker failure), as it does with a process pool.
+    with pytest.raises(RuntimeError, match="simulated coordinator death"):
+        ParallelCampaign(config=config, n_workers=1, n_shards=1,
+                         checkpoint_path=str(path)).run()
+    monkeypatch.setattr(ParallelCampaign, "_fold_iteration", original_fold)
+
+    resumed = ParallelCampaign(config=config, n_workers=1, n_shards=1,
+                               checkpoint_path=str(path)).run()
+    assert campaign_signature(resumed) == campaign_signature(baseline)

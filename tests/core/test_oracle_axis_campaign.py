@@ -141,6 +141,7 @@ class TestOracleAxisCampaign:
                        for bug in sets["difftest"] | sets["perf"])
         assert any(bug.startswith("autodiff-") for bug in sets["gradcheck"])
 
+    @pytest.mark.smoke
     def test_oracle_axis_equivalent_across_engines(self):
         config = _study_config(iterations=6)
         solo = run_parallel_campaign(config=config, n_workers=1, n_shards=2,

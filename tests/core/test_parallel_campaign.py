@@ -131,6 +131,17 @@ class TestCampaignResultSerialization:
         assert rebuilt.reports[0].message == "kaboom\nmore"
         assert rebuilt.timeline == result.timeline
 
+    def test_cache_stats_are_neither_written_nor_read(self):
+        # Results written before the hot-path cache was retired may carry
+        # its telemetry; the reader ignores it like any unknown key.
+        result = CampaignResult(iterations=2, seeded_bugs_found={"turbo-z"})
+        payload = campaign_result_to_dict(result)
+        assert "cache_stats" not in payload
+        payload["cache_stats"] = {"exec_plan": {"hits": 3, "misses": 1}}
+        rebuilt = campaign_result_from_dict(payload)
+        assert rebuilt.cache_stats == {}
+        assert _signature(rebuilt) == _signature(result)
+
 
 @pytest.mark.campaign
 class TestSerialParallelEquivalence:

@@ -479,31 +479,32 @@ class TestGradcheckProbes:
             np.testing.assert_array_equal(inputs[name], array)
 
     @pytest.mark.parametrize("seed", [1, 2, 4, 7, 9, 12])
-    def test_generated_model_verdicts_identical_with_and_without_cache(
+    def test_generated_model_verdicts_identical_with_reused_and_fresh_plans(
             self, seed, monkeypatch):
-        # Every probe reruns the same model, so with the cache on all but
-        # the first reference run are served a cached plan.
+        # Every probe reruns the same model, so all but the first reference
+        # run reuse the model's execution plan; a new plan per run must not
+        # change a verdict.
         import dataclasses
 
-        from repro.core import cache
         from repro.core.generator import GeneratorConfig, generate_model
+        from repro.runtime import interpreter
         from repro.runtime.interpreter import random_inputs
 
         model = generate_model(GeneratorConfig(n_nodes=6, seed=seed)).model
         inputs = random_inputs(model, np.random.default_rng(seed))
         seen = _spy_reference_runs(monkeypatch)
         outcomes = []
-        for enabled in (True, False):
-            cache.reset()
-            cache.configure(enabled=enabled)
+        for fresh in (False, True):
             del seen[:]
-            try:
+            with monkeypatch.context() as patch:
+                if fresh:
+                    # run_detailed looks the plan up at call time.
+                    patch.setattr(interpreter, "execution_plan",
+                                  interpreter.build_execution_plan)
                 oracle = GradientCheckOracle(
                     [GraphRTCompiler(CompileOptions(bugs=BugConfig.all()))],
                     bugs=BugConfig.all())
                 verdicts = oracle.evaluate(model, inputs)
-            finally:
-                cache.configure(enabled=True)
             outcomes.append(([dataclasses.astuple(v) for v in verdicts],
                              len(seen)))
         assert outcomes[0] == outcomes[1]

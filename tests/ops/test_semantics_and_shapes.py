@@ -235,6 +235,36 @@ class TestShapeInferenceErrors:
                                [TensorType((2,), DType.float32)])
 
 
+class TestRepeatedInference:
+    """Inference is recomputed on every call from ``(op, attrs, input
+    types)``: equal answers, never a shared list, and an error every time."""
+
+    def test_each_call_returns_a_new_equal_list(self):
+        node = Node("Relu", "r", ["x"], ["y"])
+        types = [TensorType((3, 4), DType.float32)]
+        first = infer_output_types(node, types)
+        second = infer_output_types(node, tuple(types))
+        assert first == second and first is not second
+        first.append("sentinel")
+        assert infer_output_types(node, types) == second
+
+    def test_array_valued_attr_is_accepted(self):
+        plain = Node("Relu", "r", ["x"], ["y"])
+        arrayed = Node("Relu", "r", ["x"], ["y"],
+                       attrs={"extra": np.array([1, 2])})
+        types = [TensorType((2,), DType.float32)]
+        assert infer_output_types(arrayed, types) == \
+            infer_output_types(plain, types)
+
+    def test_failed_inference_raises_on_every_call(self):
+        node = Node("Add", "a", ["x", "y"], ["z"])
+        types = [TensorType((3,), DType.float32),
+                 TensorType((4,), DType.float32)]
+        for _ in range(2):
+            with pytest.raises(ShapeInferenceError, match="broadcast"):
+                infer_output_types(node, types)
+
+
 class TestRegistry:
     def test_every_registered_op_has_kernel_and_rule(self):
         from repro.ops.shape_infer import _RULES

@@ -1,13 +1,17 @@
 """Interpreter hot-path regressions: initializer aliasing, integer sampling
 bounds, eager dead-value dropping, the run loop's terminal errors, and the
-cached execution plan's invisibility — a plan served from the ``exec_plan``
-stage runs bit-identically to one built afresh and to a node-at-a-time
+per-model execution plan — rebuilt after a structural mutation, released
+with its model, and invisible: a reused plan runs bit-identically to one
+built afresh and to a node-at-a-time
 :func:`~repro.ops.semantics.execute_node` walk."""
+
+import contextlib
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.core import cache
 from repro.core.generator import GeneratorConfig, generate_model
 from repro.core.oplib import ALL_SPECS, SPEC_BY_KIND
 from repro.dtypes import DType
@@ -17,19 +21,20 @@ from repro.graph.model import Model
 from repro.graph.node import Node
 from repro.graph.tensor_type import TensorType
 from repro.ops.semantics import execute_node
-from repro.runtime.interpreter import (Interpreter, random_inputs,
-                                       random_weights)
+from repro.runtime import interpreter
+from repro.runtime.interpreter import (Interpreter, execution_plan,
+                                       random_inputs, random_weights)
 from repro.testing import build_mlp_model
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    """Each test starts cold and leaves the process-default switch on."""
-    cache.reset()
-    cache.configure(enabled=True)
-    yield
-    cache.reset()
-    cache.configure(enabled=True)
+@contextlib.contextmanager
+def _fresh_plans():
+    """Build a new plan on every run instead of reusing the model's plan
+    (``run_detailed`` looks ``execution_plan`` up at call time)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interpreter, "execution_plan",
+                      interpreter.build_execution_plan)
+        yield
 
 
 def _chain_model(depth: int, op: str = "Relu") -> Model:
@@ -52,9 +57,8 @@ def _same_array(a, b) -> bool:
             and a.tobytes() == b.tobytes())
 
 
-def _outcome(model, inputs, record, enabled):
+def _outcome(model, inputs, record):
     """The run's result, or its exception normalized for equality checks."""
-    cache.configure(enabled=enabled)
     try:
         return ("ok", Interpreter(record_intermediates=record).run_detailed(
             model, inputs))
@@ -62,8 +66,6 @@ def _outcome(model, inputs, record, enabled):
         return ("raised", type(exc).__name__, str(exc))
     except KeyError as exc:
         return ("raised", "KeyError", str(exc))
-    finally:
-        cache.configure(enabled=True)
 
 
 def _assert_same_run(want, got):
@@ -84,17 +86,18 @@ def _assert_same_run(want, got):
 
 
 def _fresh_cold_warm(model, inputs, record):
-    """Runs with the cache off, then cold (a plan miss) and warm (a hit).
+    """Runs on a fresh plan, then cold (building the model's plan) and warm
+    (reusing it).
 
-    Returns the three outcomes and the warm run's ``exec_plan`` hit count.
+    Returns the three outcomes and whether the warm run kept the plan
+    object the cold run built.
     """
-    fresh = _outcome(model, inputs, record, enabled=False)
-    cache.reset()
-    cold = _outcome(model, inputs, record, enabled=True)
-    before = cache.stats_snapshot()
-    warm = _outcome(model, inputs, record, enabled=True)
-    hits = cache.stats_delta(before).get("exec_plan", {}).get("hits", 0)
-    return fresh, cold, warm, hits
+    with _fresh_plans():
+        fresh = _outcome(model, inputs, record)
+    cold = _outcome(model, inputs, record)
+    plan = execution_plan(model)
+    warm = _outcome(model, inputs, record)
+    return fresh, cold, warm, execution_plan(model) is plan
 
 
 class TestInitializerAliasing:
@@ -239,14 +242,143 @@ class TestEagerDrop:
         assert not run.numerically_valid
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-class TestTerminalErrors:
-    """Terminal errors fire alike from a cached plan and a fresh one."""
+class TestPlanStore:
+    """One plan per live model: rebuilt after a structural mutation, kept
+    across initializer value swaps, never shared, released with its model."""
 
-    def test_unsupported_operator_raises_after_prior_steps(self, enabled):
+    def test_structural_mutation_rebuilds_the_plan(self):
+        model = Model("grow")
+        model.add_input("x", TensorType((4,), DType.float32))
+        model.add_node(Node("Relu", "r", ["x"], ["a"]),
+                       [TensorType((4,), DType.float32)])
+        model.mark_output("a")
+        interp = Interpreter(record_intermediates=False)
+        x = np.array([-1.0, 2.0, -3.0, 4.0], dtype=np.float32)
+        first = interp.run_detailed(model, {"x": x})
+        np.testing.assert_array_equal(first.outputs["a"],
+                                      np.maximum(x, 0.0))
+        plan = execution_plan(model)
+        model.add_node(Node("Neg", "n", ["a"], ["b"]),
+                       [TensorType((4,), DType.float32)])
+        model.mark_output("b")
+        second = interp.run_detailed(model, {"x": x})
+        np.testing.assert_array_equal(second.outputs["b"],
+                                      -np.maximum(x, 0.0))
+        rebuilt = execution_plan(model)
+        assert rebuilt is not plan
+        assert [node.name for _kernel, node, _bad in rebuilt.steps] == \
+            ["r", "n"]
+
+    def test_initializer_value_swap_reuses_the_plan(self):
+        # The value-search loop swaps initializer *values* in place; the
+        # plan must be reused yet read the fresh weights.
+        model = Model("swap")
+        model.add_input("x", TensorType((2,), DType.float32))
+        model.add_initializer("w", np.array([1.0, 1.0], dtype=np.float32))
+        model.add_node(Node("Add", "s", ["x", "w"], ["y"]),
+                       [TensorType((2,), DType.float32)])
+        model.mark_output("y")
+        interp = Interpreter(record_intermediates=False)
+        x = np.array([1.0, 2.0], dtype=np.float32)
+        interp.run_detailed(model, {"x": x})
+        plan = execution_plan(model)
+        model.initializers["w"] = np.array([10.0, 20.0], dtype=np.float32)
+        run = interp.run_detailed(model, {"x": x})
+        np.testing.assert_array_equal(run.outputs["y"],
+                                      np.array([11.0, 22.0]))
+        assert execution_plan(model) is plan
+
+    def test_plans_are_not_shared_between_models(self):
+        # Structurally identical models still get a plan each: the plan
+        # holds the model's own Node objects.
+        first, second = build_mlp_model(), build_mlp_model()
+        inputs = random_inputs(first, np.random.default_rng(0))
+        interp = Interpreter(record_intermediates=False)
+        interp.run_detailed(first, inputs)
+        interp.run_detailed(second, inputs)
+        assert execution_plan(first) is not execution_plan(second)
+        for model in (first, second):
+            nodes = [node for _kernel, node, _bad
+                     in execution_plan(model).steps]
+            assert all(any(node is own for own in model.nodes)
+                       for node in nodes)
+
+    def test_plan_is_released_with_its_model(self):
+        model = build_mlp_model()
+        plan = weakref.ref(execution_plan(model))
+        assert plan() is not None
+        del model
+        gc.collect()
+        assert plan() is None
+
+    def test_rebuilt_plan_is_reused_until_the_next_mutation(self):
+        model = _chain_model(2)
+        plan = execution_plan(model)
+        assert execution_plan(model) is plan
+        model.add_node(Node("Neg", "neg", ["v1"], ["w"]),
+                       [TensorType((4, 4), DType.float32)])
+        rebuilt = execution_plan(model)
+        assert rebuilt is not plan
+        assert execution_plan(model) is rebuilt
+
+    def test_build_execution_plan_leaves_the_store_alone(self):
+        model = _chain_model(2)
+        first = interpreter.build_execution_plan(model)
+        assert interpreter.build_execution_plan(model) is not first
+        assert model not in interpreter._PLANS
+        assert execution_plan(model) is not first
+
+    def test_node_count_change_rebuilds_without_a_version_bump(self):
+        # Appending to ``model.nodes`` directly skips ``structure_version``;
+        # the node count still tells the store the plan is stale.
+        model = _chain_model(2)
+        x = np.linspace(-2.0, 2.0, 16, dtype=np.float32).reshape(4, 4)
+        interp = Interpreter(record_intermediates=False)
+        interp.run_detailed(model, {"x": x})
+        version = model.structure_version
+        model.nodes.append(Node("Neg", "neg", ["v1"], ["w"]))
+        model.outputs.append("w")
+        assert model.structure_version == version
+        run = interp.run_detailed(model, {"x": x})
+        np.testing.assert_array_equal(run.outputs["w"], -np.maximum(x, 0.0))
+        assert execution_plan(model).n_nodes == 3
+
+    def test_version_bump_rebuilds_with_the_same_node_count(self):
+        # ``replace_uses`` rewires the graph output without adding a node;
+        # a stale plan would drop the new output as dead before the end.
+        model = Model("rewire")
+        model.add_input("x", TensorType((3,), DType.float32))
+        for op, out in (("Relu", "a"), ("Neg", "b")):
+            model.add_node(Node(op, op.lower(), ["x"], [out]),
+                           [TensorType((3,), DType.float32)])
+        model.mark_output("a")
+        interp = Interpreter(record_intermediates=False)
+        x = np.array([-1.0, 0.5, 2.0], dtype=np.float32)
+        interp.run_detailed(model, {"x": x})
+        plan = execution_plan(model)
+        model.replace_uses("a", "b")
+        run = interp.run_detailed(model, {"x": x})
+        assert list(run.outputs) == ["b"]
+        np.testing.assert_array_equal(run.outputs["b"], -x)
+        assert execution_plan(model) is not plan
+
+
+@pytest.fixture(params=["reused-plan", "fresh-plan"])
+def plan_source(request):
+    """Run on the model's reused plan, or on a new plan per run."""
+    plans = (_fresh_plans if request.param == "fresh-plan"
+             else contextlib.nullcontext)
+    with plans():
+        yield
+
+
+@pytest.mark.usefixtures("plan_source")
+class TestTerminalErrors:
+    """Terminal errors fire alike from a reused plan and a fresh one."""
+
+    def test_unsupported_operator_raises_after_prior_steps(self):
         # The kernel is looked up when the plan is built, but the error
         # fires only when the run reaches the node.
-        cache.configure(enabled=enabled)
         model = _chain_model(2)
         model.add_node(Node("NoSuchOp", "weird", ["v1"], ["bad"]),
                        [TensorType((4, 4), DType.float32)])
@@ -255,10 +387,9 @@ class TestTerminalErrors:
             Interpreter(record_intermediates=False).run_detailed(
                 model, {"x": np.ones((4, 4), dtype=np.float32)})
 
-    def test_unavailable_input_raises_graph_error(self, enabled):
+    def test_unavailable_input_raises_graph_error(self):
         # A mutilated graph (the LEMON-mutation hazard): drop the producer
         # of v0 so the next node consumes a value that never exists.
-        cache.configure(enabled=enabled)
         model = _chain_model(3)
         del model.nodes[0]
         model.structure_version += 1
@@ -266,8 +397,7 @@ class TestTerminalErrors:
             Interpreter(record_intermediates=False).run_detailed(
                 model, {"x": np.ones((4, 4), dtype=np.float32)})
 
-    def test_unproduced_output_raises_key_error(self, enabled):
-        cache.configure(enabled=enabled)
+    def test_unproduced_output_raises_key_error(self):
         model = _chain_model(2)
         del model.nodes[-1]
         model.structure_version += 1
@@ -277,17 +407,17 @@ class TestTerminalErrors:
 
 
 class TestCachedPlanEquivalence:
-    """Cold (plan miss) and warm (plan hit) runs are bit-identical to a run
-    with the cache off: outputs, recorded values, exceptional-node
+    """Cold (plan built) and warm (plan reused) runs are bit-identical to a
+    run on a fresh plan: outputs, recorded values, exceptional-node
     provenance, peak liveness and terminal errors."""
 
     @pytest.mark.parametrize("record", [False, True])
     def test_mlp_bit_identical(self, record):
         model = build_mlp_model()
         inputs = random_inputs(model, np.random.default_rng(7))
-        fresh, cold, warm, hits = _fresh_cold_warm(model, inputs, record)
+        fresh, cold, warm, reused = _fresh_cold_warm(model, inputs, record)
         assert fresh[0] == "ok"
-        assert hits == 1
+        assert reused
         _assert_same_run(fresh, cold)
         _assert_same_run(fresh, warm)
 
@@ -296,8 +426,8 @@ class TestCachedPlanEquivalence:
         model = generate_model(GeneratorConfig(n_nodes=6, seed=seed)).model
         inputs = random_inputs(model, np.random.default_rng(seed))
         for record in (False, True):
-            fresh, cold, warm, hits = _fresh_cold_warm(model, inputs, record)
-            assert hits == 1
+            fresh, cold, warm, reused = _fresh_cold_warm(model, inputs, record)
+            assert reused
             _assert_same_run(fresh, cold)
             _assert_same_run(fresh, warm)
 
@@ -306,7 +436,7 @@ class TestCachedPlanEquivalence:
         # must agree on which nodes went exceptional, and in what order.
         model = _chain_model(3, op="Log")
         inputs = {"x": np.full((4, 4), -2.0, dtype=np.float32)}
-        fresh, cold, warm, _hits = _fresh_cold_warm(model, inputs, False)
+        fresh, cold, warm, _reused = _fresh_cold_warm(model, inputs, False)
         _assert_same_run(fresh, cold)
         _assert_same_run(fresh, warm)
         assert fresh[1].first_exceptional_node == "log0"
@@ -317,7 +447,7 @@ class TestCachedPlanEquivalence:
         (name,) = list(random_inputs(model, np.random.default_rng(0)))
         bad_shape = {name: np.zeros((1, 1), dtype=np.float32)}
         for bad in ({}, bad_shape):
-            fresh, cold, warm, _hits = _fresh_cold_warm(model, bad, False)
+            fresh, cold, warm, _reused = _fresh_cold_warm(model, bad, False)
             assert fresh[:2] == ("raised", "ExecutionError")
             assert cold == fresh
             assert warm == fresh
@@ -370,16 +500,16 @@ def _node_walk(model, inputs):
                          ids=[spec.op_kind for spec in ALL_SPECS])
 def test_plan_loop_matches_node_walk(spec):
     # Every operator the generator can emit runs through the plan loop —
-    # pre-resolved kernel, eager dead-value dropping, cached or fresh plan
+    # pre-resolved kernel, eager dead-value dropping, reused or fresh plan
     # — exactly as node-at-a-time dispatch would run it.
     model, seed = _single_spec_model(spec)
     inputs = random_inputs(model, np.random.default_rng(seed))
     values, exceptional = _node_walk(model, inputs)
-    for enabled in (True, False):
+    for plans in (contextlib.nullcontext, _fresh_plans):
         for record in (False, True):
-            cache.configure(enabled=enabled)
-            run = Interpreter(record_intermediates=record).run_detailed(
-                model, inputs)
+            with plans():
+                run = Interpreter(record_intermediates=record).run_detailed(
+                    model, inputs)
             assert list(run.outputs) == list(model.outputs)
             for name in model.outputs:
                 assert _same_array(run.outputs[name], values[name]), name
