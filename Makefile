@@ -28,7 +28,8 @@ smoke-coverage:
 
 # Oracle-axis smoke: a tiny difftest/perf/gradcheck matrix campaign with
 # per-oracle Venn slicing, plus the oracle + oracle-axis test suites
-# (seed 29 reliably shows the perf-only and gradcheck-only seeded bugs).
+# (every oracle is deterministic, so seed 29 always shows the perf-only and
+# gradcheck-only seeded bugs).
 smoke-oracles:
 	$(PYTHON) -m repro.campaign --iterations 10 --workers 2 --shards 2 \
 		--oracles difftest,perf,gradcheck --seed 29 \

@@ -29,10 +29,9 @@ shared union pool.
 
 ``--oracles`` makes the oracle itself a matrix axis: every named oracle
 judges the *same* shard seed streams and the summary slices found bugs per
-oracle — which is how the bug classes only the ``perf``
-(optimized-vs-O0 runtime regression) and ``gradcheck`` (autodiff backprop
-vs finite differences) oracles can see show up as their exclusive Venn
-regions::
+oracle — which is how the bug classes only the ``perf`` (more kernel
+calls than O0) and ``gradcheck`` (autodiff backprop vs finite differences)
+oracles can see show up as their exclusive Venn regions::
 
     python -m repro.campaign --iterations 60 --workers 4 \\
         --oracles difftest,perf,gradcheck

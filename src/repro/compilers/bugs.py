@@ -38,10 +38,11 @@ class BugSpec:
 
     ``symptom`` names the oracle class that can observe the bug: ``crash``
     and ``semantic`` are visible to differential testing, ``perf``
-    (optimized build slower than O0) only to the performance-regression
-    oracle, ``gradient`` (wrong backward pass) only to the autodiff
-    gradient-check oracle, and ``verifier`` (executing-but-ill-formed IR)
-    only to the pass-boundary IR verifier (``--verify-passes``).
+    (optimized build makes more kernel calls than O0) only to the
+    performance-regression oracle, ``gradient`` (wrong backward pass) only
+    to the autodiff gradient-check oracle, and ``verifier``
+    (executing-but-ill-formed IR) only to the pass-boundary IR verifier
+    (``--verify-passes``).
     """
 
     bug_id: str

@@ -34,17 +34,6 @@ class GraphRTExecutable(CompiledModel):
         except (ValueError, IndexError, KeyError) as exc:
             raise ExecutionError(f"GraphRT runtime failure: {exc}") from exc
 
-    def profile_nodes(self, inputs: Mapping[str, np.ndarray], timer):
-        """Per-node dispatch times: ``[(node_name, op, seconds), ...]``.
-
-        The duck-typed hook :func:`repro.core.oracle.attribute_slow_nodes`
-        looks for; backends without it (codegen compilers) simply get no
-        slow-node provenance.
-        """
-        _outputs, times = runtime.execute_graph_profiled(self.model, inputs,
-                                                         timer)
-        return times
-
 
 @register_compiler
 class GraphRTCompiler(Compiler):

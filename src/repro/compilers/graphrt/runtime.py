@@ -57,38 +57,6 @@ def execute_graph(model: Model, inputs: Mapping[str, np.ndarray]) -> Dict[str, n
     return {name: values[name] for name in model.outputs}
 
 
-def execute_graph_profiled(model: Model, inputs: Mapping[str, np.ndarray],
-                           timer: Callable[[], float]
-                           ) -> tuple:
-    """:func:`execute_graph` with every node's dispatch timed.
-
-    Returns ``(outputs, [(node_name, op, seconds), ...])`` — the perf
-    oracle's slow-node attribution runs both the optimized and the O0
-    executable through this to bisect which node carries a flagged
-    regression.
-    """
-    values: Dict[str, np.ndarray] = {}
-    for name in model.inputs:
-        if name not in inputs:
-            raise ExecutionError(f"missing graph input {name!r}")
-        values[name] = np.asarray(inputs[name], dtype=model.type_of(name).dtype.numpy)
-    for name, array in model.initializers.items():
-        values[name] = np.asarray(array)
-
-    times: List[tuple] = []
-    for node in model.topological_order():
-        node_inputs = [values[name] for name in node.inputs]
-        began = timer()
-        results = _dispatch(node, node_inputs)
-        times.append((node.name, node.op, timer() - began))
-        values.update(zip(node.outputs, results))
-
-    missing = [name for name in model.outputs if name not in values]
-    if missing:
-        raise ExecutionError(f"graph outputs never produced: {missing}")
-    return {name: values[name] for name in model.outputs}, times
-
-
 def _dispatch(node: Node, inputs: List[np.ndarray]) -> List[np.ndarray]:
     internal = INTERNAL_KERNELS.get(node.op)
     if internal is not None:

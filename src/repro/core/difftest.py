@@ -79,6 +79,25 @@ def _max_difference(expected: np.ndarray, actual: np.ndarray) -> float:
         return float("nan")
 
 
+def finding_key(finding) -> str:
+    """Deduplication key of a verdict or report, mirroring "unique crashes
+    by error message".
+
+    Crashes key on the first line of their message and semantic mismatches
+    on compiler/phase.  ``perf``/``gradient``/``verifier`` findings
+    additionally key on the seeded bugs whose buggy path executed: their
+    messages embed per-case details (ratios, max errors, node labels) that
+    would explode the key, while compiler/phase alone would collapse
+    *distinct* seeded bugs of one system into a single report.
+    """
+    if finding.status == "crash":
+        return f"{finding.compiler}|crash|{first_line(finding.message)}"
+    if finding.status in ("perf", "gradient", "verifier"):
+        marks = "+".join(sorted(finding.triggered_bugs))
+        return f"{finding.compiler}|{finding.status}|{finding.phase}|{marks}"
+    return f"{finding.compiler}|{finding.status}|{finding.phase}"
+
+
 @dataclass
 class CompilerVerdict:
     """Differential-testing outcome for one compiler on one test case."""
@@ -92,9 +111,9 @@ class CompilerVerdict:
     #: Pass provenance: the passes that rewrote the IR during compilation
     #: (empty when compilation itself crashed before finishing).
     modified_by: List[str] = field(default_factory=list)
-    #: Per-node perf attribution: for ``perf`` findings, the nodes that
-    #: carry the regression as ``{"node", "op", "share"}`` dicts (empty when
-    #: the backend has no per-node profiling hook).  Provenance only —
+    #: Per-node perf attribution: for ``perf`` findings, the nodes whose
+    #: kernel calls exceed the O0 build's most, as ``{"node", "op",
+    #: "share"}`` dicts (share of the excess calls).  Provenance only —
     #: never part of the dedup key.
     slow_nodes: List[Dict[str, str]] = field(default_factory=list)
 
@@ -106,20 +125,7 @@ class CompilerVerdict:
         return self.status != "ok"
 
     def dedup_key(self) -> str:
-        """Deduplication key mirroring "unique crashes by error message".
-
-        ``perf``/``gradient``/``verifier`` findings additionally key on the
-        seeded bugs whose buggy path executed: their messages embed
-        per-case details (ratios, max errors, node labels) that would
-        explode the key, while compiler/phase alone would collapse
-        *distinct* seeded bugs of one system into a single report.
-        """
-        if self.status == "crash":
-            return f"{self.compiler}|crash|{first_line(self.message)}"
-        if self.status in ("perf", "gradient", "verifier"):
-            marks = "+".join(sorted(self.triggered_bugs))
-            return f"{self.compiler}|{self.status}|{self.phase}|{marks}"
-        return f"{self.compiler}|{self.status}|{self.phase}"
+        return finding_key(self)
 
 
 @dataclass

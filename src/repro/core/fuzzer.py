@@ -30,7 +30,8 @@ from repro.compilers.base import Compiler
 from repro.compilers.bugs import BugConfig
 from repro.compilers.coverage import CoverageFeedback
 from repro.core.concretize import GeneratedModel
-from repro.core.difftest import CaseResult, DifferentialTester, first_line
+from repro.core.difftest import (CaseResult, DifferentialTester, finding_key,
+                                 first_line)
 from repro.core.generator import GeneratorConfig, generate_model
 from repro.core.oracle import DEFAULT_ORACLE, build_oracle
 from repro.core.strategy import (DEFAULT_STRATEGY, GenerationStrategy,
@@ -62,16 +63,7 @@ class BugReport:
         return list(self.triggered_bugs)
 
     def dedup_key(self) -> str:
-        """Same key as :meth:`CompilerVerdict.dedup_key` — crash messages are
-        deduplicated by first line, semantic mismatches by compiler/phase,
-        perf/gradient/verifier findings by compiler/phase + triggered seeded
-        bugs."""
-        if self.status == "crash":
-            return f"{self.compiler}|crash|{first_line(self.message)}"
-        if self.status in ("perf", "gradient", "verifier"):
-            marks = "+".join(sorted(self.triggered_bugs))
-            return f"{self.compiler}|{self.status}|{self.phase}|{marks}"
-        return f"{self.compiler}|{self.status}|{self.phase}"
+        return finding_key(self)
 
 
 @dataclass

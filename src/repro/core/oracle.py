@@ -8,13 +8,13 @@ oracles register a factory and slot into the serial loop, the matrix engine
 and the CLI without touching any of them.  Registered here:
 
 * ``difftest`` — the paper's oracle (crash + numeric differential test);
-* ``crash`` — compile-and-run, crashes only (~2x cheaper per case);
+* ``crash`` — compile-and-run, crashes only (no reference-interpreter run,
+  no output comparison);
 * ``shape`` — shape-infer vs executed output shapes (pipeline smoke);
-* ``perf`` — performance regression: the cell's optimized build is timed
-  against an O0 build of the same model with a calibrated repeat/warmup
-  harness; an optimized build slower than O0 beyond a noise threshold
-  learned per worker is a ``perf`` verdict
-  (:class:`PerfRegressionOracle`);
+* ``perf`` — performance regression: the cell's optimized build and an O0
+  build of the same model each run once while their kernel calls are
+  counted; an optimized build making more than 4x the O0 build's calls is
+  a ``perf`` verdict (:class:`PerfRegressionOracle`);
 * ``gradcheck`` — autodiff gradient check: reverse-mode backprop through
   :mod:`repro.autodiff` is compared against central finite differences of
   the reference interpreter *and* of every compiled backend, reporting
@@ -28,8 +28,8 @@ arrival via :func:`build_oracle`.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from repro.core.difftest import (CaseResult, CompilerVerdict,
                                  DifferentialTester, first_line)
 from repro.errors import (CompilerError, ConversionError, IRVerificationError,
                           ReproError)
+from repro.ops.semantics import counting_kernel_calls
 
 #: The oracle assumed when a config predates the registry.
 DEFAULT_ORACLE = "difftest"
@@ -227,18 +228,13 @@ class ShapeOnlyOracle(BaseOracle):
 class CrashOnlyOracle(BaseOracle):
     """Compile-and-run oracle that reports crashes only.
 
-    Skips the reference-interpreter run and the numeric comparison, making
-    it roughly 2x cheaper per case than ``difftest`` — useful for long
-    crash-hunting campaigns and as the registry's proof that a second
-    oracle slots in without touching the engine.  Semantic (wrong-output)
-    bugs are invisible to it by design.
+    Unlike ``difftest`` it skips the reference-interpreter run and the
+    numeric comparison — useful for long crash-hunting campaigns and as the
+    registry's proof that a second oracle slots in without touching the
+    engine.  Semantic (wrong-output) bugs are invisible to it by design.
     """
 
     name = "crash"
-
-    def __init__(self, compilers: Sequence[Compiler],
-                 bugs: Optional[BugConfig] = None) -> None:
-        super().__init__(compilers, bugs)
 
     def evaluate(self, model, inputs,
                  numerically_valid: Optional[bool] = None
@@ -285,148 +281,39 @@ class CrashOnlyOracle(BaseOracle):
 # --------------------------------------------------------------------------- #
 @register_oracle("perf")
 class PerfRegressionOracle(BaseOracle):
-    """Optimized-vs-O0 runtime comparison (Tzer-style pass-level hunting).
+    """Optimized-vs-O0 kernel-call comparison (Tzer-style pass-level hunting).
 
     For every compiler the model is compiled twice — at the compiler's own
-    optimization level and at O0 — and both executables are timed with a
-    warmup + min-of-repeats harness (the minimum is robust to additive
-    scheduler noise).  An optimized build slower than the O0 build beyond
-    a noise threshold is reported as a ``perf`` verdict: optimizations are
-    allowed to be useless, not to pessimize.
+    optimization level and at O0 — and each executable runs once under
+    :func:`repro.ops.semantics.counting_kernel_calls`.  An optimized build
+    that dispatches more than :data:`THRESHOLD` times the O0 build's
+    kernel calls is reported as a ``perf`` verdict: optimizations are
+    allowed to be useless, not to pessimize.  The verdict's ``slow_nodes``
+    names the nodes whose calls exceed the O0 build's most.
 
-    The threshold is *learned per worker*: the first case calibrates by
-    timing the same O0 executable twice and widening the floor by the
-    observed run-to-run noise, so a loaded CI machine raises the bar
-    instead of flaking.  ``timer`` / ``threshold`` are injectable for
-    deterministic tests (a fake clock makes every measurement scripted).
-
-    Repeat counts are *size-adaptive* by default: tiny models run in
-    microseconds where dispatch jitter dominates, so they get more timed
-    repeats; big models are individually slow but self-averaging, so they
-    get fewer — keeping per-case timing work roughly constant
-    (:meth:`counts_for_cost`, √ scaling against :data:`REFERENCE_COST`).
-    Passing explicit ``repeats``/``warmup`` pins fixed counts and disables
-    the scaling entirely.
+    Counted work, unlike wall time, does not depend on machine load, so
+    ``perf`` findings are as reproducible as every other oracle's.  Only
+    kernels dispatched through :func:`repro.ops.semantics.execute_node` are
+    counted: graphrt's fused ``BiasSoftmax``, deepc's layout pack/unpack and
+    turbo's seeded kernel overrides bypass it and count zero.  A zero count
+    can only make an optimized build look cheaper, never flag it.
 
     Crashes are reported exactly like ``difftest``; value correctness is
     out of scope (run ``difftest`` alongside via the oracle matrix axis).
-
-    Unlike every other oracle, ``perf`` verdicts depend on real wall time,
-    so campaigns that include it are not bit-reproducible run-to-run —
-    seeded-bug attribution stays stable (triggers are recorded at compile
-    time), but borderline findings can flip.  The scheduler-equivalence
-    guarantees apply to the deterministic oracles.
     """
 
     name = "perf"
 
-    #: Untimed runs before measuring (caches, lazy init).
-    WARMUP = 1
-    #: Timed runs per measurement; the minimum is kept.
-    REPEATS = 3
-    #: Model cost (graph nodes × input elements) at which the base
-    #: WARMUP/REPEATS apply unscaled.  Roughly a 10-node model over a
-    #: few hundred elements — the campaign generator's typical output.
-    REFERENCE_COST = 4096.0
-    #: Clamp bounds of the size-adaptive counts: even a huge model keeps a
-    #: noise-robust min-of-2, even a tiny one never exceeds 9 repeats
-    #: (3 warmups) per measurement.
-    MIN_REPEATS, MAX_REPEATS = 2, 9
-    MIN_WARMUP, MAX_WARMUP = 1, 3
-    #: Minimum slowdown ratio ever reported, however quiet the machine.
-    #: Generous: the tiny models campaigns generate run in microseconds,
-    #: where per-node dispatch jitter is multiplicative — real seeded
-    #: pessimizations sit orders of magnitude above this.
-    THRESHOLD_FLOOR = 4.0
-    #: How much observed calibration noise widens the threshold.
-    CALIBRATION_SLACK = 4.0
+    #: Optimized-to-O0 kernel-call ratio above which a build is reported.
+    #: Generous: the seeded pessimization dispatches tens of times more
+    #: calls, while a clean optimized build dispatches at most as many.
+    THRESHOLD = 4.0
 
-    def __init__(self, compilers: Sequence[Compiler],
-                 bugs: Optional[BugConfig] = None,
-                 timer: Optional[Callable[[], float]] = None,
-                 repeats: Optional[int] = None,
-                 warmup: Optional[int] = None,
-                 threshold: Optional[float] = None) -> None:
-        import time
-
-        super().__init__(compilers, bugs)
-        self._timer = timer if timer is not None else time.perf_counter
-        #: Explicit counts pin fixed behaviour (deterministic fake-clock
-        #: tests depend on a scripted number of timer reads); leaving both
-        #: unset enables per-case size-adaptive counts.
-        self._adaptive = repeats is None and warmup is None
-        self.repeats = self.REPEATS if repeats is None else max(1, repeats)
-        self.warmup = self.WARMUP if warmup is None else max(0, warmup)
-        #: Calibrated slowdown threshold; None until the per-worker
-        #: calibration run (an explicit ``threshold`` skips calibration).
-        self._threshold: Optional[float] = threshold
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def model_cost(cls, model, inputs) -> float:
-        """Per-run work estimate: graph nodes × total input elements."""
-        nodes = max(1, len(getattr(model, "nodes", []) or []))
-        elements = max(1, sum(int(getattr(value, "size", 1) or 1)
-                              for value in (inputs or {}).values()))
-        return float(nodes * elements)
-
-    @classmethod
-    def counts_for_cost(cls, cost: float) -> Tuple[int, int]:
-        """``(warmup, repeats)`` for a model of per-run ``cost``.
-
-        √ scaling keeps total timing work per case roughly constant: a
-        model 4× cheaper than :data:`REFERENCE_COST` gets 2× the repeats
-        (its jitter-to-runtime ratio is worse), a 4× dearer one gets half.
-        Clamped to [MIN, MAX] on both counts.
-        """
-        import math
-
-        if cost <= 0.0:
-            return cls.WARMUP, cls.REPEATS
-        scale = math.sqrt(cls.REFERENCE_COST / cost)
-        warmup = int(round(cls.WARMUP * scale))
-        repeats = int(round(cls.REPEATS * scale))
-        return (max(cls.MIN_WARMUP, min(cls.MAX_WARMUP, warmup)),
-                max(cls.MIN_REPEATS, min(cls.MAX_REPEATS, repeats)))
-
-    def _measure(self, compiled, inputs) -> float:
-        """Min-of-repeats wall time of one executable, in seconds."""
-        for _ in range(self.warmup):
-            compiled.run(inputs)
-        best: Optional[float] = None
-        for _ in range(self.repeats):
-            start = self._timer()
-            compiled.run(inputs)
-            elapsed = self._timer() - start
-            if best is None or elapsed < best:
-                best = elapsed
-        return max(best if best is not None else 0.0, 1e-9)
-
-    def _calibrated_threshold(self, compiled, inputs) -> float:
-        """The per-worker noise threshold, calibrating on first use.
-
-        Two independent min-of-repeats measurements of the *same*
-        executable should agree; their ratio estimates this worker's
-        timing noise, and the reporting threshold widens accordingly.
-        """
-        if self._threshold is None:
-            first = self._measure(compiled, inputs)
-            second = self._measure(compiled, inputs)
-            noise = max(first, second) / min(first, second)
-            self._threshold = max(
-                self.THRESHOLD_FLOOR,
-                1.0 + self.CALIBRATION_SLACK * (noise - 1.0))
-        return self._threshold
-
-    # ------------------------------------------------------------------ #
     def evaluate(self, model, inputs,
                  numerically_valid: Optional[bool] = None
                  ) -> List[CompilerVerdict]:
         from repro.runtime.exporter import ExportReport, export_model
 
-        if self._adaptive:
-            self.warmup, self.repeats = self.counts_for_cost(
-                self.model_cost(model, inputs))
         report = ExportReport()
         exported = export_model(model, bugs=self.bugs, report=report)
         verdicts: List[CompilerVerdict] = []
@@ -456,7 +343,8 @@ class PerfRegressionOracle(BaseOracle):
         triggered = list(getattr(optimized, "triggered_bugs", []))
         modified = list(getattr(optimized, "modified_by", []))
         try:
-            optimized.run(inputs)
+            with counting_kernel_calls() as optimized_calls:
+                optimized.run(inputs)
         except ReproError as exc:
             return CompilerVerdict(compiler.name, "crash", "execution",
                                    str(exc),
@@ -473,91 +361,43 @@ class PerfRegressionOracle(BaseOracle):
             baseline = type(compiler)(
                 CompileOptions(opt_level=0, bugs=self.bugs)
             ).compile_model(exported)
-            baseline.run(inputs)
+            with counting_kernel_calls() as baseline_calls:
+                baseline.run(inputs)
         except ReproError:
             # The unoptimized build itself fails; crash-class oracles own
             # that case — there is no baseline to regress against.
             return CompilerVerdict(compiler.name, "ok", "", "", triggered,
                                    modified)
-        threshold = self._calibrated_threshold(baseline, inputs)
-        optimized_time = self._measure(optimized, inputs)
-        baseline_time = self._measure(baseline, inputs)
-        ratio = optimized_time / baseline_time
-        if ratio <= threshold:
+        optimized_total = sum(optimized_calls.values())
+        baseline_total = sum(baseline_calls.values())
+        ratio = optimized_total / max(baseline_total, 1)
+        if ratio <= self.THRESHOLD:
             return CompilerVerdict(compiler.name, "ok", "", "", triggered,
                                    modified)
-        message = (f"optimized (O{opt_level}) build is {ratio:.1f}x slower "
-                   f"than O0 ({optimized_time * 1e3:.3f}ms vs "
-                   f"{baseline_time * 1e3:.3f}ms; calibrated threshold "
-                   f"{threshold:.2f}x)")
-        # Bisect the flagged regression to the nodes that carry it.  The
-        # attribution is pure provenance: it runs only after the verdict is
-        # already decided, never changes the message or dedup key, and
-        # executables without per-node profiling hooks yield [].
-        slow_nodes = attribute_slow_nodes(optimized, baseline, inputs,
-                                          timer=self._timer)
+        message = (f"optimized (O{opt_level}) build makes {ratio:.1f}x the "
+                   f"kernel calls of O0 ({optimized_total} vs "
+                   f"{baseline_total}; threshold {self.THRESHOLD:.1f}x)")
         return CompilerVerdict(compiler.name, "perf", "transformation",
                                message, triggered, modified,
-                               slow_nodes=slow_nodes)
+                               slow_nodes=_slow_nodes(optimized_calls,
+                                                      baseline_calls))
 
 
-def _min_profile(profiler, inputs, timer, repeats: int
-                 ) -> List[Tuple[str, str, float]]:
-    order: List[Tuple[str, str]] = []
-    best: Dict[str, float] = {}
-    for _ in range(max(1, repeats)):
-        for name, op, seconds in profiler(inputs, timer):
-            if name not in best:
-                order.append((name, op))
-                best[name] = seconds
-            elif seconds < best[name]:
-                best[name] = seconds
-    return [(name, op, best[name]) for name, op in order]
+def _slow_nodes(optimized: Counter, baseline: Counter
+                ) -> List[Dict[str, str]]:
+    """The nodes carrying a perf regression, as ``{"node", "op", "share"}``.
 
-
-def attribute_slow_nodes(optimized: Any, baseline: Any,
-                         inputs: Mapping[str, np.ndarray],
-                         timer: Optional[Callable[[], float]] = None,
-                         repeats: int = 2, top: int = 3,
-                         share_floor: float = 0.8) -> List[Dict[str, str]]:
-    """Bisect a flagged perf regression to the nodes that carry it.
-
-    Both executables are profiled node-at-a-time through their own
-    ``profile_nodes(inputs, timer)`` hook (min-of-``repeats`` per node, the
-    same noise discipline as the perf oracle's measurements); per-node
-    excess over the baseline is ranked and the dominating nodes returned as
-    ``{"node", "op", "share"}`` provenance dicts.  Executables without the
-    hook (codegen backends, test doubles) yield ``[]`` — attribution is
-    strictly additive provenance, never a gate.
+    Ranks each ``(node, op)``'s calls in excess of the O0 build's and keeps
+    the top three, stopping once they cover 80% of the total excess.
     """
-    import time
-
-    timer = timer if timer is not None else time.perf_counter
-    optimized_profiler = getattr(optimized, "profile_nodes", None)
-    baseline_profiler = getattr(baseline, "profile_nodes", None)
-    if not callable(optimized_profiler) or not callable(baseline_profiler):
-        return []
-    try:
-        optimized_times = _min_profile(optimized_profiler, inputs, timer,
-                                       repeats)
-        baseline_times = _min_profile(baseline_profiler, inputs, timer,
-                                      repeats)
-    except Exception:
-        return []
-    baseline_by_name = {name: seconds for name, _op, seconds in baseline_times}
-    excess = [(name, op, seconds - baseline_by_name.get(name, 0.0))
-              for name, op, seconds in optimized_times]
-    positive = sorted((entry for entry in excess if entry[2] > 0.0),
-                      key=lambda entry: -entry[2])
-    total = sum(entry[2] for entry in positive)
-    if total <= 0.0:
-        return []
+    excess = optimized - baseline  # keeps positive differences only
+    total = sum(excess.values())
     slow: List[Dict[str, str]] = []
-    covered = 0.0
-    for name, op, seconds in positive[:max(1, top)]:
-        slow.append({"node": name, "op": op, "share": f"{seconds / total:.0%}"})
-        covered += seconds
-        if covered / total >= share_floor:
+    covered = 0
+    for (name, op), calls in excess.most_common(3):
+        slow.append({"node": name, "op": op, "share": f"{calls / total:.0%}"})
+        covered += calls
+        if covered / total >= 0.8:
             break
     return slow
 
@@ -794,7 +634,6 @@ __all__ = [
     "Oracle",
     "PerfRegressionOracle",
     "ShapeOnlyOracle",
-    "attribute_slow_nodes",
     "build_oracle",
     "first_line",
     "register_oracle",

@@ -8,12 +8,17 @@ These kernels define what each operator *means*.  They are used by:
   whose optimization passes are correct produces bit-identical results to the
   oracle, and any observed divergence is attributable to a (seeded or real)
   bug in its conversion/transformation logic.
+
+The compilers dispatch through :func:`execute_node`, which is also where the
+``perf`` oracle counts their work (:func:`counting_kernel_calls`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence
+from collections import Counter
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,11 +51,36 @@ def kernel_for(name: str):
     return _KERNELS.get(name)
 
 
+#: The counter of the innermost open :func:`counting_kernel_calls` block.
+_kernel_calls: Optional[Counter] = None
+
+
+@contextmanager
+def counting_kernel_calls() -> Iterator[Counter]:
+    """Count :func:`execute_node` calls per ``(node.name, node.op)``.
+
+    Only calls made while the block is open are counted, into the
+    ``Counter`` it yields.  A nested block counts into its own counter and
+    the enclosing one resumes when it exits, also on an exception.  The
+    reference interpreter resolves kernels with :func:`kernel_for` and never
+    enters :func:`execute_node`, so it is never counted.
+    """
+    global _kernel_calls
+    previous = _kernel_calls
+    _kernel_calls = counter = Counter()
+    try:
+        yield counter
+    finally:
+        _kernel_calls = previous
+
+
 def execute_node(node: Node, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Execute one node on concrete input arrays."""
     func = _KERNELS.get(node.op)
     if func is None:
         raise UnsupportedOperatorError(f"no kernel for operator {node.op!r}")
+    if _kernel_calls is not None:
+        _kernel_calls[node.name, node.op] += 1
     try:
         return func(node.attrs, [np.asarray(x) for x in inputs])
     except (ValueError, IndexError, ZeroDivisionError) as exc:

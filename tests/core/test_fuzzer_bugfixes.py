@@ -54,10 +54,26 @@ class TestEmptyMessageDedup:
         verdict = CompilerVerdict("deepc", "crash", "conversion", "")
         assert verdict.dedup_key() == "deepc|crash|"
 
-    def test_report_dedup_key_matches_verdict(self):
-        verdict = CompilerVerdict("deepc", "crash", "conversion", "msg\nrest")
-        report = BugReport("deepc", "crash", "conversion", "msg\nrest", [], 3)
-        assert report.dedup_key() == verdict.dedup_key()
+    @pytest.mark.parametrize("finding,key", [
+        (("deepc", "crash", "conversion", "msg\nrest",
+          ["deepc-import-scalar-reduce"]), "deepc|crash|msg"),
+        (("turbo", "semantic", "transformation", "value mismatch",
+          ["turbo-clip-int32-dtype"]), "turbo|semantic|transformation"),
+        (("graphrt", "perf", "transformation", "128.5x the kernel calls",
+          ["graphrt-matmul-repack-small"]),
+         "graphrt|perf|transformation|graphrt-matmul-repack-small"),
+        (("autodiff", "gradient", "backward", "wrong gradient",
+          ["autodiff-tanh-grad-linear", "autodiff-sigmoid-grad-unscaled"]),
+         "autodiff|gradient|backward|autodiff-sigmoid-grad-unscaled"
+         "+autodiff-tanh-grad-linear"),
+        (("graphrt", "verifier", "transformation", "stale attribute",
+          ["graphrt-biassoftmax-fusion-note"]),
+         "graphrt|verifier|transformation|graphrt-biassoftmax-fusion-note"),
+    ], ids=["crash", "semantic", "perf", "gradient", "verifier"])
+    def test_report_dedup_key_matches_verdict(self, finding, key):
+        verdict = CompilerVerdict(*finding)
+        report = BugReport(*finding, 3)
+        assert report.dedup_key() == verdict.dedup_key() == key
 
 
 class TestIterationSeedMixing:

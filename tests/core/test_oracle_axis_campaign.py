@@ -145,9 +145,9 @@ class TestOracleAxisCampaign:
     def test_oracle_axis_equivalent_across_engines(self):
         config = _study_config(iterations=6)
         solo = run_parallel_campaign(config=config, n_workers=1, n_shards=2,
-                                     oracles=["difftest", "gradcheck"])
+                                     oracles=ORACLES)
         pool = run_parallel_campaign(config=config, n_workers=2, n_shards=2,
-                                     oracles=["difftest", "gradcheck"])
+                                     oracles=ORACLES)
         assert campaign_signature(solo) == campaign_signature(pool)
 
     def test_gradcheck_comparison_routes_through_engine(self):
@@ -163,12 +163,8 @@ class TestOracleAxisCampaign:
 @pytest.mark.campaign
 class TestCheckpointV5:
     def test_killed_oracle_axis_campaign_resumes_mid_cell(self, tmp_path):
-        # difftest + gradcheck: both deterministic, so the resumed result
-        # must equal the uninterrupted one bit-for-bit (perf verdicts are
-        # wall-time-dependent by nature and are excluded from signature
-        # comparisons).
         config = _study_config(iterations=6)
-        axis = dict(oracles=["difftest", "gradcheck"], n_shards=2)
+        axis = dict(oracles=ORACLES, n_shards=2)
         budget_per_cell = 3
 
         reference = run_parallel_campaign(config=config, n_workers=1, **axis)
@@ -199,7 +195,7 @@ class TestCheckpointV5:
                               checkpoint_path=path, **axis)
         result = resumed.run()
         assert sum(map(len, resumed.folds.values())) == \
-            4 * budget_per_cell - 5  # only the missing iterations re-ran
+            6 * budget_per_cell - 5  # only the missing iterations re-ran
         assert campaign_signature(result) == campaign_signature(reference)
 
     def test_v4_checkpoints_are_rejected_loudly(self, tmp_path):

@@ -1,15 +1,16 @@
 """Tests for the ``perf`` and ``gradcheck`` oracles.
 
-The perf oracle's timing harness is driven by an injectable clock, so the
-detection logic (calibration, thresholding, verdict shape) is tested fully
-deterministically — CI never depends on real wall time except for the one
-end-to-end check of the seeded repack bug, whose ~100x slowdown dwarfs any
-plausible scheduler noise.  Per-node slow-node attribution is tested on
-scripted profiles, and gradcheck's finite-difference probes run by run
-through the reference interpreter.  Also pins the ``BaseOracle.run_case`` satellite
-fixes: the optional ``rng`` threads through to random-input generation and
-``numerically_valid=None`` is preserved instead of being coerced to False.
+The perf oracle judges counted kernel calls, not wall time, so its verdicts
+are deterministic: a scripted fake compiler pins the threshold, the verdict
+shape and the per-node slow-node attribution, and the seeded repack bug is
+checked end to end on its exact call counts.  Gradcheck's finite-difference
+probes run by run through the reference interpreter.  Also pins the
+``BaseOracle.run_case`` satellite fixes: the optional ``rng`` threads
+through to random-input generation and ``numerically_valid=None`` is
+preserved instead of being coerced to False.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,55 +22,67 @@ from repro.core.oracle import (
     BaseOracle,
     GradientCheckOracle,
     PerfRegressionOracle,
-    attribute_slow_nodes,
+    _slow_nodes,
     build_oracle,
     registered_oracles,
 )
-from repro.errors import CompilerError, ExecutionError
+from repro.errors import CompilerError
 from repro.graph.builder import GraphBuilder
+from repro.graph.node import Node
+from repro.ops import semantics
 
 
-class FakeClock:
-    """Scripted ``perf_counter`` replacement: returns the given instants."""
+class _ScriptedCompiler:
+    """Fake system whose executables call ``semantics.execute_node`` a
+    scripted number of times per node: ``BASELINE`` for the O0 build,
+    ``OPTIMIZED`` for any other (see :func:`_scripted`).  ``builds``
+    records the opt level of every build, the oracle's O0 twin included."""
 
-    def __init__(self, times):
-        self.times = list(times)
-
-    def __call__(self):
-        return self.times.pop(0)
-
-
-class _NoopCompiler:
-    """Fake system whose executable does nothing; timing comes entirely
-    from the injected fake clock."""
-
-    name = "noop"
+    name = "scripted"
+    OPTIMIZED = {"n0": 1}
+    BASELINE = {"n0": 1}
 
     def __init__(self, options=None):
         self.options = options or CompileOptions()
 
     def compile_model(self, model):
+        self.builds.append(self.options.opt_level)
+        script = self.OPTIMIZED if self.options.opt_level else self.BASELINE
+
         class _Compiled:
             triggered_bugs = []
 
             def run(self, inputs):
+                for name, calls in script.items():
+                    for _ in range(calls):
+                        semantics.execute_node(Node("Relu", name, [], []),
+                                               [np.zeros(1)])
                 return {}
 
         return _Compiled()
 
-    def supported_ops(self, candidate_ops):
-        return list(candidate_ops)
+
+def _scripted(optimized, baseline, opt_level=2):
+    """A scripted system built at ``opt_level``; the oracle builds its O0
+    twin through the class, so the scripts live on a fresh subclass."""
+    class _Scripted(_ScriptedCompiler):
+        OPTIMIZED, BASELINE = optimized, baseline
+        builds = []
+
+    return _Scripted(CompileOptions(opt_level=opt_level))
 
 
-class _CrashingCompiler(_NoopCompiler):
+class _CrashingCompiler(_ScriptedCompiler):
     name = "boom"
 
     def compile_model(self, model):
         raise CompilerError("kaboom in a pass")
 
 
-def _ms(*milliseconds):
-    return [value / 1000.0 for value in milliseconds]
+def _perf_verdict(system, model):
+    oracle = PerfRegressionOracle([system], bugs=BugConfig.none())
+    (verdict,) = oracle.run_case(model).verdicts
+    return verdict
 
 
 class TestPerfOracleDeterministic:
@@ -78,81 +91,55 @@ class TestPerfOracleDeterministic:
         oracle = build_oracle("perf", [], bugs=BugConfig.none())
         assert isinstance(oracle, PerfRegressionOracle)
 
-    def test_regression_detected_with_fake_clock(self, mlp_model):
-        # repeats=1/warmup=0 with explicit threshold: exactly two timed
-        # runs — optimized [0, 10ms], baseline [10ms, 11ms].
-        oracle = PerfRegressionOracle(
-            [_NoopCompiler(CompileOptions(opt_level=2))],
-            bugs=BugConfig.none(),
-            timer=FakeClock(_ms(0, 10, 10, 11)),
-            repeats=1, warmup=0, threshold=2.0)
-        (verdict,) = oracle.run_case(mlp_model).verdicts
+    def test_regression_detected_with_counted_calls(self, mlp_model):
+        system = _scripted({"n0": 10, "n1": 10}, {"n0": 1, "n1": 1})
+        verdict = _perf_verdict(system, mlp_model)
+        assert system.builds == [2, 0]
         assert verdict.status == "perf"
         assert verdict.phase == "transformation"
-        assert "10.0x slower" in verdict.message
+        assert verdict.message == (
+            "optimized (O2) build makes 10.0x the kernel calls of O0 "
+            "(20 vs 2; threshold 4.0x)")
         assert verdict.found_bug
 
     def test_no_regression_is_ok(self, mlp_model):
-        oracle = PerfRegressionOracle(
-            [_NoopCompiler(CompileOptions(opt_level=2))],
-            bugs=BugConfig.none(),
-            timer=FakeClock(_ms(0, 1, 1, 2)),
-            repeats=1, warmup=0, threshold=2.0)
-        (verdict,) = oracle.run_case(mlp_model).verdicts
+        verdict = _perf_verdict(
+            _scripted({"n0": 2, "n1": 1}, {"n0": 1, "n1": 1}), mlp_model)
         assert verdict.status == "ok"
+        assert verdict.slow_nodes == []
 
-    def test_same_clock_same_verdict(self, mlp_model):
-        """Determinism: identical scripted clocks produce identical
-        verdicts — the fake clock removes every timing dependency."""
+    def test_same_case_same_verdict(self, mlp_model):
+        """Determinism: judging one case twice gives the same verdict and
+        message — counted calls do not depend on machine load."""
+        oracle = PerfRegressionOracle(
+            [_scripted({"n0": 9}, {"n0": 2})], bugs=BugConfig.none())
+
         def run():
-            oracle = PerfRegressionOracle(
-                [_NoopCompiler(CompileOptions(opt_level=2))],
-                bugs=BugConfig.none(),
-                timer=FakeClock(_ms(0, 10, 10, 11)),
-                repeats=1, warmup=0, threshold=2.0)
             (verdict,) = oracle.run_case(mlp_model).verdicts
-            return (verdict.status, verdict.phase, verdict.message)
+            return (verdict.status, verdict.phase, verdict.message,
+                    verdict.slow_nodes)
 
-        assert run() == run()
+        first = run()
+        assert first[0] == "perf"
+        assert run() == first
 
-    def test_noisy_calibration_widens_threshold(self, mlp_model):
-        # Calibration measures the baseline twice: 1ms then 2ms -> noise
-        # 2.0 -> threshold 1 + 4*(2-1) = 5.0.  The 4.5x "regression"
-        # afterwards stays under it.
-        oracle = PerfRegressionOracle(
-            [_NoopCompiler(CompileOptions(opt_level=2))],
-            bugs=BugConfig.none(),
-            timer=FakeClock(_ms(0, 1, 1, 3, 3, 7.5, 7.5, 8.5)),
-            repeats=1, warmup=0)
-        (verdict,) = oracle.run_case(mlp_model).verdicts
-        assert verdict.status == "ok"
-        assert oracle._threshold == pytest.approx(5.0)
-
-    def test_quiet_calibration_keeps_floor(self, mlp_model):
-        # Calibration 1ms/1ms -> noise 1.0 -> threshold floor 4.0; the same
-        # 4.5x slowdown is now over it.
-        oracle = PerfRegressionOracle(
-            [_NoopCompiler(CompileOptions(opt_level=2))],
-            bugs=BugConfig.none(),
-            timer=FakeClock(_ms(0, 1, 1, 2, 2, 6.5, 6.5, 7.5)),
-            repeats=1, warmup=0)
-        (verdict,) = oracle.run_case(mlp_model).verdicts
-        assert verdict.status == "perf"
-        assert oracle._threshold == pytest.approx(4.0)
+    @pytest.mark.parametrize("optimized_calls,status",
+                             [(8, "ok"), (9, "perf")])
+    def test_threshold_is_exactly_four_times(self, mlp_model,
+                                             optimized_calls, status):
+        verdict = _perf_verdict(_scripted({"n0": optimized_calls},
+                                          {"n0": 2}), mlp_model)
+        assert verdict.status == status
 
     def test_o0_build_has_no_contrast(self, mlp_model):
-        oracle = PerfRegressionOracle(
-            [_NoopCompiler(CompileOptions(opt_level=0))],
-            bugs=BugConfig.none(), timer=FakeClock([]),
-            repeats=1, warmup=0, threshold=2.0)
-        (verdict,) = oracle.run_case(mlp_model).verdicts
+        """An O0 cell is its own baseline: the oracle builds no O0 twin."""
+        system = _scripted({"n0": 1}, {"n0": 100}, opt_level=0)
+        verdict = _perf_verdict(system, mlp_model)
         assert verdict.status == "ok"
+        assert system.builds == [0]
 
     def test_crash_reported_like_difftest(self, mlp_model):
-        oracle = PerfRegressionOracle([_CrashingCompiler()],
-                                      bugs=BugConfig.none(),
-                                      timer=FakeClock([]))
-        (verdict,) = oracle.run_case(mlp_model).verdicts
+        verdict = _perf_verdict(_CrashingCompiler(), mlp_model)
         assert verdict.status == "crash"
         assert verdict.phase == "transformation"
 
@@ -160,35 +147,22 @@ class TestPerfOracleDeterministic:
 class TestPerfOracleEndToEnd:
     def test_seeded_repack_bug_detected(self, mlp_model):
         """The seeded MatMul repack bug makes the optimized GraphRT build
-        recompute each product 256x; with min-of-repeats timing the
-        measured slowdown dwarfs the calibrated threshold."""
+        recompute each product 256x: its two repacked Gemm nodes carry the
+        whole excess of kernel calls over O0."""
         bugs = BugConfig.only("graphrt-matmul-repack-small")
         oracle = PerfRegressionOracle(
             [GraphRTCompiler(CompileOptions(opt_level=2, bugs=bugs))],
             bugs=bugs)
         (verdict,) = oracle.run_case(mlp_model).verdicts
         assert verdict.status == "perf"
+        assert verdict.message == (
+            "optimized (O2) build makes 128.5x the kernel calls of O0 "
+            "(514 vs 4; threshold 4.0x)")
         assert "graphrt-matmul-repack-small" in verdict.triggered_bugs
-        # Per-node attribution: the repacked Gemm/MatMul carries the
-        # slowdown, and the provenance says so (node, op, excess share).
-        assert verdict.slow_nodes
-        assert verdict.slow_nodes[0]["op"] in ("Gemm", "MatMul")
-        assert verdict.slow_nodes[0]["share"].endswith("%")
-
-    def test_fake_compiled_executables_get_no_attribution(self, mlp_model):
-        # Duck-typing contract: executables without a profile_nodes hook
-        # (codegen backends, test doubles) yield empty slow_nodes and the
-        # attribution consumes zero timer reads — the sentinel instant
-        # stays unread, so scripted FakeClock tests never go out of sync.
-        clock = FakeClock(_ms(0, 10, 10, 11, 99))
-        oracle = PerfRegressionOracle(
-            [_NoopCompiler(CompileOptions(opt_level=2))],
-            bugs=BugConfig.none(), timer=clock,
-            repeats=1, warmup=0, threshold=2.0)
-        (verdict,) = oracle.run_case(mlp_model).verdicts
-        assert verdict.status == "perf"
-        assert verdict.slow_nodes == []
-        assert clock.times == _ms(99)
+        assert verdict.slow_nodes == [
+            {"node": "gemm4", "op": "Gemm", "share": "50%"},
+            {"node": "gemm10", "op": "Gemm", "share": "50%"},
+        ]
 
     def test_clean_compiler_not_flagged(self, mlp_model):
         oracle = PerfRegressionOracle(
@@ -253,69 +227,23 @@ class TestPerfOracleEndToEnd:
                    for v in case.verdicts)
 
 
-class _FakeProfiled:
-    """Executable double with a scripted ``profile_nodes`` hook; each call
-    pops the next script (the last one repeats)."""
-
-    def __init__(self, *scripts):
-        self._scripts = list(scripts)
-
-    def profile_nodes(self, inputs, timer):
-        script = self._scripts[0]
-        if len(self._scripts) > 1:
-            self._scripts.pop(0)
-        return list(script)
-
-
 class TestSlowNodeAttribution:
     def test_dominant_excess_node_is_named(self):
-        optimized = _FakeProfiled([("n0", "Gemm", 0.010),
-                                   ("n1", "Relu", 0.001)])
-        baseline = _FakeProfiled([("n0", "Gemm", 0.001),
-                                  ("n1", "Relu", 0.001)])
-        slow = attribute_slow_nodes(optimized, baseline, {}, repeats=1)
-        assert slow == [{"node": "n0", "op": "Gemm", "share": "100%"}]
-
-    def test_min_of_repeats_discards_noise_spikes(self):
-        # First optimized sample is a 20x outlier; min-of-repeats keeps the
-        # clean 2ms reading and the excess shrinks accordingly.
-        optimized = _FakeProfiled([("n0", "Gemm", 0.040)],
-                                  [("n0", "Gemm", 0.002)])
-        baseline = _FakeProfiled([("n0", "Gemm", 0.001)])
-        slow = attribute_slow_nodes(optimized, baseline, {}, repeats=2)
+        slow = _slow_nodes(Counter({("n0", "Gemm"): 10, ("n1", "Relu"): 1}),
+                           Counter({("n0", "Gemm"): 1, ("n1", "Relu"): 1}))
         assert slow == [{"node": "n0", "op": "Gemm", "share": "100%"}]
 
     def test_share_floor_truncates_the_tail(self):
-        optimized = _FakeProfiled([("n0", "MatMul", 0.80),
-                                   ("n1", "Add", 0.15),
-                                   ("n2", "Relu", 0.05)])
-        baseline = _FakeProfiled([("n0", "MatMul", 0.0),
-                                  ("n1", "Add", 0.0),
-                                  ("n2", "Relu", 0.0)])
-        slow = attribute_slow_nodes(optimized, baseline, {}, repeats=1,
-                                    share_floor=0.8)
+        optimized = Counter({("n0", "MatMul"): 81, ("n1", "Add"): 16,
+                             ("n2", "Relu"): 6})
+        baseline = Counter({("n0", "MatMul"): 1, ("n1", "Add"): 1,
+                            ("n2", "Relu"): 1})
+        slow = _slow_nodes(optimized, baseline)
         assert slow == [{"node": "n0", "op": "MatMul", "share": "80%"}]
 
     def test_no_positive_excess_returns_nothing(self):
-        same = [("n0", "Gemm", 0.002), ("n1", "Relu", 0.001)]
-        slow = attribute_slow_nodes(_FakeProfiled(same), _FakeProfiled(same),
-                                    {}, repeats=1)
-        assert slow == []
-
-    def test_executables_without_hook_are_skipped(self):
-        class _Plain:
-            pass
-
-        assert attribute_slow_nodes(_Plain(), _Plain(), {}) == []
-        assert attribute_slow_nodes(_FakeProfiled([]), _Plain(), {}) == []
-
-    def test_profiler_failure_is_swallowed(self):
-        class _Broken:
-            def profile_nodes(self, inputs, timer):
-                raise ExecutionError("kernel exploded mid-profile")
-
-        baseline = _FakeProfiled([("n0", "Gemm", 0.001)])
-        assert attribute_slow_nodes(_Broken(), baseline, {}) == []
+        same = Counter({("n0", "Gemm"): 2, ("n1", "Relu"): 1})
+        assert _slow_nodes(same, Counter(same)) == []
 
 
 def _tanh_model():

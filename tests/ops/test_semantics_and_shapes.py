@@ -16,7 +16,8 @@ from repro.errors import ShapeInferenceError
 from repro.graph.node import Node
 from repro.graph.tensor_type import TensorType
 from repro.ops.registry import all_ops, op_info
-from repro.ops.semantics import execute_node, has_kernel
+from repro.ops.semantics import (counting_kernel_calls, execute_node,
+                                 has_kernel)
 from repro.ops.shape_infer import infer_output_types
 
 
@@ -206,6 +207,40 @@ class TestKernelValues:
         assert out.shape == (1, 1, 4, 4)
         np.testing.assert_allclose(out[0, 0], [[1, 1, 2, 2], [1, 1, 2, 2],
                                                [3, 3, 4, 4], [3, 3, 4, 4]])
+
+
+class TestKernelCallCounter:
+    def _relu(self, name="r"):
+        execute_node(Node("Relu", name, [], []), [_arr((2,))])
+
+    def test_counts_calls_per_node_inside_the_block(self):
+        with counting_kernel_calls() as calls:
+            self._relu("a")
+            self._relu("a")
+            execute_node(Node("Neg", "b", [], []), [_arr((2,))])
+        assert calls == {("a", "Relu"): 2, ("b", "Neg"): 1}
+
+    def test_nothing_counted_outside_the_block(self):
+        with counting_kernel_calls() as calls:
+            pass
+        self._relu()
+        assert calls == {}
+
+    def test_nested_block_restores_the_outer_counter(self):
+        with counting_kernel_calls() as outer:
+            with counting_kernel_calls() as inner:
+                self._relu("in")
+            self._relu("out")
+        assert inner == {("in", "Relu"): 1}
+        assert outer == {("out", "Relu"): 1}
+
+    def test_exception_restores_the_outer_counter(self):
+        with counting_kernel_calls() as outer:
+            with pytest.raises(RuntimeError):
+                with counting_kernel_calls():
+                    raise RuntimeError("kernel failed")
+            self._relu()
+        assert outer == {("r", "Relu"): 1}
 
 
 class TestShapeInferenceErrors:
