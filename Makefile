@@ -32,8 +32,7 @@ smoke-coverage:
 # gradcheck-only seeded bugs).
 smoke-oracles:
 	$(PYTHON) -m repro.campaign --iterations 10 --workers 2 --shards 2 \
-		--oracles difftest,perf,gradcheck --seed 29 \
-		--deterministic --quiet
+		--oracles difftest,perf,gradcheck --seed 29 --quiet
 	$(PYTHON) -m pytest -q tests/core/test_perf_gradcheck_oracles.py \
 		tests/core/test_oracle_axis_campaign.py
 
@@ -44,7 +43,7 @@ smoke-oracles:
 smoke-pipelines:
 	$(PYTHON) -m repro.campaign --iterations 8 --workers 1 --shards 1 \
 		--compilers graphrt --pipelines O0,O2,rand:14682586710177421089:1 \
-		--seed 117 --nodes 8 --deterministic --quiet
+		--seed 117 --nodes 8 --quiet
 	$(PYTHON) -m pytest -q tests/compilers/test_pipeline_layer.py \
 		tests/compilers/test_pass_fixpoint.py \
 		tests/experiments/test_pass_bisect.py \
@@ -59,9 +58,9 @@ smoke-pipelines:
 # Then the verifier, exclusivity and corpus-replay suites.
 smoke-verify:
 	$(PYTHON) -m repro.campaign --serial --workers 1 --iterations 2 \
-		--nodes 8 --seed 276 --verify-passes --deterministic --quiet
+		--nodes 8 --seed 276 --verify-passes --quiet
 	$(PYTHON) -m repro.campaign --serial --workers 1 --iterations 2 \
-		--nodes 8 --seed 276 --deterministic --quiet
+		--nodes 8 --seed 276 --quiet
 	$(PYTHON) -m pytest -q tests/analysis \
 		"tests/core/test_corpus_replay.py::test_corpus_case_still_triggers_its_bug[graphrt-biassoftmax-fusion-note]"
 

@@ -15,15 +15,15 @@ def test_fig11_gradient_search_success_rate(benchmark, n_nodes):
     result = benchmark.pedantic(
         run_gradient_ablation,
         kwargs={"n_nodes": n_nodes, "n_models": 10,
-                "budgets_ms": [8.0, 16.0, 32.0, 64.0], "seed": n_nodes},
+                "steps": [4, 8, 16, 32], "seed": n_nodes},
         rounds=1, iterations=1)
 
     print(f"\n[Figure 11] model size {n_nodes} ({result.n_models} models)")
     for method, curve in result.curves.items():
         pairs = ", ".join(
-            f"{budget:.0f}ms -> {rate * 100:.0f}% (avg {avg:.1f}ms)"
-            for budget, rate, avg in zip(curve.budgets, curve.success_rates,
-                                         curve.average_times))
+            f"{steps} steps -> {rate * 100:.0f}% (avg {avg:.1f} ms)"
+            for steps, rate, avg in zip(curve.steps, curve.success_rates,
+                                        curve.average_times))
         print(f"  {method:<16} {pairs}")
 
     proxy = result.best_success_rate("gradient_proxy")

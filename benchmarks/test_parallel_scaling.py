@@ -23,25 +23,20 @@ import pytest
 from repro.compilers.bugs import BugConfig
 from repro.core.fuzzer import FuzzerConfig
 from repro.core.generator import GeneratorConfig
-from repro.core.parallel import (
-    deterministic_config,
-    run_parallel_campaign,
-    run_sharded_serial,
-)
+from repro.core.parallel import run_parallel_campaign, run_sharded_serial
 
 ITERATIONS = 32
 WORKERS = 4
 
 
 def _config():
-    # Step-bounded value search: identical work on both paths regardless of
-    # CPU contention, so the bug-set equality assertion below is exact.
-    return deterministic_config(FuzzerConfig(
+    return FuzzerConfig(
         generator=GeneratorConfig(n_nodes=6),
+        value_search_max_steps=8,
         max_iterations=ITERATIONS,
         bugs=BugConfig.all(),
         seed=13,
-    ), max_steps=8)
+    )
 
 
 def _throughput(result, elapsed):
@@ -94,12 +89,13 @@ def test_matrix_campaign_scaling(once):
     def run_matrix():
         start = time.monotonic()
         result = run_parallel_campaign(
-            config=deterministic_config(FuzzerConfig(
+            config=FuzzerConfig(
                 generator=GeneratorConfig(n_nodes=6),
+                value_search_max_steps=8,
                 max_iterations=iterations,
                 bugs=BugConfig.all(),
                 seed=17,
-            ), max_steps=8),
+            ),
             n_workers=WORKERS, n_shards=2,
             compiler_sets=subsets, opt_levels=[0, 2],
             schedule="adaptive")

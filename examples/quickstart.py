@@ -30,7 +30,7 @@ def main() -> None:
 
     # 2. Search for inputs/weights that avoid NaN/Inf anywhere in the graph.
     search = search_values(model, method="gradient_proxy",
-                           rng=np.random.default_rng(0), time_budget=0.25)
+                           rng=np.random.default_rng(0))
     print(f"Value search: success={search.success} after {search.iterations} "
           f"iteration(s) in {search.elapsed * 1000:.1f} ms")
     model = search.apply_weights(model)

@@ -38,11 +38,11 @@ def main() -> None:
 
     for label, runner in [
         ("random sampling", lambda: sampling_search(
-            model, np.random.default_rng(1), time_budget=0.05)),
+            model, np.random.default_rng(1))),
         ("gradient (no proxy)", lambda: gradient_search(
-            model, np.random.default_rng(1), time_budget=0.25, proxy=NO_PROXY)),
+            model, np.random.default_rng(1), proxy=NO_PROXY)),
         ("gradient + proxy", lambda: gradient_search(
-            model, np.random.default_rng(1), time_budget=0.25, proxy=DEFAULT_PROXY)),
+            model, np.random.default_rng(1), proxy=DEFAULT_PROXY)),
     ]:
         result = runner()
         print(f"{label:<22} success={result.success!s:<5} "

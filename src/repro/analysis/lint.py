@@ -3,11 +3,13 @@
 Differential fuzzing only works when the harness itself is deterministic
 and side-effect free: a kernel that mutates its input arrays corrupts the
 interpreter's value environment, an unseeded global random draw breaks
-bit-identical finding replay, a raw wall-clock read outside the injectable
-timer seam makes a time-budgeted value search machine-dependent, and
-iterating an unordered ``set`` into a wire frame or finding makes
-coordinator/worker runs diverge.  This module walks the Python AST of the
-engine's sources and reports violations of those contracts:
+bit-identical finding replay, a raw wall-clock read lets machine load
+decide what an iteration computes, and iterating an unordered ``set`` into
+a wire frame or finding makes coordinator/worker runs diverge.  The clock
+reads that remain only time the campaign ``--time-budget``, lease and
+heartbeat bookkeeping, and value search's ``SearchResult.elapsed``; none
+of them bounds work inside an iteration.  This module walks the Python AST
+of the engine's sources and reports violations of those contracts:
 
 ``kernel-input-mutation``
     A function registered with :func:`repro.ops.semantics.kernel` (or any

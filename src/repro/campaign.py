@@ -109,7 +109,6 @@ from repro.core.generator import GeneratorConfig
 from repro.core.oracle import DEFAULT_ORACLE, registered_oracles
 from repro.core.parallel import (
     default_compiler_factory,
-    deterministic_config,
     run_parallel_campaign,
     run_sharded_serial,
 )
@@ -204,9 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "and with --schedule coverage it includes "
                              "every cell's cumulative arc set, so per-"
                              "iteration saves grow quadratic in coverage)")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="step-bounded value search (machine-load "
-                             "independent results)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress streamed per-finding progress")
     parser.add_argument("--verify-passes", action="store_true",
@@ -229,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def make_config(args: argparse.Namespace) -> FuzzerConfig:
-    config = FuzzerConfig(
+    return FuzzerConfig(
         generator=GeneratorConfig(n_nodes=args.nodes),
         max_iterations=args.iterations,
         time_budget=args.time_budget,
@@ -238,9 +234,6 @@ def make_config(args: argparse.Namespace) -> FuzzerConfig:
         oracle=getattr(args, "oracle", DEFAULT_ORACLE),
         verify_passes=getattr(args, "verify_passes", False),
     )
-    if args.deterministic:
-        config = deterministic_config(config)
-    return config
 
 
 def parse_generators(args: argparse.Namespace) -> Optional[List[str]]:

@@ -170,27 +170,6 @@ class DifferentialTester:
         self.atol = atol
         self._interpreter = Interpreter(record_intermediates=False)
 
-    @classmethod
-    def for_compiler_names(cls, names: Sequence[str], opt_level: int = 2,
-                           bugs: Optional[BugConfig] = None,
-                           rtol: float = RELATIVE_TOLERANCE,
-                           atol: float = ABSOLUTE_TOLERANCE,
-                           verify_passes: bool = False) -> "DifferentialTester":
-        """Build a tester for a named compiler subset at one opt level.
-
-        This is how the matrix campaign engine materializes a
-        ``(shard, compiler_subset, opt_level)`` cell's systems under test
-        inside a worker: compiler *names* travel through process boundaries
-        and checkpoint fingerprints, the instances are built on arrival via
-        the registry in :mod:`repro.compilers.base`.
-        """
-        from repro.compilers.base import build_compiler_set
-
-        bugs = bugs if bugs is not None else BugConfig.all()
-        return cls(build_compiler_set(names, opt_level=opt_level, bugs=bugs,
-                                      verify_passes=verify_passes),
-                   bugs=bugs, rtol=rtol, atol=atol)
-
     # ------------------------------------------------------------------ #
     def run_case(self, model: Model,
                  inputs: Optional[Dict[str, np.ndarray]] = None,

@@ -39,7 +39,9 @@ from repro.errors import ReproError
 #: the hello/welcome handshake and the status request/reply pair.
 #: v2: large ``coverage_delta`` frames may ship their arcs zlib-compressed
 #: (``packed``/``codec`` wire fields) — see :data:`ARC_COMPRESSION_THRESHOLD`.
-PROTOCOL_VERSION = 2
+#: v3: a config's value search is bounded by steps alone; the wall-clock
+#: budget key is gone and ``value_search_max_steps`` is never None.
+PROTOCOL_VERSION = 3
 
 #: Serialized-arcs byte size above which a ``coverage_delta`` frame ships
 #: compressed.  Arcs are long dotted-path strings with heavy shared
@@ -333,7 +335,6 @@ def config_to_dict(config) -> Dict[str, Any]:
             "max_attempts_per_node": generator.max_attempts_per_node,
         },
         "value_search_method": config.value_search_method,
-        "value_search_budget": config.value_search_budget,
         "value_search_max_steps": config.value_search_max_steps,
         "max_iterations": config.max_iterations,
         "time_budget": config.time_budget,
@@ -382,8 +383,8 @@ def config_from_dict(payload: Dict[str, Any]):
         generator=generator,
         value_search_method=payload.get("value_search_method",
                                         "gradient_proxy"),
-        value_search_budget=payload.get("value_search_budget"),
-        value_search_max_steps=payload.get("value_search_max_steps"),
+        value_search_max_steps=payload.get(
+            "value_search_max_steps", FuzzerConfig().value_search_max_steps),
         max_iterations=payload.get("max_iterations"),
         time_budget=payload.get("time_budget"),
         bugs=BugConfig(enabled=payload.get("bugs", [])),

@@ -235,24 +235,18 @@ class LocalTransport(CoordinatorTransport):
     lossy_claims = True
     elastic = False
 
-    def __init__(self, n_workers: int, mp_context: Optional[str] = None,
-                 worker_target: Optional[Callable] = None) -> None:
+    def __init__(self, n_workers: int, worker_target: Callable) -> None:
         self.n_workers = n_workers
-        self.mp_context = mp_context
         self.worker_target = worker_target
         self._processes: Dict[str, Any] = {}
         self.task_queue = None
         self.result_queue = None
 
     def start(self, tasks: List[Any], factory: Callable) -> None:
-        if self.worker_target is None:
-            raise ValueError("LocalTransport needs a worker_target")
-        context = (multiprocessing.get_context(self.mp_context)
-                   if self.mp_context else multiprocessing.get_context())
-        self.task_queue = context.Queue()
-        self.result_queue = context.Queue()
+        self.task_queue = multiprocessing.Queue()
+        self.result_queue = multiprocessing.Queue()
         self._processes = {
-            f"local-{index}": context.Process(
+            f"local-{index}": multiprocessing.Process(
                 target=self.worker_target,
                 args=(index, tasks, factory, self.task_queue,
                       self.result_queue),

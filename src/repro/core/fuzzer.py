@@ -58,10 +58,6 @@ class BugReport:
     #: :class:`repro.core.difftest.CompilerVerdict.slow_nodes`).
     slow_nodes: List[Dict[str, str]] = field(default_factory=list)
 
-    @property
-    def seeded_ids(self) -> List[str]:
-        return list(self.triggered_bugs)
-
     def dedup_key(self) -> str:
         return finding_key(self)
 
@@ -72,11 +68,10 @@ class FuzzerConfig:
 
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     value_search_method: str = "gradient_proxy"
-    #: Wall-clock budget per value search (None = no time bound; searches are
-    #: then limited only by their step counts, which makes them deterministic).
-    value_search_budget: Optional[float] = 0.064
-    #: Step bound per value search (None = the search method's default).
-    value_search_max_steps: Optional[int] = None
+    #: Step bound per value search: trials (sampling) or optimizer
+    #: iterations (gradient search).  The only bound, so searches are
+    #: deterministic.
+    value_search_max_steps: int = 32
     #: Stop after this many iterations (None = unbounded).
     max_iterations: Optional[int] = 100
     #: Stop after this much wall-clock time in seconds (None = unbounded).
@@ -389,7 +384,6 @@ def search_and_difftest(tester: DifferentialTester, config: FuzzerConfig,
     search = search_values(generated.model,
                            method=config.value_search_method,
                            rng=rng,
-                           time_budget=config.value_search_budget,
                            max_steps=config.value_search_max_steps)
     if search.success:
         model = search.apply_weights(generated.model) if search.weights \

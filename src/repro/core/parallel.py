@@ -63,9 +63,6 @@ Determinism: the merged found-bug sets, per-cell iteration counts and
 deduplicated report keys depend only on the campaign config and matrix
 shape — not on worker count, chunking, interruption, scheduler choice, or
 scheduling order.
-For *exact* reproducibility use deterministic value-search settings
-(``value_search_budget=None`` plus ``value_search_max_steps``);
-:func:`deterministic_config` applies that transform.
 
 Checkpoints are fingerprinted by everything that changes what a cell
 computes — including the compiler subsets and opt levels of the matrix —
@@ -196,17 +193,13 @@ def shard_configs(config: FuzzerConfig, n_workers: int) -> List[FuzzerConfig]:
 
 def deterministic_config(config: FuzzerConfig,
                          max_steps: int = 32) -> FuzzerConfig:
-    """A copy of ``config`` whose value searches are step-bounded instead of
-    time-bounded, making each iteration's outcome independent of machine
-    load.  A campaign-level ``time_budget`` is preserved — but note that
-    full campaign determinism additionally requires an iteration-bounded
-    campaign (``time_budget=None``)."""
-    return dataclasses.replace(
-        config,
-        generator=dataclasses.replace(config.generator),
-        value_search_budget=None,
-        value_search_max_steps=max_steps,
-    )
+    """A copy of ``config`` with ``value_search_max_steps=max_steps``.
+
+    Value search is always step-bounded, so this is a plain field update.
+    It remains only because ``perfbench/workloads.py`` imports it; the
+    next change to perfbench builds a plain :class:`FuzzerConfig` instead
+    and deletes it."""
+    return dataclasses.replace(config, value_search_max_steps=max_steps)
 
 
 # --------------------------------------------------------------------------- #
@@ -723,9 +716,6 @@ class ParallelCampaign:
     chunk_iterations: Optional[int] = None
     #: Save the checkpoint every N folded iterations (1 = every iteration).
     checkpoint_every: int = 1
-    #: multiprocessing start method ("fork" on Linux is fastest; "spawn" is
-    #: portable). None picks the platform default.
-    mp_context: Optional[str] = None
     #: Optional observer for streamed events (kind, cell_key, payload).
     on_event: Optional[Callable[[str, str, Any], None]] = None
     #: Transport carrying the coordinator↔worker protocol.  None picks
@@ -809,9 +799,7 @@ class ParallelCampaign:
             if transport is None:
                 workers = min(self.n_workers,
                               self._estimate_parallelism(states))
-                transport = (LocalTransport(workers,
-                                            mp_context=self.mp_context,
-                                            worker_target=_matrix_worker)
+                transport = (LocalTransport(workers, _matrix_worker)
                              if workers > 1 else InlineTransport(lease_frames))
             transport.start([state.task for state in states],
                             self.compiler_factory)
@@ -1454,7 +1442,6 @@ class ParallelCampaign:
             "max_iterations": self.config.max_iterations,
             "time_budget": self.config.time_budget,
             "value_search_method": self.config.value_search_method,
-            "value_search_budget": self.config.value_search_budget,
             "value_search_max_steps": self.config.value_search_max_steps,
             "probe_operator_support": self.config.probe_operator_support,
             # Deliberately absent: n_workers, transport, fault_tolerance.

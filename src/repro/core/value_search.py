@@ -8,6 +8,10 @@ methods are provided, matching the Figure 11 ablation:
 * :func:`sampling_search` — repeatedly draw random values from ``[1, 9]``;
 * :func:`gradient_search` with proxy derivatives disabled;
 * :func:`gradient_search` with proxy derivatives enabled (the default).
+
+Every search is bounded by a step budget alone (trials or optimizer
+iterations), so its outcome is a pure function of the model and the RNG;
+:attr:`SearchResult.elapsed` only measures it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.autodiff import Adam, DEFAULT_PROXY, ProxyConfig, backpropagate, unbroadcast
+from repro.autodiff import (Adam, DEFAULT_PROXY, NO_PROXY, ProxyConfig,
+                            backpropagate, unbroadcast)
 from repro.core.losses import losses_for_node
 from repro.graph.model import Model
 from repro.runtime.interpreter import Interpreter, random_inputs, random_weights
@@ -52,36 +57,30 @@ def _run(model: Model, inputs, weights, interpreter: Interpreter):
 
 
 def sampling_search(model: Model, rng: Optional[np.random.Generator] = None,
-                    time_budget: Optional[float] = 0.064,
                     max_trials: int = 64) -> SearchResult:
     """The paper's "Sampling" baseline: re-draw random values until valid.
 
-    ``time_budget=None`` disables the wall-clock bound so the search is only
-    limited by ``max_trials`` — this makes the outcome deterministic, which
-    parallel campaigns rely on for serial-equivalence.
+    The search is bounded by ``max_trials`` alone, so its outcome is a pure
+    function of the model and ``rng``.
     """
     rng = rng or np.random.default_rng()
-    budget = float("inf") if time_budget is None else time_budget
     interpreter = Interpreter(record_intermediates=False)
     work_model = model.clone()
     start = time.monotonic()
-    trials = 0
     inputs = {}
     weights = {}
-    while trials < max_trials and (time.monotonic() - start) <= budget:
-        trials += 1
+    for trials in range(1, max_trials + 1):
         inputs = random_inputs(model, rng)
         weights = random_weights(model, rng)
         result = _run(work_model, inputs, weights, interpreter)
         if result.numerically_valid:
             return SearchResult(True, inputs, weights, trials,
                                 time.monotonic() - start, "sampling")
-    return SearchResult(False, inputs, weights, trials,
+    return SearchResult(False, inputs, weights, max_trials,
                         time.monotonic() - start, "sampling")
 
 
 def gradient_search(model: Model, rng: Optional[np.random.Generator] = None,
-                    time_budget: Optional[float] = 0.064,
                     learning_rate: float = 0.5,
                     proxy: ProxyConfig = DEFAULT_PROXY,
                     max_iterations: int = 100) -> SearchResult:
@@ -92,13 +91,10 @@ def gradient_search(model: Model, rng: Optional[np.random.Generator] = None,
     function, and takes one Adam step on the loss gradient with respect to
     every graph input and weight.  The optimizer state is reset whenever the
     targeted operator changes; zero gradients trigger re-initialization and
-    NaN/Inf parameters are replaced by fresh random values.
-
-    ``time_budget=None`` disables the wall-clock bound so the search is only
-    limited by ``max_iterations`` and therefore deterministic.
+    NaN/Inf parameters are replaced by fresh random values.  The search is
+    bounded by ``max_iterations`` alone.
     """
     rng = rng or np.random.default_rng()
-    budget = float("inf") if time_budget is None else time_budget
     interpreter = Interpreter(record_intermediates=True)
     work_model = model.clone()
     method = "gradient_proxy" if proxy.enabled else "gradient"
@@ -109,9 +105,7 @@ def gradient_search(model: Model, rng: Optional[np.random.Generator] = None,
     last_offender: Optional[str] = None
 
     start = time.monotonic()
-    iterations = 0
-    while iterations < max_iterations and (time.monotonic() - start) <= budget:
-        iterations += 1
+    for iterations in range(1, max_iterations + 1):
         run = _run(work_model, inputs, weights, interpreter)
         if run.numerically_valid:
             return SearchResult(True, inputs, weights, iterations,
@@ -173,30 +167,22 @@ def gradient_search(model: Model, rng: Optional[np.random.Generator] = None,
                    if model.type_of(name).dtype.is_float else weights[name]
                    for name in weights}
 
-    return SearchResult(False, inputs, weights, iterations,
+    return SearchResult(False, inputs, weights, max_iterations,
                         time.monotonic() - start, method)
 
 
 def search_values(model: Model, method: str = "gradient_proxy",
                   rng: Optional[np.random.Generator] = None,
-                  time_budget: Optional[float] = 0.064,
-                  max_steps: Optional[int] = None) -> SearchResult:
+                  max_steps: int = 32) -> SearchResult:
     """Dispatch helper used by the fuzzer and the Figure 11 experiment.
 
     ``max_steps`` bounds the number of trials (sampling) or optimizer
-    iterations (gradient search); combined with ``time_budget=None`` it makes
-    the search fully deterministic.
+    iterations (gradient search).
     """
     if method == "sampling":
-        kwargs = {} if max_steps is None else {"max_trials": max_steps}
-        return sampling_search(model, rng, time_budget=time_budget, **kwargs)
+        return sampling_search(model, rng, max_trials=max_steps)
     if method in ("gradient", "gradient_proxy"):
-        if method == "gradient":
-            from repro.autodiff import NO_PROXY
-            proxy = NO_PROXY
-        else:
-            proxy = DEFAULT_PROXY
-        kwargs = {} if max_steps is None else {"max_iterations": max_steps}
-        return gradient_search(model, rng, time_budget=time_budget, proxy=proxy,
-                               **kwargs)
+        proxy = NO_PROXY if method == "gradient" else DEFAULT_PROXY
+        return gradient_search(model, rng, proxy=proxy,
+                               max_iterations=max_steps)
     raise ValueError(f"unknown value-search method {method!r}")

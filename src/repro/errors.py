@@ -46,10 +46,6 @@ class GenerationError(ReproError):
     """Raised when model generation cannot make progress."""
 
 
-class ValueSearchError(ReproError):
-    """Raised when gradient-guided value search cannot find viable inputs."""
-
-
 class CompilerError(ReproError):
     """Base class for errors raised by the compilers under test.
 

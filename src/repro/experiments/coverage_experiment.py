@@ -167,18 +167,17 @@ def _run_coverage_matrix(config, compiler_name: str,
     bugs off (the paper traces *correct* compilers), the cheap ``crash``
     oracle (no reference-interpreter diffing — coverage needs compile +
     run only), no operator-support probing (the historical loops generated
-    from the full pool), and step-bounded value search so the explored
-    streams — and hence the arcs — are machine-load independent.
+    from the full pool), and a short 8-step value search.
     """
-    from repro.core.parallel import deterministic_config, \
-        run_parallel_campaign
+    from repro.core.parallel import run_parallel_campaign
 
-    config = deterministic_config(dataclasses.replace(
+    config = dataclasses.replace(
         config,
         generator=dataclasses.replace(config.generator),
+        value_search_max_steps=8,
         bugs=BugConfig.none(),
         oracle="crash",
-        probe_operator_support=False), max_steps=8)
+        probe_operator_support=False)
     return run_parallel_campaign(
         config=config,
         n_workers=max(1, n_workers),

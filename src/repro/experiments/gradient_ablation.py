@@ -4,8 +4,8 @@ Model groups of a fixed size (10/20/30 operators in the paper) that contain
 at least one vulnerable operator are generated once; each search method
 (random sampling, gradient search without proxy derivatives, gradient search
 with proxy derivatives) is then run on the *same* models with the *same*
-initial values and an increasing per-model time budget, recording the success
-rate and the average searching time.
+initial values and an increasing per-model step budget, recording the success
+rate and the measured average searching time.
 
 Everything routes through the registry-backed campaign engine: model groups
 are produced by a *registered generation strategy* with the engine's pure
@@ -77,10 +77,11 @@ def build_model_group(n_nodes: int, count: int, seed: int = 0,
 
 @dataclass
 class MethodCurve:
-    """Success rate vs average search time for one method (one Fig. 11 line)."""
+    """Success rate and average search time (ms) per step budget for one
+    method (one Fig. 11 line)."""
 
     method: str
-    budgets: List[float] = field(default_factory=list)
+    steps: List[int] = field(default_factory=list)
     success_rates: List[float] = field(default_factory=list)
     average_times: List[float] = field(default_factory=list)
 
@@ -99,12 +100,12 @@ class GradientAblationResult:
 
 
 def run_gradient_ablation(n_nodes: int = 10, n_models: int = 12,
-                          budgets_ms: Optional[List[float]] = None,
+                          steps: Sequence[int] = (4, 8, 16, 32),
                           seed: int = 0,
                           methods=("sampling", "gradient", "gradient_proxy"),
                           ) -> GradientAblationResult:
-    """Run every search method over one model group with increasing budgets."""
-    budgets_ms = budgets_ms or [8.0 * i for i in range(1, 5)]
+    """Run every search method over one model group with increasing step
+    budgets."""
     models = build_model_group(n_nodes, n_models, seed=seed)
     result = GradientAblationResult(n_nodes=n_nodes, n_models=len(models))
     for method in methods:
@@ -118,16 +119,16 @@ def run_gradient_ablation(n_nodes: int = 10, n_models: int = 12,
             seed=seed,
         )
         curve = MethodCurve(method=method)
-        for budget_ms in budgets_ms:
+        for max_steps in steps:
             successes = 0
             total_time = 0.0
             for index, model in enumerate(models):
                 rng = iteration_rng(config, index + 1)
                 search = search_values(model, method=method, rng=rng,
-                                       time_budget=budget_ms / 1000.0)
+                                       max_steps=max_steps)
                 successes += int(search.success)
                 total_time += search.elapsed
-            curve.budgets.append(budget_ms)
+            curve.steps.append(max_steps)
             curve.success_rates.append(successes / len(models) if models else 0.0)
             curve.average_times.append(
                 total_time / len(models) * 1000.0 if models else 0.0)
@@ -171,15 +172,15 @@ def run_gradcheck_comparison(max_iterations: int = 24, n_nodes: int = 6,
     checkpointing and provenance.
     """
     from repro.compilers.bugs import BugConfig
-    from repro.core.parallel import deterministic_config, run_parallel_campaign
+    from repro.core.parallel import run_parallel_campaign
     from repro.experiments.venn import campaign_cell_sets
 
-    config = deterministic_config(FuzzerConfig(
+    config = FuzzerConfig(
         generator=GeneratorConfig(n_nodes=n_nodes),
         max_iterations=max_iterations,
         bugs=bugs if bugs is not None else BugConfig.all(),
         seed=seed,
-    ))
+    )
     campaign = run_parallel_campaign(config=config, n_workers=n_workers,
                                      oracles=list(oracles))
     return GradcheckComparisonResult(

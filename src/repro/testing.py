@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.parallel import ParallelCampaign, deterministic_config
+from repro.core.parallel import ParallelCampaign
 from repro.graph.builder import GraphBuilder
 from repro.graph.model import Model
 
@@ -78,24 +78,24 @@ def run_once(benchmark, func, *args, **kwargs):
 def tiny_campaign_config(iterations=4, seed=0, n_nodes=5,
                          strategy="nnsmith", oracle="difftest",
                          max_steps=8):
-    """A small, fully deterministic campaign config for engine tests.
+    """A small campaign config for engine tests.
 
-    Step-bounded value search (no wall-clock dependence) over a few
-    iterations of small models — the knobs every campaign/equivalence test
-    was duplicating.
+    A few iterations of small models with a short value search — the knobs
+    every campaign/equivalence test was duplicating.
     """
     from repro.compilers.bugs import BugConfig
     from repro.core.fuzzer import FuzzerConfig
     from repro.core.generator import GeneratorConfig
 
-    return deterministic_config(FuzzerConfig(
+    return FuzzerConfig(
         generator=GeneratorConfig(n_nodes=n_nodes),
+        value_search_max_steps=max_steps,
         max_iterations=iterations,
         bugs=BugConfig.all(),
         seed=seed,
         strategy=strategy,
         oracle=oracle,
-    ), max_steps=max_steps)
+    )
 
 
 def campaign_signature(result):

@@ -18,7 +18,6 @@ from repro.core.generator import GeneratorConfig
 from repro.core.parallel import (
     MatrixCell,
     build_matrix,
-    deterministic_config,
     run_parallel_campaign,
 )
 from repro.errors import ReproError
@@ -30,12 +29,13 @@ OPT_LEVELS = [0, 2]
 
 
 def _config(iterations, seed=21, n_nodes=5):
-    return deterministic_config(FuzzerConfig(
+    return FuzzerConfig(
         generator=GeneratorConfig(n_nodes=n_nodes),
+        value_search_max_steps=8,
         max_iterations=iterations,
         bugs=BugConfig.all(),
         seed=seed,
-    ), max_steps=8)
+    )
 
 
 def _signature(result):

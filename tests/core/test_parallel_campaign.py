@@ -13,7 +13,6 @@ from repro.core.parallel import (
     campaign_result_from_dict,
     campaign_result_to_dict,
     default_compiler_factory,
-    deterministic_config,
     run_parallel_campaign,
     run_sharded_serial,
     shard_configs,
@@ -29,13 +28,13 @@ def _loaded_states(campaign):
 
 
 def _campaign_config(iterations, seed=7, n_nodes=8):
-    # Step-bounded value search so results cannot depend on machine load.
-    return deterministic_config(FuzzerConfig(
+    return FuzzerConfig(
         generator=GeneratorConfig(n_nodes=n_nodes),
+        value_search_max_steps=8,
         max_iterations=iterations,
         bugs=BugConfig.all(),
         seed=seed,
-    ), max_steps=8)
+    )
 
 
 def _signature(result):

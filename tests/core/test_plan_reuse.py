@@ -74,8 +74,8 @@ class TestValueSearch:
                     GeneratorConfig(n_nodes=6, seed=seed)).model
                 with _plans(source):
                     found = gradient_search(
-                        model, np.random.default_rng(seed), time_budget=None,
-                        proxy=proxy, max_iterations=8)
+                        model, np.random.default_rng(seed), proxy=proxy,
+                        max_iterations=8)
                 outcomes.append((found.success, found.iterations, {
                     name: value.tobytes() for name, value
                     in {**found.inputs, **found.weights}.items()}))
@@ -84,7 +84,7 @@ class TestValueSearch:
     def test_search_builds_one_plan_for_its_many_runs(self, counts):
         model = generate_model(GeneratorConfig(n_nodes=6, seed=3)).model
         found = gradient_search(model, np.random.default_rng(3),
-                                time_budget=None, max_iterations=8)
+                                max_iterations=8)
         assert counts == {"builds": 1, "runs": found.iterations}
         assert found.iterations == 8
 

@@ -39,6 +39,16 @@ def _log_model():
     return builder.build()
 
 
+def _dead_log_model():
+    """``Log(x - x)`` is ``-inf`` for every input and its loss gradient
+    cancels, so every value search fails."""
+    builder = GraphBuilder("deadlog")
+    x = builder.input([4])
+    zero = builder.op1("Sub", [x, x])
+    builder.op1("Log", [zero])
+    return builder.build()
+
+
 class TestLosses:
     def test_vulnerable_operator_registry(self):
         for op in ("Log", "Sqrt", "Asin", "Div", "Pow"):
@@ -89,7 +99,7 @@ class TestLosses:
 class TestValueSearch:
     def test_gradient_search_fixes_log_domain(self):
         model = _log_model()
-        result = gradient_search(model, np.random.default_rng(0), time_budget=0.5,
+        result = gradient_search(model, np.random.default_rng(0),
                                  max_iterations=200)
         assert result.success
         patched = result.apply_weights(model)
@@ -100,23 +110,38 @@ class TestValueSearch:
         # Inputs are drawn from [1, 9] and the weight shifts them by -5, so a
         # random draw succeeds only if every one of the 6 elements lands > 5.
         model = _log_model()
-        result = sampling_search(model, np.random.default_rng(0), time_budget=0.02,
-                                 max_trials=3)
+        result = sampling_search(model, np.random.default_rng(0), max_trials=3)
         patched = result.apply_weights(model)
         run = Interpreter().run_detailed(patched, result.inputs)
         assert run.numerically_valid == result.success
 
-    def test_search_values_dispatch(self):
-        model = _log_model()
-        for method in ("sampling", "gradient", "gradient_proxy"):
-            result = search_values(model, method=method,
-                                   rng=np.random.default_rng(1), time_budget=0.05)
-            assert result.method.startswith(method.split("_")[0])
+    @pytest.mark.parametrize("method", ["sampling", "gradient", "gradient_proxy"])
+    @pytest.mark.parametrize("build, max_steps",
+                             [(_log_model, 4), (_dead_log_model, 6)])
+    def test_search_values_dispatch(self, method, build, max_steps):
+        model = build()
+        first, second = (search_values(model, method=method,
+                                       rng=np.random.default_rng(1),
+                                       max_steps=max_steps)
+                         for _ in range(2))
+        assert first.method == method
+        assert first.success == (build is _log_model)
+        # The step count is the only bound: a failed search used all of it.
+        if not first.success:
+            assert first.iterations == max_steps
+        assert 1 <= first.iterations <= max_steps
+        assert (second.success, second.iterations) == \
+            (first.success, first.iterations)
+        assert first.inputs.keys() == second.inputs.keys()
+        for name, value in first.inputs.items():
+            np.testing.assert_array_equal(second.inputs[name], value)
+
+    def test_search_values_rejects_unknown_method(self):
         with pytest.raises(ValueError):
-            search_values(model, method="annealing")
+            search_values(_log_model(), method="annealing")
 
     def test_valid_model_succeeds_immediately(self, mlp_model):
-        result = gradient_search(mlp_model, np.random.default_rng(0), time_budget=0.2)
+        result = gradient_search(mlp_model, np.random.default_rng(0))
         assert result.success
         assert result.iterations == 1
 

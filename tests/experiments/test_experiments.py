@@ -90,11 +90,16 @@ class TestAblations:
         assert result.normalized_ratio_by_op()
 
     def test_gradient_ablation_structure(self):
-        result = run_gradient_ablation(n_nodes=6, n_models=3, budgets_ms=[8.0])
+        result, again = (run_gradient_ablation(n_nodes=6, n_models=3,
+                                               steps=[2, 8])
+                         for _ in range(2))
         assert set(result.curves) == {"sampling", "gradient", "gradient_proxy"}
-        for curve in result.curves.values():
-            assert len(curve.success_rates) == 1
-            assert 0.0 <= curve.success_rates[0] <= 1.0
+        for method, curve in result.curves.items():
+            assert curve.steps == [2, 8]
+            assert len(curve.success_rates) == len(curve.average_times) == 2
+            assert all(0.0 <= rate <= 1.0 for rate in curve.success_rates)
+            # Step-bounded searches: a rerun reproduces every rate.
+            assert again.curves[method].success_rates == curve.success_rates
 
     def test_model_group_has_vulnerable_ops(self):
         from repro.core.losses import is_vulnerable

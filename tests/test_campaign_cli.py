@@ -7,11 +7,14 @@ import pytest
 from repro.campaign import (
     build_parser,
     main,
+    make_config,
     parse_compiler_sets,
     parse_generators,
     parse_opt_levels,
     parse_oracles,
 )
+from repro.core.parallel import run_parallel_campaign
+from repro.testing import campaign_signature
 
 
 def _parse(*argv):
@@ -100,7 +103,7 @@ class TestSerialModeErrorsLoudly:
 class TestCampaignRuns:
     def test_serial_reference_path_still_runs(self, capsys):
         assert main(["--serial", "--iterations", "2", "--nodes", "4",
-                     "--deterministic", "--quiet"]) == 0
+                     "--quiet"]) == 0
         assert "iterations" in capsys.readouterr().out
 
     @pytest.mark.smoke
@@ -116,7 +119,7 @@ class TestCampaignRuns:
         monkeypatch.setattr(BaseProcess, "start", _no_processes)
         path = tmp_path / "solo.ckpt.json"
         assert main(["--workers", "1", "--iterations", "2", "--nodes", "4",
-                     "--deterministic", "--quiet", "--checkpoint-every", "2",
+                     "--quiet", "--checkpoint-every", "2",
                      "--checkpoint", str(path)]) == 0
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert all(entry["done"] for entry in payload["cells"].values())
@@ -125,7 +128,7 @@ class TestCampaignRuns:
         assert main(["--workers", "1", "--iterations", "2", "--nodes", "4",
                      "--compilers", "turbo", "--compilers", "graphrt",
                      "--opt-levels", "0,2",
-                     "--deterministic", "--quiet"]) == 0
+                     "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "matrix [turbo | graphrt] x O[0,2]" in out
         assert "Seeded bugs by compiler subset:" in out
@@ -134,7 +137,7 @@ class TestCampaignRuns:
     def test_generator_axis_cli_prints_per_generator_venn(self, capsys):
         assert main(["--workers", "1", "--iterations", "3", "--nodes", "4",
                      "--generators", "nnsmith,targeted",
-                     "--deterministic", "--quiet"]) == 0
+                     "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "x gen[nnsmith,targeted]" in out
         assert "Seeded bugs by generator:" in out
@@ -142,7 +145,7 @@ class TestCampaignRuns:
     def test_coverage_schedule_cli_prints_coverage(self, capsys):
         assert main(["--workers", "1", "--iterations", "2", "--nodes", "4",
                      "--schedule", "coverage",
-                     "--deterministic", "--quiet"]) == 0
+                     "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "(coverage scheduling)" in out
         assert "Compiler coverage:" in out
@@ -151,13 +154,26 @@ class TestCampaignRuns:
     def test_crash_oracle_cli_runs(self, capsys):
         assert main(["--workers", "1", "--iterations", "2", "--nodes", "4",
                      "--generators", "targeted", "--oracle", "crash",
-                     "--deterministic", "--quiet"]) == 0
+                     "--quiet"]) == 0
         assert "iterations" in capsys.readouterr().out
 
     def test_oracle_axis_cli_prints_per_oracle_venn(self, capsys):
         assert main(["--workers", "1", "--iterations", "2", "--nodes", "4",
                      "--oracles", "difftest,crash",
-                     "--deterministic", "--quiet"]) == 0
+                     "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "x oracle[difftest,crash]" in out
         assert "Seeded bugs by oracle:" in out
+
+    def test_default_campaign_reproduces_across_worker_counts(self):
+        # Value search is bounded by steps alone, so a default config needs
+        # no extra flag to give the same findings on every run.
+        args = _parse("--iterations", "6", "--nodes", "5", "--seed", "3",
+                      "--shards", "2")
+        config = make_config(args)
+        assert config.value_search_max_steps == 32
+        signatures = {
+            campaign_signature(run_parallel_campaign(
+                config=config, n_workers=workers, n_shards=args.shards))
+            for workers in (1, 2)}
+        assert len(signatures) == 1

@@ -56,8 +56,7 @@ def main(argv=None) -> int:
          "--host", "127.0.0.1", "--port", "0",
          "--iterations", str(args.iterations), "--seed", str(args.seed),
          "--workers", "2", "--shards", "2", "--min-workers", "2",
-         "--deterministic", "--quiet",
-         "--status-out", status_out, "--linger", "8"],
+         "--quiet", "--status-out", status_out, "--linger", "8"],
         cwd=_REPO_ROOT, env=env, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
     workers = []
