@@ -13,8 +13,8 @@ Run with:  PYTHONPATH=src python examples/custom_oracle.py
 import numpy as np
 
 # --- the ~20 lines -------------------------------------------------------
+from repro.core.difftest import CompilerVerdict, judge_compilers
 from repro.core.oracle import BaseOracle, register_oracle
-from repro.core.difftest import CompilerVerdict
 
 
 @register_oracle("finite")
@@ -24,25 +24,19 @@ class FiniteOutputsOracle(BaseOracle):
     name = "finite"
 
     def evaluate(self, model, inputs, numerically_valid=None):
-        from repro.runtime.exporter import export_model
-
-        exported = export_model(model, bugs=self.bugs)
-        verdicts = []
-        for compiler in self.compilers:
-            try:
-                outputs = compiler.compile_model(exported).run(inputs)
-            except Exception as exc:   # crashes look just like difftest's
-                verdicts.append(CompilerVerdict(compiler.name, "crash",
-                                                "execution", str(exc)))
-                continue
+        def check(compiler, compiled, exported):
+            # judge_compilers exported and compiled the model; a crash here
+            # or there is classified and credited like the built-ins'.
+            outputs = compiled.run(inputs)
             bad = [name for name, value in outputs.items()
                    if np.asarray(value).dtype.kind == "f"
                    and not np.all(np.isfinite(value))]
-            verdicts.append(CompilerVerdict(
-                compiler.name, "semantic" if bad else "ok",
-                "execution" if bad else "",
-                f"non-finite outputs: {bad}" if bad else ""))
-        return verdicts
+            if not bad:
+                return CompilerVerdict(compiler.name, "ok")
+            return CompilerVerdict(compiler.name, "semantic", "execution",
+                                   f"non-finite outputs: {bad}")
+
+        return judge_compilers(model, self.compilers, self.bugs, check)
 # -------------------------------------------------------------------------
 
 

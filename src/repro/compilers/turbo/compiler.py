@@ -105,7 +105,7 @@ class TurboCompiler(Compiler):
                 if dtype in (DType.int32, DType.int64) and \
                         self.options.bugs.enabled("turbo-clip-int32-dtype"):
                     # BUG: the ill-formed node is accepted and mis-lowered.
-                    triggered.append("turbo-clip-int32-dtype")
+                    _record_bug(triggered, "turbo-clip-int32-dtype")
                     node.attrs["_turbo_unsigned_bounds"] = True
                     node.attrs.pop("opset_unsupported", None)
                     continue
@@ -158,7 +158,7 @@ class TurboCompiler(Compiler):
                 upstream = producers.get(node.inputs[0])
                 if upstream is not None and upstream.op == "Add":
                     # BUG: the fused Add+Softmax kernel skips normalization.
-                    triggered.append("turbo-softmax-axis0-fusion")
+                    _record_bug(triggered, "turbo-softmax-axis0-fusion")
                     node.attrs["_turbo_unnormalized"] = True
                     applied.append("FuseAddSoftmax")
             if node.op == "BatchNorm" and self.options.bugs.enabled(
@@ -166,7 +166,13 @@ class TurboCompiler(Compiler):
                 upstream = producers.get(node.inputs[0])
                 if upstream is not None and upstream.op == "Conv2d":
                     # BUG: folding drops the epsilon stabilizer.
-                    triggered.append("turbo-batchnorm-fold-var0")
+                    _record_bug(triggered, "turbo-batchnorm-fold-var0")
                     node.attrs["_turbo_fold_no_epsilon"] = True
                     applied.append("FoldConvBatchNorm")
         return applied
+
+
+def _record_bug(triggered: List[str], bug_id: str) -> None:
+    """Record a seeded bug once per compile, however many nodes hit it."""
+    if bug_id not in triggered:
+        triggered.append(bug_id)

@@ -11,18 +11,22 @@ Follows §4 of the paper:
   candidate **semantic bug**.  For fault localization the model is then
   re-compiled at O0: if the unoptimized build agrees with the oracle, the
   mismatch is attributed to the optimizer (transformation phase).
+
+The crash classification and bug attribution are :func:`judge_compilers`,
+the judging step every oracle of :mod:`repro.core.oracle` shares.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.compilers.base import CompileOptions, Compiler
+from repro.compilers.base import CompiledModel, CompileOptions, Compiler
 from repro.compilers.bugs import BugConfig
-from repro.errors import (CompilerError, ConversionError, ExecutionError,
+from repro.errors import (CompilerError, ConversionError,
                           IRVerificationError, ReproError)
 from repro.graph.model import Model
 from repro.runtime.exporter import ExportReport, export_model
@@ -153,8 +157,9 @@ class DifferentialTester:
     """Runs one generated model through every compiler and compares outputs.
 
     This is the default *oracle* of the campaign engine: it satisfies the
-    contract documented in :mod:`repro.core.oracle` (``name``, ``compilers``,
-    ``evaluate``/``run_case``) and is registered there as ``"difftest"``.
+    contract documented on :class:`repro.core.oracle.BaseOracle`
+    (``name``, ``compilers``, ``evaluate``/``run_case``) and is registered
+    there as ``"difftest"``.
     """
 
     #: Registry identifier (see :mod:`repro.core.oracle`).
@@ -192,20 +197,31 @@ class DifferentialTester:
         if numerically_valid is None:
             numerically_valid = oracle.numerically_valid
 
-        export_report = ExportReport()
-        exported = export_model(model, bugs=self.bugs, report=export_report)
+        def compare(compiler: Compiler, compiled: CompiledModel,
+                    exported: Model) -> CompilerVerdict:
+            outputs = compiled.run(inputs)
+            if not numerically_valid:
+                # NaN/Inf reached some operator: results are not comparable
+                # (§2.3, challenge #3) — never raise a semantic alarm here.
+                return CompilerVerdict(compiler.name, "ok")
+            mismatch = compare_outputs(oracle.outputs, outputs, self.rtol,
+                                       self.atol)
+            if mismatch is None:
+                return CompilerVerdict(compiler.name, "ok")
+            phase = self._localize_fault(compiler, exported, inputs,
+                                         oracle.outputs)
+            if getattr(compiler.options, "pipeline", None) is not None:
+                mismatch += self._canonical_pipeline_note(
+                    compiler, exported, inputs, oracle.outputs)
+            return CompilerVerdict(compiler.name, "semantic", phase, mismatch)
 
-        result = CaseResult(model=model,
-                            numerically_valid=numerically_valid,
-                            exporter_bugs=list(export_report.triggered_bugs))
-        for compiler in self.compilers:
-            verdict = self._test_compiler(compiler, exported, inputs, oracle.outputs,
-                                          numerically_valid)
-            verdict.triggered_bugs.extend(
-                bug for bug in export_report.triggered_bugs
-                if bug not in verdict.triggered_bugs)
-            result.verdicts.append(verdict)
-        return result
+        export_report = ExportReport()
+        verdicts = judge_compilers(model, self.compilers, self.bugs, compare,
+                                   export_report)
+        return CaseResult(model=model,
+                          numerically_valid=numerically_valid,
+                          verdicts=verdicts,
+                          exporter_bugs=list(export_report.triggered_bugs))
 
     def evaluate(self, model: Model, inputs: Dict[str, np.ndarray],
                  numerically_valid: Optional[bool] = None
@@ -215,51 +231,6 @@ class DifferentialTester:
                              numerically_valid=numerically_valid).verdicts
 
     # ------------------------------------------------------------------ #
-    def _test_compiler(self, compiler: Compiler, exported: Model,
-                       inputs: Dict[str, np.ndarray],
-                       oracle_outputs: Dict[str, np.ndarray],
-                       numerically_valid: bool) -> CompilerVerdict:
-        try:
-            compiled = compiler.compile_model(exported)
-        except IRVerificationError as exc:
-            # The pass-boundary verifier refused an executing-but-ill-formed
-            # IR: a dedicated symptom, not a crash (the compiler would have
-            # carried on happily without --verify-passes).
-            return CompilerVerdict(compiler.name, "verifier", "transformation",
-                                   str(exc), _bugs_from_error(exc))
-        except ConversionError as exc:
-            return CompilerVerdict(compiler.name, "crash", "conversion", str(exc),
-                                   _bugs_from_error(exc))
-        except CompilerError as exc:
-            return CompilerVerdict(compiler.name, "crash", "transformation", str(exc),
-                                   _bugs_from_error(exc))
-
-        triggered = list(getattr(compiled, "triggered_bugs", []))
-        modified = list(getattr(compiled, "modified_by", []))
-        try:
-            outputs = compiled.run(inputs)
-        except ReproError as exc:
-            return CompilerVerdict(compiler.name, "crash", "execution", str(exc),
-                                   triggered + _bugs_from_error(exc), modified)
-
-        if not numerically_valid:
-            # NaN/Inf reached some operator: results are not comparable
-            # (§2.3, challenge #3) — never raise a semantic alarm here.
-            return CompilerVerdict(compiler.name, "ok", "", "", triggered,
-                                   modified)
-
-        mismatch = compare_outputs(oracle_outputs, outputs, self.rtol, self.atol)
-        if mismatch is None:
-            return CompilerVerdict(compiler.name, "ok", "", "", triggered,
-                                   modified)
-
-        phase = self._localize_fault(compiler, exported, inputs, oracle_outputs)
-        if getattr(compiler.options, "pipeline", None) is not None:
-            mismatch += self._canonical_pipeline_note(compiler, exported,
-                                                      inputs, oracle_outputs)
-        return CompilerVerdict(compiler.name, "semantic", phase, mismatch,
-                               triggered, modified)
-
     def _localize_fault(self, compiler: Compiler, exported: Model,
                         inputs: Dict[str, np.ndarray],
                         oracle_outputs: Dict[str, np.ndarray]) -> str:
@@ -300,10 +271,68 @@ class DifferentialTester:
         return f" [pipeline {token}: canonical pipeline disagrees too]"
 
 
+def judge_compilers(model: Model, compilers: Sequence[Compiler],
+                    bugs: BugConfig,
+                    check: Callable[[Compiler, CompiledModel, Model],
+                                    CompilerVerdict],
+                    report: Optional[ExportReport] = None
+                    ) -> List[CompilerVerdict]:
+    """The judging step every oracle shares: export, compile, run, attribute.
+
+    ``model`` is exported once (seeded exporter bugs land in ``report``)
+    and every compiler compiles the exported model.  A compile failure is
+    the verdict: :class:`~repro.errors.IRVerificationError` is ``verifier``,
+    :class:`~repro.errors.ConversionError` a ``conversion`` crash and any
+    other :class:`~repro.errors.CompilerError` a ``transformation`` crash.
+    Otherwise ``check(compiler, compiled, exported)`` runs the executable
+    and returns the oracle's verdict; a :class:`~repro.errors.ReproError`
+    it raises is an ``execution`` crash.  Every verdict then lists the seeded bugs the
+    compile recorded (after any the check listed) and the exporter's, and
+    the passes that modified the IR.
+    """
+    report = report if report is not None else ExportReport()
+    exported = export_model(model, bugs=bugs, report=report)
+    verdicts = []
+    for compiler in compilers:
+        try:
+            compiled = compiler.compile_model(exported)
+        except IRVerificationError as exc:
+            # The pass-boundary verifier refused an executing-but-ill-formed
+            # IR: a dedicated symptom, not a crash (the compiler would have
+            # carried on happily without --verify-passes).
+            verdict = CompilerVerdict(compiler.name, "verifier",
+                                      "transformation", str(exc),
+                                      _bugs_from_error(exc))
+        except ConversionError as exc:
+            verdict = CompilerVerdict(compiler.name, "crash", "conversion",
+                                      str(exc), _bugs_from_error(exc))
+        except CompilerError as exc:
+            verdict = CompilerVerdict(compiler.name, "crash", "transformation",
+                                      str(exc), _bugs_from_error(exc))
+        else:
+            triggered = list(getattr(compiled, "triggered_bugs", []))
+            modified = list(getattr(compiled, "modified_by", []))
+            try:
+                verdict = check(compiler, compiled, exported)
+            except ReproError as exc:
+                verdict = CompilerVerdict(compiler.name, "crash", "execution",
+                                          str(exc),
+                                          triggered + _bugs_from_error(exc),
+                                          modified)
+            else:
+                verdict.triggered_bugs.extend(
+                    bug for bug in triggered
+                    if bug not in verdict.triggered_bugs)
+                verdict.modified_by = modified
+        verdict.triggered_bugs.extend(
+            bug for bug in report.triggered_bugs
+            if bug not in verdict.triggered_bugs)
+        verdicts.append(verdict)
+    return verdicts
+
+
 def _bugs_from_error(exc: Exception) -> List[str]:
     """Extract seeded-bug identifiers embedded in crash messages."""
-    import re
-
     return re.findall(
         r"\[((?:graphrt|deepc|turbo|exporter|autodiff)-[a-z0-9-]+)\]",
         str(exc))

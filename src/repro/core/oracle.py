@@ -1,11 +1,12 @@
 """Pluggable test oracles and their named registry.
 
-The campaign engine used to hardwire one oracle — the crash + numeric-diff
-:class:`~repro.core.difftest.DifferentialTester`.  This module names that
-choice: an *oracle* consumes a model plus concrete inputs and returns one
+An *oracle* consumes a model plus concrete inputs and returns one
 :class:`~repro.core.difftest.CompilerVerdict` per system under test.  New
 oracles register a factory and slot into the serial loop, the matrix engine
-and the CLI without touching any of them.  Registered here:
+and the CLI without touching any of them.  Every built-in judges through
+:func:`~repro.core.difftest.judge_compilers` (export, compile, crash
+classification, bug attribution) and adds only its own check of the
+executable.  Registered here:
 
 * ``difftest`` — the paper's oracle (crash + numeric differential test);
 * ``crash`` — compile-and-run, crashes only (no reference-interpreter run,
@@ -33,33 +34,41 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compilers.base import Compiler
+from repro.compilers.base import CompileOptions, Compiler
 from repro.compilers.bugs import BugConfig
 from repro.core.difftest import (CaseResult, CompilerVerdict,
-                                 DifferentialTester, first_line)
-from repro.errors import (CompilerError, ConversionError, IRVerificationError,
-                          ReproError)
+                                 DifferentialTester, first_line,
+                                 judge_compilers)
+from repro.errors import ReproError
 from repro.ops.semantics import counting_kernel_calls
+from repro.runtime.interpreter import Interpreter, random_inputs
 
 #: The oracle assumed when a config predates the registry.
 DEFAULT_ORACLE = "difftest"
 
 #: A picklable-by-name factory building an oracle inside a worker.
-OracleFactory = Callable[[Sequence[Compiler], BugConfig], "Oracle"]
-
-# The Oracle contract (structural, like compilers' CompiledModel):
-#   name: str                       -- registry identifier
-#   compilers: Sequence[Compiler]   -- systems under test (for pool probing)
-#   evaluate(model, inputs, numerically_valid=None) -> List[CompilerVerdict]
-#   run_case(model, inputs=None, numerically_valid=None) -> CaseResult
-# DifferentialTester already satisfies it (difftest.py adds name/evaluate);
-# Oracle below is a convenience base class for new implementations that
-# derives run_case from evaluate.
-Oracle = DifferentialTester  # default implementation doubles as the alias
+OracleFactory = Callable[[Sequence[Compiler], BugConfig], "BaseOracle"]
 
 
 class BaseOracle:
-    """Convenience base: implement ``evaluate``, inherit ``run_case``."""
+    """Convenience base: implement ``evaluate``, inherit ``run_case``.
+
+    The oracle contract is structural, like compilers' ``CompiledModel``:
+
+    * ``name: str`` — registry identifier;
+    * ``compilers: Sequence[Compiler]`` — systems under test (for pool
+      probing);
+    * ``evaluate(model, inputs, numerically_valid=None)
+      -> List[CompilerVerdict]``;
+    * ``run_case(model, inputs=None, numerically_valid=None, rng=None)
+      -> CaseResult``.
+
+    :class:`~repro.core.difftest.DifferentialTester` satisfies it without
+    this base.  An ``evaluate`` that returns
+    ``judge_compilers(model, self.compilers, self.bugs, check)`` inherits
+    the built-ins' crash classification and bug attribution and supplies
+    only ``check(compiler, compiled, exported) -> CompilerVerdict``.
+    """
 
     name: str = "oracle"
 
@@ -87,8 +96,6 @@ class BaseOracle:
         ran the reference, so coercing unknown to ``False`` would record
         every case as numerically invalid.
         """
-        from repro.runtime.interpreter import random_inputs
-
         if inputs is None:
             rng = rng if rng is not None else np.random.default_rng(0)
             inputs = random_inputs(model, rng)
@@ -165,60 +172,26 @@ class ShapeOnlyOracle(BaseOracle):
     def evaluate(self, model, inputs,
                  numerically_valid: Optional[bool] = None
                  ) -> List[CompilerVerdict]:
-        from repro.runtime.exporter import ExportReport, export_model
-
         expected = {name: tuple(model.type_of(name).shape)
                     for name in model.outputs}
-        report = ExportReport()
-        exported = export_model(model, bugs=self.bugs, report=report)
-        verdicts: List[CompilerVerdict] = []
-        for compiler in self.compilers:
-            verdict = self._judge_compiler(compiler, exported, inputs,
-                                           expected)
-            verdict.triggered_bugs.extend(
-                bug for bug in report.triggered_bugs
-                if bug not in verdict.triggered_bugs)
-            verdicts.append(verdict)
-        return verdicts
 
-    def _judge_compiler(self, compiler, exported, inputs,
-                        expected) -> CompilerVerdict:
-        from repro.core.difftest import _bugs_from_error
-
-        try:
-            compiled = compiler.compile_model(exported)
-        except IRVerificationError as exc:
-            return CompilerVerdict(compiler.name, "verifier", "transformation",
-                                   str(exc), _bugs_from_error(exc))
-        except ConversionError as exc:
-            return CompilerVerdict(compiler.name, "crash", "conversion",
-                                   str(exc), _bugs_from_error(exc))
-        except CompilerError as exc:
-            return CompilerVerdict(compiler.name, "crash", "transformation",
-                                   str(exc), _bugs_from_error(exc))
-        triggered = list(getattr(compiled, "triggered_bugs", []))
-        modified = list(getattr(compiled, "modified_by", []))
-        try:
+        def compare_shapes(compiler, compiled, exported) -> CompilerVerdict:
             outputs = compiled.run(inputs)
-        except ReproError as exc:
-            return CompilerVerdict(compiler.name, "crash", "execution",
-                                   str(exc),
-                                   triggered + _bugs_from_error(exc),
-                                   modified)
-        for name, shape in expected.items():
-            if name not in outputs:
-                return CompilerVerdict(
-                    compiler.name, "semantic", "execution",
-                    f"output {name!r} missing from compiled results",
-                    triggered, modified)
-            actual = tuple(np.asarray(outputs[name]).shape)
-            if actual != shape:
-                return CompilerVerdict(
-                    compiler.name, "semantic", "execution",
-                    f"output {name!r} shape mismatch: inferred {shape}, "
-                    f"got {actual}", triggered, modified)
-        return CompilerVerdict(compiler.name, "ok", "", "", triggered,
-                               modified)
+            for name, shape in expected.items():
+                if name not in outputs:
+                    return CompilerVerdict(
+                        compiler.name, "semantic", "execution",
+                        f"output {name!r} missing from compiled results")
+                actual = tuple(np.asarray(outputs[name]).shape)
+                if actual != shape:
+                    return CompilerVerdict(
+                        compiler.name, "semantic", "execution",
+                        f"output {name!r} shape mismatch: inferred {shape}, "
+                        f"got {actual}")
+            return CompilerVerdict(compiler.name, "ok")
+
+        return judge_compilers(model, self.compilers, self.bugs,
+                               compare_shapes)
 
 
 # --------------------------------------------------------------------------- #
@@ -239,41 +212,11 @@ class CrashOnlyOracle(BaseOracle):
     def evaluate(self, model, inputs,
                  numerically_valid: Optional[bool] = None
                  ) -> List[CompilerVerdict]:
-        from repro.core.difftest import _bugs_from_error
-        from repro.runtime.exporter import ExportReport, export_model
+        def run(compiler, compiled, exported) -> CompilerVerdict:
+            compiled.run(inputs)
+            return CompilerVerdict(compiler.name, "ok")
 
-        report = ExportReport()
-        exported = export_model(model, bugs=self.bugs, report=report)
-        verdicts: List[CompilerVerdict] = []
-        for compiler in self.compilers:
-            modified: List[str] = []
-            try:
-                compiled = compiler.compile_model(exported)
-                triggered = list(getattr(compiled, "triggered_bugs", []))
-                modified = list(getattr(compiled, "modified_by", []))
-                compiled.run(inputs)
-                verdict = CompilerVerdict(compiler.name, "ok", "", "",
-                                          triggered, modified)
-            except IRVerificationError as exc:
-                verdict = CompilerVerdict(compiler.name, "verifier",
-                                          "transformation", str(exc),
-                                          _bugs_from_error(exc))
-            except ConversionError as exc:
-                verdict = CompilerVerdict(compiler.name, "crash", "conversion",
-                                          str(exc), _bugs_from_error(exc))
-            except CompilerError as exc:
-                verdict = CompilerVerdict(compiler.name, "crash",
-                                          "transformation", str(exc),
-                                          _bugs_from_error(exc))
-            except ReproError as exc:
-                verdict = CompilerVerdict(compiler.name, "crash", "execution",
-                                          str(exc), _bugs_from_error(exc),
-                                          modified)
-            verdict.triggered_bugs.extend(
-                bug for bug in report.triggered_bugs
-                if bug not in verdict.triggered_bugs)
-            verdicts.append(verdict)
-        return verdicts
+        return judge_compilers(model, self.compilers, self.bugs, run)
 
 
 # --------------------------------------------------------------------------- #
@@ -312,51 +255,21 @@ class PerfRegressionOracle(BaseOracle):
     def evaluate(self, model, inputs,
                  numerically_valid: Optional[bool] = None
                  ) -> List[CompilerVerdict]:
-        from repro.runtime.exporter import ExportReport, export_model
+        return judge_compilers(
+            model, self.compilers, self.bugs,
+            lambda compiler, optimized, exported: self._count_against_o0(
+                compiler, optimized, exported, inputs))
 
-        report = ExportReport()
-        exported = export_model(model, bugs=self.bugs, report=report)
-        verdicts: List[CompilerVerdict] = []
-        for compiler in self.compilers:
-            verdict = self._judge_compiler(compiler, exported, inputs)
-            verdict.triggered_bugs.extend(
-                bug for bug in report.triggered_bugs
-                if bug not in verdict.triggered_bugs)
-            verdicts.append(verdict)
-        return verdicts
-
-    def _judge_compiler(self, compiler, exported, inputs) -> CompilerVerdict:
-        from repro.compilers.base import CompileOptions
-        from repro.core.difftest import _bugs_from_error
-
-        try:
-            optimized = compiler.compile_model(exported)
-        except IRVerificationError as exc:
-            return CompilerVerdict(compiler.name, "verifier", "transformation",
-                                   str(exc), _bugs_from_error(exc))
-        except ConversionError as exc:
-            return CompilerVerdict(compiler.name, "crash", "conversion",
-                                   str(exc), _bugs_from_error(exc))
-        except CompilerError as exc:
-            return CompilerVerdict(compiler.name, "crash", "transformation",
-                                   str(exc), _bugs_from_error(exc))
-        triggered = list(getattr(optimized, "triggered_bugs", []))
-        modified = list(getattr(optimized, "modified_by", []))
-        try:
-            with counting_kernel_calls() as optimized_calls:
-                optimized.run(inputs)
-        except ReproError as exc:
-            return CompilerVerdict(compiler.name, "crash", "execution",
-                                   str(exc),
-                                   triggered + _bugs_from_error(exc),
-                                   modified)
+    def _count_against_o0(self, compiler, optimized, exported,
+                          inputs) -> CompilerVerdict:
+        with counting_kernel_calls() as optimized_calls:
+            optimized.run(inputs)
         opt_level = getattr(getattr(compiler, "options", None),
                             "opt_level", None)
         if not opt_level:
             # Already an O0 (or unleveled) build: no optimized-vs-baseline
             # contrast exists for this cell.
-            return CompilerVerdict(compiler.name, "ok", "", "", triggered,
-                                   modified)
+            return CompilerVerdict(compiler.name, "ok")
         try:
             baseline = type(compiler)(
                 CompileOptions(opt_level=0, bugs=self.bugs)
@@ -366,19 +279,17 @@ class PerfRegressionOracle(BaseOracle):
         except ReproError:
             # The unoptimized build itself fails; crash-class oracles own
             # that case — there is no baseline to regress against.
-            return CompilerVerdict(compiler.name, "ok", "", "", triggered,
-                                   modified)
+            return CompilerVerdict(compiler.name, "ok")
         optimized_total = sum(optimized_calls.values())
         baseline_total = sum(baseline_calls.values())
         ratio = optimized_total / max(baseline_total, 1)
         if ratio <= self.THRESHOLD:
-            return CompilerVerdict(compiler.name, "ok", "", "", triggered,
-                                   modified)
+            return CompilerVerdict(compiler.name, "ok")
         message = (f"optimized (O{opt_level}) build makes {ratio:.1f}x the "
                    f"kernel calls of O0 ({optimized_total} vs "
                    f"{baseline_total}; threshold {self.THRESHOLD:.1f}x)")
         return CompilerVerdict(compiler.name, "perf", "transformation",
-                               message, triggered, modified,
+                               message,
                                slow_nodes=_slow_nodes(optimized_calls,
                                                       baseline_calls))
 
@@ -451,8 +362,6 @@ class GradientCheckOracle(BaseOracle):
                  ) -> List[CompilerVerdict]:
         from repro.autodiff.backprop import backpropagate
         from repro.autodiff.proxy import NO_PROXY
-        from repro.runtime.exporter import ExportReport, export_model
-        from repro.runtime.interpreter import Interpreter
 
         interpreter = Interpreter(record_intermediates=True)
         try:
@@ -491,19 +400,11 @@ class GradientCheckOracle(BaseOracle):
             # gradients are not comparable here.
             reference = CompilerVerdict("autodiff", "ok", "", "",
                                         list(triggered))
-        verdicts = [reference]
-
-        report = ExportReport()
-        exported = export_model(model, bugs=self.bugs, report=report)
-        for compiler in self.compilers:
-            verdict = self._judge_compiled(compiler, exported, inputs,
-                                           float_outputs, targets, analytic,
-                                           triggered)
-            verdict.triggered_bugs.extend(
-                bug for bug in report.triggered_bugs
-                if bug not in verdict.triggered_bugs)
-            verdicts.append(verdict)
-        return verdicts
+        return [reference] + judge_compilers(
+            model, self.compilers, self.bugs,
+            lambda compiler, compiled, exported: self._judge_runner(
+                compiler.name, compiled.run, inputs, float_outputs, targets,
+                analytic, triggered))
 
     # ------------------------------------------------------------------ #
     def _skip_verdicts(self) -> List[CompilerVerdict]:
@@ -533,38 +434,6 @@ class GradientCheckOracle(BaseOracle):
                               for i in range(count)})
             targets.append((name, indices))
         return targets
-
-    def _judge_compiled(self, compiler, exported, inputs, float_outputs,
-                        targets, analytic, triggered) -> CompilerVerdict:
-        from repro.core.difftest import _bugs_from_error
-
-        try:
-            compiled = compiler.compile_model(exported)
-        except IRVerificationError as exc:
-            return CompilerVerdict(compiler.name, "verifier", "transformation",
-                                   str(exc), _bugs_from_error(exc))
-        except ConversionError as exc:
-            return CompilerVerdict(compiler.name, "crash", "conversion",
-                                   str(exc), _bugs_from_error(exc))
-        except CompilerError as exc:
-            return CompilerVerdict(compiler.name, "crash", "transformation",
-                                   str(exc), _bugs_from_error(exc))
-        compile_triggered = list(getattr(compiled, "triggered_bugs", []))
-        modified = list(getattr(compiled, "modified_by", []))
-        try:
-            verdict = self._judge_runner(compiler.name, compiled.run, inputs,
-                                         float_outputs, targets, analytic,
-                                         triggered)
-        except ReproError as exc:
-            return CompilerVerdict(compiler.name, "crash", "execution",
-                                   str(exc),
-                                   compile_triggered + _bugs_from_error(exc),
-                                   modified)
-        verdict.triggered_bugs.extend(
-            bug for bug in compile_triggered
-            if bug not in verdict.triggered_bugs)
-        verdict.modified_by = modified
-        return verdict
 
     def _judge_runner(self, system, runner, inputs, float_outputs, targets,
                       analytic, triggered) -> CompilerVerdict:
@@ -631,7 +500,6 @@ __all__ = [
     "CrashOnlyOracle",
     "DEFAULT_ORACLE",
     "GradientCheckOracle",
-    "Oracle",
     "PerfRegressionOracle",
     "ShapeOnlyOracle",
     "build_oracle",

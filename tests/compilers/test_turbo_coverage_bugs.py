@@ -95,6 +95,20 @@ class TestTurbo:
         sums = list(outputs.values())[0].sum(axis=0)
         assert not np.allclose(sums, np.ones_like(sums))
 
+    def test_seeded_bug_recorded_once_per_compile(self):
+        """Two fused Add->Softmax(axis 0) chains list their seeded bug once,
+        like every other recorder (dedup keys join the sorted marks)."""
+        builder = GraphBuilder("sm0x2")
+        for _ in range(2):
+            x = builder.input([4, 3])
+            b = builder.weight(np.random.rand(4, 3).astype(np.float32))
+            v = builder.op1("Add", [x, b])
+            builder.output(builder.op1("Softmax", [v], axis=0))
+        model = builder.build()
+        engine = TurboCompiler(CompileOptions(opt_level=2, bugs=BugConfig.only(
+            "turbo-softmax-axis0-fusion"))).compile_model(model)
+        assert engine.triggered_bugs == ["turbo-softmax-axis0-fusion"]
+
     def test_make_compiler_factory(self):
         for name in ("graphrt", "deepc", "turbo"):
             assert make_compiler(name).name == name

@@ -26,7 +26,6 @@ from repro.core.oracle import (
     build_oracle,
     registered_oracles,
 )
-from repro.errors import CompilerError
 from repro.graph.builder import GraphBuilder
 from repro.graph.node import Node
 from repro.ops import semantics
@@ -70,13 +69,6 @@ def _scripted(optimized, baseline, opt_level=2):
         builds = []
 
     return _Scripted(CompileOptions(opt_level=opt_level))
-
-
-class _CrashingCompiler(_ScriptedCompiler):
-    name = "boom"
-
-    def compile_model(self, model):
-        raise CompilerError("kaboom in a pass")
 
 
 def _perf_verdict(system, model):
@@ -137,11 +129,6 @@ class TestPerfOracleDeterministic:
         verdict = _perf_verdict(system, mlp_model)
         assert verdict.status == "ok"
         assert system.builds == [0]
-
-    def test_crash_reported_like_difftest(self, mlp_model):
-        verdict = _perf_verdict(_CrashingCompiler(), mlp_model)
-        assert verdict.status == "crash"
-        assert verdict.phase == "transformation"
 
 
 class TestPerfOracleEndToEnd:

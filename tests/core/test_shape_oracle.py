@@ -7,7 +7,6 @@ from repro.compilers import CompileOptions, GraphRTCompiler
 from repro.compilers.bugs import BugConfig
 from repro.core.oracle import ShapeOnlyOracle, build_oracle, registered_oracles
 from repro.core.parallel import run_parallel_campaign
-from repro.errors import CompilerError
 from repro.testing import campaign_signature, tiny_campaign_config
 
 
@@ -34,16 +33,6 @@ class _ShapeLyingCompiler:
         return list(candidate_ops)
 
 
-class _CrashingCompiler:
-    name = "boom"
-
-    def compile_model(self, model):
-        raise CompilerError("kaboom in a pass")
-
-    def supported_ops(self, candidate_ops):
-        return list(candidate_ops)
-
-
 class TestShapeOracle:
     def test_registered(self):
         assert "shape" in registered_oracles()
@@ -63,13 +52,6 @@ class TestShapeOracle:
         (verdict,) = oracle.run_case(mlp_model).verdicts
         assert verdict.status == "semantic"
         assert "shape mismatch" in verdict.message
-
-    def test_crash_is_reported_like_difftest(self, mlp_model):
-        oracle = ShapeOnlyOracle([_CrashingCompiler()],
-                                 bugs=BugConfig.none())
-        (verdict,) = oracle.run_case(mlp_model).verdicts
-        assert verdict.status == "crash"
-        assert verdict.phase == "transformation"
 
     def test_ignores_values_entirely(self, mlp_model):
         """A compiler returning correct shapes with garbage values is 'ok' —

@@ -3,8 +3,9 @@
 Covers registration round-trips, the purity/determinism contract of every
 builtin strategy, worker-style rebuild-by-name (picklability), the seed-
 stream back-compat guarantee for the default strategy, the
-``StrategyCaseGenerator`` adapter, and the deprecation shim (direct
-``DifferentialTester`` construction).
+``StrategyCaseGenerator`` adapter, the deprecation shim (direct
+``DifferentialTester`` construction), and the crash classification every
+built-in oracle shares with ``difftest``.
 """
 
 import json
@@ -36,6 +37,8 @@ from repro.core.strategy import (
     strategy_entropy,
 )
 from repro.core.targeted import MOTIFS
+from repro.errors import (CompilerError, ConversionError, ExecutionError,
+                          IRVerificationError)
 from repro.graph.serialize import model_to_dict
 from repro.graph.validate import validation_errors
 from repro.testing import build_mlp_model
@@ -144,6 +147,44 @@ class TestSeedStreams:
         assert generated.model.name.startswith("targeted_")
 
 
+#: One failure per verdict class of the shared judging step: the error a
+#: scripted system raises at compile time (None: it compiles, recording a
+#: seeded bug and a modifying pass, then raises ``ExecutionError`` at run
+#: time) and the verdict every oracle must return for it.
+FAILURES = {
+    "conversion": (ConversionError, "crash", "conversion",
+                   ["graphrt-fail"], []),
+    "transformation": (CompilerError, "crash", "transformation",
+                       ["graphrt-fail"], []),
+    "verifier": (IRVerificationError, "verifier", "transformation",
+                 ["graphrt-fail"], []),
+    "execution": (None, "crash", "execution",
+                  ["graphrt-compiled", "graphrt-fail"], ["SomePass"]),
+}
+
+
+class _FailingSystem:
+    """Scripted system under test failing as one :data:`FAILURES` entry."""
+
+    name = "failing"
+
+    def __init__(self, compile_error):
+        self.compile_error = compile_error
+
+    def compile_model(self, model):
+        if self.compile_error is not None:
+            raise self.compile_error("[graphrt-fail] scripted compile failure")
+
+        class _Compiled:
+            triggered_bugs = ["graphrt-compiled"]
+            modified_by = ["SomePass"]
+
+            def run(self, inputs):
+                raise ExecutionError("[graphrt-fail] scripted kernel fault")
+
+        return _Compiled()
+
+
 class TestOracleRegistry:
     def test_builtins_registered(self):
         assert set(registered_oracles()) >= {"crash", DEFAULT_ORACLE}
@@ -214,6 +255,29 @@ class TestOracleRegistry:
         # oracle never raises a semantic alarm
         semantic_case = replay("graphrt-relu-clip-fusion-f64")
         assert all(v.status != "semantic" for v in semantic_case.verdicts)
+
+    @pytest.mark.parametrize("failure", sorted(FAILURES))
+    @pytest.mark.parametrize("oracle_name",
+                             ["crash", "difftest", "gradcheck", "perf",
+                              "shape"])
+    def test_failures_are_classified_like_difftest(self, oracle_name,
+                                                   failure):
+        """Every built-in oracle classifies a crash and credits its seeded
+        bugs and pass provenance exactly like ``difftest`` (the MLP keeps
+        gradcheck on its way to the compile step)."""
+        compile_error, *expected = FAILURES[failure]
+
+        def judged(name):
+            oracle = build_oracle(name, [_FailingSystem(compile_error)],
+                                  bugs=BugConfig.none())
+            case = oracle.run_case(build_mlp_model())
+            (verdict,) = [v for v in case.verdicts
+                          if v.compiler == _FailingSystem.name]
+            return [verdict.status, verdict.phase, verdict.triggered_bugs,
+                    verdict.modified_by]
+
+        assert judged(DEFAULT_ORACLE) == expected
+        assert judged(oracle_name) == expected
 
     def test_base_oracle_requires_evaluate(self):
         oracle = BaseOracle([], BugConfig.none())
