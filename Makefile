@@ -27,13 +27,13 @@ smoke-coverage:
 		benchmarks/test_scheduler_overhead.py
 
 # Oracle-axis smoke: a tiny difftest/perf/gradcheck matrix campaign with
-# per-oracle Venn slicing (every oracle is deterministic, so seed 29 always
-# shows the perf-only and gradcheck-only seeded bugs), plus the unit suites
-# of all five built-in oracles (registry and shared crash classification,
-# shape, perf/gradcheck) and the oracle-axis suite.
+# per-oracle Venn slicing (every oracle is deterministic, so seed 30 always
+# shows the perf-only repack bug and a gradcheck-only wrong-VJP bug), plus
+# the unit suites of all five built-in oracles (registry and shared crash
+# classification, shape, perf/gradcheck) and the oracle-axis suite.
 smoke-oracles:
 	$(PYTHON) -m repro.campaign --iterations 10 --workers 2 --shards 2 \
-		--oracles difftest,perf,gradcheck --seed 29 --quiet
+		--oracles difftest,perf,gradcheck --seed 30 --quiet
 	$(PYTHON) -m pytest -q tests/core/test_strategy_oracle_registry.py \
 		tests/core/test_shape_oracle.py \
 		tests/core/test_perf_gradcheck_oracles.py \

@@ -42,7 +42,7 @@ def test_ablation_insertion_mode(benchmark, forward_probability, label):
 @pytest.mark.parametrize("phase_saving", [True, False])
 def test_ablation_solver_phase_saving(benchmark, phase_saving):
     def incremental_workload():
-        solver = Solver(seed=0, phase_saving=phase_saving)
+        solver = Solver(phase_saving=phase_saving)
         rng = random.Random(0)
         variables = [solver.int_var(f"v{i}", 1, 64) for i in range(30)]
         accepted = 0

@@ -5,6 +5,12 @@ vulnerable operators vary by orders of magnitude; Adam's per-parameter
 adaptive step sizes make a single learning rate workable across all of them.
 The search also resets the optimizer state whenever the targeted loss
 function switches, which :meth:`Adam.reset` supports.
+
+Adam here is *lazy* (as PyTorch's ``SparseAdam``): an element whose gradient
+is exactly zero keeps its value and its moments.  A hinge loss gives every
+element that already satisfies its predicate a zero gradient, and plain Adam's
+momentum would keep moving it, across a pole such as ``Reciprocal``'s into a
+region the next operator rejects.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 
 class Adam:
-    """Adam optimizer for a named collection of tensors."""
+    """Lazy Adam optimizer for a named collection of tensors."""
 
     def __init__(self, learning_rate: float = 0.5, beta1: float = 0.9,
                  beta2: float = 0.999, epsilon: float = 1e-8) -> None:
@@ -47,13 +53,15 @@ class Adam:
             if m is None:
                 m = np.zeros_like(grad)
                 v = np.zeros_like(grad)
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+            live = grad != 0.0
+            m = np.where(live, self.beta1 * m + (1.0 - self.beta1) * grad, m)
+            v = np.where(live, self.beta2 * v + (1.0 - self.beta2) * grad * grad, v)
             self._first_moment[name] = m
             self._second_moment[name] = v
             m_hat = m / (1.0 - self.beta1 ** self._step)
             v_hat = v / (1.0 - self.beta2 ** self._step)
-            delta = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            delta = np.where(
+                live, self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon), 0.0)
             updated[name] = np.asarray(value, dtype=np.float64) - delta
         return updated
 

@@ -196,8 +196,9 @@ _bug("deepc-simplify-divmul-int", "deepc", "transformation", "semantic",
      "division, changing results when intermediate products truncate.",
      [FEATURE_MULTI_OP, FEATURE_INT_DTYPE])
 _bug("deepc-i64-reshape-mismatch", "deepc", "transformation", "crash",
-     "Lowering assumes 32-bit shape arithmetic; Reshape targets whose element "
-     "count needs 64-bit indices raise an int32/int64 mismatch.",
+     "Lowering of the fused expression assumes 32-bit shape arithmetic; "
+     "Reshape targets whose element count needs 64-bit indices raise an "
+     "int32/int64 mismatch.",
      [FEATURE_MULTI_OP, FEATURE_SHAPE_OPS, FEATURE_ATTR_DIVERSITY])
 _bug("deepc-i64-broadcastto-mismatch", "deepc", "transformation", "crash",
      "BroadcastTo shape attributes are materialized as int32 while the fused "

@@ -168,7 +168,13 @@ def _lower_group(graph: DGraph, group: List[str], index: int,
 
 def _check_index_dtype(graph: DGraph, node, instr: TensorInstr,
                        ctx: LoweringContext) -> None:
-    """Seeded int32/int64 shape-arithmetic mismatches."""
+    """Seeded int32/int64 shape-arithmetic mismatches of fused expressions.
+
+    Both live in the fusion pass's kernels, so a graph lowered without it
+    (opt level 0 never fuses) is lowered correctly.
+    """
+    if not graph.fusion_groups:
+        return
     if node.op == "Reshape" and ctx.bugs.enabled("deepc-i64-reshape-mismatch"):
         target_numel = graph.type_of(node.outputs[0]).numel
         if target_numel >= I64_ELEMENT_THRESHOLD:

@@ -1,14 +1,15 @@
 """Attribute binning: Algorithm 2 of the paper.
 
-SMT solvers (and the repo's backtracking solver alike) return boundary values
+SMT solvers (and the repo's propagating solver alike) return boundary values
 for under-constrained integers — typically 1 for every free dimension and
 attribute — which collapses attribute diversity.  Binning adds extra
 constraints that push each attribute into a randomly chosen exponential
 range ``[2^(i-1), 2^i)``.  In the paper, half of the binning constraints are
 dropped at random whenever the combined system becomes unsatisfiable; here
 each attribute's bin is offered to the solver on its own under a small node
-budget and dropped when the solver gives up on it, which can happen before
-it finds a model that exists.
+budget and dropped when the solver rejects it.  Bounds propagation refutes
+almost every infeasible bin without search, so a dropped bin is nearly
+always one that has no model.
 
 Operator specifications may contribute *specialized* bins (``C*`` in the
 paper) via :meth:`AbsOpBase.bin_hints` — e.g. a dedicated ``{0}`` bin for
@@ -58,10 +59,9 @@ def binning_constraints_for(var_name: str, rng: random.Random, k: int,
     return constraints
 
 
-#: Node budget of each search restart of an incremental binning query.  The
-#: solver makes up to ``max_restarts`` (3) restarts, so a rejected query costs
-#: up to three times this.  A rejection only means the attribute keeps its
-#: boundary value, so giving up quickly is fine.
+#: Branching decisions an incremental binning query may take.  Propagation
+#: refutes most infeasible bins before any decision, and a rejection only
+#: means the attribute keeps its boundary value, so giving up early is fine.
 _BINNING_SOLVER_BUDGET = 4000
 
 
@@ -71,11 +71,10 @@ def apply_attribute_binning(graph: SymbolicGraph, rng: random.Random,
 
     Algorithm 2 adds the binning constraints in bulk and drops a random half
     on failure.  Here they are offered variable by variable, in random
-    order, each with the small per-restart budget ``_BINNING_SOLVER_BUDGET``:
-    a bin is asserted when the solver finds a model of the combined system
-    within that budget and dropped when it gives up.  A dropped bin is not
-    necessarily unsatisfiable; the budget may have run out first.  This keeps
-    every individual solver query cheap.
+    order, each with the small budget ``_BINNING_SOLVER_BUDGET``: a bin is
+    asserted when the solver finds a model of the combined system and
+    dropped when it refutes the bin or gives up (``Solver.stats`` tells the
+    two apart).  This keeps every individual solver query cheap.
 
     Returns the binning constraints that were accepted.
     """

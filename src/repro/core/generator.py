@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.abstract import AbsTensor
-from repro.core.op_spec import MAX_DIM, MAX_RANK, AbsOpBase, SpecContext
+from repro.core.op_spec import MAX_DIM, MAX_NUMEL, MAX_RANK, AbsOpBase, SpecContext
 from repro.core.oplib import DEFAULT_OP_POOL
 from repro.dtypes import DType
 from repro.errors import GenerationError
@@ -173,7 +173,10 @@ class GraphGenerator:
     # ------------------------------------------------------------------ #
     def generate_symbolic(self) -> SymbolicGraph:
         """Run Algorithm 1 and return the symbolic graph (pre-binning)."""
-        solver = Solver(seed=self.rng.randrange(1 << 30))
+        # Once the solver's seed; still drawn so that each generator seed
+        # keeps the random stream its operator choices are drawn from.
+        self.rng.randrange(1 << 30)
+        solver = Solver()
         ctx = SpecContext(solver, self.rng, max_dim=self.config.max_dim)
         graph = SymbolicGraph(solver, ctx)
         self._add_placeholder(graph, prefix="seed")
@@ -200,6 +203,7 @@ class GraphGenerator:
         dtype = dtype or self._sample_dtype()
         name = graph.ctx.fresh_name(f"{prefix}_ph")
         tensor = graph.ctx.fresh_tensor(name, rank, dtype)
+        graph.solver.add([tensor.numel() <= MAX_NUMEL])
         value = SymValue(name, tensor)
         graph.values.append(value)
         return value
@@ -225,6 +229,7 @@ class GraphGenerator:
         for out in outputs:
             constraints.extend(out.positive_constraints())
             constraints.extend(dim <= self.config.max_dim * 4 for dim in out.dims)
+            constraints.append(out.numel() <= MAX_NUMEL)
         if not graph.solver.try_add_constraints(constraints):
             return False
         out_values = []
@@ -278,6 +283,7 @@ class GraphGenerator:
         if spec is None:
             return False
         constraints = list(spec.requires(fresh_tensors))
+        constraints.extend(tensor.numel() <= MAX_NUMEL for tensor in fresh_tensors)
         outputs = spec.type_transfer(fresh_tensors)
         if len(outputs) != 1 or outputs[0].rank != target.tensor.rank or \
                 outputs[0].dtype != target.tensor.dtype:

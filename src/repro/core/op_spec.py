@@ -41,6 +41,9 @@ from repro.solver.solver import Solver
 MAX_RANK = 4
 #: Default inclusive upper bound for a single dimension.
 MAX_DIM = 64
+#: Upper bound on the element count of every tensor the generator creates
+#: (the default ``max_elem_per_tensor`` of the public NNSmith implementation).
+MAX_NUMEL = 1 << 16
 
 DtypeCombo = Tuple[Tuple[DType, ...], Tuple[DType, ...]]
 

@@ -2,7 +2,7 @@
 
 from repro.solver.constraints import And, Comparison, Constraint, Not, Or, conjunction
 from repro.solver.expr import BinOp, Const, Expr, SymVar, product, sym_max, sym_min, to_expr
-from repro.solver.interval import DEFAULT_MAX, DEFAULT_MIN, Domain
+from repro.solver.interval import DEFAULT_MAX, DEFAULT_MIN
 from repro.solver.solver import Solver, solve
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "Constraint",
     "DEFAULT_MAX",
     "DEFAULT_MIN",
-    "Domain",
     "Expr",
     "Not",
     "Or",

@@ -167,18 +167,18 @@ class Const(Expr):
         return hash(("Const", self.value))
 
 
+#: What ``x // 0`` and ``x % 0`` evaluate to.  Division by zero makes the
+#: enclosing constraint unsatisfied rather than crashing the solver; the
+#: sentinel propagates as a huge value.
+DIVISION_BY_ZERO = 1 << 62
+
+
 def _floordiv(a: int, b: int) -> int:
-    if b == 0:
-        # Division by zero makes the enclosing constraint unsatisfied rather
-        # than crashing the solver; the sentinel propagates as a huge value.
-        return 1 << 62
-    return a // b
+    return DIVISION_BY_ZERO if b == 0 else a // b
 
 
 def _mod(a: int, b: int) -> int:
-    if b == 0:
-        return 1 << 62
-    return a % b
+    return DIVISION_BY_ZERO if b == 0 else a % b
 
 
 class BinOp(Expr):

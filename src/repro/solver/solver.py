@@ -1,19 +1,21 @@
 """An incremental constraint solver for quantifier-free integer arithmetic.
 
-This is the repo's stand-in for Z3.  NNSmith only ever poses satisfiability
-queries over bounded positive integers (tensor dimensions and operator
-attributes), so a complete SMT engine is unnecessary: a backtracking search
-over bounded domains with constraint-readiness pruning, phase saving across
-incremental calls and random restarts solves the constraint systems produced
-during graph generation quickly.
+This is the repo's stand-in for Z3.  NNSmith only poses satisfiability
+queries over bounded integers (tensor dimensions and operator attributes),
+which bounds propagation (:mod:`repro.solver.interval`) and a complete
+propagate-and-branch search over the bounded domains answer.
 
-Search is the hot path of generation.  Constraints compile once to
-closures (:attr:`Constraint.predicate`), and each search builds its variable
-order, candidate values and per-variable checks before it descends, so a
-search node costs a dict store and a few closure calls.  Which nodes the
-search visits, in which order, and every random draw it makes define the
-generated stream; ``tests/solver/test_stream_pin.py`` pins them, and a change
-that alters them re-records that pin.
+A query propagates its new constraints from the bounds the asserted ones
+imply; an empty interval *refutes* it without search.  Otherwise each
+variable keeps its previous value (phase saving) or, lacking one in its
+interval, takes the low end.  When that breaks a constraint, the search
+branches over the variables connected to the broken constraints, nearest
+first: the saved value, then the low end, then the two halves of the rest,
+propagating after each decision.  Every model is checked with
+:func:`~repro.solver.constraints.all_satisfied`.  Budgets count decisions
+(``stats["nodes"]``), not time, and only sorted names and insertion-ordered
+constraints are iterated, so the generated stream is a pure function of the
+seed (``tests/solver/test_stream_pin.py`` pins it).
 
 The public surface mirrors how Algorithm 1 in the paper uses Z3:
 
@@ -27,106 +29,93 @@ The public surface mirrors how Algorithm 1 in the paper uses Z3:
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import UnsatisfiableError
-from repro.solver.constraints import Constraint, Predicate, all_satisfied
+from repro.solver.constraints import Constraint, all_satisfied
 from repro.solver.expr import SymVar
-from repro.solver.interval import DEFAULT_MAX, DEFAULT_MIN, Domain, tighten
+from repro.solver.interval import DEFAULT_MAX, DEFAULT_MIN, Box, propagate
 
 
 class Solver:
     """Incremental satisfiability checker over bounded integer variables."""
 
-    def __init__(self, seed: Optional[int] = None, max_nodes: int = 50_000,
-                 max_restarts: int = 3, phase_saving: bool = True) -> None:
-        self._rng = random.Random(seed)
+    def __init__(self, max_nodes: int = 50_000, phase_saving: bool = True) -> None:
         self.max_nodes = max_nodes
-        self.max_restarts = max_restarts
         self.phase_saving = phase_saving
         self._constraints: List[Constraint] = []
-        self._domains: Dict[str, Domain] = {}
+        #: Each variable's declared bounds.
+        self._domains: Box = {}
+        #: Each variable's constraints, as indices in insertion order.
+        self._watchers: Dict[str, List[int]] = {}
+        #: ``_domains`` narrowed by ``_constraints[:_settled]`` (None: rebuild).
+        self._box: Optional[Box] = None
+        self._settled = 0
         self._model: Dict[str, int] = {}
         self._scopes: List[int] = []
-        #: Statistics useful for the solver ablation benchmark.
-        self.stats = {"checks": 0, "nodes": 0, "restarts": 0, "rejected": 0}
+        #: ``rejected`` counts every rejected insertion, ``refuted`` the
+        #: infeasible ones; ``nodes`` counts branching decisions.
+        self.stats = {"checks": 0, "nodes": 0, "rejected": 0, "refuted": 0}
 
-    # ------------------------------------------------------------------ #
-    # Variable and constraint management
-    # ------------------------------------------------------------------ #
     def int_var(self, name: str, low: int = DEFAULT_MIN,
                 high: int = DEFAULT_MAX) -> SymVar:
         """Introduce (or re-scope) an integer variable with inclusive bounds."""
         low, high = int(low), int(high)
-        domain = self._domains.get(name)
-        if domain is None:
-            self._domains[name] = Domain(low, high)
+        if name not in self._domains:
+            self._domains[name] = (low, high)
+            self._watchers[name] = []
+            if self._box is not None:
+                self._box[name] = (low, high)
         else:
-            domain.low = max(domain.low, low)
-            domain.high = min(domain.high, high)
+            declared = self._domains[name]
+            self._domains[name] = (max(declared[0], low), min(declared[1], high))
+            self._box = None
         return SymVar(name)
 
     def add(self, constraints: Iterable[Constraint]) -> None:
         """Assert constraints unconditionally (no satisfiability check)."""
         for constraint in constraints:
-            self._register_variables(constraint)
+            for name in sorted(constraint.variables()):
+                if name not in self._domains:
+                    self.int_var(name)
+                self._watchers[name].append(len(self._constraints))
             self._constraints.append(constraint)
 
     def try_add_constraints(self, constraints: Sequence[Constraint],
                             budget: Optional[int] = None) -> bool:
         """Assert ``constraints`` if the system stays satisfiable.
 
-        Returns True and keeps the constraints (updating the cached model) on
-        success; returns False and leaves the solver state untouched when no
-        model is found within the search budget, so False means the solver
-        gave up, not that the system is unsatisfiable.  ``budget``
-        temporarily overrides ``max_nodes``, the node budget of each of the
-        ``max_restarts`` search restarts, so a rejection can cost up to
-        ``max_restarts * budget`` nodes.  Callers that can cheaply live with
-        a rejection (e.g. attribute binning) pass a small budget.
+        Returns True and keeps them (updating the cached model) on success.
+        Returns False and leaves the solver untouched when they are proved
+        infeasible (``stats["refuted"]``), or when the search gives up after
+        ``budget`` branching decisions (default ``max_nodes``), which
+        attribute binning keeps small; ``stats["rejected"]`` counts both.
         """
-        constraints = list(constraints)
         marker = len(self._constraints)
         self.add(constraints)
-        saved_budget = self.max_nodes
-        if budget is not None:
-            self.max_nodes = budget
-        try:
-            model = self._solve()
-        finally:
-            self.max_nodes = saved_budget
-        if model is None:
-            del self._constraints[marker:]
-            self.stats["rejected"] += 1
-            return False
-        self._model = model
-        return True
+        outcome = self._solve(self.max_nodes if budget is None else budget)
+        if outcome:
+            return True
+        self._truncate(marker)
+        self.stats["rejected"] += 1
+        self.stats["refuted"] += outcome is False
+        return False
 
     def check(self) -> bool:
         """Is the currently asserted system satisfiable?"""
-        model = self._solve()
-        if model is None:
-            return False
-        self._model = model
-        return True
+        return bool(self._solve(self.max_nodes))
 
     def model(self) -> Dict[str, int]:
-        """The satisfying assignment found by the last successful check.
-
-        Raises:
-            UnsatisfiableError: if no model is cached and solving fails.
-        """
-        padded = self._padded(self._model)
+        """The satisfying assignment found by the last successful check
+        (raises :class:`UnsatisfiableError` if there is none and solving fails)."""
+        padded = {name: self._model.get(name, low)
+                  for name, (low, _) in self._domains.items()}
         if not self._model or not all_satisfied(self._constraints, padded):
             if not self.check():
                 raise UnsatisfiableError("constraint system is unsatisfiable")
-            padded = self._padded(self._model)
-        return dict(padded)
+            padded = dict(self._model)
+        return padded
 
-    # ------------------------------------------------------------------ #
-    # Scopes
-    # ------------------------------------------------------------------ #
     def push(self) -> None:
         """Open a scope; constraints added after this can be undone by pop()."""
         self._scopes.append(len(self._constraints))
@@ -135,192 +124,114 @@ class Solver:
         """Discard constraints added since the matching push()."""
         if not self._scopes:
             raise UnsatisfiableError("pop() without matching push()")
-        marker = self._scopes.pop()
-        del self._constraints[marker:]
+        self._truncate(self._scopes.pop())
 
     @property
     def constraints(self) -> List[Constraint]:
         return list(self._constraints)
 
-    # ------------------------------------------------------------------ #
-    # Search
-    # ------------------------------------------------------------------ #
-    def _register_variables(self, constraint: Constraint) -> None:
-        for name in constraint.variables():
-            self._domains.setdefault(name, Domain())
+    def _truncate(self, marker: int) -> None:
+        """Forget the constraints from index ``marker`` on."""
+        for constraint in self._constraints[marker:]:
+            for name in constraint.variables():
+                watchers = self._watchers[name]
+                while watchers and watchers[-1] >= marker:
+                    watchers.pop()
+        del self._constraints[marker:]
+        if self._settled > marker:
+            self._box = None  # the bounds rest on constraints that are gone
 
-    def _padded(self, assignment: Dict[str, int]) -> Dict[str, int]:
-        """Extend an assignment with defaults for variables it lacks."""
-        padded = dict(assignment)
-        for name, domain in self._domains.items():
-            if name not in padded:
-                padded[name] = domain.clamp(1)
-        return padded
-
-    def _solve(self) -> Optional[Dict[str, int]]:
-        """Backtracking search; returns None when the node budget runs out."""
+    def _solve(self, budget: int) -> Optional[bool]:
+        """Propagate, then search where the previous model breaks: True for a
+        model (cached), False for proved infeasible, None for out of budget."""
         self.stats["checks"] += 1
-        domains = {name: Domain(d.low, d.high) for name, d in self._domains.items()}
-        tighten(domains, self._constraints)
-        if any(domain.is_empty() for domain in domains.values()):
-            return None
-        constrained = set()
-        for constraint in self._constraints:
-            constrained |= constraint.variables()
+        if self._box is None:
+            self._box = dict(self._domains)
+            self._settled = 0
+        box = dict(self._box)
+        pending = range(self._settled, len(self._constraints))
+        if not propagate(box, self._constraints, self._watchers, pending):
+            return False
+        saved = self._model if self.phase_saving else {}
+        model: Dict[str, int] = {}
+        for name, (low, high) in box.items():
+            if low > high:
+                return False
+            value = saved.get(name, low)
+            model[name] = value if low <= value <= high else low
+        violated = [c for c in self._constraints if not c.predicate(model)]
+        if violated:
+            order = self._connected(violated)
+            found = self._search({name: box[name] for name in order}, order,
+                                 saved, model, budget)
+            if not found:
+                return found
+        self._box, self._settled, self._model = box, len(self._constraints), model
+        return True
 
-        for restart in range(self.max_restarts):
-            pinned = self._pinned_assignment(domains, restart)
-            free = [name for name in sorted(constrained) if name not in pinned]
-            result = self._backtrack(pinned, free, domains, randomize=restart > 0)
-            if result is not None:
-                for name, domain in domains.items():
-                    result.setdefault(name, domain.clamp(1))
-                return result
-            self.stats["restarts"] += 1
-        return None
+    def _connected(self, constraints: List[Constraint]) -> List[str]:
+        """The variables sharing a chain of constraints with ``constraints``,
+        nearest first (breadth-first, each constraint's names sorted)."""
+        order = list(dict.fromkeys(name for constraint in constraints
+                                   for name in sorted(constraint.variables())))
+        seen = set(order)
+        for name in order:  # the loop sees what it appends
+            for index in self._watchers[name]:
+                for other in sorted(self._constraints[index].variables()):
+                    if other not in seen:
+                        seen.add(other)
+                        order.append(other)
+        return order
 
-    def _pinned_assignment(self, domains: Dict[str, Domain], restart: int) -> Dict[str, int]:
-        """Start from the previous model and unpin variables in conflict.
-
-        On the first restart only conflicting variables are re-solved (phase
-        saving makes incremental ``try_add_constraints`` calls cheap); later
-        restarts progressively drop the saved phase, and the final restart
-        solves every variable from scratch.
-        """
-        if not self.phase_saving or restart >= self.max_restarts - 1:
-            return {}
-        pinned = {
-            name: value
-            for name, value in self._model.items()
-            if name in domains and domains[name].contains(value)
-        }
-        if not pinned:
-            return {}
-        # Iteratively unpin variables participating in violated constraints.
-        for _ in range(1 + restart * 2):
-            padded = self._padded(pinned)
-            conflicted: Set[str] = set()
-            for constraint in self._constraints:
-                if not constraint.satisfied(padded):
-                    conflicted |= constraint.variables()
-            if not conflicted:
-                break
-            before = len(pinned)
-            pinned = {k: v for k, v in pinned.items() if k not in conflicted}
-            if len(pinned) == before:
-                break
-        if restart > 0 and pinned:
-            # Drop a random half of the phase to escape bad local regions.
-            names = list(pinned)
-            self._rng.shuffle(names)
-            pinned = {name: pinned[name] for name in names[: len(names) // 2]}
-        return pinned
-
-    def _backtrack(self, pinned: Dict[str, int], free: List[str],
-                   domains: Dict[str, Domain], randomize: bool) -> Optional[Dict[str, int]]:
-        """Depth-first assignment of ``free`` variables with early pruning.
-
-        Everything that does not change during the search (variable order,
-        candidate values, the checks of each variable) is built once here,
-        so ``descend`` only tries values.
-        """
-        assignment = dict(pinned)
-        if not free:
-            return assignment if all_satisfied(self._constraints, self._padded(assignment)) else None
-
-        order = list(free)
-        if randomize:
-            self._rng.shuffle(order)
-        position = {name: i for i, name in enumerate(order)}
-
-        # For pruning we check a constraint as soon as all of its variables
-        # are assigned: when its last free variable in ``order`` is, or up
-        # front when all of them are pinned.  ``free`` is every constrained
-        # variable that is not pinned, so no constraint falls outside both.
-        checks_at: List[List[Predicate]] = [[] for _ in order]
-        for constraint in self._constraints:
-            indices = [position[name] for name in constraint.variables() if name in position]
-            if indices:
-                checks_at[max(indices)].append(constraint.predicate)
-            elif not constraint.predicate(assignment):
-                return None
-        checks = [tuple(predicates) for predicates in checks_at]
-
-        # Phase saving tries a variable's previous value first.  A randomized
-        # restart shuffles a fresh copy of the candidates on every visit (the
-        # draws define the stream); the deterministic one orders them once.
-        candidates_at: List[List[int]] = []
-        saved_at: List[Optional[int]] = []
-        for name in order:
-            domain = domains[name]
-            candidates = domain.candidates()
-            saved = self._model.get(name) if self.phase_saving else None
-            if saved is not None and not domain.contains(saved):
-                saved = None
-            if saved is not None and not randomize:
-                candidates = [saved] + [c for c in candidates if c != saved]
-            candidates_at.append(candidates)
-            saved_at.append(saved)
-
-        depth = len(order)
-        budget = self.max_nodes
+    def _search(self, box: Box, order: List[str], saved: Dict[str, int],
+                model: Dict[str, int], budget: int) -> Optional[bool]:
+        """Depth-first propagate-and-branch over the variables of ``order``,
+        completing ``model`` with the first leaf that satisfies everything;
+        returns like :meth:`_solve`."""
+        stack = []
         nodes = 0
-        shuffle = self._rng.shuffle
-
-        def descend(index: int) -> Optional[Dict[str, int]]:
-            nonlocal budget, nodes
-            if index == depth:
-                return assignment if all_satisfied(
-                    self._constraints, self._padded(assignment)) else None
-            name = order[index]
-            candidates = candidates_at[index]
-            if randomize:
-                candidates = list(candidates)
-                shuffle(candidates)
-                saved = saved_at[index]
-                if saved is not None:
-                    candidates = [saved] + [c for c in candidates if c != saved]
-            variable_checks = checks[index]
-            for value in candidates:
-                budget -= 1
-                if budget <= 0:
+        while True:
+            name = next((name for name in order if box[name][0] < box[name][1]), None)
+            if name is not None:
+                stack.append((box, name, _branches(*box[name], saved.get(name))))
+            else:
+                model.update((name, box[name][0]) for name in order)
+                if all_satisfied(self._constraints, model):
+                    return True
+            while stack:
+                parent, name, branches = stack[-1]
+                bounds = next(branches, None)
+                if bounds is None:
+                    stack.pop()
+                    continue
+                if nodes >= budget:
                     return None
-                assignment[name] = value
                 nodes += 1
-                for check in variable_checks:
-                    if not check(assignment):
-                        break
-                else:
-                    result = descend(index + 1)
-                    if result is not None:
-                        return result
-                if budget <= 0:
+                self.stats["nodes"] += 1
+                box = dict(parent)
+                box[name] = bounds
+                if propagate(box, self._constraints, self._watchers, self._watchers[name]):
                     break
-            assignment.pop(name, None)
-            return None
-
-        try:
-            return descend(0)
-        finally:
-            self.stats["nodes"] += nodes
+            else:
+                return False
 
 
-def solve(constraints: Sequence[Constraint], seed: Optional[int] = None,
+def _branches(low: int, high: int, saved: Optional[int]):
+    """A decision's alternatives: the saved value if it is in ``[low, high]``,
+    else ``low``; then the rest, halved when the point was ``low``."""
+    point = saved if saved is not None and low <= saved <= high else low
+    middle = (low + high + 1) // 2
+    rest = ([(low + 1, middle), (middle + 1, high)] if point == low
+            else [(low, point - 1), (point + 1, high)])
+    return iter([(point, point)] + [bounds for bounds in rest if bounds[0] <= bounds[1]])
+
+
+def solve(constraints: Sequence[Constraint],
           bounds: Optional[Dict[str, tuple]] = None) -> Dict[str, int]:
-    """One-shot convenience: solve a constraint list or raise.
-
-    Args:
-        constraints: the predicates to satisfy.
-        seed: RNG seed for reproducibility.
-        bounds: optional per-variable (low, high) bounds.
-
-    Returns:
-        A satisfying assignment mapping variable names to integers.
-
-    Raises:
-        UnsatisfiableError: when no model is found within the search budget.
-    """
-    solver = Solver(seed=seed)
+    """Solve ``constraints`` under optional per-variable (low, high)
+    ``bounds`` in one shot; raises :class:`UnsatisfiableError` when they
+    are infeasible or no model is found within the default budget."""
+    solver = Solver()
     for name, (low, high) in (bounds or {}).items():
         solver.int_var(name, low, high)
     solver.add(constraints)

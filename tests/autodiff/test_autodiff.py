@@ -234,6 +234,15 @@ class TestOptimizers:
             params = adam.step(params, grads)
         np.testing.assert_allclose(params["w"], np.zeros(2), atol=1e-2)
 
+    def test_adam_is_lazy(self):
+        # An element whose gradient turns zero stays put instead of coasting
+        # on its momentum; the other element keeps descending.
+        adam = Adam()
+        first = adam.step({"w": np.zeros(2)}, {"w": np.ones(2)})
+        second = adam.step(first, {"w": np.array([1.0, 0.0])})
+        assert second["w"][0] < first["w"][0]
+        assert second["w"][1] == first["w"][1]
+
     def test_adam_reset(self):
         adam = Adam()
         adam.step({"w": np.ones(2)}, {"w": np.ones(2)})

@@ -1,5 +1,8 @@
 """Tests for the DeepC compiler: conversion, passes, lowering, codegen, bugs."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.compilers.deepc.passes import DeepCPassContext, run_pipeline
 from repro.dtypes import DType
 from repro.errors import ConversionError, TransformationError
 from repro.graph.builder import GraphBuilder
+from repro.graph.serialize import model_from_dict
 from repro.graph.tensor_type import TensorType
 from repro.runtime import Interpreter, random_inputs
 
@@ -276,6 +280,7 @@ class TestLoweringAndLowPasses:
         builder.op1("Reshape", [x], shape=[16, 64])
         model = builder.build()
         graph, _ = convert_model(model, NO_BUGS)
+        run_pipeline(graph, DeepCPassContext(bugs=NO_BUGS))  # the bug is in fused kernels
         with pytest.raises(TransformationError, match="deepc-i64-reshape-mismatch"):
             lower_graph(graph, BugConfig.only("deepc-i64-reshape-mismatch"))
         assert_matches_oracle(model)
@@ -286,9 +291,24 @@ class TestLoweringAndLowPasses:
         builder.op1("BroadcastTo", [x], shape=[2, 5, 4, 3])
         model = builder.build()
         graph, _ = convert_model(model, NO_BUGS)
+        run_pipeline(graph, DeepCPassContext(bugs=NO_BUGS))  # the bug is in fused kernels
         with pytest.raises(TransformationError, match="deepc-i64-broadcastto-mismatch"):
             lower_graph(graph, BugConfig.only("deepc-i64-broadcastto-mismatch"))
         assert_matches_oracle(model)
+
+    @pytest.mark.parametrize("bug_id", ["deepc-i64-reshape-mismatch",
+                                        "deepc-i64-broadcastto-mismatch"])
+    def test_i64_bugs_need_fusion(self, bug_id):
+        """The corpus models of both index-dtype bugs crash only the fused
+        build: O0 never runs the fusion pass and lowers them correctly."""
+        corpus = Path(__file__).resolve().parent.parent / "corpus"
+        entry = json.loads((corpus / f"{bug_id}.json").read_text(encoding="utf-8"))
+        model = model_from_dict(entry["model"])
+        bugs = BugConfig.only(bug_id)
+        compiled = DeepCCompiler(CompileOptions(opt_level=0, bugs=bugs)).compile_model(model)
+        assert bug_id not in compiled.triggered_bugs
+        with pytest.raises(TransformationError, match=bug_id):
+            DeepCCompiler(CompileOptions(opt_level=2, bugs=bugs)).compile_model(model)
 
     def test_vectorize_remainder_bug_changes_results(self):
         builder = GraphBuilder("vecrem")

@@ -49,6 +49,19 @@ def _dead_log_model():
     return builder.build()
 
 
+def _round_pole_model():
+    """``Reciprocal(Round(Log(Reciprocal(x))))`` over 4096 inputs from
+    ``[1, 9]``: the ~8% of them below ``e**0.5`` round to zero.  Each must
+    stop as soon as it is fixed: moving on past ``x = 0`` hands ``Log`` a
+    negative input that its gradient then pushes further down."""
+    builder = GraphBuilder("roundpole")
+    x = builder.input([4096])
+    inverse = builder.op1("Reciprocal", [x])
+    rounded = builder.op1("Round", [builder.op1("Log", [inverse])])
+    builder.op1("Reciprocal", [rounded])
+    return builder.build()
+
+
 class TestLosses:
     def test_vulnerable_operator_registry(self):
         for op in ("Log", "Sqrt", "Asin", "Div", "Pow"):
@@ -105,6 +118,12 @@ class TestValueSearch:
         patched = result.apply_weights(model)
         run = Interpreter().run_detailed(patched, result.inputs)
         assert run.numerically_valid
+
+    def test_gradient_search_stops_fixed_elements(self):
+        result = gradient_search(_round_pole_model(), np.random.default_rng(0),
+                                 max_iterations=32)
+        assert result.success
+        assert result.iterations > 1
 
     def test_sampling_search_fails_on_hard_model(self):
         # Inputs are drawn from [1, 9] and the weight shifts them by -5, so a

@@ -28,7 +28,7 @@ from repro.solver import Solver
 
 class TestAbstractTensor:
     def test_concretize(self):
-        solver = Solver(seed=0)
+        solver = Solver()
         dims = [solver.int_var("a", 1, 8), solver.int_var("b", 1, 8)]
         tensor = AbsTensor(DType.float32, dims)
         ttype = tensor.concretize({"a": 3, "b": 5})
@@ -78,7 +78,7 @@ class TestSpecificationLibrary:
         rng = random.Random(0)
         produced = 0
         for attempt in range(40):
-            solver = Solver(seed=attempt)
+            solver = Solver()
             ctx = SpecContext(solver, rng, max_dim=16)
             arity = rng.choice(spec_cls.arity_options())
             rank_options = spec_cls.input_rank_options()

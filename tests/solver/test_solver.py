@@ -1,5 +1,7 @@
 """Tests for the constraint solver: expressions, constraints, search."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,6 @@ from repro.solver import (
     BinOp,
     Comparison,
     Const,
-    Domain,
     Not,
     Or,
     Solver,
@@ -22,8 +23,9 @@ from repro.solver import (
     sym_min,
     to_expr,
 )
+from repro.core.binning import _BINNING_SOLVER_BUDGET
 from repro.solver.constraints import TRUE
-from repro.solver.interval import tighten
+from repro.solver.interval import propagate
 
 
 # --------------------------------------------------------------------------- #
@@ -185,54 +187,75 @@ class TestConstraints:
         assert constraint.variables() == leaf_variables(constraint)
 
 
-class TestDomains:
-    def test_clamp_and_contains(self):
-        domain = Domain(2, 10)
-        assert domain.clamp(0) == 2
-        assert domain.clamp(100) == 10
-        assert domain.contains(5)
-        assert not domain.contains(11)
+def propagated(bounds, constraints):
+    """The box ``bounds`` narrowed by ``constraints``, or None when it empties."""
+    box = dict(bounds)
+    watchers = {name: [i for i, c in enumerate(constraints) if name in c.variables()]
+                for name in box}
+    return box if propagate(box, constraints, watchers, range(len(constraints))) else None
 
-    def test_candidates_small_domain_enumerates(self):
-        assert Domain(1, 5).candidates() == [1, 2, 3, 4, 5]
 
-    def test_candidates_large_domain_includes_bounds(self):
-        candidates = Domain(1, 100000).candidates()
-        assert 1 in candidates and 100000 in candidates
-        assert len(candidates) < 1000
-
-    def test_tighten(self):
-        domains = {"a": Domain(1, 100), "b": Domain(1, 100)}
-        tighten(domains, [SymVar("a") <= Const(10), Const(5) <= SymVar("b"),
+@pytest.mark.smoke
+class TestPropagation:
+    def test_bounds_narrow(self):
+        box = propagated({"a": (1, 100), "b": (1, 100)},
+                         [SymVar("a") <= Const(10), Const(5) <= SymVar("b"),
                           SymVar("a") > Const(2)])
-        assert domains["a"].low == 3 and domains["a"].high == 10
-        assert domains["b"].low == 5
+        assert box == {"a": (3, 10), "b": (5, 100)}
+
+    def test_arithmetic_projects_onto_operands(self):
+        a, b, c = SymVar("a"), SymVar("b"), SymVar("c")
+        box = propagated({"a": (1, 64), "b": (1, 64), "c": (1, 64)},
+                         [a * b == 42, b >= 7, c // 4 >= 10, sym_max(a, c) <= 50])
+        assert box == {"a": (1, 6), "b": (7, 42), "c": (40, 50)}
+
+    def test_or_propagates_its_last_live_disjunct(self):
+        a, b = SymVar("a"), SymVar("b")
+        broadcast = Or([a == b, a == 1, b == 1])
+        assert propagated({"a": (2, 64), "b": (3, 5)}, [broadcast]) == \
+            {"a": (3, 5), "b": (3, 5)}
+        assert propagated({"a": (2, 64), "b": (1, 5)}, [broadcast]) == \
+            {"a": (2, 64), "b": (1, 5)}
+
+    def test_empty_interval_refutes(self):
+        x, y = SymVar("x"), SymVar("y")
+        assert propagated({"x": (1, 64), "y": (1, 64)}, [x == y, x <= 8, y >= 9]) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(constraint_trees, assignments, st.fixed_dictionaries(
+        {name: st.tuples(st.integers(0, 5), st.integers(0, 5)) for name in _NAMES}))
+    def test_propagation_never_loses_a_model(self, constraint, assignment, slack):
+        """Any model inside the box stays inside it (including zero divisors)."""
+        box = {name: (value - slack[name][0], value + slack[name][1])
+               for name, value in assignment.items()}
+        if reference_truth(constraint, assignment):
+            narrowed = propagated(box, [constraint])
+            assert narrowed is not None
+            assert all(low <= assignment[name] <= high
+                       for name, (low, high) in narrowed.items())
 
 
 class TestSolver:
     def test_simple_satisfiable(self):
-        model = solve([SymVar("a") + SymVar("b") == 10, SymVar("a") > SymVar("b")],
-                      seed=0, bounds={"a": (1, 20), "b": (1, 20)})
+        model = solve([SymVar("a") + SymVar("b") == 10, SymVar("a") > SymVar("b")], bounds={"a": (1, 20), "b": (1, 20)})
         assert model["a"] + model["b"] == 10
         assert model["a"] > model["b"]
 
     def test_unsatisfiable_raises(self):
         with pytest.raises(UnsatisfiableError):
-            solve([SymVar("a") > 5, SymVar("a") < 3], seed=0, bounds={"a": (1, 10)})
+            solve([SymVar("a") > 5, SymVar("a") < 3], bounds={"a": (1, 10)})
 
     def test_product_equality(self):
-        model = solve([product([SymVar("x"), SymVar("y"), SymVar("z")]) == 7688],
-                      seed=0, bounds={k: (1, 128) for k in "xyz"})
+        model = solve([product([SymVar("x"), SymVar("y"), SymVar("z")]) == 7688], bounds={k: (1, 128) for k in "xyz"})
         assert model["x"] * model["y"] * model["z"] == 7688
 
     def test_disjunction_broadcast_style(self):
         a, b = SymVar("a"), SymVar("b")
-        model = solve([Or([a == b, a == 1, b == 1]), b == 7, a > 2],
-                      seed=0, bounds={"a": (1, 16), "b": (1, 16)})
+        model = solve([Or([a == b, a == 1, b == 1]), b == 7, a > 2], bounds={"a": (1, 16), "b": (1, 16)})
         assert model["b"] == 7 and model["a"] == 7
 
     def test_incremental_rejection_keeps_state(self):
-        solver = Solver(seed=0)
+        solver = Solver()
         a = solver.int_var("a", 1, 10)
         assert solver.try_add_constraints([a >= 4])
         before = solver.model()["a"]
@@ -241,7 +264,7 @@ class TestSolver:
         assert len(solver.constraints) == 1
 
     def test_push_pop(self):
-        solver = Solver(seed=0)
+        solver = Solver()
         a = solver.int_var("a", 1, 10)
         solver.add([a >= 2])
         solver.push()
@@ -254,7 +277,7 @@ class TestSolver:
     def test_numpy_bounds_give_python_int_models(self):
         """Bounds are coerced on entry: dimension arithmetic on numpy
         integers wraps silently on overflow (``np.int64(4096) ** 6 == 0``)."""
-        solver = Solver(seed=0)
+        solver = Solver()
         x = solver.int_var("x", np.int64(1), np.int64(8))
         solver.int_var("y", np.int32(2), np.int64(6))
         solver.int_var("y", np.int64(3), np.int64(5))  # re-scoped
@@ -268,13 +291,13 @@ class TestSolver:
 
     def test_boundary_values_without_binning(self):
         """The motivation for attribute binning: free vars sit at the boundary."""
-        solver = Solver(seed=0)
+        solver = Solver()
         dims = [solver.int_var(f"d{i}", 1, 64) for i in range(4)]
         assert solver.try_add_constraints([d >= 1 for d in dims])
         assert all(solver.model()[f"d{i}"] == 1 for i in range(4))
 
     def test_phase_saving_incremental_speed(self):
-        solver = Solver(seed=0)
+        solver = Solver()
         variables = [solver.int_var(f"v{i}", 1, 32) for i in range(20)]
         for i in range(19):
             assert solver.try_add_constraints([variables[i + 1] >= variables[i]])
@@ -283,7 +306,7 @@ class TestSolver:
         assert solver.stats["nodes"] - nodes_before < 5000
 
     def test_conv_style_constraints(self):
-        solver = Solver(seed=3)
+        solver = Solver()
         h = solver.int_var("h", 1, 64)
         kh = solver.int_var("kh", 1, 8)
         stride = solver.int_var("s", 1, 4)
@@ -295,7 +318,7 @@ class TestSolver:
         assert 1 <= out_value <= 64
 
     def test_budget_override(self):
-        solver = Solver(seed=0, max_nodes=10)
+        solver = Solver(max_nodes=10)
         a = solver.int_var("a", 1, 1 << 20)
         b = solver.int_var("b", 1, 1 << 20)
         # Hard instance with a tiny default budget, generous explicit budget.
@@ -310,7 +333,7 @@ class TestSolver:
         constraints = [a + b == total, a - b == delta]
         solvable = (total + delta) % 2 == 0 and total >= delta and (total - delta) >= 2
         try:
-            model = solve(constraints, seed=1, bounds={"a": (1, 300), "b": (1, 300)})
+            model = solve(constraints, bounds={"a": (1, 300), "b": (1, 300)})
         except UnsatisfiableError:
             assert not solvable
         else:
@@ -321,7 +344,7 @@ class TestSolver:
     @given(st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=4))
     def test_model_always_satisfies_constraints(self, values):
         """Whatever model the solver returns must satisfy every constraint."""
-        solver = Solver(seed=0)
+        solver = Solver()
         names = [f"x{i}" for i in range(len(values))]
         variables = [solver.int_var(name, 1, 100) for name in names]
         constraints = [var >= value for var, value in zip(variables, values)]
@@ -330,3 +353,60 @@ class TestSolver:
         model = solver.model()
         for constraint in solver.constraints:
             assert constraint.satisfied(model)
+
+
+@pytest.mark.smoke
+class TestPropagatingSearch:
+    def test_wide_domains_are_searched_completely(self):
+        """129 is no round number: the search bisects [1, 300] to reach it."""
+        a, b = SymVar("a"), SymVar("b")
+        model = solve([a + b == 198, a - b == 60], bounds={"a": (1, 300), "b": (1, 300)})
+        assert (model["a"], model["b"]) == (129, 69)
+
+    def test_product_chain_bin_is_found(self):
+        """A Reshape-style product chain, accepted at all ones, then a bin
+        pushing one target dimension into [42, 52]."""
+        solver = Solver()
+        chains = [[solver.int_var(f"c_{k}{i}", 1, 64) for i in range(4)] for k in range(4)]
+        r5 = [solver.int_var(f"r5_{i}", 1, 64) for i in range(3)]
+        r6 = [solver.int_var(f"r6_{i}", 1, 64) for i in range(2)]
+        constraints = [chain[i] == chain[i + 1] for chain in chains for i in range(3)]
+        constraints.append(product(r5) == product(chain[0] for chain in chains))
+        constraints.append(product(r6) == product(r5))
+        assert solver.try_add_constraints(constraints)
+        assert set(solver.model().values()) == {1}
+        assert solver.try_add_constraints([r6[0] >= 42, r6[0] <= 52],
+                                          budget=_BINNING_SOLVER_BUDGET)
+        model = solver.model()
+        assert 42 <= model["r6_0"] <= 52
+        assert all(constraint.satisfied(model) for constraint in solver.constraints)
+
+    def test_refutation_takes_no_search(self):
+        solver = Solver()
+        x, y = solver.int_var("x", 1, 64), solver.int_var("y", 1, 64)
+        assert solver.try_add_constraints([x == y, x <= 8])
+        nodes = solver.stats["nodes"]
+        assert not solver.try_add_constraints([y >= 9])
+        assert solver.stats["refuted"] == solver.stats["rejected"] == 1
+        assert solver.stats["nodes"] == nodes
+        assert len(solver.constraints) == 2
+
+    def test_giving_up_is_not_a_refutation(self):
+        solver = Solver()
+        pigeons = [solver.int_var(f"x{i}", 1, 5) for i in range(6)]
+        distinct = [a != b for i, a in enumerate(pigeons) for b in pigeons[i + 1:]]
+        assert not solver.try_add_constraints(distinct, budget=5)
+        assert solver.stats == {"checks": 1, "nodes": 5, "rejected": 1, "refuted": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(constraint_trees)
+    def test_search_is_complete_on_small_boxes(self, constraint):
+        """A model exists in the box iff the solver finds one (brute force)."""
+        exists = any(reference_truth(constraint, dict(zip(_NAMES, values)))
+                     for values in itertools.product(range(-2, 4), repeat=len(_NAMES)))
+        try:
+            model = solve([constraint], bounds={name: (-2, 3) for name in _NAMES})
+        except UnsatisfiableError:
+            assert not exists
+        else:
+            assert reference_truth(constraint, model)

@@ -1,17 +1,19 @@
 """Pin the NNSmith generation stream across commits.
 
-The digests below were recorded from the solver's previous implementation
-(a recursive tree walk over ``Expr``/``Constraint`` nodes) and must hold
-unchanged for any change that only makes the solver faster: every model,
-every assignment and every ``Solver.stats`` counter of seeds 0-15 is hashed,
-so a search that visits other nodes, in another order, or draws other random
-numbers fails here.  ``test_generator_is_deterministic_per_seed`` compares two
-runs of one commit and cannot see such drift.
+The digests below were recorded from the bounds-propagating solver
+(:mod:`repro.solver.interval` propagation plus the propagate-and-branch
+search of :mod:`repro.solver.solver`) and must hold unchanged for any change
+that only makes generation faster: every model, every assignment and every
+``Solver.stats`` counter of seeds 0-15 is hashed, so a search that takes
+other decisions, in another order, or a generator that draws other random
+numbers fails here.  ``test_generator_is_deterministic_per_seed`` compares
+two runs of one commit and cannot see such drift.
 
-A change that deliberately changes the stream (bounds propagation, another
-search order, other binning draws) re-records these digests in the same
-change, together with regenerating the seeded-bug corpus with
-``tools/build_corpus.py`` and re-verifying the smoke seeds.
+A change that deliberately changes the stream (another propagation rule,
+search order or binning draw) re-records these digests in the same change,
+after confirming that the old ones reproduce against the parent's sources,
+and re-checks the smoke seeds named in the Makefile.  The seeded-bug corpus
+holds frozen models, so it keeps replaying without being regenerated.
 """
 
 from __future__ import annotations
@@ -31,29 +33,29 @@ pytestmark = pytest.mark.smoke
 
 #: sha256 of ``[ops, sorted(assignment.items()), solver.stats]`` per seed.
 STREAM_DIGESTS = {
-    0: "f9f7fc9b300f6f8506665c08d4dc8c22465f94c20727b0e609caa8546b4ce6ce",
-    1: "350c10779f106a9fd4551ffe5c8eab15e38bca8c9315786355caf611b2ab7f29",
-    2: "06b66d2fec5fca8e4001af0ba9f3e93b84ac85f82b84aa590d708f110e6ca6c4",
-    3: "aab2b6437d83b870b43e0ca7320709cf62290d2c7f860034b4aad7df0e3ef45c",
-    4: "5f8812bfa62a5e3da03acd8db4d2e5e01cca1387195bece63d12156572908fb1",
-    5: "9cb859b809a46f3ea19f605ecff009f4ee52cf29ddf9aa7ee7c7cc1db77b4d40",
-    6: "f1c0843b6d37dab33f2c656b6128c087c8d4f95c2d7c94bfb0c2dcfeeb848b88",
-    7: "f63cf8722af6e928a32917918a26673dea691b3651ca66e1901bd9fcc4074863",
-    8: "657c3ba0dbd38b19842e90f4a719c22d2ba5d9974df6bf66946bc1f2125eeb80",
-    9: "b89f9b70c86c0ae305c2a2e98e840a042c736b7a18993c74c9b35d29a854d284",
-    10: "bdaa1734c3bee033d02c1149f490ebe4904972e971c5ca0929f08a256b13f14e",
-    11: "96aa9f4eed3927deca08f17e9373bcd8d6c874733c3540baf6aa1436c9b96248",
-    12: "c34ca49b6fbdecff5c411d48be4f655d93dd2e8487251440b9083ce75af279c4",
-    13: "ac5458025e57b18845d8460d26565855c7c2e11e2cdf5c47ca9132fca1ad247a",
-    14: "e5b7654c3f97cc8121613ad76cb5a1f404cd706cdc854dc80172f4ffdb4ac5f7",
-    15: "15154a63bb4826e3c84ccb5dd0f870496b8ca93dcb9a11b4fd18111a1de7ebf2",
+    0: "6a0467ab7a0772d2257a327db25c1a34e171dc998a18d81e9ad4f4b72af3a36f",
+    1: "5f4ab36e9ff91972a1743be32be283ee6e343fceb52a3537be3cbd67676f37c5",
+    2: "faa6398f284250d8c4d0d75b4cae8531158ca0aa9beaa6fa4d5200d11a192806",
+    3: "2a74d06268805e55596d604328a24208258c916d2397bb3d0e7c5b066767a671",
+    4: "5c6f98758ea2e08b1ec092be7f2090c949ef0c13900dcbaf20c5d077a56e6a76",
+    5: "45d0783db7599a35d84c7e29c3efafffe491c83d21718f1238417c02ea541e37",
+    6: "33c30a14c77b75910a3ef3652181410f83dafcab41630214d82722f3d7e67261",
+    7: "2c4b5c8e5e22e67381e508ee3771ed15f69324a810f0ba9c2e11fafc60a33ae6",
+    8: "c9a41ab91d5d1fba2018f008a3180c2a4876a085d92eaff3811474e0d38a385c",
+    9: "8066fb9bd91a8e1db076af59ac77013c626b03238ba70621782ebbb6b2da5ee3",
+    10: "7267cc4f0d10971b747304f010d9517749134e4fe508bea9fd0bb7ff8001a57e",
+    11: "976c1654494bb5ca3a7dfd3bac62c82836b5ebe53d783bce88f6dd055cf8fc4b",
+    12: "3a6b2475743b5f47e204e3f38b78d5c794ab4123d4f55d332dc5efd25a6c259b",
+    13: "7ebfe5791f26f6fe6bb83f6fde95a846c79d71bb4b25538a35de22c6bc486782",
+    14: "52a106503ab837c59589f2476369335a5f163c5a56312e7479163bc0f3cbefb7",
+    15: "848751e4a800982fed1733d74cb06ae220be13751381efd5c871618471bdf249",
 }
 
 #: ``Solver.stats`` after the incremental chain of the phase-saving ablation
 #: (``benchmarks/test_ablation_extras.py::test_ablation_solver_phase_saving``).
 PHASE_SAVING_STATS = {
-    False: {"checks": 29, "nodes": 464, "restarts": 0, "rejected": 0},
-    True: {"checks": 29, "nodes": 2, "restarts": 0, "rejected": 0},
+    False: {"checks": 29, "nodes": 0, "rejected": 0, "refuted": 0},
+    True: {"checks": 29, "nodes": 0, "rejected": 0, "refuted": 0},
 }
 
 
@@ -75,7 +77,7 @@ def stream_digest(seed: int) -> str:
 
 def phase_saving_stats(phase_saving: bool) -> dict:
     """The ablation's chain of 29 incremental ``try_add_constraints`` calls."""
-    solver = Solver(seed=0, phase_saving=phase_saving)
+    solver = Solver(phase_saving=phase_saving)
     rng = random.Random(0)
     variables = [solver.int_var(f"v{i}", 1, 64) for i in range(30)]
     for index in range(1, 30):
