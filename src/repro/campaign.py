@@ -55,8 +55,9 @@ and exits.
 
 Checkpointing streams *per-iteration* progress: a campaign killed mid-shard
 resumes from the exact iteration it reached, re-executing only the missing
-iterations of each matrix cell (pure time-budget campaigns track consumed
-budget per cell and resume with the remainder)::
+iterations of each matrix cell.  ``--iterations`` is a campaign's only
+bound — no wall clock decides which iterations run — so to stop a long
+campaign early, press Ctrl-C and re-run the same command later::
 
     python -m repro.campaign --iterations 200 --workers 4 \\
         --checkpoint campaign.ckpt.json
@@ -68,17 +69,19 @@ the campaign into a coverage-guided one — workers trace compiler branch
 arcs per iteration and stream deltas to the coordinator, which leases the
 next chunk to the cell with the best recent novelty-per-second and records
 per-cell and global coverage-over-time series (the Figure 4/5-style
-curves).  Scheduling never changes *which* iterations run: for a fixed
-iteration budget the merged findings are bit-identical across all three
-(only lease order/placement moves).
+curves).  Scheduling never changes *which* iterations run: the merged
+findings are bit-identical across all three (only lease order/placement
+moves).
 
 ``--workers 1`` runs the campaign in-process: the one worker is an inline
 transport whose lease frames the coordinator pulls one at a time, through
 the same drain loop that serves process pools and socket fleets — no
 worker process, no queues, and each iteration is folded and checkpointed
-before the next one runs.  ``--workers 0`` (or
-``--serial``) runs the PR-1 reference path (one ``Fuzzer`` per shard,
-merged); it has no checkpoint support and refuses ``--checkpoint`` loudly.
+before the next one runs.  ``--serial`` runs the reference path instead:
+one ``Fuzzer`` per shard (``--shards``, default ``--workers``), merged, so
+its findings equal the engine's for the same flags.  ``--workers 0``
+selects it too, with one shard by default.  The reference path has no
+checkpoint support and refuses ``--checkpoint`` loudly.
 
 **Distributed campaigns** hang off three subcommands (see
 :mod:`repro.core.fabric.service`): ``serve`` runs the coordinator as a TCP
@@ -130,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=None,
                         help="shards per combination (default: --workers)")
     parser.add_argument("--serial", action="store_true",
-                        help="run the PR-1 serial reference path")
+                        help="run the serial reference path: one Fuzzer "
+                             "per shard, merged")
     parser.add_argument("--compilers", action="append", default=None,
                         metavar="NAME[,NAME...]",
                         help="a compiler subset to race as matrix columns; "
@@ -190,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--method", default="gradient_proxy",
                         choices=("sampling", "gradient", "gradient_proxy"),
                         help="value-search method (default gradient_proxy)")
-    parser.add_argument("--time-budget", type=float, default=None,
-                        help="wall-clock budget per shard in seconds")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
                         help="JSON checkpoint path; streams per-iteration "
                              "progress and resumes mid-cell")
@@ -216,11 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "loudly (default); 'requeue' redistributes a "
                              "dead worker's leases to the survivors — "
                              "findings are bit-identical either way")
-    parser.add_argument("--stagnation-budget", type=float, default=None,
-                        metavar="SECONDS",
-                        help="early-terminate a cell whose coverage novelty "
-                             "has been flat for this many compute seconds "
-                             "(requires --schedule coverage)")
     return parser
 
 
@@ -228,7 +225,6 @@ def make_config(args: argparse.Namespace) -> FuzzerConfig:
     return FuzzerConfig(
         generator=GeneratorConfig(n_nodes=args.nodes),
         max_iterations=args.iterations,
-        time_budget=args.time_budget,
         value_search_method=args.method,
         seed=args.seed,
         oracle=getattr(args, "oracle", DEFAULT_ORACLE),
@@ -380,7 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          "--workers 1 for an in-process run")
         print(f"Fuzzing graphrt, deepc, turbo for {args.iterations} "
               f"iterations serially ...")
-        result = run_sharded_serial(config, n_workers)
+        result = run_sharded_serial(config, args.shards or n_workers)
         print_summary(result)
         return 0
 
@@ -422,7 +418,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         schedule=args.schedule,
         on_event=on_event,
         fault_tolerance=args.fault_tolerance,
-        stagnation_budget=args.stagnation_budget,
     )
     print_summary(result)
     return 0

@@ -41,7 +41,10 @@ from repro.errors import ReproError
 #: (``packed``/``codec`` wire fields) — see :data:`ARC_COMPRESSION_THRESHOLD`.
 #: v3: a config's value search is bounded by steps alone; the wall-clock
 #: budget key is gone and ``value_search_max_steps`` is never None.
-PROTOCOL_VERSION = 3
+#: v4: iterations alone bound a campaign: a lease's ``stop`` is always an
+#: iteration, leases carry no wall-clock budget, and a config's
+#: ``max_iterations`` is never None.
+PROTOCOL_VERSION = 4
 
 #: Serialized-arcs byte size above which a ``coverage_delta`` frame ships
 #: compressed.  Arcs are long dotted-path strings with heavy shared
@@ -95,10 +98,10 @@ class Welcome(Message):
 class Lease(Message):
     """Coordinator → worker: one chunk of a matrix cell to execute.
 
-    ``stop`` is inclusive; None means "run until ``time_budget`` expires"
-    (pure time-budget cells).  ``exclude`` names workers this lease must
-    not be assigned to — the fault-tolerance path requeues a dead worker's
-    chunk with that worker excluded.  ``task`` carries the serialized
+    The lease runs iterations ``start`` to ``stop``, both inclusive.
+    ``exclude`` names workers this lease must not be assigned to — the
+    fault-tolerance path requeues a dead worker's chunk with that worker
+    excluded.  ``task`` carries the serialized
     :class:`~repro.core.parallel.CellTask` for remote workers (local pool
     workers already hold the task list and receive ``task=None``).
     """
@@ -107,8 +110,7 @@ class Lease(Message):
     chunk_id: int = 0
     cell_index: int = 0
     start: int = 1
-    stop: Optional[int] = None
-    time_budget: Optional[float] = None
+    stop: int = 1
     exclude: Tuple[str, ...] = ()
     task: Optional[Dict[str, Any]] = None
 
@@ -130,8 +132,8 @@ class IterationResult(Message):
     ``payload`` is :func:`~repro.core.parallel.campaign_result_to_dict` of
     the iteration's partial result (coverage arcs stripped — they travel as
     a separate :class:`CoverageDelta` frame); ``duration`` is the
-    iteration's wall-clock seconds on the worker, the coordinator's unit of
-    consumed cell budget.
+    iteration's wall-clock seconds on the worker, telemetry for the cell's
+    compute-time axis and the coverage scheduler's novelty rates.
     """
 
     kind = "iter"
@@ -337,7 +339,6 @@ def config_to_dict(config) -> Dict[str, Any]:
         "value_search_method": config.value_search_method,
         "value_search_max_steps": config.value_search_max_steps,
         "max_iterations": config.max_iterations,
-        "time_budget": config.time_budget,
         "bugs": sorted(config.bugs.enabled_ids()),
         "seed": config.seed,
         "probe_operator_support": config.probe_operator_support,
@@ -385,8 +386,8 @@ def config_from_dict(payload: Dict[str, Any]):
                                         "gradient_proxy"),
         value_search_max_steps=payload.get(
             "value_search_max_steps", FuzzerConfig().value_search_max_steps),
-        max_iterations=payload.get("max_iterations"),
-        time_budget=payload.get("time_budget"),
+        max_iterations=payload.get("max_iterations",
+                                   FuzzerConfig().max_iterations),
         bugs=BugConfig(enabled=payload.get("bugs", [])),
         seed=payload.get("seed", 0),
         probe_operator_support=payload.get("probe_operator_support", True),

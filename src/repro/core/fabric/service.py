@@ -272,8 +272,8 @@ def _serve_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="give up if --min-workers have not joined "
                              "after this long (default 120)")
-    # --fault-tolerance / --stagnation-budget come from the base campaign
-    # parser; a remote fleet defaults to surviving worker death.
+    # --fault-tolerance comes from the base campaign parser; a remote
+    # fleet defaults to surviving worker death.
     parser.set_defaults(fault_tolerance="requeue")
     parser.add_argument("--status-out", default=None, metavar="PATH",
                         help="write the final status snapshot JSON here")
@@ -314,10 +314,6 @@ def _cmd_serve(argv: Sequence[str]) -> int:
             print(f"  worker lost: {payload['worker']} — requeued "
                   f"iterations {payload['requeued']} of [{cell_key}]",
                   flush=True)
-        elif kind == "cell_stagnated":
-            print(f"  [{cell_key}] early-terminated after "
-                  f"{payload['iterations']} iterations "
-                  f"({payload['budget']}s without novelty)", flush=True)
 
     campaign = ParallelCampaign(
         config=config,
@@ -336,7 +332,6 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         on_event=on_event,
         transport=transport,
         fault_tolerance=args.fault_tolerance,
-        stagnation_budget=args.stagnation_budget,
     )
     if args.min_workers > 0:
         deadline = time.monotonic() + args.worker_wait

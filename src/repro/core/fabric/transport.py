@@ -588,8 +588,7 @@ class SocketTransport(CoordinatorTransport):
 def _lease_fields(lease: Lease) -> Dict[str, Any]:
     return {"chunk_id": lease.chunk_id, "cell_index": lease.cell_index,
             "start": lease.start, "stop": lease.stop,
-            "time_budget": lease.time_budget, "exclude": lease.exclude,
-            "task": lease.task}
+            "exclude": lease.exclude, "task": lease.task}
 
 
 __all__ = [

@@ -72,10 +72,9 @@ class FuzzerConfig:
     #: iterations (gradient search).  The only bound, so searches are
     #: deterministic.
     value_search_max_steps: int = 32
-    #: Stop after this many iterations (None = unbounded).
-    max_iterations: Optional[int] = 100
-    #: Stop after this much wall-clock time in seconds (None = unbounded).
-    time_budget: Optional[float] = None
+    #: Iterations to run: a campaign's only bound, so which iterations run
+    #: never depends on machine speed.
+    max_iterations: int = 100
     bugs: BugConfig = field(default_factory=BugConfig.all)
     seed: int = 0
     #: Probe every compiler's operator support matrix (by asking it which of
@@ -139,11 +138,6 @@ class CellOutcome:
     #: the cell's opt level" (campaigns without a pipeline axis keep their
     #: pre-v6 cell keys).
     pipeline: Optional[str] = None
-    #: Whether the coordinator cut this cell short under an explicit
-    #: ``--stagnation-budget`` (its novelty rate stayed at zero for longer
-    #: than the budget).  Recorded so result consumers can distinguish
-    #: "explored its whole budget" from "plateaued and was terminated".
-    early_terminated: bool = False
 
     def key(self) -> str:
         """Stable identifier of the matrix cell this outcome belongs to.
@@ -169,7 +163,7 @@ class CellOutcome:
                            self.iterations, set(self.seeded_bugs_found),
                            set(self.report_keys), self.generator,
                            self.oracle, set(self.coverage_arcs),
-                           self.pipeline, self.early_terminated)
+                           self.pipeline)
 
     def fold(self, other: "CellOutcome") -> None:
         """Accumulate another outcome of the *same* cell into this one."""
@@ -177,7 +171,6 @@ class CellOutcome:
         self.seeded_bugs_found |= other.seeded_bugs_found
         self.report_keys |= other.report_keys
         self.coverage_arcs |= other.coverage_arcs
-        self.early_terminated = self.early_terminated or other.early_terminated
 
 
 @dataclass
@@ -468,7 +461,7 @@ def fold_case(result: CampaignResult, case: CaseResult, iteration: int,
 
 
 def single_iteration_result(tester: DifferentialTester, config: FuzzerConfig,
-                            iteration: int, elapsed: float = 0.0,
+                            iteration: int,
                             strategy: Optional[GenerationStrategy] = None,
                             coverage: Optional[CoverageFeedback] = None
                             ) -> CampaignResult:
@@ -484,6 +477,8 @@ def single_iteration_result(tester: DifferentialTester, config: FuzzerConfig,
     returned partial's ``coverage_arcs`` holds this iteration's *delta*
     (arcs new to the channel's seen-set) — compact novelty, not the
     cumulative set, which is what the worker→coordinator queue carries.
+    A judged case adds one timeline sample; the coordinator stamps its
+    ``elapsed`` when it folds the iteration.
     """
     result = CampaignResult(iterations=1)
     generated, case = run_campaign_iteration(
@@ -498,8 +493,7 @@ def single_iteration_result(tester: DifferentialTester, config: FuzzerConfig,
     result.operator_instances.update(generated.op_instances)
     if case is not None:
         fold_case(result, case, iteration, set())
-        result.timeline.append(
-            {"elapsed": elapsed, "iteration": float(iteration)})
+        result.timeline.append({"elapsed": 0.0, "iteration": float(iteration)})
     return result
 
 
@@ -533,6 +527,9 @@ class Fuzzer:
                  config: Optional[FuzzerConfig] = None) -> None:
         self.compilers = list(compilers)
         self.config = config or FuzzerConfig()
+        if self.config.max_iterations is None:
+            raise ValueError("max_iterations must be an iteration count: "
+                             "iterations alone bound a campaign")
         self.tester = build_oracle(self.config.oracle, self.compilers,
                                    bugs=self.config.bugs)
         self.strategy = build_strategy(self.config.strategy, self.config)
@@ -544,7 +541,7 @@ class Fuzzer:
     # ------------------------------------------------------------------ #
     def run(self, on_iteration: Optional[Callable[[int, CaseResult], None]] = None,
             coverage: Optional[CoverageFeedback] = None) -> CampaignResult:
-        """Run the campaign until the iteration or time budget is exhausted.
+        """Run the campaign's ``max_iterations`` iterations.
 
         ``coverage`` optionally traces compiler branch arcs per iteration
         (see :func:`search_and_difftest`); the result then accumulates the
@@ -556,7 +553,7 @@ class Fuzzer:
         start = time.monotonic()
         iteration = 0
 
-        while not self._budget_exhausted(iteration, start):
+        while iteration < self.config.max_iterations:
             iteration += 1
             generated, case = run_campaign_iteration(
                 self.tester, self.config, iteration,
@@ -579,13 +576,3 @@ class Fuzzer:
         result.iterations = iteration
         result.elapsed = time.monotonic() - start
         return result
-
-    # ------------------------------------------------------------------ #
-    def _budget_exhausted(self, iteration: int, start: float) -> bool:
-        if self.config.max_iterations is not None and \
-                iteration >= self.config.max_iterations:
-            return True
-        if self.config.time_budget is not None and \
-                (time.monotonic() - start) >= self.config.time_budget:
-            return True
-        return False

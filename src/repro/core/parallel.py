@@ -34,18 +34,16 @@ Three properties distinguish the matrix engine from a flat shard list:
   generates from the same pool.
 * **Intra-cell checkpointing.**  Workers stream every completed iteration's
   folded result back to the coordinator, which persists an incremental JSON
-  checkpoint (``format_version`` 7): per cell, the accumulated
+  checkpoint (``format_version`` 8): per cell, the accumulated
   :class:`CampaignResult` (including cumulative coverage arcs), the exact
   set of completed iterations, plus the scheduler's state.  An
   interrupted cell resumes *mid-stream* — only the missing iterations are
   re-executed — instead of restarting at whole-shard granularity.  This is
   sound because every iteration is seeded purely from ``(config,
   iteration)`` (see :func:`repro.core.fuzzer.iteration_seed`), so iterations
-  can be re-executed in any order on any worker.  Cells with a pure
-  wall-clock budget (``max_iterations=None``) also resume mid-stream: each
-  streamed iteration carries its wall-clock duration, the checkpoint records
-  the cell's consumed budget (``time_used``), and a resumed cell continues
-  after its last completed iteration with only the remaining budget.
+  can be re-executed in any order on any worker.  Every cell is bounded by
+  its iteration count alone, so no wall clock decides which iterations
+  run; a campaign stopped with Ctrl-C resumes from its checkpoint.
 * **Pluggable scheduling.**  How cell budgets are chunked into leases and
   in which order leases are handed to workers is a first-class *scheduler*
   (:mod:`repro.core.schedule`): ``static`` pre-plans one lease per cell,
@@ -56,8 +54,8 @@ Three properties distinguish the matrix engine from a flat shard list:
   maintains the global arc union plus per-cell new-arc rates, and each
   lease goes to the cell with the best recent novelty-per-second.  A
   scheduler may only reorder and redirect leases — it never changes which
-  ``(config, iteration)`` pairs run or their seeds, so fixed-iteration
-  campaigns produce bit-identical findings under every scheduler.
+  ``(config, iteration)`` pairs run or their seeds, so campaigns produce
+  bit-identical findings under every scheduler.
 
 Determinism: the merged found-bug sets, per-cell iteration counts and
 deduplicated report keys depend only on the campaign config and matrix
@@ -91,8 +89,9 @@ from repro.core.difftest import DifferentialTester
 from repro.core.fabric.protocol import (PROTOCOL_VERSION, CheckpointAck,
                                         Claim, ChunkDone, CoverageDelta,
                                         IterationResult, Lease, Message,
-                                        ProtocolError, WorkerError, decode,
-                                        encode, task_from_dict)
+                                        ProtocolError, WorkerError,
+                                        config_to_dict, decode, encode,
+                                        task_from_dict)
 from repro.core.fabric.transport import (CoordinatorTransport,
                                          InlineTransport, LocalTransport)
 from repro.core.fuzzer import (BugReport, CampaignResult, CellOutcome, Fuzzer,
@@ -105,18 +104,19 @@ from repro.core.strategy import (GenerationStrategy, build_strategy,
 from repro.errors import ReproError
 from repro.graph.serialize import to_jsonable
 
-#: v7 promotes all coordination onto the fabric protocol and adds the
-#: fault-tolerance era's cell state: per-cell ``early_terminated`` flags
-#: (``--stagnation-budget``) and a ``stagnation_budget`` fingerprint entry.
-#: Deliberately *not* in the fingerprint: the transport, the worker count
-#: and the fault-tolerance mode — a campaign checkpointed on local queues
-#: resumes over sockets (and vice versa) because what a cell computes is
-#: seeded purely from ``(config, iteration)``.  Older checkpoints — v6
-#: included — are *rejected with an error* rather than silently discarded:
-#: a v6 file is a real mid-campaign state the user cared about, and quietly
-#: restarting from scratch would look like resume while throwing that
-#: state away.
-CHECKPOINT_FORMAT_VERSION = 7
+#: v8 bounds every cell by iterations alone: the wall-clock budgets left
+#: the fingerprint, the early-termination flag left the cell entries, and
+#: the fingerprint's config part is the fabric's
+#: :func:`~repro.core.fabric.protocol.config_to_dict`, so the wire and the
+#: checkpoint share one serialization.  Deliberately *not* in the
+#: fingerprint: the transport, the worker count and the fault-tolerance
+#: mode — a campaign checkpointed on local queues resumes over sockets (and
+#: vice versa) because what a cell computes is seeded purely from
+#: ``(config, iteration)``.  Older checkpoints are *rejected with an error*
+#: rather than silently discarded: an old file is a real mid-campaign state
+#: the user cared about, and quietly restarting from scratch would look
+#: like resume while throwing that state away.
+CHECKPOINT_FORMAT_VERSION = 8
 
 #: Accepted ``ParallelCampaign.fault_tolerance`` modes.  ``"fail"`` is the
 #: historical behavior: a dead worker fails the campaign loudly.
@@ -125,11 +125,6 @@ CHECKPOINT_FORMAT_VERSION = 7
 #: findings stay bit-identical because iterations are seeded purely from
 #: ``(config, iteration)`` and folds deduplicate replays.
 FAULT_TOLERANCE_MODES = ("fail", "requeue")
-
-#: Ignore leftover time budgets below this many seconds when resuming a
-#: time-budget cell: re-dispatching a cell for micro-seconds of budget costs
-#: more (worker build, compiler construction) than it could ever run.
-MIN_RESUME_BUDGET = 0.05
 
 #: Coordinator poll interval while waiting for worker messages (seconds).
 POLL_TIMEOUT = 1.0
@@ -169,19 +164,18 @@ def shard_seed(campaign_seed: int, shard_index: int) -> int:
 def shard_configs(config: FuzzerConfig, n_workers: int) -> List[FuzzerConfig]:
     """Split a campaign config into per-shard configs with disjoint seeds.
 
-    The iteration budget is divided as evenly as possible (earlier shards
-    absorb the remainder); a wall-clock ``time_budget`` is passed through
-    unchanged since shards run concurrently.
+    The iteration budget, the only bound a campaign has, is divided as
+    evenly as possible (earlier shards absorb the remainder).
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    shards: List[FuzzerConfig] = []
     total = config.max_iterations
+    if total is None:
+        raise ValueError("max_iterations must be an iteration count: "
+                         "iterations alone bound a campaign")
+    shards: List[FuzzerConfig] = []
     for index in range(n_workers):
-        if total is None:
-            budget = None
-        else:
-            budget = total // n_workers + (1 if index < total % n_workers else 0)
+        budget = total // n_workers + (1 if index < total % n_workers else 0)
         shards.append(dataclasses.replace(
             config,
             generator=dataclasses.replace(config.generator),
@@ -403,7 +397,6 @@ def campaign_result_to_dict(result: CampaignResult) -> Dict[str, Any]:
                 "seeded_bugs_found": sorted(cell.seeded_bugs_found),
                 "report_keys": sorted(cell.report_keys),
                 "coverage_arcs": sorted(cell.coverage_arcs),
-                "early_terminated": cell.early_terminated,
             }
             for key, cell in result.cells.items()
         },
@@ -424,7 +417,6 @@ def campaign_result_from_dict(payload: Dict[str, Any]) -> CampaignResult:
             oracle=entry.get("oracle"),
             coverage_arcs=set(entry.get("coverage_arcs", [])),
             pipeline=entry.get("pipeline"),
-            early_terminated=entry.get("early_terminated", False),
         )
         for key, entry in payload.get("cells", {}).items()
     }
@@ -544,8 +536,9 @@ def lease_frames(worker: str, lease: Lease, factory: CompilerFactory,
     Pool workers pass the task list they were forked with; socket workers
     pass ``tasks=None`` and rebuild the cell task from the lease's payload.
     ``runtimes`` caches each cell's built tester across a worker's leases.
-    ``lease.stop`` is inclusive; None means "until ``lease.time_budget``
-    runs out" (for a resumed time-budget cell, its remaining budget).
+    ``lease.stop`` is inclusive.  Each iteration's wall-clock ``duration``
+    is telemetry only: it feeds the cell's compute-time axis and the
+    coverage scheduler's novelty rates, never which iterations run.
     """
     cell_index = lease.cell_index
     yield Claim(worker=worker, chunk_id=lease.chunk_id, cell_index=cell_index)
@@ -562,19 +555,12 @@ def lease_frames(worker: str, lease: Lease, factory: CompilerFactory,
                     "list")
             runtimes[cell_index] = _cell_tester(task, factory)
         tester, config, strategy, coverage = runtimes[cell_index]
-        chunk_start = time.monotonic()
-        deadline = (None if lease.time_budget is None
-                    else chunk_start + lease.time_budget)
-        iteration = lease.start
-        while lease.stop is None or iteration <= lease.stop:
+        for iteration in range(lease.start, lease.stop + 1):
             iter_start = time.monotonic()
-            if deadline is not None and iter_start >= deadline:
-                break
             # Looked up as this module's global at call time: the
             # benchmark harness rebinds it to time each iteration.
             partial = single_iteration_result(
-                tester, config, iteration,
-                elapsed=iter_start - chunk_start, strategy=strategy,
+                tester, config, iteration, strategy=strategy,
                 coverage=coverage)
             duration = time.monotonic() - iter_start
             payload = campaign_result_to_dict(partial)
@@ -585,7 +571,6 @@ def lease_frames(worker: str, lease: Lease, factory: CompilerFactory,
             yield IterationResult(worker=worker, chunk_id=lease.chunk_id,
                                   cell_index=cell_index, iteration=iteration,
                                   duration=duration, payload=payload)
-            iteration += 1
     except Exception as exc:
         yield WorkerError(worker=worker, chunk_id=lease.chunk_id,
                           cell_index=cell_index,
@@ -633,17 +618,14 @@ class _CellState:
     #: Persistent dedup-key set of ``result.reports`` so per-iteration folds
     #: stay O(new reports) instead of rebuilding the set every fold.
     seen_keys: Set[str] = field(default_factory=set)
-    #: Wall-clock seconds of completed iterations.  For pure time-budget
-    #: cells (``max_iterations=None``) this is the consumed budget that a
-    #: resumed campaign subtracts from ``time_budget`` — the state that
-    #: makes mid-cell resume possible without an iteration count.
+    #: Wall-clock seconds of completed iterations: telemetry only (the
+    #: per-cell coverage time axis and the status snapshot).
     time_used: float = 0.0
     #: Running count of pass-only arcs in ``result.coverage_arcs`` so the
     #: per-fold coverage sample stays O(delta), not O(cumulative arcs).
     pass_arcs: int = 0
-    #: Iterations not yet covered by any lease or completion — the dynamic
-    #: lease ledger of iteration-budget cells (empty for pure time-budget
-    #: cells, whose ledger is the remaining wall-clock budget).
+    #: Iterations not yet covered by any lease or completion — the cell's
+    #: dynamic lease ledger.
     unleased: Set[int] = field(default_factory=set)
     #: Leases of this cell currently offered or running.
     outstanding: int = 0
@@ -657,8 +639,6 @@ class _CellState:
     #: A lease of this cell was abandoned after a worker death or error in
     #: ``fault_tolerance="fail"`` mode (the campaign raises after draining).
     failed: bool = False
-    #: Cut short under the campaign's ``stagnation_budget``.
-    early_terminated: bool = False
 
 
 @dataclass
@@ -731,12 +711,6 @@ class ParallelCampaign:
     #: findings stay bit-identical (iterations are seeded purely from
     #: ``(config, iteration)``; folds deduplicate replays).
     fault_tolerance: str = "fail"
-    #: Early-terminate a cell whose coverage novelty has been flat for this
-    #: many *compute* seconds (sum of its iteration durations since the
-    #: last globally-new arc).  Requires ``schedule="coverage"`` — no other
-    #: scheduler collects the novelty telemetry — and is enforced at lease
-    #: granularity: in-flight leases of a terminated cell run to their end.
-    stagnation_budget: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     def run(self) -> CampaignResult:
@@ -749,12 +723,6 @@ class ParallelCampaign:
                 f"expected one of {FAULT_TOLERANCE_MODES}")
         self._scheduler = build_scheduler(
             self.schedule, chunk_iterations=self.chunk_iterations)
-        if self.stagnation_budget is not None and \
-                not self._scheduler.wants_coverage:
-            raise ReproError(
-                "stagnation_budget needs per-cell novelty telemetry, which "
-                "only the coverage scheduler collects — run with "
-                "--schedule coverage or drop --stagnation-budget.")
         tasks = self._build_tasks()
         states = [_CellState(task=task) for task in tasks]
         self._load_checkpoint(states)
@@ -864,40 +832,22 @@ class ParallelCampaign:
                    for name in names)
 
     def _init_ledger(self, states: List[_CellState]) -> None:
-        """Seed each cell's dynamic lease ledger from its (possibly
-        checkpoint-restored) completion state.
-
-        Iteration-budget cells track the exact set of unleased iterations;
-        pure time-budget cells track consumed budget (``time_used``) and
-        are marked done when the unconsumed remainder is below
-        :data:`MIN_RESUME_BUDGET` — re-dispatching a cell for microseconds
-        of budget costs more than it could ever run.
-        """
+        """Seed each cell's dynamic lease ledger — the exact set of
+        unleased iterations — from its (possibly checkpoint-restored)
+        completion state."""
         for state in states:
             state.unleased = set()
             state.outstanding = 0
             if state.done:
                 continue
-            budget = state.task.config.max_iterations
-            time_budget = state.task.config.time_budget
-            if budget is None:
-                if time_budget is not None and state.completed and \
-                        time_budget - state.time_used <= MIN_RESUME_BUDGET:
-                    state.done = True
-                continue
-            state.unleased = {i for i in range(1, budget + 1)
-                              if i not in state.completed}
+            state.unleased = {
+                i for i in range(1, state.task.config.max_iterations + 1)
+                if i not in state.completed}
             if not state.unleased:
                 state.done = True
 
     def _cell_wants_lease(self, state: _CellState) -> bool:
-        if state.done or state.failed or state.early_terminated:
-            return False
-        if state.task.config.max_iterations is None:
-            # One lease at a time: a time-budget lease is granted the
-            # cell's whole unconsumed budget.
-            return state.outstanding == 0
-        return bool(state.unleased)
+        return not state.done and not state.failed and bool(state.unleased)
 
     def _dispatchable(self, states: List[_CellState]) -> bool:
         return bool(self._requeued) or \
@@ -908,15 +858,9 @@ class ParallelCampaign:
         historical worker-count cap (never spawn more workers than there
         are leases to run)."""
         total = 0
-        time_budgeted = self.config.time_budget is not None
         for state in states:
-            if state.done:
-                continue
-            if state.task.config.max_iterations is None:
-                total += 1
-            elif state.unleased:
-                size = self._scheduler.chunk_size(len(state.unleased),
-                                                  time_budgeted=time_budgeted)
+            if state.unleased:
+                size = self._scheduler.chunk_size(len(state.unleased))
                 total += math.ceil(len(state.unleased) / max(1, size))
         return total
 
@@ -951,7 +895,6 @@ class ParallelCampaign:
             state.outstanding += 1
             return Lease(chunk_id=self._new_chunk_id(),
                          cell_index=cell_index, start=start, stop=stop,
-                         time_budget=state.task.config.time_budget,
                          exclude=tuple(sorted(state.exclude)))
 
         candidates = [
@@ -969,27 +912,11 @@ class ParallelCampaign:
         cell_index = candidates[provisional.index(chosen)]
         self._rotation = (cell_index + 1) % len(states)
         state = states[cell_index]
-        config = state.task.config
         state.outstanding += 1
-        exclude = tuple(sorted(state.exclude))
-        if config.max_iterations is None:
-            remaining_time = None
-            if config.time_budget is not None:
-                remaining_time = max(config.time_budget - state.time_used,
-                                     MIN_RESUME_BUDGET)
-            start = max(state.completed, default=0) + 1
-            return Lease(chunk_id=self._new_chunk_id(),
-                         cell_index=cell_index, start=start, stop=None,
-                         time_budget=remaining_time, exclude=exclude)
-        time_budgeted = config.time_budget is not None
         if state.lease_base is None:
-            state.lease_base = self._scheduler.chunk_size(
-                len(state.unleased), time_budgeted=time_budgeted)
-        if time_budgeted:
-            size = state.lease_base  # never split a time-budgeted cell
-        else:
-            size = self._scheduler.lease_iterations(
-                cell_index, state.lease_base, len(state.unleased))
+            state.lease_base = self._scheduler.chunk_size(len(state.unleased))
+        size = self._scheduler.lease_iterations(
+            cell_index, state.lease_base, len(state.unleased))
         start = min(state.unleased)
         stop = start
         while stop + 1 in state.unleased and stop - start + 1 < size:
@@ -998,14 +925,14 @@ class ParallelCampaign:
             state.unleased.discard(iteration)
         return Lease(chunk_id=self._new_chunk_id(), cell_index=cell_index,
                      start=start, stop=stop,
-                     time_budget=config.time_budget, exclude=exclude)
+                     exclude=tuple(sorted(state.exclude)))
 
     # ------------------------------------------------------------------ #
     def _fold_iteration(self, states: List[_CellState], cell_index: int,
                         iteration: int, partial: CampaignResult,
                         duration: float) -> None:
         """Accumulate one iteration's result (and its wall-clock
-        ``duration``, the cell's consumed budget) into its cell.
+        ``duration``, the cell's compute time) into its cell.
 
         A hand-rolled fold rather than ``CampaignResult.merge``: merge
         rebuilds the report dedup set and re-sorts the whole timeline on
@@ -1021,9 +948,9 @@ class ParallelCampaign:
         if state.result is None:
             state.result = CampaignResult()
         result = state.result
-        # Workers only know chunk-relative time; stamp samples with the
-        # coordinator's campaign clock so merged throughput curves order
-        # iterations by when they actually completed.
+        # Stamp samples with the coordinator's campaign clock so merged
+        # throughput curves order iterations by when they actually
+        # completed, whichever worker ran them.
         now = time.monotonic() - self._run_started
         for sample in partial.timeline:
             sample["elapsed"] = now
@@ -1069,11 +996,6 @@ class ParallelCampaign:
                 "global_total": float(len(self._global_arcs)),
             })
         self._scheduler.observe(cell_index, fresh_global, duration)
-        if self.stagnation_budget is not None and not state.done and \
-                not state.early_terminated:
-            stale = getattr(self._scheduler, "seconds_since_novelty", None)
-            if stale is not None and stale(cell_index) > self.stagnation_budget:
-                self._terminate_stagnant(states, cell_index)
         for report in partial.reports:
             self._emit("progress", state.task.cell.key,
                        {"iteration": iteration, "compiler": report.compiler,
@@ -1082,48 +1004,21 @@ class ParallelCampaign:
         if self._unsaved_folds >= max(1, self.checkpoint_every):
             self._save_checkpoint(states)
 
-    def _terminate_stagnant(self, states: List[_CellState],
-                            cell_index: int) -> None:
-        """Stop leasing a plateaued cell (its in-flight leases run out)."""
-        state = states[cell_index]
-        state.early_terminated = True
-        state.unleased.clear()
-        self._emit("cell_stagnated", state.task.cell.key,
-                   {"budget": self.stagnation_budget,
-                    "iterations": len(state.completed)})
-        self._maybe_finish_cell(states, cell_index, exhausted=True)
-
-    def _finish_chunk(self, states: List[_CellState], cell_index: int,
-                      exhausted: bool = True) -> None:
-        """Account a lease's end (clean ``chunk_done``: ``exhausted=True``;
-        a requeued death passes False so the cell stays open)."""
+    def _finish_chunk(self, states: List[_CellState], cell_index: int) -> None:
+        """Account a lease's end (a clean ``chunk_done`` or a requeued
+        death), and finish the cell once nothing of it is left to run."""
         state = states[cell_index]
         state.outstanding = max(0, state.outstanding - 1)
-        self._maybe_finish_cell(states, cell_index, exhausted=exhausted)
-
-    def _maybe_finish_cell(self, states: List[_CellState], cell_index: int,
-                           exhausted: bool) -> None:
-        state = states[cell_index]
-        if state.done or state.failed or state.outstanding > 0:
+        if state.done or state.failed or state.outstanding > 0 or \
+                state.unleased:
             return
         if any(entry[0] == cell_index for entry in self._requeued):
             return  # recovery work for this cell awaits redispatch
-        if state.task.config.max_iterations is None:
-            # A time-budget lease ending cleanly means the budget ran out;
-            # a requeued death leaves unconsumed budget to redispatch.
-            if not exhausted and not state.early_terminated:
-                time_budget = state.task.config.time_budget
-                if time_budget is None or not state.completed or \
-                        time_budget - state.time_used > MIN_RESUME_BUDGET:
-                    return
-        elif state.unleased:
-            return
         state.done = True
         self._emit("cell_done", state.task.cell.key,
                    {"iterations": len(state.completed)})
-        # Force: the done flag itself must reach disk even when every
-        # fold is already saved — for unbounded (time-budget) cells it
-        # is the only thing distinguishing "finished" from "restart me".
+        # Force: the done flag must reach disk even when every fold is
+        # already saved.
         self._save_checkpoint(states, force=True)
 
     def _provenanced_result(self, state: _CellState) -> CampaignResult:
@@ -1133,7 +1028,6 @@ class ParallelCampaign:
         outcome.seeded_bugs_found = set(result.seeded_bugs_found)
         outcome.report_keys = {report.dedup_key() for report in result.reports}
         outcome.coverage_arcs = set(result.coverage_arcs)
-        outcome.early_terminated = state.early_terminated
         result.cells = {outcome.key(): outcome}
         return result
 
@@ -1147,21 +1041,16 @@ class ParallelCampaign:
         """Return a dead worker's lease to the ledger, dead worker excluded.
 
         Iterations the lease already folded stay folded (`_fold_iteration`
-        deduplicates replays, so nothing is double-counted); for
-        time-budget leases the next lease is granted only the
-        still-unconsumed budget — one monotone ``cell_elapsed`` clock
-        across the death.
+        deduplicates replays, so nothing is double-counted).
         """
         state = states[lease.cell_index]
         if dead_worker:
             state.exclude.add(dead_worker)
-        if lease.stop is not None:
-            remaining = frozenset(
-                i for i in range(lease.start, lease.stop + 1)
-                if i not in state.completed)
-            if remaining:
-                self._requeued.append((lease.cell_index, remaining))
-        self._finish_chunk(states, lease.cell_index, exhausted=False)
+        remaining = frozenset(i for i in range(lease.start, lease.stop + 1)
+                              if i not in state.completed)
+        if remaining:
+            self._requeued.append((lease.cell_index, remaining))
+        self._finish_chunk(states, lease.cell_index)
 
     def _drain(self, states: List[_CellState],
                transport: CoordinatorTransport) -> None:
@@ -1385,7 +1274,6 @@ class ParallelCampaign:
                 "completed": len(state.completed),
                 "total": state.task.config.max_iterations,
                 "done": state.done,
-                "early_terminated": state.early_terminated,
                 "findings": reports,
                 "time_used": round(state.time_used, 3),
             }
@@ -1416,9 +1304,15 @@ class ParallelCampaign:
         """Everything that changes what a cell computes.  A checkpoint whose
         fingerprint differs is discarded rather than silently reused —
         including the matrix shape (compiler subsets and opt levels), so a
-        differently-shaped campaign can never cross-load cell results."""
+        differently-shaped campaign can never cross-load cell results.
+        The campaign config enters as the fabric's wire encoding, so every
+        field a remote worker receives is fingerprinted too.
+
+        Deliberately absent: ``n_workers``, the transport and
+        ``fault_tolerance``.  Those change *where* iterations run, never
+        what they compute, so a local checkpoint resumes under a socket
+        fleet and back."""
         factory = self.compiler_factory
-        generator = self.config.generator
         n_shards = self.n_shards if self.n_shards is not None else self.n_workers
         return {
             "n_cells": n_cells,
@@ -1435,38 +1329,8 @@ class ParallelCampaign:
                         else list(self.oracles)),
             "pipelines": (None if self.pipelines is None
                           else list(self.pipelines)),
-            "strategy": self.config.strategy,
-            "oracle": self.config.oracle,
             "pool_mode": self.pool_mode,
-            "seed": self.config.seed,
-            "max_iterations": self.config.max_iterations,
-            "time_budget": self.config.time_budget,
-            "value_search_method": self.config.value_search_method,
-            "value_search_max_steps": self.config.value_search_max_steps,
-            "probe_operator_support": self.config.probe_operator_support,
-            # Deliberately absent: n_workers, transport, fault_tolerance.
-            # Those change *where* iterations run, never what they compute,
-            # so a local checkpoint resumes under a socket fleet and back.
-            "stagnation_budget": self.stagnation_budget,
-            "bugs": sorted(self.config.bugs.enabled_ids()),
-            # Appended only when on, so historical checkpoints stay loadable
-            # (the conditional-axis idiom every new knob follows).
-            **({"verify_passes": True} if self.config.verify_passes else {}),
-            "generator": {
-                "n_nodes": generator.n_nodes,
-                "max_dim": generator.max_dim,
-                "max_rank": generator.max_rank,
-                "seed": generator.seed,
-                "forward_probability": generator.forward_probability,
-                "weight_probability": generator.weight_probability,
-                "use_binning": generator.use_binning,
-                "n_bins": generator.n_bins,
-                "op_pool": sorted(spec.op_kind for spec in generator.op_pool),
-                "dtype_weights": {str(dtype): weight for dtype, weight
-                                  in sorted(generator.dtype_weights.items(),
-                                            key=lambda item: str(item[0]))},
-                "max_attempts_per_node": generator.max_attempts_per_node,
-            },
+            "config": config_to_dict(self.config),
         }
 
     def _load_checkpoint(self, states: List[_CellState]) -> None:
@@ -1488,13 +1352,12 @@ class ParallelCampaign:
             # delete or move the file deliberately.
             raise ReproError(
                 f"checkpoint {path} has format_version {version!r}; this "
-                f"engine reads v{CHECKPOINT_FORMAT_VERSION} only (v7 added "
-                "early-termination provenance and the stagnation-budget "
-                "fingerprint; v6 and older checkpoints predate the fabric "
-                "protocol and cannot distinguish an early-terminated cell "
-                "from an exhausted one).  Delete the file to start fresh, "
-                "or finish the campaign with the engine version that wrote "
-                "it.")
+                f"engine reads v{CHECKPOINT_FORMAT_VERSION} only (v8 bounds "
+                "every cell by iterations alone and fingerprints the whole "
+                "campaign config; older checkpoints may hold cells cut short "
+                "by a wall-clock budget).  Delete the file to start "
+                "fresh, or finish the campaign with the engine version that "
+                "wrote it.")
         if payload.get("campaign") != self._checkpoint_fingerprint(len(states)):
             return  # different campaign: start over
         scheduler = getattr(self, "_scheduler", None)
@@ -1529,7 +1392,6 @@ class ParallelCampaign:
                 completed = _iterations_from_ranges(entry.get("completed", []))
                 done = bool(entry.get("done", False))
                 time_used = float(entry.get("time_used", 0.0))
-                early_terminated = bool(entry.get("early_terminated", False))
             except (ValueError, TypeError, KeyError, AttributeError):
                 continue  # treat a corrupt cell entry as not started
             if result is not None and scheduler is not None and \
@@ -1545,7 +1407,6 @@ class ParallelCampaign:
             state.completed = completed
             state.done = done
             state.time_used = time_used
-            state.early_terminated = early_terminated
             state.seen_keys = (set() if result is None else
                                {report.dedup_key() for report in result.reports})
 
@@ -1573,7 +1434,6 @@ class ParallelCampaign:
                     "done": state.done,
                     "completed": _ranges_from_iterations(state.completed),
                     "time_used": state.time_used,
-                    "early_terminated": state.early_terminated,
                     "result": (campaign_result_to_dict(state.result)
                                if state.result is not None else None),
                 }
@@ -1605,7 +1465,8 @@ def run_sharded_serial(config: FuzzerConfig, n_workers: int,
     """Run the same shard configs in-process, serially, and merge them.
 
     This is the reference implementation the parallel engine is equivalent
-    to; it is also the fallback when ``multiprocessing`` is unavailable.
+    to (``--serial``): one :class:`~repro.core.fuzzer.Fuzzer` per shard,
+    with no lease, fold or checkpoint machinery in between.
     """
     results = []
     for shard in shard_configs(config, n_workers):

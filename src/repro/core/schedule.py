@@ -6,8 +6,8 @@ population of *chunks* — contiguous iteration ranges of matrix cells.  A
 (2) in which order pending chunks are leased to workers.  Crucially, a
 scheduler may only reorder and redirect *leases*: it never changes which
 ``(config, iteration)`` pairs execute or their seeds, so the merged
-findings of a fixed-iteration campaign are bit-identical across schedulers
-— only lease order and worker placement move.  (The scheduler-equivalence
+findings of a campaign are bit-identical across schedulers — only lease
+order and worker placement move.  (The scheduler-equivalence
 suite in ``tests/core/test_schedulers.py`` pins this.)
 
 Like strategies, oracles and compilers, schedulers are registry-named:
@@ -61,15 +61,8 @@ class Scheduler(abc.ABC):
         self.chunk_iterations = chunk_iterations
 
     # ------------------------------------------------------------------ #
-    def chunk_size(self, remaining: int, time_budgeted: bool) -> int:
-        """Iterations per lease for a cell with ``remaining`` left.
-
-        Time-budgeted cells are never split: the wall-clock deadline is
-        measured from chunk start, so splitting would grant each lease a
-        fresh budget, multiplying the cell's effective allowance.
-        """
-        if time_budgeted:
-            return remaining
+    def chunk_size(self, remaining: int) -> int:
+        """Iterations per lease for a cell with ``remaining`` left."""
         if self.chunk_iterations is not None:
             return max(1, self.chunk_iterations)
         return self._default_chunk(remaining)
@@ -212,11 +205,6 @@ class CoverageScheduler(Scheduler):
     def __init__(self, chunk_iterations: Optional[int] = None) -> None:
         super().__init__(chunk_iterations)
         self._recent: Dict[int, Deque[Tuple[int, float]]] = {}
-        #: Per-cell compute seconds since the last globally-new arc — the
-        #: campaign's ``stagnation_budget`` is enforced against this clock.
-        #: Compute seconds, not wall clock: a cell waiting its turn on a
-        #: busy fleet is not stagnating, only one that *runs* dry is.
-        self._stagnation: Dict[int, float] = {}
 
     def _default_chunk(self, remaining: int) -> int:
         return max(1, math.ceil(remaining / 4))
@@ -227,16 +215,6 @@ class CoverageScheduler(Scheduler):
         window = self._recent.setdefault(cell_index,
                                          deque(maxlen=self.WINDOW))
         window.append((int(new_arcs), max(float(duration), 1e-6)))
-        if int(new_arcs) > 0:
-            self._stagnation[cell_index] = 0.0
-        else:
-            self._stagnation[cell_index] = \
-                self._stagnation.get(cell_index, 0.0) + max(float(duration),
-                                                            0.0)
-
-    def seconds_since_novelty(self, cell_index: int) -> float:
-        """Compute seconds a cell has run since its last globally-new arc."""
-        return self._stagnation.get(cell_index, 0.0)
 
     def novelty_rate(self, cell_index: int) -> Optional[float]:
         """Recent new-arcs-per-second of a cell, or None when unobserved."""
@@ -287,9 +265,7 @@ class CoverageScheduler(Scheduler):
         return {"window": self.WINDOW,
                 "recent": {str(cell): [[count, duration]
                                        for count, duration in window]
-                           for cell, window in self._recent.items()},
-                "stagnation": {str(cell): seconds for cell, seconds
-                               in self._stagnation.items()}}
+                           for cell, window in self._recent.items()}}
 
     def load_state(self, payload: Dict[str, Any]) -> None:
         from repro.errors import ReproError
@@ -329,14 +305,6 @@ class CoverageScheduler(Scheduler):
                 self._recent[int(cell)] = window
             except (TypeError, ValueError):
                 continue  # corrupt entry: fall back to exploring that cell
-        self._stagnation = {}
-        stagnation = payload.get("stagnation")
-        if isinstance(stagnation, dict):
-            for cell, seconds in stagnation.items():
-                try:
-                    self._stagnation[int(cell)] = max(0.0, float(seconds))
-                except (TypeError, ValueError):
-                    continue  # corrupt entry: treat as freshly novel
 
 
 __all__ = [

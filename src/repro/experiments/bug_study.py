@@ -121,14 +121,12 @@ class BugTable:
 
 
 def run_bug_study(max_iterations: int = 120, n_nodes: int = 10,
-                  seed: int = 0,
-                  time_budget: Optional[float] = None) -> BugTable:
+                  seed: int = 0) -> BugTable:
     """Fuzz all three compilers with every seeded bug enabled."""
     bugs = BugConfig.all()
     fuzzer = Fuzzer(make_compilers(bugs), FuzzerConfig(
         generator=GeneratorConfig(n_nodes=n_nodes),
         max_iterations=max_iterations,
-        time_budget=time_budget,
         bugs=bugs,
         seed=seed,
     ))

@@ -103,8 +103,7 @@ LEMON_ITERATION_PENALTY = 0.05
 
 def run_coverage_campaign(generator: StrategyCaseGenerator,
                           compiler_name: str,
-                          max_iterations: Optional[int] = 50,
-                          time_budget: Optional[float] = None,
+                          max_iterations: int = 50,
                           seed: int = 0) -> CoverageCampaignResult:
     """Fuzz one compiler with one generator while tracing branch coverage.
 
@@ -117,7 +116,6 @@ def run_coverage_campaign(generator: StrategyCaseGenerator,
     config = dataclasses.replace(
         generator._config,
         max_iterations=max_iterations,
-        time_budget=time_budget,
         seed=seed)
     result = _run_coverage_matrix(config, compiler_name,
                                   generators=None, n_workers=1)
@@ -125,8 +123,7 @@ def run_coverage_campaign(generator: StrategyCaseGenerator,
                                 match_generator=None)
 
 
-def run_tzer_campaign(max_iterations: Optional[int] = 50,
-                      time_budget: Optional[float] = None,
+def run_tzer_campaign(max_iterations: int = 50,
                       seed: int = 0) -> CoverageCampaignResult:
     """Run the Tzer baseline against DeepC's low-level pipeline (Figure 8)."""
     fuzzer = TzerFuzzer(seed=seed, bugs=BugConfig.none())
@@ -135,11 +132,7 @@ def run_tzer_campaign(max_iterations: Optional[int] = 50,
     crashes = 0
     start = time.monotonic()
     iteration = 0
-    while True:
-        if max_iterations is not None and iteration >= max_iterations:
-            break
-        if time_budget is not None and (time.monotonic() - start) >= time_budget:
-            break
+    while iteration < max_iterations:
         iteration += 1
         with tracer:
             if fuzzer.run_iteration(tracer):
@@ -254,7 +247,6 @@ def run_fuzzer_comparison(compiler_name: str,
                           fuzzers: Sequence[str] = ("nnsmith", "graphfuzzer",
                                                     "lemon"),
                           max_iterations: int = 40,
-                          time_budget: Optional[float] = None,
                           seed: int = 0,
                           workers: Optional[int] = None
                           ) -> Dict[str, CoverageCampaignResult]:
@@ -274,7 +266,6 @@ def run_fuzzer_comparison(compiler_name: str,
     config = FuzzerConfig(
         generator=GeneratorConfig(n_nodes=10),
         max_iterations=max_iterations,
-        time_budget=time_budget,
         seed=seed,
     )
     n_workers = len(fuzzers) if workers is None else workers

@@ -133,14 +133,13 @@ def checkpoint_signature(path):
     if isinstance(scheduler, dict):
         state = scheduler.get("state")
         if isinstance(state, dict):
-            # Novelty windows/stagnation carry durations; keep which cells
-            # were observed and their arc counts, drop the seconds.
+            # Novelty windows carry durations; keep which cells were
+            # observed and their arc counts, drop the seconds.
             recent = state.get("recent")
             if isinstance(recent, dict):
                 state["recent"] = {
                     cell: [count for count, _duration in samples]
                     for cell, samples in recent.items()}
-            state.pop("stagnation", None)
     for entry in payload.get("cells", {}).values():
         entry.pop("time_used", None)
         result = entry.get("result")

@@ -36,9 +36,10 @@ from repro.testing import tiny_campaign_config
 ALL_MESSAGES = (
     Hello(worker="w-1", pid=4242),
     Welcome(factory="repro.core.parallel.default_compiler_factory"),
-    Lease(chunk_id=7, cell_index=2, start=3, stop=9, time_budget=None,
-          exclude=("w-dead",), task=None),
-    Lease(chunk_id=8, cell_index=0, start=1, stop=None, time_budget=1.5),
+    Lease(chunk_id=7, cell_index=2, start=3, stop=9, exclude=("w-dead",),
+          task=None),
+    # a one-iteration lease, as the coverage scheduler hands out
+    Lease(chunk_id=8, cell_index=0, start=5, stop=5),
     Claim(worker="w-1", chunk_id=7, cell_index=2),
     IterationResult(worker="w-1", chunk_id=7, cell_index=2, iteration=5,
                     duration=0.125, payload={"iterations": 1}),

@@ -49,10 +49,13 @@ class _LeaseLog(ParallelCampaign):
         return lease
 
 
-#: Recorded from the historical in-process executor, which chose every
-#: lease only after folding the previous one.
+#: The coverage bandit's leases under ``_StepClock``.  Each lease is
+#: chosen only after the previous one is folded, so the fold count before
+#: every lease is the sum of the earlier leases' sizes.
 EXPECTED_LEASES = [(0, 0, 1, 2), (2, 1, 1, 2), (4, 2, 1, 2), (6, 3, 1, 2),
-                   (8, 0, 3, 6), (12, 1, 3, 3), (13, 1, 4, 4)]
+                   (8, 0, 3, 6), (12, 2, 3, 4), (14, 2, 5, 5), (15, 2, 6, 6),
+                   (16, 1, 3, 3), (17, 1, 4, 4), (18, 1, 5, 5), (19, 1, 6, 6),
+                   (20, 3, 3, 3), (21, 3, 4, 4), (22, 3, 5, 5), (23, 3, 6, 6)]
 
 
 @pytest.mark.smoke
@@ -61,7 +64,7 @@ def test_inline_worker_chooses_each_lease_after_the_last_fold(monkeypatch):
     campaign = _LeaseLog(
         config=tiny_campaign_config(iterations=12, seed=3), n_workers=1,
         compiler_sets=[["graphrt", "deepc"], ["turbo"]], n_shards=2,
-        schedule="coverage", stagnation_budget=0.0)
+        schedule="coverage")
     campaign.run()
     assert campaign.leases == EXPECTED_LEASES
 

@@ -1,11 +1,12 @@
 """Tests for the sharded, process-parallel campaign engine."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.compilers.bugs import BugConfig
-from repro.core.fuzzer import BugReport, CampaignResult, FuzzerConfig
+from repro.core.fuzzer import BugReport, CampaignResult, Fuzzer, FuzzerConfig
 from repro.core.generator import GeneratorConfig
 from repro.core.parallel import (
     ParallelCampaign,
@@ -18,6 +19,7 @@ from repro.core.parallel import (
     shard_configs,
     shard_seed,
 )
+from repro.testing import tiny_campaign_config
 
 
 def _loaded_states(campaign):
@@ -53,11 +55,12 @@ class TestShardConfigs:
         shards = shard_configs(FuzzerConfig(max_iterations=10), 4)
         assert [shard.max_iterations for shard in shards] == [3, 3, 2, 2]
 
-    def test_unbounded_budget_passes_through(self):
-        shards = shard_configs(FuzzerConfig(max_iterations=None,
-                                            time_budget=1.0), 2)
-        assert all(shard.max_iterations is None for shard in shards)
-        assert all(shard.time_budget == 1.0 for shard in shards)
+    def test_unbounded_budget_is_rejected(self):
+        config = FuzzerConfig(max_iterations=None)
+        with pytest.raises(ValueError, match="max_iterations"):
+            shard_configs(config, 2)
+        with pytest.raises(ValueError, match="max_iterations"):
+            Fuzzer([], config)
 
     def test_shard_seeds_disjoint_across_shards_and_campaigns(self):
         seeds = {shard_seed(c, i) for c in range(4) for i in range(8)}
@@ -223,6 +226,43 @@ class TestCheckpointResume:
                                     opt_levels=[2])
         assert all(state.result is None and not state.done
                    for state in _loaded_states(matrixed))
+
+    def test_pipeline_participates_in_the_fingerprint(self):
+        # A campaign's pipeline changes what its cells find, so a
+        # checkpoint of one pipeline must never resume the other.
+        config = tiny_campaign_config(iterations=6, n_nodes=8)
+        canonical = ParallelCampaign(config=config)
+        o0 = ParallelCampaign(config=dataclasses.replace(config,
+                                                         pipeline="O0"))
+        assert canonical._checkpoint_fingerprint(2) != \
+            o0._checkpoint_fingerprint(2)
+
+    #: A different value for every ``FuzzerConfig`` field.  A new field
+    #: fails the test below until it gets an entry here.
+    _CHANGED_FIELDS = {
+        "generator": GeneratorConfig(n_nodes=5),
+        "value_search_method": "sampling",
+        "value_search_max_steps": 16,
+        "max_iterations": 7,
+        "bugs": BugConfig.none(),
+        "seed": 5,
+        "probe_operator_support": False,
+        "strategy": "graphfuzzer",
+        "oracle": "perf",
+        "pipeline": "O0",
+        "verify_passes": True,
+    }
+
+    @pytest.mark.parametrize(
+        "name", [field.name for field in dataclasses.fields(FuzzerConfig)])
+    def test_every_config_field_participates_in_the_fingerprint(self, name):
+        # The fingerprint takes the config in its wire encoding, so no
+        # field a worker computes with can be left out of it.
+        config = tiny_campaign_config(iterations=6, n_nodes=8)
+        changed = dataclasses.replace(config,
+                                      **{name: self._CHANGED_FIELDS[name]})
+        assert ParallelCampaign(config=config)._checkpoint_fingerprint(2) != \
+            ParallelCampaign(config=changed)._checkpoint_fingerprint(2)
 
     def test_malformed_cell_entries_are_skipped(self, tmp_path):
         config = _campaign_config(4, seed=9)

@@ -181,7 +181,7 @@ class TestCheckpointV6:
             interrupted.run()
 
         payload = json.loads(open(path, encoding="utf-8").read())
-        assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION == 7
+        assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION == 8
         completed_before = {
             key: sum(end - start + 1 for start, end in entry["completed"])
             for key, entry in payload["cells"].items()

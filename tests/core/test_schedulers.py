@@ -73,13 +73,11 @@ class TestRegistry:
                          "coverage": True}
 
     def test_chunk_sizes(self):
-        assert build_scheduler("static").chunk_size(12, False) == 12
-        assert build_scheduler("adaptive").chunk_size(12, False) == 3
-        assert build_scheduler("coverage").chunk_size(12, False) == 3
-        # explicit chunk_iterations wins for every scheduler ...
-        assert build_scheduler("static", 2).chunk_size(12, False) == 2
-        # ... and time-budgeted cells are never split (budget multiplication)
-        assert build_scheduler("coverage", 2).chunk_size(12, True) == 12
+        assert build_scheduler("static").chunk_size(12) == 12
+        assert build_scheduler("adaptive").chunk_size(12) == 3
+        assert build_scheduler("coverage").chunk_size(12) == 3
+        # explicit chunk_iterations wins for every scheduler
+        assert build_scheduler("static", 2).chunk_size(12) == 2
 
 
 class TestCoverageSchedulerPolicy:
@@ -222,7 +220,7 @@ class TestCheckpointPersistence:
             interrupted.run()
 
         payload = json.loads(open(path, encoding="utf-8").read())
-        assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION == 7
+        assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION == 8
         assert payload["scheduler"]["name"] == "coverage"
         assert payload["scheduler"]["state"]["recent"]  # rates persisted
         # per-cell cumulative coverage is in the checkpoint
@@ -281,12 +279,13 @@ class TestCheckpointPersistence:
         assert not resumed.coverage_arcs
         assert not resumed.coverage_timeline
 
-    def test_v3_checkpoints_are_rejected_loudly(self, tmp_path):
+    @pytest.mark.parametrize("version", [3, 7])
+    def test_v3_checkpoints_are_rejected_loudly(self, tmp_path, version):
         config = tiny_campaign_config(iterations=4, seed=3)
         path = tmp_path / "old.ckpt.json"
-        path.write_text(json.dumps({"format_version": 3, "cells": {}}),
+        path.write_text(json.dumps({"format_version": version, "cells": {}}),
                         encoding="utf-8")
-        with pytest.raises(ReproError, match="format_version 3"):
+        with pytest.raises(ReproError, match=f"format_version {version}"):
             run_parallel_campaign(config=config, n_workers=1,
                                   checkpoint_path=str(path))
 

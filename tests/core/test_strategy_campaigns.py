@@ -1,18 +1,16 @@
-"""Engine tests for the generator axis, pool modes and time-budget resume.
+"""Engine tests for the generator axis and pool modes.
 
 The acceptance-critical scenarios: per-strategy serial-vs-parallel
 equivalence, a generator-axis matrix campaign interrupted mid-cell whose
-resume reproduces the uninterrupted result exactly, opt-in per-subset
-operator pools, and mid-cell checkpoint resume for pure time-budget cells.
+resume reproduces the uninterrupted result exactly, and opt-in per-subset
+operator pools.
 """
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.core.parallel import (
-    MIN_RESUME_BUDGET,
     ParallelCampaign,
     _cell_tester,
     build_matrix,
@@ -173,64 +171,3 @@ class TestPoolModes:
             generators=["graphfuzzer", "lemon"])
         tasks = campaign._build_tasks()
         assert all(task.config.probe_operator_support for task in tasks)
-
-
-@pytest.mark.campaign
-class TestTimeBudgetResume:
-    def _config(self):
-        return dataclasses.replace(tiny_campaign_config(seed=3, n_nodes=4),
-                                   max_iterations=None, time_budget=6.0)
-
-    def test_interrupted_time_budget_cell_resumes_mid_stream(self, tmp_path):
-        config = self._config()
-        path = str(tmp_path / "tb.ckpt.json")
-        interrupted = InterruptAfter(interrupt_after=4, config=config,
-                                     n_workers=1, checkpoint_path=path)
-        with pytest.raises((KeyboardInterrupt, ReproError)):
-            interrupted.run()
-
-        cell = json.loads(open(path, encoding="utf-8").read())["cells"][
-            "shard0|<default>|O?"]
-        assert cell["completed"] == [[1, 4]]
-        assert cell["time_used"] > 0
-        assert not cell["done"]
-
-        resumed = FoldCounter(config=config, n_workers=1,
-                              checkpoint_path=path)
-        result = resumed.run()
-        executed = resumed.folds["shard0|<default>|O?"]
-        # the resumed cell continued after iteration 4, never re-ran 1-4
-        assert min(executed) == 5
-        assert result.iterations == 4 + len(executed)
-
-        cell_after = json.loads(open(path, encoding="utf-8").read())["cells"][
-            "shard0|<default>|O?"]
-        assert cell_after["done"]
-        assert cell_after["time_used"] >= cell["time_used"]
-
-        # a third run finds the budget consumed and executes nothing
-        third = FoldCounter(config=config, n_workers=1,
-                            checkpoint_path=path)
-        final = third.run()
-        assert third.folds == {}
-        assert final.iterations == result.iterations
-
-    def test_exhausted_budget_cell_is_done_on_load(self, tmp_path):
-        config = self._config()
-        path = str(tmp_path / "tb2.ckpt.json")
-        interrupted = InterruptAfter(interrupt_after=2, config=config,
-                                     n_workers=1, checkpoint_path=path)
-        with pytest.raises((KeyboardInterrupt, ReproError)):
-            interrupted.run()
-        payload = json.loads(open(path, encoding="utf-8").read())
-        key = "shard0|<default>|O?"
-        # forge a checkpoint whose budget is (almost) fully consumed
-        payload["cells"][key]["time_used"] = \
-            config.time_budget - MIN_RESUME_BUDGET / 2
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        resumed = FoldCounter(config=config, n_workers=1,
-                              checkpoint_path=path)
-        result = resumed.run()
-        assert resumed.folds == {}
-        assert result.iterations == 2

@@ -155,69 +155,6 @@ class TestLeaseSizing:
         assert scheduler.lease_iterations(0, base=4, remaining=100) == 4
 
 
-class TestStagnationClock:
-    def test_compute_seconds_accumulate_and_reset(self):
-        scheduler = CoverageScheduler()
-        assert scheduler.seconds_since_novelty(0) == 0.0
-        scheduler.observe(0, new_arcs=0, duration=2.0)
-        scheduler.observe(0, new_arcs=0, duration=3.0)
-        assert scheduler.seconds_since_novelty(0) == pytest.approx(5.0)
-        scheduler.observe(0, new_arcs=1, duration=1.0)
-        assert scheduler.seconds_since_novelty(0) == 0.0
-
-    def test_stagnation_survives_state_round_trip(self):
-        scheduler = CoverageScheduler()
-        scheduler.observe(0, new_arcs=0, duration=2.5)
-        restored = CoverageScheduler()
-        restored.load_state(json.loads(json.dumps(scheduler.state_dict())))
-        assert restored.seconds_since_novelty(0) == pytest.approx(2.5)
-
-    def test_stagnation_budget_requires_coverage_scheduler(self):
-        config = tiny_campaign_config(iterations=2)
-        with pytest.raises(ReproError, match="coverage"):
-            run_parallel_campaign(config=config, n_workers=1,
-                                  schedule="static", stagnation_budget=1.0)
-
-
-# --------------------------------------------------------------------------- #
-# Stagnation-driven early termination (coverage scheduler required)
-# --------------------------------------------------------------------------- #
-@pytest.mark.campaign
-class TestEarlyTermination:
-    def test_zero_budget_terminates_plateaued_cell(self, tmp_path):
-        # With a zero budget, the first iteration that adds no globally-new
-        # arc terminates its cell; a tiny generator saturates its arc set
-        # well before 16 iterations.
-        config = tiny_campaign_config(iterations=16, seed=3)
-        path = str(tmp_path / "stagnated.ckpt.json")
-        events = []
-        campaign = ParallelCampaign(
-            config=config, n_workers=1, schedule="coverage",
-            stagnation_budget=0.0, checkpoint_path=path,
-            on_event=lambda kind, key, payload: events.append((kind, key)))
-        result = campaign.run()
-        terminated = [outcome for outcome in result.cells.values()
-                      if outcome.early_terminated]
-        assert terminated, "no cell hit the zero stagnation budget"
-        assert result.iterations < 16
-        assert any(kind == "cell_stagnated" for kind, _key in events)
-
-        # v7 checkpoints persist the provenance; a resume must not re-run
-        # (or un-terminate) the stagnated cell.
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert payload["format_version"] == 7
-        assert any(entry.get("early_terminated")
-                   for entry in payload["cells"].values())
-        resumed = ParallelCampaign(config=config, n_workers=1,
-                                   schedule="coverage",
-                                   stagnation_budget=0.0,
-                                   checkpoint_path=path).run()
-        assert campaign_signature(resumed) == campaign_signature(result)
-        assert any(outcome.early_terminated
-                   for outcome in resumed.cells.values())
-
-
 # --------------------------------------------------------------------------- #
 # The headline equivalence: in-process == local pool == socket fleet
 # --------------------------------------------------------------------------- #

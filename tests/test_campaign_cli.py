@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.campaign as campaign_module
 from repro.campaign import (
     build_parser,
     main,
@@ -57,6 +58,22 @@ class TestArgumentParsing:
         assert parse_oracles(args) == ["difftest", "perf", "gradcheck"]
         assert parse_oracles(_parse()) is None
 
+    @pytest.mark.parametrize("argv", [
+        ["--time-budget", "1"],
+        ["--stagnation-budget", "1"],
+        ["serve", "--time-budget", "1"],
+        ["serve", "--stagnation-budget", "1"],
+    ], ids=["time-budget", "stagnation-budget", "serve-time-budget",
+            "serve-stagnation-budget"])
+    def test_wall_clock_budgets_are_unknown_arguments(self, argv, capsys):
+        # Iterations alone bound a campaign; a wall-clock budget flag must
+        # fail loudly rather than be taken for a bound that still applies.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in \
+            capsys.readouterr().err
+
 
 class TestSerialModeErrorsLoudly:
     def test_serial_with_checkpoint_is_an_error(self, tmp_path, capsys):
@@ -105,6 +122,19 @@ class TestCampaignRuns:
         assert main(["--serial", "--iterations", "2", "--nodes", "4",
                      "--quiet"]) == 0
         assert "iterations" in capsys.readouterr().out
+
+    def test_serial_reference_path_honours_shards(self, monkeypatch):
+        # Both paths split the campaign over --shards, so the same flags
+        # give the same findings with and without --serial.
+        results = []
+        monkeypatch.setattr(campaign_module, "print_summary", results.append)
+        flags = ["--workers", "1", "--shards", "2", "--iterations", "6",
+                 "--nodes", "6", "--seed", "4", "--quiet"]
+        assert main(["--serial", *flags]) == 0
+        assert main(flags) == 0
+        serial, engine = results
+        assert campaign_signature(serial)[:7] == \
+            campaign_signature(engine)[:7]
 
     @pytest.mark.smoke
     def test_workers_one_runs_in_process_with_checkpoint(
