@@ -15,16 +15,16 @@ test-all:
 
 # Fast end-to-end smoke: exercises the sharded/matrix parallel campaign path
 # (2-worker ~10-iteration campaigns + the scaling benchmark) and the
-# one-worker inline path (its pinned lease order and the check that
-# --workers 1 starts no process) in well under a minute.
+# one-worker inline path (the check that --workers 1 starts no process) in
+# well under a minute.
 smoke:
 	$(PYTHON) -m pytest -q -m smoke tests benchmarks
 
-# Coverage-feedback smoke: scheduler equivalence (static/adaptive/coverage
-# findings identical) plus the coverage-scheduling overhead benchmark.
+# Coverage-tracing smoke: findings identical with --coverage on and off,
+# plus the tracing overhead benchmark.
 smoke-coverage:
-	$(PYTHON) -m pytest -q -m smoke tests/core/test_schedulers.py \
-		benchmarks/test_scheduler_overhead.py
+	$(PYTHON) -m pytest -q -m smoke tests/core/test_coverage_campaign.py \
+		benchmarks/test_coverage_overhead.py
 
 # Oracle-axis smoke: a tiny difftest/perf/gradcheck matrix campaign with
 # per-oracle Venn slicing (every oracle is deterministic, so seed 30 always

@@ -4,8 +4,7 @@ The paper's headline metric is bugs-found-per-unit-time, which at fixed
 per-iteration cost reduces to iteration throughput.  This benchmark runs the
 same campaign budget through the serial ``Fuzzer`` loop and through
 ``run_parallel_campaign`` and prints iterations/second for each, then does
-the same for a compiler-set × opt-level matrix campaign with adaptive chunk
-scheduling.
+the same for a compiler-set × opt-level matrix campaign.
 
 On a machine with >= 4 cores the 4-worker parallel run must reach at least
 2x the serial throughput; on smaller boxes the speedup assertion is relaxed
@@ -81,8 +80,9 @@ def test_parallel_scaling(once):
 
 @pytest.mark.smoke
 def test_matrix_campaign_scaling(once):
-    """Adaptive matrix scheduling: a 2-subset × 2-opt-level campaign keeps
-    all workers busy and preserves per-cell iteration budgets exactly."""
+    """A 2-subset × 2-opt-level matrix campaign, its unlike cells leased
+    in shrinking pieces across the pool, preserves per-cell iteration
+    budgets exactly."""
     iterations = 12
     subsets = [["graphrt", "deepc"], ["turbo"]]
 
@@ -97,8 +97,7 @@ def test_matrix_campaign_scaling(once):
                 seed=17,
             ),
             n_workers=WORKERS, n_shards=2,
-            compiler_sets=subsets, opt_levels=[0, 2],
-            schedule="adaptive")
+            compiler_sets=subsets, opt_levels=[0, 2])
         return result, time.monotonic() - start
 
     result, elapsed = once(run_matrix)

@@ -32,8 +32,8 @@ python -m repro.campaign worker --connect "127.0.0.1:$PORT" --name worker-a &
 python -m repro.campaign worker --connect "127.0.0.1:$PORT" --name worker-b &
 
 # 3. Watch it run: the status endpoint answers on the same port with
-#    per-cell progress, novelty-per-second, findings count, and the
-#    worker roster with heartbeat ages.
+#    per-cell progress, findings count, and the worker roster with
+#    heartbeat ages.
 sleep 2
 python -m repro.campaign status --connect "127.0.0.1:$PORT" || true
 

@@ -15,9 +15,12 @@ levels (:mod:`repro.core.parallel`):
   ``SeedSequence((shard_seed, generator_seed, iteration, stream))`` — so
   shards explore disjoint model streams while every *combination* replays
   the identical streams (apples-to-apples per-backend comparison);
-* workers lease work from a shared queue; with ``schedule="adaptive"`` a
-  cell's budget is split into chunks so a worker whose cell finishes early
-  steals the remaining iterations of slower cells;
+* workers lease work from a shared queue, one lease per cell, so a
+  worker whose cell finishes early picks up the next unleased cell
+  (``n_shards`` splits a campaign into more, smaller cells); cells of
+  different combinations differ in cost, so a matrix campaign leases them
+  in pieces that shrink as it drains, and a worker that finishes early
+  takes the rest of a slower cell;
 * every completed iteration is streamed to the coordinator, which folds it
   into per-cell results (global report dedup via ``CampaignResult.merge``)
   and, when a checkpoint path is set, persists it — a campaign killed
@@ -65,7 +68,6 @@ def main(iterations: int = 150, workers: int = 1, matrix: bool = False) -> None:
             n_workers=max(workers, 1),
             compiler_sets=[["graphrt", "deepc"], ["turbo"]],
             opt_levels=[0, 2],
-            schedule="adaptive",
         )
     elif workers > 1:
         print(f"Fuzzing graphrt, deepc, turbo for {iterations} iterations "

@@ -62,16 +62,16 @@ campaign early, press Ctrl-C and re-run the same command later::
     python -m repro.campaign --iterations 200 --workers 4 \\
         --checkpoint campaign.ckpt.json
 
-``--schedule`` picks the lease scheduler (:mod:`repro.core.schedule`):
-``static`` pre-plans one lease per cell, ``adaptive`` splits budgets into
-chunks that idle workers steal from slower cells, and ``coverage`` turns
-the campaign into a coverage-guided one — workers trace compiler branch
-arcs per iteration and stream deltas to the coordinator, which leases the
-next chunk to the cell with the best recent novelty-per-second and records
-per-cell and global coverage-over-time series (the Figure 4/5-style
-curves).  Scheduling never changes *which* iterations run: the merged
-findings are bit-identical across all three (only lease order/placement
-moves).
+Pin ``--shards`` to resume on another ``--workers``: the shard count
+defaults to the worker count, so otherwise the checkpoint is refused.
+
+``--coverage`` traces compiler branch arcs around every oracle call:
+workers stream per-iteration deltas to the coordinator, which records
+per-cell arc sets and per-cell and global coverage-over-time series (the
+Figure 4/5-style curves).  Tracing never changes *which* iterations run,
+so the merged findings are bit-identical with and without it.  Every cell
+is one lease (``--shards`` splits finer); only cells of unlike cost, across
+a matrix axis, are split across a pool or fleet.
 
 ``--workers 1`` runs the campaign in-process: the one worker is an inline
 transport whose lease frames the coordinator pulls one at a time, through
@@ -101,7 +101,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.compilers.base import registered_compilers
 from repro.compilers.bugs import bug_spec
@@ -115,23 +115,37 @@ from repro.core.parallel import (
     run_parallel_campaign,
     run_sharded_serial,
 )
-from repro.core.schedule import DEFAULT_SCHEDULER, registered_schedulers
 from repro.core.strategy import DEFAULT_STRATEGY, registered_strategies
 from repro.experiments.venn import campaign_cell_sets, format_venn_table
+
+
+def count_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type`` for integers of at least ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)  # argparse reports "invalid count value: ..."
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign",
         description="Sharded / matrix process-parallel fuzzing campaign runner.")
-    parser.add_argument("--iterations", type=int, default=100,
+    parser.add_argument("--iterations", type=count_at_least(1), default=100,
                         help="total iterations per compiler-set x opt-level "
                              "combination, split across shards (default 100)")
-    parser.add_argument("--workers", type=int, default=2,
+    parser.add_argument("--workers", type=count_at_least(0), default=2,
                         help="worker processes; 1 = in-process, "
                              "0 = serial reference (default 2)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="shards per combination (default: --workers)")
+    parser.add_argument("--shards", type=count_at_least(1), default=None,
+                        help="shards per combination (default: --workers; "
+                             "pin it to resume a checkpoint with another "
+                             "--workers)")
     parser.add_argument("--serial", action="store_true",
                         help="run the serial reference path: one Fuzzer "
                              "per shard, merged")
@@ -178,16 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(apples-to-apples streams); 'per-subset' lets "
                              "each cell fuzz every operator its own subset "
                              "supports (default union)")
-    parser.add_argument("--schedule", default=DEFAULT_SCHEDULER,
-                        choices=registered_schedulers(),
-                        help="lease scheduler: 'static' pre-plans cell "
-                             "budgets, 'adaptive' lets idle workers steal "
-                             "from slower cells, 'coverage' leases by "
-                             "recent new-arc rate using per-iteration "
-                             "coverage feedback (findings are identical "
-                             "across schedulers; default "
-                             f"{DEFAULT_SCHEDULER})")
-    parser.add_argument("--nodes", type=int, default=10,
+    parser.add_argument("--coverage", action="store_true",
+                        help="trace compiler branch arcs around every "
+                             "oracle call and report per-cell coverage "
+                             "(findings are identical without it)")
+    parser.add_argument("--nodes", type=count_at_least(1), default=10,
                         help="operators per generated model (default 10)")
     parser.add_argument("--seed", type=int, default=0,
                         help="campaign seed (default 0)")
@@ -202,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "iterations (default 1 = finest resume "
                              "granularity; raise for long campaigns — the "
                              "snapshot is rewritten in full on every save, "
-                             "and with --schedule coverage it includes "
-                             "every cell's cumulative arc set, so per-"
-                             "iteration saves grow quadratic in coverage)")
+                             "and with --coverage it includes every cell's "
+                             "cumulative arc set, so per-iteration saves "
+                             "grow quadratic in coverage)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress streamed per-finding progress")
     parser.add_argument("--verify-passes", action="store_true",
@@ -369,10 +378,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error("--compilers/--matrix/--generators/--oracles/"
                          "--pipelines require the parallel engine; use "
                          "--workers 1 for an in-process matrix run")
-        if args.schedule != DEFAULT_SCHEDULER:
-            # The reference path has no lease scheduler at all; silently
-            # ignoring the flag would look like coverage-guided scheduling.
-            parser.error("--schedule requires the parallel engine; use "
+        if args.coverage:
+            # The reference path traces nothing; silently ignoring the flag
+            # would hand the user a campaign without its coverage.
+            parser.error("--coverage requires the parallel engine; use "
                          "--workers 1 for an in-process run")
         print(f"Fuzzing graphrt, deepc, turbo for {args.iterations} "
               f"iterations serially ...")
@@ -394,8 +403,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         mode += f" x pipe[{','.join(pipelines)}]"
     how = "in-process" if n_workers == 1 else \
         f"across {n_workers} worker processes"
-    print(f"Fuzzing {mode} for {args.iterations} iterations {how} "
-          f"({args.schedule} scheduling) ...")
+    traced = ", tracing coverage" if args.coverage else ""
+    print(f"Fuzzing {mode} for {args.iterations} iterations {how}"
+          f"{traced} ...")
 
     def on_event(kind, cell_key, payload):
         if kind == "progress" and not args.quiet:
@@ -415,7 +425,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         n_shards=args.shards,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
-        schedule=args.schedule,
+        trace_coverage=args.coverage,
         on_event=on_event,
         fault_tolerance=args.fault_tolerance,
     )

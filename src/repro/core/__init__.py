@@ -32,13 +32,6 @@ from repro.core.oracle import (
     register_oracle,
     registered_oracles,
 )
-from repro.core.schedule import (
-    DEFAULT_SCHEDULER,
-    Scheduler,
-    build_scheduler,
-    register_scheduler,
-    registered_schedulers,
-)
 from repro.core.strategy import (
     DEFAULT_STRATEGY,
     GenerationStrategy,
@@ -77,22 +70,17 @@ __all__ = [
     "BugReport",
     "CrashOnlyOracle",
     "DEFAULT_ORACLE",
-    "DEFAULT_SCHEDULER",
     "DEFAULT_STRATEGY",
     "GenerationStrategy",
     "MOTIFS",
-    "Scheduler",
     "ShapeOnlyOracle",
     "StrategyCapabilities",
     "TargetedStrategy",
     "build_oracle",
-    "build_scheduler",
     "build_strategy",
     "register_oracle",
-    "register_scheduler",
     "register_strategy",
     "registered_oracles",
-    "registered_schedulers",
     "registered_strategies",
     "wrap_model",
     "CampaignResult",

@@ -133,7 +133,8 @@ class IterationResult(Message):
     the iteration's partial result (coverage arcs stripped — they travel as
     a separate :class:`CoverageDelta` frame); ``duration`` is the
     iteration's wall-clock seconds on the worker, telemetry for the cell's
-    compute-time axis and the coverage scheduler's novelty rates.
+    compute-time axis (the status snapshot's ``time_used`` and the
+    ``cell_elapsed`` of coverage samples).
     """
 
     kind = "iter"

@@ -27,8 +27,8 @@ Three subcommands hang off ``python -m repro.campaign``:
 
       python -m repro.campaign status --connect host:7777
 
-  The snapshot carries per-cell progress, novelty-per-second, findings
-  count, worker roster and lease round-trip latency.
+  The snapshot carries per-cell progress, findings count, worker roster
+  and lease round-trip latency.
 """
 
 from __future__ import annotations
@@ -328,7 +328,7 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         else max(args.workers, 1),
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
-        schedule=args.schedule,
+        trace_coverage=args.coverage,
         on_event=on_event,
         transport=transport,
         fault_tolerance=args.fault_tolerance,

@@ -9,7 +9,7 @@ message, and every worker behind it runs the same lease generator
 * :class:`InlineTransport` — the one-worker fleet inside the coordinator's
   own process.  It pulls a lease's frames one at a time, so nothing is
   spawned or pickled and each iteration is folded (and checkpointed)
-  before the next one runs; it buffers no lease ahead (``lookahead`` 0).
+  before the next one runs.
 * :class:`LocalTransport` — the historical ``multiprocessing`` pool.  A
   shared task queue carries encoded leases, a shared result queue carries
   encoded worker messages, liveness is ``Process.is_alive``.  Because the
@@ -24,7 +24,7 @@ message, and every worker behind it runs the same lease generator
   answers :class:`~repro.core.fabric.protocol.StatusRequest` frames with
   the coordinator's latest status snapshot — the live dashboard feed.
 
-The coordinator's one drain loop folds, checkpoints and schedules
+The coordinator's one drain loop folds, checkpoints and hands out leases
 identically over all three — which is the point: campaign findings and
 checkpoints depend on the protocol, never on the wire.
 """
@@ -185,9 +185,6 @@ class InlineTransport(CoordinatorTransport):
     def start(self, tasks: List[Any], factory: Callable) -> None:
         self._tasks = list(tasks)
         self._factory = factory
-
-    def lookahead(self) -> int:
-        return 0
 
     def offer(self, lease: Lease) -> None:
         self._leases.append(lease)

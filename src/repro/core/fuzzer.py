@@ -130,9 +130,9 @@ class CellOutcome:
     oracle: Optional[str] = None
     #: Compiler branch arcs this cell covered, as encoded strings
     #: (:func:`repro.compilers.coverage.arc_to_str`).  Empty unless the
-    #: campaign ran with coverage feedback (``--schedule coverage``), in
-    #: which case :func:`repro.experiments.venn.campaign_cell_sets` slices
-    #: coverage along any matrix axis exactly like bugs.
+    #: campaign traced coverage (``--coverage``), in which case
+    #: :func:`repro.experiments.venn.campaign_cell_sets` slices coverage
+    #: along any matrix axis exactly like bugs.
     coverage_arcs: Set[str] = field(default_factory=set)
     #: Pipeline token of this cell; None means "the canonical pipeline of
     #: the cell's opt level" (campaigns without a pipeline axis keep their
@@ -527,9 +527,14 @@ class Fuzzer:
                  config: Optional[FuzzerConfig] = None) -> None:
         self.compilers = list(compilers)
         self.config = config or FuzzerConfig()
-        if self.config.max_iterations is None:
-            raise ValueError("max_iterations must be an iteration count: "
-                             "iterations alone bound a campaign")
+        if self.config.max_iterations is None or \
+                self.config.max_iterations < 0:
+            # Zero is a legitimate shard: 1 iteration over 3 shards splits
+            # 1/0/0.
+            raise ValueError("max_iterations must be a non-negative "
+                             "iteration count, got "
+                             f"{self.config.max_iterations!r}: iterations "
+                             "alone bound a campaign")
         self.tester = build_oracle(self.config.oracle, self.compilers,
                                    bugs=self.config.bugs)
         self.strategy = build_strategy(self.config.strategy, self.config)

@@ -35,8 +35,8 @@ Three properties distinguish the matrix engine from a flat shard list:
 * **Intra-cell checkpointing.**  Workers stream every completed iteration's
   folded result back to the coordinator, which persists an incremental JSON
   checkpoint (``format_version`` 8): per cell, the accumulated
-  :class:`CampaignResult` (including cumulative coverage arcs), the exact
-  set of completed iterations, plus the scheduler's state.  An
+  :class:`CampaignResult` (including cumulative coverage arcs) and the
+  exact set of completed iterations.  An
   interrupted cell resumes *mid-stream* — only the missing iterations are
   re-executed — instead of restarting at whole-shard granularity.  This is
   sound because every iteration is seeded purely from ``(config,
@@ -44,23 +44,21 @@ Three properties distinguish the matrix engine from a flat shard list:
   can be re-executed in any order on any worker.  Every cell is bounded by
   its iteration count alone, so no wall clock decides which iterations
   run; a campaign stopped with Ctrl-C resumes from its checkpoint.
-* **Pluggable scheduling.**  How cell budgets are chunked into leases and
-  in which order leases are handed to workers is a first-class *scheduler*
-  (:mod:`repro.core.schedule`): ``static`` pre-plans one lease per cell,
-  ``adaptive`` splits budgets so idle workers steal from slower cells, and
-  ``coverage`` is a novelty-rate bandit — workers trace compiler branch
-  arcs per iteration and ship *deltas* up the feedback channel
-  (:class:`repro.compilers.coverage.CoverageFeedback`), the coordinator
-  maintains the global arc union plus per-cell new-arc rates, and each
-  lease goes to the cell with the best recent novelty-per-second.  A
-  scheduler may only reorder and redirect leases — it never changes which
-  ``(config, iteration)`` pairs run or their seeds, so campaigns produce
-  bit-identical findings under every scheduler.
+* **Whole-cell leases.**  Requeued work goes out first, then each cell
+  whole, in cell order (``n_shards`` splits finer); only cells of unlike
+  cost are split across live workers (:meth:`ParallelCampaign._next_lease`).
+  With ``trace_coverage`` on, workers trace compiler branch arcs per
+  iteration and ship *deltas* up the feedback channel
+  (:class:`repro.compilers.coverage.CoverageFeedback`), and the
+  coordinator keeps per-cell arc sets, the campaign-wide union and the
+  coverage-over-time series behind Figures 4–8.  Tracing records arcs
+  and never changes which ``(config, iteration)`` pairs run or their
+  seeds.
 
 Determinism: the merged found-bug sets, per-cell iteration counts and
 deduplicated report keys depend only on the campaign config and matrix
-shape — not on worker count, chunking, interruption, scheduler choice, or
-scheduling order.
+shape — not on worker count, lease order, interruption or coverage
+tracing.
 
 Checkpoints are fingerprinted by everything that changes what a cell
 computes — including the compiler subsets and opt levels of the matrix —
@@ -72,7 +70,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import time
 from collections import deque
@@ -98,7 +95,6 @@ from repro.core.fuzzer import (BugReport, CampaignResult, CellOutcome, Fuzzer,
                                FuzzerConfig, probe_supported_pool,
                                single_iteration_result)
 from repro.core.oracle import build_oracle
-from repro.core.schedule import DEFAULT_SCHEDULER, build_scheduler
 from repro.core.strategy import (GenerationStrategy, build_strategy,
                                  registered_strategies)
 from repro.errors import ReproError
@@ -112,10 +108,11 @@ from repro.graph.serialize import to_jsonable
 #: fingerprint: the transport, the worker count and the fault-tolerance
 #: mode — a campaign checkpointed on local queues resumes over sockets (and
 #: vice versa) because what a cell computes is seeded purely from
-#: ``(config, iteration)``.  Older checkpoints are *rejected with an error*
-#: rather than silently discarded: an old file is a real mid-campaign state
-#: the user cared about, and quietly restarting from scratch would look
-#: like resume while throwing that state away.
+#: ``(config, iteration)``.  Older checkpoints, and v8 checkpoints of another
+#: campaign, are *rejected with an error* rather than silently discarded: an
+#: old file is a real mid-campaign state the user cared about, and quietly
+#: restarting from scratch would look like resume while throwing that state
+#: away.  The ``scheduler`` entry that v8 files once carried is ignored.
 CHECKPOINT_FORMAT_VERSION = 8
 
 #: Accepted ``ParallelCampaign.fault_tolerance`` modes.  ``"fail"`` is the
@@ -165,14 +162,16 @@ def shard_configs(config: FuzzerConfig, n_workers: int) -> List[FuzzerConfig]:
     """Split a campaign config into per-shard configs with disjoint seeds.
 
     The iteration budget, the only bound a campaign has, is divided as
-    evenly as possible (earlier shards absorb the remainder).
+    evenly as possible (earlier shards absorb the remainder, and shards
+    beyond the budget get none).
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     total = config.max_iterations
-    if total is None:
-        raise ValueError("max_iterations must be an iteration count: "
-                         "iterations alone bound a campaign")
+    if total is None or total < 1:
+        raise ValueError("max_iterations must be an iteration count of at "
+                         f"least 1, got {total!r}: iterations alone bound "
+                         "a campaign")
     shards: List[FuzzerConfig] = []
     for index in range(n_workers):
         budget = total // n_workers + (1 if index < total % n_workers else 0)
@@ -242,7 +241,8 @@ class CellTask:
 
     ``trace_coverage`` tells the executing worker to trace compiler branch
     arcs per iteration and ship deltas up the feedback channel — set by the
-    coordinator when the campaign's scheduler wants coverage telemetry.
+    coordinator when the campaign traces coverage
+    (``ParallelCampaign.trace_coverage``).
     (It rides on the task, not the worker entry point, so the worker
     signature stays stable for tests that substitute workers.)
     """
@@ -436,6 +436,21 @@ def campaign_result_from_dict(payload: Dict[str, Any]) -> CampaignResult:
     )
 
 
+def _differences(saved: Dict[str, Any], current: Dict[str, Any],
+                 prefix: str = "") -> List[str]:
+    """``"key: A in the checkpoint, B now"`` per differing entry of two
+    checkpoint fingerprints (nested keys dotted, values cut at 40)."""
+    lines = []
+    for key in sorted(set(saved) | set(current)):
+        old, new = saved.get(key), current.get(key)
+        if isinstance(old, dict) and isinstance(new, dict):
+            lines += _differences(old, new, f"{prefix}{key}.")
+        elif old != new:
+            lines.append(f"{prefix}{key}: {json.dumps(old)[:40]} in the "
+                         f"checkpoint, {json.dumps(new)[:40]} now")
+    return lines
+
+
 def _ranges_from_iterations(iterations: Set[int]) -> List[List[int]]:
     """Compact a set of iteration indices into inclusive [start, end] runs."""
     runs: List[List[int]] = []
@@ -537,8 +552,8 @@ def lease_frames(worker: str, lease: Lease, factory: CompilerFactory,
     pass ``tasks=None`` and rebuild the cell task from the lease's payload.
     ``runtimes`` caches each cell's built tester across a worker's leases.
     ``lease.stop`` is inclusive.  Each iteration's wall-clock ``duration``
-    is telemetry only: it feeds the cell's compute-time axis and the
-    coverage scheduler's novelty rates, never which iterations run.
+    is telemetry only: it feeds the cell's compute-time axis, never which
+    iterations run.
     """
     cell_index = lease.cell_index
     yield Claim(worker=worker, chunk_id=lease.chunk_id, cell_index=cell_index)
@@ -629,10 +644,6 @@ class _CellState:
     unleased: Set[int] = field(default_factory=set)
     #: Leases of this cell currently offered or running.
     outstanding: int = 0
-    #: The scheduler's base lease size for this cell, fixed at the cell's
-    #: first lease so a cell is carved into equal chunks (the historical
-    #: pre-planned granularity) before any novelty-rate scaling.
-    lease_base: Optional[int] = None
     #: Workers excluded from this cell's future leases (each worker that
     #: died holding one of its leases, in ``fault_tolerance="requeue"``).
     exclude: Set[str] = field(default_factory=set)
@@ -685,15 +696,10 @@ class ParallelCampaign:
     n_shards: Optional[int] = None
     #: Persist per-iteration progress here and resume mid-cell on re-run.
     checkpoint_path: Optional[str] = None
-    #: Registered scheduler ordering chunk leases (:mod:`repro.core.schedule`):
-    #: ``static`` (pre-planned), ``adaptive`` (work stealing) or ``coverage``
-    #: (novelty-rate bandit over per-iteration arc deltas).  Scheduling never
-    #: changes which iterations run — findings are identical across
-    #: schedulers; only lease order/placement (and, for ``coverage``, the
-    #: collected telemetry) differ.
-    schedule: str = DEFAULT_SCHEDULER
-    #: Explicit chunk size in iterations (implies chunked scheduling).
-    chunk_iterations: Optional[int] = None
+    #: Trace compiler branch arcs around every oracle call: cells then carry
+    #: their arc sets and coverage-over-time series (Figures 4–8).  Findings
+    #: are identical with tracing on or off.
+    trace_coverage: bool = False
     #: Save the checkpoint every N folded iterations (1 = every iteration).
     checkpoint_every: int = 1
     #: Optional observer for streamed events (kind, cell_key, payload).
@@ -721,14 +727,12 @@ class ParallelCampaign:
             raise ValueError(
                 f"unknown fault_tolerance {self.fault_tolerance!r}; "
                 f"expected one of {FAULT_TOLERANCE_MODES}")
-        self._scheduler = build_scheduler(
-            self.schedule, chunk_iterations=self.chunk_iterations)
         tasks = self._build_tasks()
         states = [_CellState(task=task) for task in tasks]
         self._load_checkpoint(states)
-        #: Campaign-wide arc union, the coverage scheduler's novelty
-        #: baseline.  Seeded from restored cell results so a resumed
-        #: campaign doesn't re-count already-known arcs as novelty.
+        #: Campaign-wide arc union (the ``global_total`` coverage series).
+        #: Seeded from restored cell results so a resumed campaign doesn't
+        #: re-count already-known arcs.
         self._global_arcs: Set[str] = set()
         #: Added to new coverage-sample timestamps so a resumed campaign's
         #: samples sort *after* the restored run's — without it the merged
@@ -747,11 +751,6 @@ class ParallelCampaign:
         #: (cell_index, iteration) -> arc tuple, staged by a worker's
         #: ``coverage_delta`` frame until the matching ``iter`` frame folds.
         self._pending_deltas: Dict[Tuple[int, int], Tuple[str, ...]] = {}
-        #: Requeued iteration sets awaiting redispatch (recovery work:
-        #: served before fresh leases, without a scheduler decision).
-        self._requeued: Deque[Tuple[int, FrozenSet[int]]] = deque()
-        self._next_chunk_id = 0
-        self._rotation = 0
         #: offer→claim round-trip seconds per claimed lease (the
         #: coordinator-side lease latency the status endpoint and
         #: ``tools/bench_transport.py`` report).
@@ -765,8 +764,10 @@ class ParallelCampaign:
         if self._dispatchable(states):
             transport = self.transport
             if transport is None:
+                # Never spawn more workers than cells with work: n_shards
+                # is what spreads a campaign over more of them.
                 workers = min(self.n_workers,
-                              self._estimate_parallelism(states))
+                              sum(1 for state in states if state.unleased))
                 transport = (LocalTransport(workers, _matrix_worker)
                              if workers > 1 else InlineTransport(lease_frames))
             transport.start([state.task for state in states],
@@ -775,7 +776,10 @@ class ParallelCampaign:
                 self._drain(states, transport)
             finally:
                 transport.stop()
-            self._save_checkpoint(states, force=True)
+        # Also when nothing was left to run: a cell whose last fold reached
+        # disk without its done flag is finished by _init_ledger, and only
+        # this save records that.
+        self._save_checkpoint(states, force=True)
 
         merged = CampaignResult.merge_all(
             [self._provenanced_result(state) for state in states])
@@ -817,8 +821,7 @@ class ParallelCampaign:
                                                   op_pool=list(pool)),
                     probe_operator_support=False))
                 for task in tasks]
-        scheduler = getattr(self, "_scheduler", None)
-        if scheduler is not None and scheduler.wants_coverage:
+        if self.trace_coverage:
             tasks = [dataclasses.replace(task, trace_coverage=True)
                      for task in tasks]
         return tasks
@@ -835,6 +838,13 @@ class ParallelCampaign:
         """Seed each cell's dynamic lease ledger — the exact set of
         unleased iterations — from its (possibly checkpoint-restored)
         completion state."""
+        #: Requeued iteration sets awaiting redispatch (recovery work:
+        #: served before fresh leases).
+        self._requeued: Deque[Tuple[int, FrozenSet[int]]] = deque()
+        self._next_chunk_id = 0
+        #: Whether the cells differ only in their shard, and so cost alike.
+        self._cells_alike = len({dataclasses.replace(state.task.cell, shard=0)
+                                 for state in states}) <= 1
         for state in states:
             state.unleased = set()
             state.outstanding = 0
@@ -853,77 +863,56 @@ class ParallelCampaign:
         return bool(self._requeued) or \
             any(self._cell_wants_lease(state) for state in states)
 
-    def _estimate_parallelism(self, states: List[_CellState]) -> int:
-        """How many leases this campaign would plan up front — the
-        historical worker-count cap (never spawn more workers than there
-        are leases to run)."""
-        total = 0
-        for state in states:
-            if state.unleased:
-                size = self._scheduler.chunk_size(len(state.unleased))
-                total += math.ceil(len(state.unleased) / max(1, size))
-        return total
-
-    def _new_chunk_id(self) -> int:
-        chunk_id = self._next_chunk_id
-        self._next_chunk_id = chunk_id + 1
-        return chunk_id
-
-    def _next_lease(self, states: List[_CellState]) -> Optional[Lease]:
+    def _next_lease(self, states: List[_CellState],
+                    workers: int = 1) -> Optional[Lease]:
         """Carve the next lease out of the ledger, or None when no cell has
         dispatchable work.
 
-        Requeued recovery work is served first, FIFO, without a scheduler
-        decision (it was already scheduled once).  Fresh leases go through
-        ``scheduler.select`` over one provisional candidate per eligible
-        cell — the dynamic-ledger equivalent of the historical pre-planned
-        chunk list — with candidates rotated round-robin so the static
-        scheduler's FIFO pick reproduces the old interleaved order.
-        """
-        while self._requeued:
-            cell_index, iterations = self._requeued.popleft()
-            state = states[cell_index]
-            remaining = {i for i in iterations if i not in state.completed}
-            if not remaining:
-                continue
-            runs = _ranges_from_iterations(remaining)
-            start, stop = runs[0]
-            if len(runs) > 1:
-                rest = frozenset(i for s, e in runs[1:]
-                                 for i in range(s, e + 1))
-                self._requeued.appendleft((cell_index, rest))
-            state.outstanding += 1
-            return Lease(chunk_id=self._new_chunk_id(),
-                         cell_index=cell_index, start=start, stop=stop,
-                         exclude=tuple(sorted(state.exclude)))
+        Requeued recovery work is served first, FIFO.  Otherwise the lease
+        is the first contiguous run of unleased iterations of the
+        lowest-index cell that has any: a fresh cell goes out whole, and a
+        resumed cell one run between its completed iterations at a time.
 
-        candidates = [
-            index
-            for offset in range(len(states))
-            for index in [(self._rotation + offset) % len(states)]
-            if self._cell_wants_lease(states[index])
-        ]
-        if not candidates:
-            return None
-        provisional = list(range(self._next_chunk_id,
-                                 self._next_chunk_id + len(candidates)))
-        chosen = self._scheduler.select(
-            provisional, dict(zip(provisional, candidates)))
-        cell_index = candidates[provisional.index(chosen)]
-        self._rotation = (cell_index + 1) % len(states)
+        Cells that differ in more than their shard (a generator,
+        compiler-set, opt-level, oracle or pipeline axis) differ in cost.
+        With ``workers`` > 1 live, the cell with the most unleased
+        iterations goes first (every cell is started before any is
+        continued), and a lease takes at most ``ceil(R / (2 * workers))``
+        of them, R counted over every cell (factoring): leases shrink as
+        the campaign drains, and a worker that finishes early takes the
+        rest of a slower cell.
+        """
+        # Iterations folded before their worker died are not re-run.
+        requeued: Set[int] = set()
+        while self._requeued and not requeued:
+            cell_index, iterations = self._requeued.popleft()
+            requeued = set(iterations) - states[cell_index].completed
+        size = None  # the whole run
+        if requeued:
+            pending = requeued
+        else:
+            wanting = [index for index, state in enumerate(states)
+                       if self._cell_wants_lease(state)]
+            if not wanting:
+                return None
+            cell_index = wanting[0]
+            if workers > 1 and not self._cells_alike:
+                cell_index = max(wanting, key=lambda index: (
+                    len(states[index].unleased), -index))
+                unleased = sum(len(states[index].unleased)
+                               for index in wanting)
+                size = -(-unleased // (2 * workers))
+            pending = states[cell_index].unleased
+        start = stop = min(pending)
+        while stop + 1 in pending and stop - start + 1 != size:
+            stop += 1
+        pending.difference_update(range(start, stop + 1))
+        if requeued:  # the rest of a requeued set keeps its place in line
+            self._requeued.appendleft((cell_index, frozenset(requeued)))
         state = states[cell_index]
         state.outstanding += 1
-        if state.lease_base is None:
-            state.lease_base = self._scheduler.chunk_size(len(state.unleased))
-        size = self._scheduler.lease_iterations(
-            cell_index, state.lease_base, len(state.unleased))
-        start = min(state.unleased)
-        stop = start
-        while stop + 1 in state.unleased and stop - start + 1 < size:
-            stop += 1
-        for iteration in range(start, stop + 1):
-            state.unleased.discard(iteration)
-        return Lease(chunk_id=self._new_chunk_id(), cell_index=cell_index,
+        self._next_chunk_id += 1
+        return Lease(chunk_id=self._next_chunk_id - 1, cell_index=cell_index,
                      start=start, stop=stop,
                      exclude=tuple(sorted(state.exclude)))
 
@@ -967,8 +956,7 @@ class ParallelCampaign:
         result.operator_instances.update(partial.operator_instances)
         result.seeded_bugs_found.update(partial.seeded_bugs_found)
         result.timeline.extend(partial.timeline)
-        fresh_global = 0
-        if self._scheduler.wants_coverage:
+        if self.trace_coverage:
             # The partial carries this iteration's arc *delta* (new to the
             # emitting worker's cell view); re-deduplicate against the
             # cell's cumulative set and the campaign-wide union, then
@@ -978,9 +966,7 @@ class ParallelCampaign:
             new_cell = delta - result.coverage_arcs
             result.coverage_arcs |= new_cell
             state.pass_arcs += sum(1 for arc in new_cell if is_pass_arc(arc))
-            before = len(self._global_arcs)
             self._global_arcs |= new_cell
-            fresh_global = len(self._global_arcs) - before
             result.coverage_timeline.append({
                 "cell": state.task.cell.key,
                 "elapsed": now + self._coverage_clock_offset,
@@ -995,7 +981,6 @@ class ParallelCampaign:
                 "pass_only": float(state.pass_arcs),
                 "global_total": float(len(self._global_arcs)),
             })
-        self._scheduler.observe(cell_index, fresh_global, duration)
         for report in partial.reports:
             self._emit("progress", state.task.cell.key,
                        {"iteration": iteration, "compiler": report.compiler,
@@ -1057,14 +1042,12 @@ class ParallelCampaign:
         """The coordinator loop: every iteration of every transport is
         folded here.
 
-        Leases are dispatched lease-by-lease (scheduler-ordered), not
-        offered wholesale: the coordinator primes one lease per worker plus
-        the transport's ``lookahead()`` buffer, then tops the buffer up as
-        claims arrive — so each lease decision is made with near-current
-        telemetry while pool and socket workers still self-serve without
-        waiting on a coordinator round-trip.  The inline worker has zero
-        lookahead: its next lease is chosen only after the previous one is
-        folded.  Worker death is tolerated per ``fault_tolerance``:
+        Leases are dispatched one at a time, in :meth:`_next_lease` order,
+        not offered wholesale: the coordinator primes one lease per worker
+        plus the transport's ``lookahead()`` buffer, then tops the buffer
+        up as claims arrive, so a worker finishing a lease finds the next
+        one waiting while requeued work still goes out ahead of fresh
+        leases.  Worker death is tolerated per ``fault_tolerance``:
         ``"requeue"`` returns the dead worker's leases to the ledger (that
         worker excluded) and finishes with the survivors; ``"fail"`` fails
         the campaign loudly after draining.
@@ -1087,7 +1070,8 @@ class ParallelCampaign:
 
         def offer_up_to(target: int) -> None:
             while in_queue[0] < target:
-                lease = self._next_lease(states)
+                lease = self._next_lease(states,
+                                         transport.live_worker_count())
                 if lease is None:
                     return
                 leases[lease.chunk_id] = lease
@@ -1140,9 +1124,7 @@ class ParallelCampaign:
         offer_up_to(transport.n_workers + transport.lookahead())
 
         while leases or self._dispatchable(states):
-            # Keep the lookahead buffered — and with none (the inline
-            # worker), offer the next lease once no lease is outstanding.
-            offer_up_to(max(transport.lookahead(), 0 if leases else 1))
+            offer_up_to(transport.lookahead())
             item = transport.recv(timeout=POLL_TIMEOUT)
             if item is None:
                 # A worker killed by the OS (OOM, signal) never reports
@@ -1262,26 +1244,19 @@ class ParallelCampaign:
     def _publish_status(self, states: List[_CellState],
                         transport: CoordinatorTransport) -> None:
         """Build (and hand the transport) the live campaign snapshot."""
-        scheduler = self._scheduler
-        rate_of = getattr(scheduler, "novelty_rate", None)
         cells: Dict[str, Any] = {}
         findings = 0
-        for index, state in enumerate(states):
+        for state in states:
             result = state.result
             reports = 0 if result is None else len(result.reports)
             findings += reports
-            entry: Dict[str, Any] = {
+            cells[state.task.cell.key] = {
                 "completed": len(state.completed),
                 "total": state.task.config.max_iterations,
                 "done": state.done,
                 "findings": reports,
                 "time_used": round(state.time_used, 3),
             }
-            if rate_of is not None:
-                rate = rate_of(index)
-                entry["novelty_per_second"] = (
-                    None if rate is None else round(rate, 4))
-            cells[state.task.cell.key] = entry
         latencies = self._lease_latencies
         snapshot: Dict[str, Any] = {
             "protocol": PROTOCOL_VERSION,
@@ -1302,16 +1277,19 @@ class ParallelCampaign:
     # ------------------------------------------------------------------ #
     def _checkpoint_fingerprint(self, n_cells: int) -> Dict[str, Any]:
         """Everything that changes what a cell computes.  A checkpoint whose
-        fingerprint differs is discarded rather than silently reused —
-        including the matrix shape (compiler subsets and opt levels), so a
-        differently-shaped campaign can never cross-load cell results.
+        fingerprint differs is rejected with an error, never reused or
+        overwritten — including the matrix shape (compiler subsets and opt
+        levels), so a differently-shaped campaign can never cross-load cell
+        results.
         The campaign config enters as the fabric's wire encoding, so every
         field a remote worker receives is fingerprinted too.
 
-        Deliberately absent: ``n_workers``, the transport and
-        ``fault_tolerance``.  Those change *where* iterations run, never
-        what they compute, so a local checkpoint resumes under a socket
-        fleet and back."""
+        Deliberately absent: ``n_workers``, the transport,
+        ``fault_tolerance`` and ``trace_coverage``.  Those change *where*
+        iterations run, or what is recorded about them, never what they
+        compute, so a local checkpoint resumes under a socket fleet and
+        back.  ``n_shards`` is present, and defaults to ``n_workers``: a
+        resume on another worker count must pin it."""
         factory = self.compiler_factory
         n_shards = self.n_shards if self.n_shards is not None else self.n_workers
         return {
@@ -1358,29 +1336,36 @@ class ParallelCampaign:
                 "by a wall-clock budget).  Delete the file to start "
                 "fresh, or finish the campaign with the engine version that "
                 "wrote it.")
-        if payload.get("campaign") != self._checkpoint_fingerprint(len(states)):
-            return  # different campaign: start over
-        scheduler = getattr(self, "_scheduler", None)
-        had_coverage = bool(payload.get("coverage_feedback", False))
-        if scheduler is not None and scheduler.wants_coverage and \
-                not had_coverage and payload.get("cells"):
+        fingerprint = self._checkpoint_fingerprint(len(states))
+        if payload.get("campaign") != fingerprint:
+            # Another campaign's state: starting over would overwrite it
+            # with this campaign's first save.
+            saved = payload.get("campaign")
+            saved = saved if isinstance(saved, dict) else {}
+            hint = ""
+            if self.n_shards is None and saved.get("n_shards") not in (
+                    None, fingerprint["n_shards"]):
+                hint = (f"  n_shards defaults to n_workers: pass --shards "
+                        f"{saved.get('n_shards')} to resume it with another "
+                        "worker count.")
+            raise ReproError(
+                f"checkpoint {path} belongs to a different campaign "
+                f"({'; '.join(_differences(saved, fingerprint)[:4])}).{hint}"
+                "  Delete or move the file to start this campaign fresh, or "
+                "re-run the command that wrote it to resume that campaign.")
+        if self.trace_coverage and \
+                not payload.get("coverage_feedback", False) and \
+                payload.get("cells"):
             # The checkpoint's completed iterations were never traced: their
             # arcs are unrecoverable, and resuming would silently present
             # the remainder's arcs as the campaign's coverage.  The reverse
             # direction is fine (see below), so this is directional.
             raise ReproError(
-                f"checkpoint {path} was written without coverage feedback; "
+                f"checkpoint {path} was written without coverage tracing; "
                 "its completed iterations have no recorded arcs, so a "
-                "--schedule coverage resume would report partial coverage "
-                "as if it were complete.  Resume with the scheduler that "
-                "wrote it, or delete the file to re-run traced.")
-        scheduler_entry = payload.get("scheduler")
-        if scheduler is not None and isinstance(scheduler_entry, dict) and \
-                scheduler_entry.get("name") == scheduler.name:
-            # Scheduler state is advisory (it biases lease order, never
-            # results): restore it for the same scheduler, ignore it when
-            # resuming under a different one.
-            scheduler.load_state(scheduler_entry.get("state", {}))
+                "--coverage resume would report partial coverage as if it "
+                "were complete.  Resume without --coverage, or delete the "
+                "file to re-run traced.")
         entries = payload.get("cells", {})
         for state in states:
             entry = entries.get(state.task.cell.key)
@@ -1394,13 +1379,11 @@ class ParallelCampaign:
                 time_used = float(entry.get("time_used", 0.0))
             except (ValueError, TypeError, KeyError, AttributeError):
                 continue  # treat a corrupt cell entry as not started
-            if result is not None and scheduler is not None and \
-                    not scheduler.wants_coverage:
-                # Coverage-written checkpoints resume fine under static/
-                # adaptive (findings are scheduler-independent), but the
-                # un-traced remainder would make the restored arc data a
-                # partial set presented as the campaign's coverage — drop
-                # it rather than report it.
+            if result is not None and not self.trace_coverage:
+                # Traced checkpoints resume fine untraced (findings do not
+                # depend on tracing), but the untraced remainder would make
+                # the restored arc data a partial set presented as the
+                # campaign's coverage — drop it rather than report it.
                 result.coverage_arcs = set()
                 result.coverage_timeline = []
             state.result = result
@@ -1423,12 +1406,8 @@ class ParallelCampaign:
             #: Whether completed iterations carry their arcs.  Deliberately
             #: outside the fingerprint: resume compatibility is directional
             #: (traced checkpoints resume anywhere; untraced ones are
-            #: rejected loudly by a coverage resume in _load_checkpoint).
-            "coverage_feedback": self._scheduler.wants_coverage,
-            "scheduler": {
-                "name": self._scheduler.name,
-                "state": self._scheduler.state_dict(),
-            },
+            #: rejected loudly by a traced resume in _load_checkpoint).
+            "coverage_feedback": self.trace_coverage,
             "cells": {
                 state.task.cell.key: {
                     "done": state.done,
@@ -1453,7 +1432,7 @@ def run_parallel_campaign(config: Optional[FuzzerConfig] = None,
     """Convenience wrapper: ``ParallelCampaign(config, **fields).run()``.
 
     ``fields`` are :class:`ParallelCampaign` fields (``n_workers``,
-    ``compiler_sets``, ``schedule``, ``checkpoint_path``, ...), with the
+    ``compiler_sets``, ``trace_coverage``, ``checkpoint_path``, ...), with the
     same defaults.
     """
     return ParallelCampaign(config=config or FuzzerConfig(), **fields).run()

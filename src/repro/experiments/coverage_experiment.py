@@ -3,8 +3,8 @@
 These experiments used to run bespoke serial loops (generate → export →
 compile → run under a tracer, one loop per fuzzer).  They now ride the
 matrix campaign engine: :func:`run_fuzzer_comparison` is **one** matrix
-campaign with a generator axis and the ``coverage`` scheduler — workers
-trace compiler branch arcs per iteration and stream deltas up the feedback
+campaign with a generator axis and coverage tracing on — workers trace
+compiler branch arcs per iteration and stream deltas up the feedback
 channel, the coordinator records per-cell and global coverage-over-time
 series, and the per-fuzzer :class:`CoverageCampaignResult` views are sliced
 out of the merged result's per-cell provenance.  One engine, one
@@ -154,7 +154,7 @@ def run_tzer_campaign(max_iterations: int = 50,
 def _run_coverage_matrix(config, compiler_name: str,
                          generators: Optional[Sequence[str]],
                          n_workers: int):
-    """One coverage-scheduled matrix campaign over a single compiler column.
+    """One coverage-traced matrix campaign over a single compiler column.
 
     The campaign config is normalized for coverage measurement: seeded
     bugs off (the paper traces *correct* compilers), the cheap ``crash``
@@ -178,7 +178,7 @@ def _run_coverage_matrix(config, compiler_name: str,
         compiler_sets=[[compiler_name]],
         opt_levels=[2],
         generators=list(generators) if generators else None,
-        schedule="coverage",
+        trace_coverage=True,
     )
 
 
@@ -252,9 +252,9 @@ def run_fuzzer_comparison(compiler_name: str,
                           ) -> Dict[str, CoverageCampaignResult]:
     """Run every fuzzer against one compiler (the per-subplot data of Fig. 4-7).
 
-    This is now **one** matrix campaign with a generator axis and the
-    ``coverage`` scheduler, replacing the historical one-serial-loop-per-
-    fuzzer design: every fuzzer is a matrix cell sharing the engine's seed
+    This is now **one** matrix campaign with a generator axis and coverage
+    tracing on, replacing the historical one-serial-loop-per-fuzzer
+    design: every fuzzer is a matrix cell sharing the engine's seed
     discipline, workers ship per-iteration arc deltas up the feedback
     channel, and the per-fuzzer results are sliced from the merged
     per-cell coverage provenance.  ``workers=1`` runs in-process; the

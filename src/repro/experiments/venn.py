@@ -70,8 +70,8 @@ def campaign_cell_sets(result, by: str = "compiler_set",
     ``"shard"`` or ``"cell"`` (each cell its own set).
     ``what`` selects the elements: ``"bugs"`` (ground-truth seeded bug ids),
     ``"reports"`` (deduplicated report keys) or ``"coverage"`` (encoded
-    branch arcs — populated by campaigns run with coverage feedback, e.g.
-    ``--schedule coverage``, and empty otherwise; this is what turns one
+    branch arcs — populated by campaigns that trace coverage
+    (``--coverage``), and empty otherwise; this is what turns one
     matrix campaign into the paper's per-fuzzer coverage Venn diagrams).
     The result feeds straight into :func:`venn_regions` /
     :func:`unique_counts` / :func:`format_venn_table`.

@@ -117,29 +117,16 @@ def campaign_signature(result):
 def checkpoint_signature(path):
     """Clock-normalized content of a campaign checkpoint file.
 
-    Findings, completion sets, fingerprints and scheduler *shape* are
-    transport-independent by construction, but wall-clock fields
-    (``time_used``, per-result ``elapsed``, timeline stamps, novelty
-    durations) necessarily differ run-to-run.  This helper strips them so
-    transport-equivalence tests can assert the rest is bit-identical.
+    Findings, completion sets and fingerprints are transport-independent
+    by construction, but wall-clock fields (``time_used``, per-result
+    ``elapsed``, timeline stamps) necessarily differ run-to-run.  This
+    helper strips them so transport-equivalence tests can assert the rest
+    is bit-identical.
     """
-    import copy
     import json
 
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    payload = copy.deepcopy(payload)
-    scheduler = payload.get("scheduler")
-    if isinstance(scheduler, dict):
-        state = scheduler.get("state")
-        if isinstance(state, dict):
-            # Novelty windows carry durations; keep which cells were
-            # observed and their arc counts, drop the seconds.
-            recent = state.get("recent")
-            if isinstance(recent, dict):
-                state["recent"] = {
-                    cell: [count for count, _duration in samples]
-                    for cell, samples in recent.items()}
     for entry in payload.get("cells", {}).values():
         entry.pop("time_used", None)
         result = entry.get("result")

@@ -129,17 +129,6 @@ class TestMatrixCampaign:
             compiler_sets=[["graphrt", "deepc", "turbo"]], opt_levels=[2])
         assert _signature(flat)[:7] == _signature(matrix)[:7]
 
-    def test_adaptive_chunking_preserves_results(self):
-        config = _config(6, seed=13)
-        plain = run_parallel_campaign(
-            config=config, n_workers=2, n_shards=2,
-            compiler_sets=SUBSETS, opt_levels=[2])
-        adaptive = run_parallel_campaign(
-            config=config, n_workers=2, n_shards=2,
-            compiler_sets=SUBSETS, opt_levels=[2],
-            schedule="adaptive", chunk_iterations=1)
-        assert _signature(plain) == _signature(adaptive)
-
 
 @pytest.mark.campaign
 class TestInterruptedResume:

@@ -211,17 +211,19 @@ class TestCheckpointV5:
             self, tmp_path):
         """A checkpoint written by a (difftest, perf) campaign must never
         cross-load into a (difftest,)-axis campaign: the fingerprint
-        differs, so the second campaign starts from scratch."""
+        differs, so the second campaign fails without touching the file."""
         config = _study_config(iterations=4)
-        path = str(tmp_path / "axis.ckpt.json")
+        path = tmp_path / "axis.ckpt.json"
         run_parallel_campaign(config=config, n_workers=1, n_shards=2,
                               oracles=["difftest", "perf"],
-                              checkpoint_path=path)
+                              checkpoint_path=str(path))
+        written = path.read_bytes()
         rerun = FoldCounter(config=config, n_workers=1, n_shards=2,
-                            oracles=["difftest"], checkpoint_path=path)
-        rerun.run()
-        # nothing restored: the full (smaller) campaign re-executed
-        assert sum(map(len, rerun.folds.values())) == 4
+                            oracles=["difftest"], checkpoint_path=str(path))
+        with pytest.raises(ReproError, match="different campaign"):
+            rerun.run()
+        assert rerun.folds == {}
+        assert path.read_bytes() == written
 
     def test_same_oracle_axis_restores_fully(self, tmp_path):
         config = _study_config(iterations=4)

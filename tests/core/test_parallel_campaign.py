@@ -19,7 +19,8 @@ from repro.core.parallel import (
     shard_configs,
     shard_seed,
 )
-from repro.testing import tiny_campaign_config
+from repro.errors import ReproError
+from repro.testing import FoldCounter, tiny_campaign_config
 
 
 def _loaded_states(campaign):
@@ -61,6 +62,19 @@ class TestShardConfigs:
             shard_configs(config, 2)
         with pytest.raises(ValueError, match="max_iterations"):
             Fuzzer([], config)
+
+    @pytest.mark.parametrize("total", [0, -3])
+    def test_campaign_without_iterations_is_rejected(self, total):
+        with pytest.raises(ValueError, match="at least 1"):
+            shard_configs(FuzzerConfig(max_iterations=total), 2)
+
+    def test_only_a_negative_shard_budget_is_rejected(self):
+        # 1 iteration over 3 shards splits 1/0/0: an empty shard is legal.
+        shards = shard_configs(FuzzerConfig(max_iterations=1), 3)
+        assert [shard.max_iterations for shard in shards] == [1, 0, 0]
+        assert Fuzzer([], shards[1]).run().iterations == 0
+        with pytest.raises(ValueError, match="non-negative"):
+            Fuzzer([], FuzzerConfig(max_iterations=-1))
 
     def test_shard_seeds_disjoint_across_shards_and_campaigns(self):
         seeds = {shard_seed(c, i) for c in range(4) for i in range(8)}
@@ -199,33 +213,69 @@ class TestCheckpointResume:
         assert _signature(resumed) == _signature(first)
         assert count_path.read_text() == ""
 
-    def test_mismatched_campaign_invalidates_checkpoint(self, tmp_path):
-        path = str(tmp_path / "campaign.ckpt.json")
-        config = _campaign_config(4, seed=1)
-        run_parallel_campaign(config=config, n_workers=2, checkpoint_path=path)
-        other = ParallelCampaign(config=_campaign_config(4, seed=2),
-                                 n_workers=2, checkpoint_path=path)
-        assert all(state.result is None and not state.done
-                   for state in _loaded_states(other))
-        # generator knobs participate in the fingerprint too
-        resized = ParallelCampaign(config=_campaign_config(4, seed=1, n_nodes=5),
-                                   n_workers=2, checkpoint_path=path)
-        assert all(state.result is None and not state.done
-                   for state in _loaded_states(resized))
-        # ... as does the compiler factory
-        refit = ParallelCampaign(config=_campaign_config(4, seed=1),
-                                 n_workers=2, checkpoint_path=path,
-                                 compiler_factory=_explosive_factory)
-        assert all(state.result is None and not state.done
-                   for state in _loaded_states(refit))
-        # ... and the matrix shape: the same config run as a matrix campaign
-        # must never cross-load the flat campaign's cells
-        matrixed = ParallelCampaign(config=_campaign_config(4, seed=1),
-                                    n_workers=2, checkpoint_path=path,
-                                    compiler_sets=[["graphrt", "deepc"]],
-                                    opt_levels=[2])
-        assert all(state.result is None and not state.done
-                   for state in _loaded_states(matrixed))
+    @pytest.mark.parametrize("mismatch", ["seed", "n_nodes",
+                                          "compiler_factory",
+                                          "matrix_shape", "n_workers"])
+    def test_checkpoint_of_another_campaign_is_rejected(self, tmp_path,
+                                                        mismatch):
+        path = tmp_path / "campaign.ckpt.json"
+        run_parallel_campaign(config=_campaign_config(4, seed=1),
+                              n_workers=1, n_shards=2,
+                              checkpoint_path=str(path))
+        written = path.read_bytes()
+        # Each differs from the campaign above in one fingerprinted respect,
+        # which the error names.
+        fields, named = {
+            "seed": (dict(config=_campaign_config(4, seed=2)),
+                     "config.seed: 1 in the checkpoint, 2 now"),
+            # generator knobs participate in the fingerprint too
+            "n_nodes": (dict(config=_campaign_config(4, seed=1, n_nodes=5)),
+                        "config.generator.n_nodes: 8 in the checkpoint, "
+                        "5 now"),
+            # ... as does the compiler factory
+            "compiler_factory": (dict(config=_campaign_config(4, seed=1),
+                                      compiler_factory=_explosive_factory),
+                                 "compiler_factory: "),
+            # ... and the matrix shape: the same config run as a matrix
+            # campaign must never cross-load the flat campaign's cells
+            "matrix_shape": (dict(config=_campaign_config(4, seed=1),
+                                  compiler_sets=[["graphrt", "deepc"]],
+                                  opt_levels=[2]),
+                             "compiler_sets: null in the checkpoint"),
+            # ... and the shard count, which defaults to the worker count
+            "n_workers": (dict(config=_campaign_config(4, seed=1),
+                               n_workers=4),
+                          "n_shards: 2 in the checkpoint, 4 now"),
+        }[mismatch]
+        other = ParallelCampaign(**{"n_workers": 2,
+                                    "checkpoint_path": str(path), **fields})
+        # Starting over would overwrite the other campaign's progress.
+        with pytest.raises(ReproError, match="different campaign") as error:
+            other.run()
+        assert str(path) in str(error.value)
+        assert named in str(error.value)
+        # Only a changed worker count gets the way to resume it.
+        assert ("--shards 2" in str(error.value)) == (mismatch == "n_workers")
+        assert path.read_bytes() == written
+
+    def test_resume_with_nothing_left_records_done_cells(self, tmp_path):
+        # A lease that died after its last fold but before its chunk_done
+        # leaves a complete cell on disk marked not done.
+        config = tiny_campaign_config(iterations=4, seed=3)
+        path = tmp_path / "campaign.ckpt.json"
+        run_parallel_campaign(config=config, n_workers=1, n_shards=2,
+                              checkpoint_path=str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["cells"]["shard0|<default>|O?"]["done"] = False
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+        resumed = FoldCounter(config=config, n_workers=1, n_shards=2,
+                              checkpoint_path=str(path))
+        resumed.run()
+        assert resumed.folds == {}  # nothing re-ran ...
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        # ... and the file now says what the resume found
+        assert all(entry["done"] for entry in payload["cells"].values())
 
     def test_pipeline_participates_in_the_fingerprint(self):
         # A campaign's pipeline changes what its cells find, so a

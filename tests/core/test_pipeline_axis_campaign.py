@@ -213,17 +213,20 @@ class TestCheckpointV6:
     def test_fingerprint_rejects_differently_shaped_pipeline_matrix(
             self, tmp_path):
         config = _study_config(iterations=4)
-        path = str(tmp_path / "axis.ckpt.json")
+        path = tmp_path / "axis.ckpt.json"
         run_parallel_campaign(config=config, n_workers=1, n_shards=2,
                               compiler_sets=[["graphrt"]],
                               pipelines=["O0", "O2"],
-                              checkpoint_path=path)
+                              checkpoint_path=str(path))
+        written = path.read_bytes()
         rerun = FoldCounter(config=config, n_workers=1, n_shards=2,
                             compiler_sets=[["graphrt"]],
-                            pipelines=["O0"], checkpoint_path=path)
-        rerun.run()
-        # nothing restored: the full (smaller) campaign re-executed
-        assert sum(map(len, rerun.folds.values())) == 4
+                            pipelines=["O0"], checkpoint_path=str(path))
+        # the fingerprint differs: an error, and the file left untouched
+        with pytest.raises(ReproError, match="different campaign"):
+            rerun.run()
+        assert rerun.folds == {}
+        assert path.read_bytes() == written
 
     def test_same_pipeline_axis_restores_fully(self, tmp_path):
         config = _study_config(iterations=4)

@@ -28,7 +28,6 @@ from repro.core.parallel import (
     default_compiler_factory,
     run_parallel_campaign,
 )
-from repro.core.schedule import CoverageScheduler, StaticScheduler
 from repro.errors import ReproError
 from repro.testing import (
     campaign_signature,
@@ -111,51 +110,6 @@ def fast_death_detection(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# Lease sizing (novelty-rate-driven) — pure scheduler units
-# --------------------------------------------------------------------------- #
-class TestLeaseSizing:
-    def test_default_scheduler_grants_base(self):
-        scheduler = StaticScheduler()
-        assert scheduler.lease_iterations(0, base=4, remaining=10) == 4
-        assert scheduler.lease_iterations(0, base=4, remaining=3) == 3
-        assert scheduler.lease_iterations(0, base=0, remaining=3) == 1
-
-    def test_unobserved_cell_keeps_base(self):
-        scheduler = CoverageScheduler()
-        assert scheduler.lease_iterations(0, base=4, remaining=100) == 4
-
-    def test_hot_cell_gets_double_leases(self):
-        scheduler = CoverageScheduler()
-        scheduler.observe(0, new_arcs=10, duration=1.0)  # the fleet's best
-        scheduler.observe(1, new_arcs=0, duration=1.0)   # plateaued
-        assert scheduler.lease_iterations(0, base=4, remaining=100) == 8
-
-    def test_plateaued_cell_gets_half_leases(self):
-        scheduler = CoverageScheduler()
-        scheduler.observe(0, new_arcs=10, duration=1.0)
-        scheduler.observe(1, new_arcs=0, duration=1.0)
-        assert scheduler.lease_iterations(1, base=4, remaining=100) == 2
-
-    def test_lease_never_exceeds_remaining(self):
-        scheduler = CoverageScheduler()
-        scheduler.observe(0, new_arcs=10, duration=1.0)
-        assert scheduler.lease_iterations(0, base=4, remaining=5) == 5
-
-    def test_explicit_chunk_iterations_pins_granularity(self):
-        # The user asked for that granularity; telemetry must not resize it.
-        scheduler = CoverageScheduler(chunk_iterations=3)
-        scheduler.observe(0, new_arcs=10, duration=1.0)
-        scheduler.observe(1, new_arcs=0, duration=1.0)
-        assert scheduler.lease_iterations(0, base=3, remaining=100) == 3
-        assert scheduler.lease_iterations(1, base=3, remaining=100) == 3
-
-    def test_all_plateaued_keeps_base(self):
-        scheduler = CoverageScheduler()
-        scheduler.observe(0, new_arcs=0, duration=1.0)
-        assert scheduler.lease_iterations(0, base=4, remaining=100) == 4
-
-
-# --------------------------------------------------------------------------- #
 # The headline equivalence: in-process == local pool == socket fleet
 # --------------------------------------------------------------------------- #
 @pytest.mark.campaign
@@ -185,6 +139,18 @@ class TestTransportEquivalence:
         assert (checkpoint_signature(ck["socket"])
                 == checkpoint_signature(ck["inprocess"]))
 
+    def test_tracing_leaves_socket_fleet_findings_unchanged(self):
+        config = tiny_campaign_config(iterations=6, seed=13)
+        _campaign, untraced = _run_socket_campaign(config, n_workers=2,
+                                                   n_shards=2)
+        _campaign, traced = _run_socket_campaign(config, n_workers=2,
+                                                 n_shards=2,
+                                                 trace_coverage=True)
+        assert not isinstance(untraced, ReproError), untraced
+        assert not isinstance(traced, ReproError), traced
+        assert campaign_signature(traced) == campaign_signature(untraced)
+        assert traced.coverage_arcs and not untraced.coverage_arcs
+
     def test_worker_death_requeue_preserves_findings(
             self, fast_death_detection):
         config = tiny_campaign_config(iterations=6, seed=13)
@@ -211,7 +177,7 @@ class TestTransportEquivalence:
         config = tiny_campaign_config(iterations=8, seed=13)
         _campaign, result = _run_socket_campaign(
             config, n_workers=2, n_shards=2, die_after=2,
-            fault_tolerance="requeue", schedule="coverage")
+            fault_tolerance="requeue", trace_coverage=True)
         assert not isinstance(result, ReproError), result
         by_cell = {}
         for sample in result.coverage_timeline:

@@ -74,6 +74,58 @@ class TestArgumentParsing:
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--schedule", "coverage"],
+        ["serve", "--schedule", "coverage"],
+    ], ids=["campaign", "serve"])
+    def test_schedule_is_an_unknown_argument(self, argv, capsys):
+        # Every cell is one lease; --coverage is what tracing asks for.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --schedule coverage" in \
+            capsys.readouterr().err
+
+    def test_coverage_flag_parses_on_campaign_and_serve(self):
+        from repro.core.fabric.service import _serve_parser
+
+        assert _parse("--coverage").coverage is True
+        assert _parse().coverage is False
+        assert _serve_parser().parse_args(["--coverage"]).coverage is True
+
+
+#: Counts a campaign cannot run, and the usage error each gets.
+_BAD_COUNTS = [
+    (["--iterations", "-3"], "argument --iterations: must be at least 1"),
+    (["--iterations", "0"], "argument --iterations: must be at least 1"),
+    (["--nodes", "0"], "argument --nodes: must be at least 1"),
+    (["--shards", "0"], "argument --shards: must be at least 1"),
+    (["--workers", "-2"], "argument --workers: must be at least 0"),
+]
+_BAD_COUNT_IDS = ["iterations-negative", "iterations-zero", "nodes-zero",
+                  "shards-zero", "workers-negative"]
+
+
+class TestCountsAreValidated:
+    @pytest.mark.parametrize("argv,message", _BAD_COUNTS, ids=_BAD_COUNT_IDS)
+    def test_campaign_rejects_count(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.campaign ")
+        assert message in err
+
+    @pytest.mark.parametrize("argv,message", _BAD_COUNTS, ids=_BAD_COUNT_IDS)
+    def test_serve_rejects_count(self, argv, message, capsys):
+        # Rejected while parsing, before the coordinator binds a port.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.campaign serve ")
+        assert message in err
+
 
 class TestSerialModeErrorsLoudly:
     def test_serial_with_checkpoint_is_an_error(self, tmp_path, capsys):
@@ -103,10 +155,11 @@ class TestSerialModeErrorsLoudly:
             main(["--serial", "--iterations", "2",
                   "--oracles", "difftest,perf"])
 
-    def test_serial_with_schedule_is_an_error(self):
+    def test_serial_with_coverage_is_an_error(self, capsys):
         with pytest.raises(SystemExit):
-            main(["--serial", "--iterations", "2",
-                  "--schedule", "coverage"])
+            main(["--serial", "--iterations", "2", "--coverage"])
+        assert "--coverage requires the parallel engine" in \
+            capsys.readouterr().err
 
     def test_opt_levels_without_compilers_is_an_error(self, capsys):
         # factory mode fixes its own opt levels; ignoring the flag silently
@@ -172,12 +225,12 @@ class TestCampaignRuns:
         assert "x gen[nnsmith,targeted]" in out
         assert "Seeded bugs by generator:" in out
 
-    def test_coverage_schedule_cli_prints_coverage(self, capsys):
+    def test_coverage_cli_prints_coverage(self, capsys):
         assert main(["--workers", "1", "--iterations", "2", "--nodes", "4",
-                     "--schedule", "coverage",
+                     "--coverage",
                      "--quiet"]) == 0
         out = capsys.readouterr().out
-        assert "(coverage scheduling)" in out
+        assert "in-process, tracing coverage ..." in out
         assert "Compiler coverage:" in out
         assert "branch arcs" in out
 
