@@ -15,8 +15,8 @@ levels (:mod:`repro.core.parallel`):
   ``SeedSequence((shard_seed, generator_seed, iteration, stream))`` — so
   shards explore disjoint model streams while every *combination* replays
   the identical streams (apples-to-apples per-backend comparison);
-* workers lease work from a shared queue, one lease per cell, so a
-  worker whose cell finishes early picks up the next unleased cell
+* the coordinator sends each idle worker the next lease, one lease per
+  cell, so a worker whose cell finishes early picks up the next unleased cell
   (``n_shards`` splits a campaign into more, smaller cells); cells of
   different combinations differ in cost, so a matrix campaign leases them
   in pieces that shrink as it drains, and a worker that finishes early

@@ -66,7 +66,7 @@ Pin ``--shards`` to resume on another ``--workers``: the shard count
 defaults to the worker count, so otherwise the checkpoint is refused.
 
 ``--coverage`` traces compiler branch arcs around every oracle call:
-workers stream per-iteration deltas to the coordinator, which records
+each iteration's result carries its new arcs to the coordinator, which records
 per-cell arc sets and per-cell and global coverage-over-time series (the
 Figure 4/5-style curves).  Tracing never changes *which* iterations run,
 so the merged findings are bit-identical with and without it.  Every cell
@@ -116,6 +116,7 @@ from repro.core.parallel import (
     run_sharded_serial,
 )
 from repro.core.strategy import DEFAULT_STRATEGY, registered_strategies
+from repro.errors import ReproError
 from repro.experiments.venn import campaign_cell_sets, format_venn_table
 
 
@@ -130,6 +131,17 @@ def count_at_least(minimum: int) -> Callable[[str], int]:
         return value
 
     return count
+
+
+def opt_level_list(text: str) -> List[int]:
+    """An argparse ``type`` for ``--opt-levels``: comma-separated levels 0,
+    1 or 2, the only levels the passes' ``min_opt_level`` gates tell apart
+    (a higher level would build exactly like O2)."""
+    tokens = [token.strip() for token in text.split(",") if token.strip()]
+    if not tokens or any(token not in ("0", "1", "2") for token in tokens):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated levels 0, 1 or 2, got {text!r}")
+    return [int(token) for token in tokens]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,9 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--matrix", action="store_true",
                         help="shorthand: every registered compiler as its own "
                              "single-element subset")
-    parser.add_argument("--opt-levels", default=None, metavar="N[,N...]",
-                        help="optimization levels crossed with --compilers "
-                             "(default 2)")
+    parser.add_argument("--opt-levels", type=opt_level_list, default=None,
+                        metavar="N[,N...]",
+                        help="optimization levels 0-2 crossed with "
+                             "--compilers (default 2)")
     parser.add_argument("--generators", default=None, metavar="NAME[,NAME...]",
                         help="generation strategies raced as a matrix axis "
                              "(e.g. nnsmith,graphfuzzer,lemon); "
@@ -282,10 +295,8 @@ def parse_compiler_sets(args: argparse.Namespace) -> Optional[List[List[str]]]:
 
 
 def parse_opt_levels(args: argparse.Namespace) -> Optional[List[int]]:
-    if args.opt_levels is None:
-        return None
-    return [int(level.strip()) for level in args.opt_levels.split(",")
-            if level.strip()]
+    """The opt levels requested on the command line (checked by argparse)."""
+    return args.opt_levels
 
 
 def print_summary(result: CampaignResult) -> None:
@@ -338,7 +349,17 @@ def print_summary(result: CampaignResult) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Run the command line; an expected error (a :class:`ReproError`, such
+    as a checkpoint of another campaign) prints ``error: <message>`` and
+    returns 1 instead of a traceback."""
+    try:
+        return _main(list(sys.argv[1:] if argv is None else argv))
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _main(argv: List[str]) -> int:
     if argv and argv[0] in ("serve", "worker", "status"):
         # Fabric subcommands (repro.core.fabric.service): the coordinator
         # service, a fleet worker, and the live-status client.  Dispatched

@@ -17,18 +17,17 @@ views:
   folders.
 
 Besides the tracer itself this module provides the **feedback channel**
-primitives the campaign engine streams between workers and the coordinator:
-arcs have a compact string encoding (:func:`arc_to_str`), and
-:class:`CoverageFeedback` keys each iteration's arcs against a worker-local
-seen-set so the worker→coordinator queue carries *deltas* (the new arcs of
-one iteration), never full cumulative sets.
+the campaign engine uses on its workers: arcs have a compact string
+encoding (:func:`arc_to_str`), and :class:`CoverageFeedback` keys each
+iteration's arcs against a worker-local seen-set, so each iteration's
+result carries only the arcs new to that worker's view of the cell, never
+a full cumulative set.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from types import CodeType
 from typing import (Dict, FrozenSet, Iterable, Optional, Sequence, Set,
                     Tuple)
@@ -226,29 +225,8 @@ def estimate_total_arcs(systems: Iterable[str] = ("graphrt", "deepc"),
 
 
 # --------------------------------------------------------------------------- #
-# The worker → coordinator feedback channel
+# The worker-side feedback channel
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class CoverageDelta:
-    """One iteration's *new* arcs, keyed against a worker-local seen-set.
-
-    Arcs are encoded strings (:func:`arc_to_str`) so deltas are picklable,
-    JSON-serializable and cheap to union on the coordinator side.  Because
-    the emitting :class:`CoverageFeedback` subtracts everything it already
-    reported, a delta carries only novelty — the queue traffic is
-    proportional to coverage *growth*, not cumulative coverage.
-    """
-
-    arcs: Tuple[str, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.arcs)
-
-    @property
-    def pass_arcs(self) -> int:
-        return sum(1 for arc in self.arcs if is_pass_arc(arc))
-
-
 class CoverageFeedback:
     """Worker-local coverage channel for one matrix cell.
 
@@ -256,8 +234,9 @@ class CoverageFeedback:
     the seen-set that turns per-iteration snapshots into deltas: the engine
     runs each oracle call under :attr:`tracer` and calls :meth:`flush`
     after the iteration to obtain the arcs that are new *to this worker's
-    view of the cell*.  The coordinator re-deduplicates across workers (a
-    stolen chunk's worker starts with a fresh seen-set), so deltas may
+    view of the cell*.  They travel as the ``coverage_arcs`` of the
+    iteration's result.  The coordinator re-deduplicates across workers (a
+    requeued lease's worker starts with a fresh seen-set), so deltas may
     overlap between workers but never within one.
     """
 
@@ -265,13 +244,12 @@ class CoverageFeedback:
         self.tracer = CoverageTracer(systems=tuple(systems))
         self._seen: Set[Arc] = set()
 
-    def flush(self) -> CoverageDelta:
-        """Drain the tracer into a delta of not-yet-reported arcs."""
+    def flush(self) -> Tuple[str, ...]:
+        """Drain the tracer: the not-yet-reported arcs, encoded and sorted."""
         new = self.tracer.arcs - self._seen
         self._seen |= new
         self.tracer.reset()
-        return CoverageDelta(arcs=tuple(sorted(arc_to_str(arc)
-                                               for arc in new)))
+        return tuple(sorted(arc_to_str(arc) for arc in new))
 
 
 class CoverageTimeline:

@@ -6,16 +6,18 @@ between them was a pair of ``multiprocessing`` queues, which pinned the
 fleet to one host.  The fabric splits that conversation into three layers:
 
 * :mod:`repro.core.fabric.protocol` — the versioned, serializable message
-  schema (``lease``/``claim``/``iter``/``coverage_delta``/``heartbeat``/
+  schema (``lease``/``claim``/``iter``/``chunk_done``/``heartbeat``/
   ``checkpoint_ack``/``shutdown`` …) plus JSON round-trips for the campaign
   objects a remote worker needs rebuilt (``FuzzerConfig``, ``CellTask``).
 * :mod:`repro.core.fabric.transport` — the :class:`CoordinatorTransport`
   contract and its three implementations: :class:`InlineTransport` (the
   one worker of a ``--workers 1`` run, inside the coordinator's process),
-  :class:`LocalTransport` (the historical multiprocessing pool, now one
-  client of the protocol) and :class:`SocketTransport` (an asyncio TCP
-  service speaking line-delimited JSON frames, with heartbeat liveness and
-  a live status endpoint).
+  :class:`LocalTransport` (a multiprocessing pool with one task queue per
+  worker) and :class:`SocketTransport` (an asyncio TCP service speaking
+  line-delimited JSON frames, with heartbeat liveness and a live status
+  endpoint).  Transports only deliver frames: the coordinator
+  (``ParallelCampaign._drain``) sends every lease to one worker and
+  releases a dead worker's lease itself.
 * :mod:`repro.core.fabric.service` — the network-facing entry points:
   ``python -m repro.campaign serve`` (coordinator service),
   ``python -m repro.campaign worker`` (remote fleet member) and
@@ -33,7 +35,6 @@ from repro.core.fabric.protocol import (
     Claim,
     CheckpointAck,
     ChunkDone,
-    CoverageDelta,
     Heartbeat,
     Hello,
     IterationResult,
@@ -61,7 +62,6 @@ __all__ = [
     "CheckpointAck",
     "ChunkDone",
     "CoordinatorTransport",
-    "CoverageDelta",
     "Heartbeat",
     "Hello",
     "InlineTransport",

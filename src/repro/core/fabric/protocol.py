@@ -25,12 +25,9 @@ operator pool, serialized as registry kind names) and
 
 from __future__ import annotations
 
-import base64
 import dataclasses
-import json
-import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Type
+from typing import Any, Dict, Optional, Type
 
 from repro.errors import ReproError
 
@@ -38,22 +35,16 @@ from repro.errors import ReproError
 #: coverage_delta/chunk_done/error/heartbeat/checkpoint_ack/shutdown plus
 #: the hello/welcome handshake and the status request/reply pair.
 #: v2: large ``coverage_delta`` frames may ship their arcs zlib-compressed
-#: (``packed``/``codec`` wire fields) — see :data:`ARC_COMPRESSION_THRESHOLD`.
+#: (``packed``/``codec`` wire fields).
 #: v3: a config's value search is bounded by steps alone; the wall-clock
 #: budget key is gone and ``value_search_max_steps`` is never None.
 #: v4: iterations alone bound a campaign: a lease's ``stop`` is always an
 #: iteration, leases carry no wall-clock budget, and a config's
 #: ``max_iterations`` is never None.
-PROTOCOL_VERSION = 4
-
-#: Serialized-arcs byte size above which a ``coverage_delta`` frame ships
-#: compressed.  Arcs are long dotted-path strings with heavy shared
-#: structure, so zlib routinely shrinks high-arc deltas 5-10×; tiny deltas
-#: are not worth the round-trip cost.
-ARC_COMPRESSION_THRESHOLD = 2048
-
-#: The only arc codec v2 speaks: JSON list → zlib → base64 text.
-_ARC_CODEC = "zlib+b64"
+#: v5: the coordinator addresses every lease to one worker, so a lease
+#: carries no ``exclude`` list, and an iteration's arcs ride in its ``iter``
+#: frame's payload: the ``coverage_delta`` frame is gone.
+PROTOCOL_VERSION = 5
 
 
 class ProtocolError(ReproError):
@@ -99,9 +90,7 @@ class Lease(Message):
     """Coordinator → worker: one chunk of a matrix cell to execute.
 
     The lease runs iterations ``start`` to ``stop``, both inclusive.
-    ``exclude`` names workers this lease must not be assigned to — the
-    fault-tolerance path requeues a dead worker's chunk with that worker
-    excluded.  ``task`` carries the serialized
+    ``task`` carries the serialized
     :class:`~repro.core.parallel.CellTask` for remote workers (local pool
     workers already hold the task list and receive ``task=None``).
     """
@@ -111,7 +100,6 @@ class Lease(Message):
     cell_index: int = 0
     start: int = 1
     stop: int = 1
-    exclude: Tuple[str, ...] = ()
     task: Optional[Dict[str, Any]] = None
 
 
@@ -130,8 +118,8 @@ class IterationResult(Message):
     """Worker → coordinator: one completed iteration's folded result.
 
     ``payload`` is :func:`~repro.core.parallel.campaign_result_to_dict` of
-    the iteration's partial result (coverage arcs stripped — they travel as
-    a separate :class:`CoverageDelta` frame); ``duration`` is the
+    the iteration's partial result, whose ``coverage_arcs`` are the arcs
+    new to the worker's view of the cell; ``duration`` is the
     iteration's wall-clock seconds on the worker, telemetry for the cell's
     compute-time axis (the status snapshot's ``time_used`` and the
     ``cell_elapsed`` of coverage samples).
@@ -144,23 +132,6 @@ class IterationResult(Message):
     iteration: int = 0
     duration: float = 0.0
     payload: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CoverageDelta(Message):
-    """Worker → coordinator: an iteration's newly-seen coverage arcs.
-
-    Deltas are keyed to ``(cell_index, iteration)`` and sent *before* the
-    matching :class:`IterationResult`, so the feedback channel ships
-    compact per-iteration novelty, never cumulative arc sets.  Only
-    non-empty deltas are transmitted.
-    """
-
-    kind = "coverage_delta"
-    worker: str = ""
-    cell_index: int = 0
-    iteration: int = 0
-    arcs: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -233,8 +204,8 @@ class StatusReply(Message):
 
 _MESSAGE_TYPES: Dict[str, Type[Message]] = {
     cls.kind: cls
-    for cls in (Hello, Welcome, Lease, Claim, IterationResult, CoverageDelta,
-                ChunkDone, WorkerError, Heartbeat, CheckpointAck, Shutdown,
+    for cls in (Hello, Welcome, Lease, Claim, IterationResult, ChunkDone,
+                WorkerError, Heartbeat, CheckpointAck, Shutdown,
                 StatusRequest, StatusReply)
 }
 
@@ -243,27 +214,12 @@ _MESSAGE_TYPES: Dict[str, Type[Message]] = {
 # Frame (de)serialization
 # --------------------------------------------------------------------------- #
 def encode(message: Message) -> Dict[str, Any]:
-    """Serialize a message to a JSON-compatible, version-tagged dict.
-
-    ``coverage_delta`` frames — the chattiest message on high-arc
-    campaigns — ship their arcs zlib-compressed above
-    :data:`ARC_COMPRESSION_THRESHOLD` serialized bytes: the arc list moves
-    into the ``packed``/``codec`` wire fields and ``arcs`` goes empty on
-    the wire.  :func:`decode` restores the plain tuple, so the dataclass
-    a receiver sees is identical either way.
-    """
+    """Serialize a message to a JSON-compatible, version-tagged dict."""
     if not isinstance(message, Message) or not message.kind:
         raise ProtocolError(f"not a fabric message: {message!r}")
     payload = dataclasses.asdict(message)
     payload["kind"] = message.kind
     payload["v"] = PROTOCOL_VERSION
-    if message.kind == "coverage_delta" and payload.get("arcs"):
-        serialized = json.dumps(list(payload["arcs"])).encode("utf-8")
-        if len(serialized) > ARC_COMPRESSION_THRESHOLD:
-            payload["arcs"] = []
-            payload["packed"] = base64.b64encode(
-                zlib.compress(serialized)).decode("ascii")
-            payload["codec"] = _ARC_CODEC
     return payload
 
 
@@ -289,20 +245,6 @@ def decode(payload: Any) -> Message:
         raise ProtocolError(f"unknown fabric message kind {kind!r}")
     names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {key: value for key, value in payload.items() if key in names}
-    if kind == "coverage_delta" and payload.get("packed"):
-        codec = payload.get("codec")
-        if codec != _ARC_CODEC:
-            raise ProtocolError(
-                f"coverage_delta frame uses unknown arc codec {codec!r}")
-        try:
-            kwargs["arcs"] = json.loads(zlib.decompress(
-                base64.b64decode(payload["packed"])).decode("utf-8"))
-        except (ValueError, zlib.error) as exc:
-            raise ProtocolError(
-                f"corrupt packed coverage_delta frame: {exc}") from None
-    for name in ("exclude", "arcs"):
-        if name in kwargs and isinstance(kwargs[name], list):
-            kwargs[name] = tuple(kwargs[name])
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -440,7 +382,6 @@ __all__ = [
     "CheckpointAck",
     "ChunkDone",
     "Claim",
-    "CoverageDelta",
     "Heartbeat",
     "Hello",
     "IterationResult",

@@ -7,9 +7,9 @@ Three subcommands hang off ``python -m repro.campaign``:
       python -m repro.campaign serve --port 7777 --iterations 200 \\
           --compilers graphrt,deepc --compilers turbo
 
-  The coordinator binds first and schedules leases as workers join
+  The coordinator binds first and sends leases to workers as they join
   (``--min-workers N`` waits for a quorum before starting); a worker dying
-  mid-lease has its chunk requeued with that worker excluded
+  mid-lease has its lease requeued for the survivors
   (``--fault-tolerance requeue`` is the serve default).  Findings are
   bit-identical to a local run of the same campaign: iterations are seeded
   purely from ``(config, iteration)``.
@@ -21,7 +21,8 @@ Three subcommands hang off ``python -m repro.campaign``:
   The worker handshakes (``hello``/``welcome``), imports the campaign's
   compiler factory by dotted path, heartbeats every
   :data:`~repro.core.fabric.transport.HEARTBEAT_INTERVAL` seconds and runs
-  leases until told to shut down.
+  leases until told to shut down.  A worker that rejoins under a name the
+  coordinator has seen is a new worker, ``name~N``.
 
 * ``status`` — fetch the coordinator's live JSON snapshot::
 
@@ -362,8 +363,9 @@ def _cmd_worker(argv: Sequence[str]) -> int:
                         metavar="HOST:PORT",
                         help="coordinator service endpoint")
     parser.add_argument("--name", default=None,
-                        help="worker identity (default hostname-pid); must "
-                             "be unique per coordinator")
+                        help="worker identity (default hostname-pid); the "
+                             "coordinator calls a name it has already seen "
+                             "NAME~N")
     parser.add_argument("--die-after-iterations", type=int, default=None,
                         help=argparse.SUPPRESS)  # fault-injection test knob
     args = parser.parse_args(argv)

@@ -485,7 +485,7 @@ def single_iteration_result(tester: DifferentialTester, config: FuzzerConfig,
         tester, config, iteration, iteration_rng(config, iteration), strategy,
         coverage)
     if coverage is not None:
-        result.coverage_arcs = set(coverage.flush().arcs)
+        result.coverage_arcs = set(coverage.flush())
     if generated is None:
         result.generation_failures += 1
         return result
@@ -564,7 +564,7 @@ class Fuzzer:
                 self.tester, self.config, iteration,
                 iteration_rng(self.config, iteration), self.strategy, coverage)
             if coverage is not None:
-                result.coverage_arcs.update(coverage.flush().arcs)
+                result.coverage_arcs.update(coverage.flush())
             if generated is None:
                 result.generation_failures += 1
                 continue

@@ -18,8 +18,9 @@ One coordinator loop serves three transports
 (:mod:`repro.core.fabric.transport`): the inline worker of a one-worker
 campaign (nothing is spawned; each iteration is folded before the next
 runs), a ``multiprocessing`` pool, and a TCP socket fleet.  Every worker
-runs one lease generator, :func:`lease_frames`, and ``ParallelCampaign.
-_drain`` folds every iteration, whatever carried it.
+runs one lease generator, :func:`lease_frames`; ``ParallelCampaign.
+_drain`` decides which worker runs which lease and folds every
+iteration, whatever carried it.
 
 Three properties distinguish the matrix engine from a flat shard list:
 
@@ -48,8 +49,8 @@ Three properties distinguish the matrix engine from a flat shard list:
   whole, in cell order (``n_shards`` splits finer); only cells of unlike
   cost are split across live workers (:meth:`ParallelCampaign._next_lease`).
   With ``trace_coverage`` on, workers trace compiler branch arcs per
-  iteration and ship *deltas* up the feedback channel
-  (:class:`repro.compilers.coverage.CoverageFeedback`), and the
+  iteration and each iteration's result carries the arcs new to its
+  worker (:class:`repro.compilers.coverage.CoverageFeedback`), and the
   coordinator keeps per-cell arc sets, the campaign-wide union and the
   coverage-over-time series behind Figures 4–8.  Tracing records arcs
   and never changes which ``(config, iteration)`` pairs run or their
@@ -84,11 +85,10 @@ from repro.compilers.bugs import BugConfig
 from repro.compilers.coverage import CoverageFeedback, is_pass_arc
 from repro.core.difftest import DifferentialTester
 from repro.core.fabric.protocol import (PROTOCOL_VERSION, CheckpointAck,
-                                        Claim, ChunkDone, CoverageDelta,
-                                        IterationResult, Lease, Message,
-                                        ProtocolError, WorkerError,
-                                        config_to_dict, decode, encode,
-                                        task_from_dict)
+                                        Claim, ChunkDone, IterationResult,
+                                        Lease, Message, ProtocolError,
+                                        WorkerError, config_to_dict, decode,
+                                        encode, task_from_dict)
 from repro.core.fabric.transport import (CoordinatorTransport,
                                          InlineTransport, LocalTransport)
 from repro.core.fuzzer import (BugReport, CampaignResult, CellOutcome, Fuzzer,
@@ -116,21 +116,20 @@ from repro.graph.serialize import to_jsonable
 CHECKPOINT_FORMAT_VERSION = 8
 
 #: Accepted ``ParallelCampaign.fault_tolerance`` modes.  ``"fail"`` is the
-#: historical behavior: a dead worker fails the campaign loudly.
-#: ``"requeue"`` requeues a dead worker's in-flight leases (that worker
-#: excluded from the cell) and finishes the campaign with the survivors —
-#: findings stay bit-identical because iterations are seeded purely from
-#: ``(config, iteration)`` and folds deduplicate replays.
+#: historical behavior: a dead worker's lease fails the campaign loudly.
+#: ``"requeue"`` requeues a dead worker's lease and finishes the campaign
+#: with the survivors — findings stay bit-identical because iterations are
+#: seeded purely from ``(config, iteration)`` and folds deduplicate
+#: replays.
 FAULT_TOLERANCE_MODES = ("fail", "requeue")
 
-#: Coordinator poll interval while waiting for worker messages (seconds).
+#: Coordinator poll interval while waiting for worker messages, and the
+#: interval between its checks of every worker's liveness (seconds).
 POLL_TIMEOUT = 1.0
-#: Consecutive quiet polls before a dead worker is given up on (its final
-#: messages can still be in flight right after exit).
+#: Consecutive liveness checks a worker must fail before it is given up on
+#: and retired for good (its final messages can still be in flight right
+#: after exit).
 DEAD_WORKER_POLLS = 3
-#: Consecutive quiet polls before unclaimed chunks are considered lost with
-#: a claim-lessly dead worker (a healthy survivor leases within one poll).
-ORPHAN_QUIET_POLLS = 10
 
 #: A picklable callable building the compilers under test inside a worker.
 CompilerFactory = Callable[[BugConfig], List[Compiler]]
@@ -240,7 +239,7 @@ class CellTask:
     """A matrix cell plus the shard config it executes.
 
     ``trace_coverage`` tells the executing worker to trace compiler branch
-    arcs per iteration and ship deltas up the feedback channel — set by the
+    arcs per iteration and report each iteration's new arcs — set by the
     coordinator when the campaign traces coverage
     (``ParallelCampaign.trace_coverage``).
     (It rides on the task, not the worker entry point, so the worker
@@ -541,9 +540,9 @@ def lease_frames(worker: str, lease: Lease, factory: CompilerFactory,
                  ) -> Iterator[Message]:
     """Run one lease, yielding its protocol frames as they happen.
 
-    The worker core of every transport: a :class:`Claim`, then per
-    iteration an optional :class:`CoverageDelta` (non-empty deltas only,
-    always *before* the matching result) and the :class:`IterationResult`,
+    The worker core of every transport: a :class:`Claim`, then one
+    :class:`IterationResult` per iteration (its payload's
+    ``coverage_arcs`` are the arcs new to this worker's view of the cell),
     then :class:`ChunkDone` — or a single :class:`WorkerError`, after which
     the worker retires.  Only ``Exception`` becomes a ``WorkerError``:
     ``GeneratorExit`` and Ctrl-C pass through.
@@ -578,14 +577,10 @@ def lease_frames(worker: str, lease: Lease, factory: CompilerFactory,
                 tester, config, iteration, strategy=strategy,
                 coverage=coverage)
             duration = time.monotonic() - iter_start
-            payload = campaign_result_to_dict(partial)
-            delta = payload.pop("coverage_arcs", None)
-            if coverage is not None and delta:
-                yield CoverageDelta(worker=worker, cell_index=cell_index,
-                                    iteration=iteration, arcs=tuple(delta))
             yield IterationResult(worker=worker, chunk_id=lease.chunk_id,
                                   cell_index=cell_index, iteration=iteration,
-                                  duration=duration, payload=payload)
+                                  duration=duration,
+                                  payload=campaign_result_to_dict(partial))
     except Exception as exc:
         yield WorkerError(worker=worker, chunk_id=lease.chunk_id,
                           cell_index=cell_index,
@@ -597,13 +592,14 @@ def lease_frames(worker: str, lease: Lease, factory: CompilerFactory,
 
 def _matrix_worker(worker_index: int, tasks: List[CellTask],
                    factory: CompilerFactory, task_queue, result_queue) -> None:
-    """Pool worker: run leases from the shared queue until told to stop.
+    """Pool worker: run the leases sent to it until told to stop.
 
     Both queues carry encoded fabric frames (:mod:`repro.core.fabric`):
-    the task queue delivers ``lease`` frames (and a ``shutdown`` frame per
-    worker at teardown), the result queue receives each lease's
+    the worker's own task queue delivers the ``lease`` frames the
+    coordinator addresses to it (and a ``shutdown`` frame at teardown),
+    the result queue all workers share receives each lease's
     :func:`lease_frames` — after an ``error`` frame the worker exits and
-    surviving workers absorb the remaining queue.
+    the coordinator sends the remaining leases to the survivors.
     """
     worker = f"local-{worker_index}"
     runtimes: Dict[int, CellRuntime] = {}
@@ -611,8 +607,6 @@ def _matrix_worker(worker_index: int, tasks: List[CellTask],
         message = decode(task_queue.get())
         if message.kind == "shutdown":
             return
-        if message.kind != "lease":
-            continue
         for frame in lease_frames(worker, message, factory, runtimes, tasks):
             result_queue.put(encode(frame))
             if frame.kind == "error":
@@ -642,11 +636,8 @@ class _CellState:
     #: Iterations not yet covered by any lease or completion — the cell's
     #: dynamic lease ledger.
     unleased: Set[int] = field(default_factory=set)
-    #: Leases of this cell currently offered or running.
+    #: Leases of this cell currently sent to a worker.
     outstanding: int = 0
-    #: Workers excluded from this cell's future leases (each worker that
-    #: died holding one of its leases, in ``fault_tolerance="requeue"``).
-    exclude: Set[str] = field(default_factory=set)
     #: A lease of this cell was abandoned after a worker death or error in
     #: ``fault_tolerance="fail"`` mode (the campaign raises after draining).
     failed: bool = False
@@ -711,11 +702,11 @@ class ParallelCampaign:
     #: A :class:`~repro.core.fabric.transport.SocketTransport` here turns
     #: the campaign into the network coordinator service.
     transport: Optional[CoordinatorTransport] = None
-    #: ``"fail"`` (historical default): a dead worker fails the campaign
-    #: loudly.  ``"requeue"``: a dead worker's in-flight leases are requeued
-    #: with that worker excluded and the survivors finish the campaign —
-    #: findings stay bit-identical (iterations are seeded purely from
-    #: ``(config, iteration)``; folds deduplicate replays).
+    #: ``"fail"`` (historical default): a dead worker's lease fails the
+    #: campaign loudly.  ``"requeue"``: a dead worker's lease is requeued
+    #: and the survivors finish the campaign — findings stay bit-identical
+    #: (iterations are seeded purely from ``(config, iteration)``; folds
+    #: deduplicate replays).
     fault_tolerance: str = "fail"
 
     # ------------------------------------------------------------------ #
@@ -748,14 +739,11 @@ class ParallelCampaign:
                     self._coverage_clock_offset = max(
                         self._coverage_clock_offset, sample["elapsed"])
         self._unsaved_folds = 0
-        #: (cell_index, iteration) -> arc tuple, staged by a worker's
-        #: ``coverage_delta`` frame until the matching ``iter`` frame folds.
-        self._pending_deltas: Dict[Tuple[int, int], Tuple[str, ...]] = {}
-        #: offer→claim round-trip seconds per claimed lease (the
+        #: send→claim round-trip seconds per claimed lease (the
         #: coordinator-side lease latency the status endpoint and
         #: ``tools/bench_transport.py`` report).
         self._lease_latencies: List[float] = []
-        self._offer_times: Dict[int, float] = {}
+        self._sent_at: Dict[int, float] = {}
         #: The latest status snapshot (also served by the transport's
         #: status endpoint when it has one).
         self.last_status: Dict[str, Any] = {}
@@ -909,12 +897,10 @@ class ParallelCampaign:
         pending.difference_update(range(start, stop + 1))
         if requeued:  # the rest of a requeued set keeps its place in line
             self._requeued.appendleft((cell_index, frozenset(requeued)))
-        state = states[cell_index]
-        state.outstanding += 1
+        states[cell_index].outstanding += 1
         self._next_chunk_id += 1
         return Lease(chunk_id=self._next_chunk_id - 1, cell_index=cell_index,
-                     start=start, stop=stop,
-                     exclude=tuple(sorted(state.exclude)))
+                     start=start, stop=stop)
 
     # ------------------------------------------------------------------ #
     def _fold_iteration(self, states: List[_CellState], cell_index: int,
@@ -1021,117 +1007,101 @@ class ParallelCampaign:
             self.on_event(kind, cell_key, payload)
 
     # ------------------------------------------------------------------ #
-    def _requeue_lease(self, states: List[_CellState], lease: Lease,
-                       dead_worker: Optional[str]) -> None:
-        """Return a dead worker's lease to the ledger, dead worker excluded.
+    def _requeue_lease(self, states: List[_CellState], lease: Lease) -> None:
+        """Return a dead worker's lease to the ledger.
 
         Iterations the lease already folded stay folded (`_fold_iteration`
         deduplicates replays, so nothing is double-counted).
         """
-        state = states[lease.cell_index]
-        if dead_worker:
-            state.exclude.add(dead_worker)
+        completed = states[lease.cell_index].completed
         remaining = frozenset(i for i in range(lease.start, lease.stop + 1)
-                              if i not in state.completed)
+                              if i not in completed)
         if remaining:
             self._requeued.append((lease.cell_index, remaining))
         self._finish_chunk(states, lease.cell_index)
 
     def _drain(self, states: List[_CellState],
                transport: CoordinatorTransport) -> None:
-        """The coordinator loop: every iteration of every transport is
-        folded here.
+        """The coordinator loop: every lease of every transport is handed
+        out here, and every iteration is folded here.
 
-        Leases are dispatched one at a time, in :meth:`_next_lease` order,
-        not offered wholesale: the coordinator primes one lease per worker
-        plus the transport's ``lookahead()`` buffer, then tops the buffer
-        up as claims arrive, so a worker finishing a lease finds the next
-        one waiting while requeued work still goes out ahead of fresh
-        leases.  Worker death is tolerated per ``fault_tolerance``:
-        ``"requeue"`` returns the dead worker's leases to the ledger (that
-        worker excluded) and finishes with the survivors; ``"fail"`` fails
-        the campaign loudly after draining.
+        The coordinator owns the ``worker → lease`` map: each live, idle
+        worker is sent the next :meth:`_next_lease`, and a worker is idle
+        again once its ``chunk_done`` arrives.  Once per ``POLL_TIMEOUT``,
+        on every pass, it checks each worker's liveness; a worker dead
+        over ``DEAD_WORKER_POLLS`` consecutive checks is retired for good,
+        and its lease is released per ``fault_tolerance``: ``"requeue"``
+        returns it to the ledger and the survivors finish the campaign,
+        ``"fail"`` fails its cell and the campaign after draining.
         """
-        leases: Dict[int, Lease] = {}    # offered or claimed, by chunk id
-        claims: Dict[int, str] = {}      # chunk_id -> worker id
-        errors: List[str] = []
-        dead_polls: Dict[str, int] = {}
+        assigned: Dict[str, Lease] = {}
         retired: Set[str] = set()
-        #: Leases offered but not yet claimed, as far as the coordinator
-        #: knows (decremented when a lossy transport loses a pop).
-        in_queue = [0]
-        #: Workers that died without a recorded claim very likely popped a
-        #: chunk whose claim message was lost with the process; each such
-        #: death can orphan at most one unclaimed chunk.  Only possible on
-        #: transports with ``lossy_claims`` (a shared local queue).
-        lost_pops = 0
-        quiet_after_loss = 0
+        dead_polls: Dict[str, int] = {}
+        errors: List[str] = []
         requeue = self.fault_tolerance == "requeue"
+        next_check = 0.0
+        item: Optional[Tuple[str, Message]] = None
 
-        def offer_up_to(target: int) -> None:
-            while in_queue[0] < target:
-                lease = self._next_lease(states,
-                                         transport.live_worker_count())
-                if lease is None:
-                    return
-                leases[lease.chunk_id] = lease
-                self._offer_times[lease.chunk_id] = time.monotonic()
-                in_queue[0] += 1
-                transport.offer(lease)
+        def fail(cell_index: int, message: str) -> None:
+            errors.append(f"cell {states[cell_index].task.cell.key}: "
+                          f"{message}")
+            states[cell_index].failed = True
 
-        def abandon(chunk_id: int, message: str) -> None:
-            lease = leases.pop(chunk_id, None)
-            claims.pop(chunk_id, None)
-            errors.append(message)
-            if lease is not None:
-                states[lease.cell_index].failed = True
-                states[lease.cell_index].outstanding = max(
-                    0, states[lease.cell_index].outstanding - 1)
+        def release(worker_id: str, description: str) -> None:
+            lease = assigned.pop(worker_id, None)
+            if lease is None:
+                return
+            if not requeue:
+                fail(lease.cell_index, f"worker {worker_id} {description}")
+                return
+            self._requeue_lease(states, lease)
+            self._emit("worker_lost", states[lease.cell_index].task.cell.key,
+                       {"worker": worker_id,
+                        "requeued": [lease.start, lease.stop]})
 
-        def on_worker_death(worker_id: str, description: str) -> None:
-            nonlocal lost_pops
-            owned = [chunk_id for chunk_id, owner in claims.items()
-                     if owner == worker_id]
-            for chunk_id in owned:
-                if requeue:
-                    lease = leases.pop(chunk_id)
-                    claims.pop(chunk_id, None)
-                    self._requeue_lease(states, lease, worker_id)
-                    self._emit("worker_lost",
-                               states[lease.cell_index].task.cell.key,
-                               {"worker": worker_id,
-                                "requeued": [lease.start, lease.stop]})
-                else:
-                    cell = states[leases[chunk_id].cell_index]
-                    abandon(chunk_id,
-                            f"cell {cell.task.cell.key}: worker "
-                            f"{description}")
-            if not owned and transport.lossy_claims:
-                # The claim can be lost with the process (the queue feeder
-                # thread dies unflushed).  The popped lease is gone from
-                # the shared queue, so account for it and top the buffer
-                # back up for the survivors; the orphan scan below decides
-                # which offered-unclaimed lease it was.
-                lost_pops += 1
-                in_queue[0] = max(0, in_queue[0] - 1)
-                if not requeue:
-                    errors.append(f"worker {worker_id} "
-                                  f"{description}")
+        while True:
+            # One clock read per pass: lease latency, send times and the
+            # liveness cadence all use it.
+            now = time.monotonic()
+            if item is not None:
+                worker_id, message = item
+                kind = message.kind
+                if kind == "hello":
+                    self._emit("worker_joined", "", {"worker": worker_id})
+                elif kind == "claim":
+                    sent = self._sent_at.pop(message.chunk_id, None)
+                    if sent is not None:
+                        self._lease_latencies.append(now - sent)
+                elif kind == "iter":
+                    self._fold_iteration(
+                        states, message.cell_index, message.iteration,
+                        campaign_result_from_dict(message.payload),
+                        message.duration)
+                    if self.checkpoint_path and self._unsaved_folds == 0:
+                        transport.send(worker_id, CheckpointAck(
+                            worker=worker_id,
+                            folded=len(states[message.cell_index].completed),
+                            persisted=True))
+                elif kind == "chunk_done":
+                    # A retired worker reporting a lease the coordinator
+                    # already released must not finish it twice.
+                    lease = assigned.get(worker_id)
+                    if lease is not None and \
+                            lease.chunk_id == message.chunk_id:
+                        del assigned[worker_id]
+                        self._finish_chunk(states, lease.cell_index)
+                elif kind == "error":
+                    retired.add(worker_id)
+                    assigned.pop(worker_id, None)
+                    fail(message.cell_index, message.message)
+                    self._emit("error",
+                               states[message.cell_index].task.cell.key,
+                               message.message)
 
-        # Prime the pipeline: one lease per worker the fleet starts with,
-        # plus the lookahead (elastic fleets start empty; their lookahead
-        # grows as workers say hello).
-        offer_up_to(transport.n_workers + transport.lookahead())
-
-        while leases or self._dispatchable(states):
-            offer_up_to(transport.lookahead())
-            item = transport.recv(timeout=POLL_TIMEOUT)
-            if item is None:
+            if now >= next_check:
                 # A worker killed by the OS (OOM, signal) never reports
-                # back; detect silent death instead of blocking forever.  A
-                # freshly exited worker's final messages can still be in
-                # flight, so a worker is only given up on after staying
-                # dead over several consecutive quiet polls.
+                # back; detect silent death instead of blocking forever.
+                next_check = now + POLL_TIMEOUT
                 for worker_id in transport.worker_ids():
                     if worker_id in retired:
                         continue
@@ -1143,98 +1113,37 @@ class ParallelCampaign:
                         continue
                     retired.add(worker_id)
                     exit_code = transport.exit_code(worker_id)
-                    description = (f"died with exit code {exit_code}"
-                                   if exit_code is not None
-                                   else "died (heartbeat timeout)")
-                    on_worker_death(worker_id, description)
-                alive = transport.live_worker_count()
-                if not transport.elastic and alive == 0 and \
-                        all(worker_id in retired
-                            for worker_id in transport.worker_ids()):
-                    # Quiesced: nobody is left to claim the remaining work,
-                    # and a non-elastic fleet never grows one back.
-                    for chunk_id in sorted(leases):
-                        cell = states[leases[chunk_id].cell_index]
-                        abandon(chunk_id,
-                                f"cell {cell.task.cell.key}: no live "
-                                "worker left to run it")
-                    for state in states:
-                        if self._cell_wants_lease(state):
-                            state.failed = True
-                            errors.append(f"cell {state.task.cell.key}: no "
-                                          "live worker left to run it")
-                    self._requeued.clear()
-                elif lost_pops:
-                    # Some workers survive, but leases popped by the dead
-                    # ones are gone from the shared queue with no claim on
-                    # record.  A healthy survivor would claim an available
-                    # lease within a poll or two; a long quiet stretch with
-                    # offered-unclaimed leases outstanding means they are
-                    # orphaned — without this the drain would spin forever.
-                    unclaimed = set(leases) - set(claims)
-                    quiet_after_loss += 1
-                    if unclaimed and quiet_after_loss >= ORPHAN_QUIET_POLLS:
-                        for chunk_id in sorted(unclaimed)[:lost_pops]:
-                            lease = leases[chunk_id]
-                            cell = states[lease.cell_index]
-                            if requeue:
-                                leases.pop(chunk_id)
-                                self._requeue_lease(states, lease, None)
-                            else:
-                                abandon(chunk_id,
-                                        f"cell {cell.task.cell.key}: chunk "
-                                        "lost with a dead worker")
-                        lost_pops = 0
-                        quiet_after_loss = 0
-                self._publish_status(states, transport)
-                continue
+                    release(worker_id,
+                            f"died with exit code {exit_code}"
+                            if exit_code is not None
+                            else "died (heartbeat timeout)")
 
-            quiet_after_loss = 0
-            worker_id, message = item
-            kind = message.kind
-            if kind == "hello":
-                self._emit("worker_joined", "", {"worker": worker_id})
-            elif kind == "claim":
-                claims[message.chunk_id] = worker_id
-                in_queue[0] = max(0, in_queue[0] - 1)
-                offered = self._offer_times.pop(message.chunk_id, None)
-                if offered is not None:
-                    self._lease_latencies.append(
-                        time.monotonic() - offered)
-                transport.note_claimed(message.chunk_id)
-            elif kind == "coverage_delta":
-                self._pending_deltas[(message.cell_index,
-                                      message.iteration)] = message.arcs
-            elif kind == "iter":
-                key = (message.cell_index, message.iteration)
-                # Pop the staged delta *before* the fold's dedup check, so
-                # a replayed iteration (requeued chunk) can never leak its
-                # stash or re-count its arcs.
-                delta = self._pending_deltas.pop(key, None)
-                partial = campaign_result_from_dict(message.payload)
-                if delta:
-                    partial.coverage_arcs = set(delta)
-                self._fold_iteration(states, message.cell_index,
-                                     message.iteration, partial,
-                                     message.duration)
-                if self.checkpoint_path and self._unsaved_folds == 0:
-                    transport.send(worker_id, CheckpointAck(
-                        worker=worker_id,
-                        folded=len(states[message.cell_index].completed),
-                        persisted=True))
-            elif kind == "chunk_done":
-                # Unknown chunk ids (a zombie worker reporting a lease the
-                # coordinator already requeued) must not double-finish.
-                if leases.pop(message.chunk_id, None) is not None:
-                    claims.pop(message.chunk_id, None)
-                    self._finish_chunk(states, message.cell_index)
-            elif kind == "error":
-                retired.add(worker_id)
-                cell_key = states[message.cell_index].task.cell.key
-                abandon(message.chunk_id,
-                        f"cell {cell_key}: {message.message}")
-                self._emit("error", cell_key, message.message)
-            self._publish_status(states, transport)
+            idle = [worker_id for worker_id in transport.worker_ids()
+                    if worker_id not in assigned and worker_id not in retired
+                    and transport.worker_alive(worker_id)]
+            if idle:
+                live = transport.live_worker_count()
+                for worker_id in idle:
+                    lease = self._next_lease(states, live)
+                    if lease is None:
+                        break
+                    assigned[worker_id] = lease
+                    self._sent_at[lease.chunk_id] = now
+                    transport.send(worker_id, lease)
+            elif not transport.elastic and \
+                    all(worker_id in retired
+                        for worker_id in transport.worker_ids()):
+                # Nobody is left to run the remaining work, and a
+                # non-elastic fleet never grows one back.
+                for index, state in enumerate(states):
+                    if not state.done and not state.failed:
+                        fail(index, "no live worker left to run it")
+                self._requeued.clear()
+
+            self._publish_status(states, transport, assigned)
+            if not assigned and not self._dispatchable(states):
+                break
+            item = transport.recv(timeout=POLL_TIMEOUT)
 
         if errors:
             raise ReproError("parallel campaign worker(s) failed: "
@@ -1242,7 +1151,8 @@ class ParallelCampaign:
 
     # ------------------------------------------------------------------ #
     def _publish_status(self, states: List[_CellState],
-                        transport: CoordinatorTransport) -> None:
+                        transport: CoordinatorTransport,
+                        assigned: Dict[str, Lease]) -> None:
         """Build (and hand the transport) the live campaign snapshot."""
         cells: Dict[str, Any] = {}
         findings = 0
@@ -1269,7 +1179,8 @@ class ParallelCampaign:
                 "mean_seconds": (round(sum(latencies) / len(latencies), 6)
                                  if latencies else None),
             },
-            "workers": transport.worker_view(),
+            "workers": {worker: {**view, "busy": worker in assigned}
+                        for worker, view in transport.worker_view().items()},
         }
         self.last_status = snapshot
         transport.publish_status(snapshot)

@@ -255,8 +255,8 @@ def run_fuzzer_comparison(compiler_name: str,
     This is now **one** matrix campaign with a generator axis and coverage
     tracing on, replacing the historical one-serial-loop-per-fuzzer
     design: every fuzzer is a matrix cell sharing the engine's seed
-    discipline, workers ship per-iteration arc deltas up the feedback
-    channel, and the per-fuzzer results are sliced from the merged
+    discipline, each iteration's result carries its arc delta to the
+    coordinator, and the per-fuzzer results are sliced from the merged
     per-cell coverage provenance.  ``workers=1`` runs in-process; the
     default races one worker per fuzzer.  Streams are deterministic
     (step-bounded value search), so worker count never changes the arcs.

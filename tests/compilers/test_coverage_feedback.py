@@ -14,7 +14,6 @@ import pytest
 from repro.compilers import CompileOptions, GraphRTCompiler
 from repro.compilers.bugs import BugConfig
 from repro.compilers.coverage import (
-    CoverageDelta,
     CoverageFeedback,
     CoverageTracer,
     arc_from_str,
@@ -120,16 +119,6 @@ class TestArcCodec:
         assert is_pass_arc(inside)
         assert not is_pass_arc(outside)
 
-    def test_delta_counts(self):
-        import os
-
-        delta = CoverageDelta(arcs=(
-            arc_to_str((os.path.join("deepc", "lowpasses", "loops.py"), 1, 2)),
-            arc_to_str((os.path.join("deepc", "codegen.py"), 3, 4)),
-        ))
-        assert len(delta) == 2
-        assert delta.pass_arcs == 1
-
 
 class TestCoverageFeedback:
     def test_flush_emits_only_new_arcs(self, mlp_model, conv_model):
@@ -147,4 +136,4 @@ class TestCoverageFeedback:
         with feedback.tracer:
             compiler.compile_model(conv_model)
         second = feedback.flush()
-        assert set(second.arcs).isdisjoint(first.arcs)
+        assert set(second).isdisjoint(first)

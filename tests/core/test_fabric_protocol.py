@@ -6,12 +6,10 @@ import json
 import pytest
 
 from repro.core.fabric.protocol import (
-    ARC_COMPRESSION_THRESHOLD,
     PROTOCOL_VERSION,
     CheckpointAck,
     ChunkDone,
     Claim,
-    CoverageDelta,
     Heartbeat,
     Hello,
     IterationResult,
@@ -36,15 +34,12 @@ from repro.testing import tiny_campaign_config
 ALL_MESSAGES = (
     Hello(worker="w-1", pid=4242),
     Welcome(factory="repro.core.parallel.default_compiler_factory"),
-    Lease(chunk_id=7, cell_index=2, start=3, stop=9, exclude=("w-dead",),
-          task=None),
-    # a one-iteration lease, as the coverage scheduler hands out
+    Lease(chunk_id=7, cell_index=2, start=3, stop=9, task=None),
+    # a one-iteration lease
     Lease(chunk_id=8, cell_index=0, start=5, stop=5),
     Claim(worker="w-1", chunk_id=7, cell_index=2),
     IterationResult(worker="w-1", chunk_id=7, cell_index=2, iteration=5,
                     duration=0.125, payload={"iterations": 1}),
-    CoverageDelta(worker="w-1", cell_index=2, iteration=5,
-                  arcs=("a->b", "b->c")),
     ChunkDone(worker="w-1", chunk_id=7, cell_index=2),
     WorkerError(worker="w-1", chunk_id=7, cell_index=2, message="boom"),
     Heartbeat(worker="w-1", sent_at=12.5),
@@ -72,61 +67,6 @@ class TestFrameRoundTrips:
         frame = encode(Heartbeat(worker="w", sent_at=1.0))
         assert frame["kind"] == "heartbeat"
         assert frame["v"] == PROTOCOL_VERSION
-
-    def test_json_lists_become_tuples(self):
-        # JSON has no tuples; exclude/arcs come back as lists and must be
-        # re-frozen so Lease/CoverageDelta stay hashable value objects.
-        lease = decode(json.loads(json.dumps(
-            encode(Lease(chunk_id=1, cell_index=0, start=1, stop=2,
-                         exclude=("a", "b"))))))
-        assert lease.exclude == ("a", "b")
-        delta = decode(json.loads(json.dumps(
-            encode(CoverageDelta(worker="w", cell_index=0, iteration=1,
-                                 arcs=("x->y",))))))
-        assert delta.arcs == ("x->y",)
-
-
-class TestCoverageDeltaCompression:
-    def _big_delta(self, count=300):
-        # Realistic dotted-path arcs: long strings with heavy shared
-        # structure, comfortably above the compression threshold.
-        return CoverageDelta(
-            worker="w-1", cell_index=3, iteration=9,
-            arcs=tuple(f"repro.compilers.graphrt.passes:{i}->{i + 1}"
-                       for i in range(count)))
-
-    def test_small_deltas_ship_plain(self):
-        frame = encode(CoverageDelta(worker="w", cell_index=0, iteration=1,
-                                     arcs=("x->y",)))
-        assert "packed" not in frame
-        assert list(frame["arcs"]) == ["x->y"]
-
-    def test_large_deltas_ship_compressed(self):
-        delta = self._big_delta()
-        assert (len(json.dumps(list(delta.arcs)).encode())
-                > ARC_COMPRESSION_THRESHOLD)
-        frame = encode(delta)
-        assert frame["arcs"] == []
-        assert frame["codec"] == "zlib+b64"
-        assert len(json.dumps(frame)) < len(json.dumps(list(delta.arcs)))
-
-    def test_compressed_delta_round_trips_through_json(self):
-        delta = self._big_delta()
-        rebuilt = decode(json.loads(json.dumps(encode(delta))))
-        assert rebuilt == delta
-        assert isinstance(rebuilt.arcs, tuple)
-
-    def test_unknown_codec_rejected(self):
-        frame = encode(self._big_delta())
-        frame["codec"] = "lz4"
-        with pytest.raises(ProtocolError, match="unknown arc codec"):
-            decode(frame)
-
-    def test_corrupt_packed_payload_rejected(self):
-        frame = encode(self._big_delta())
-        frame["packed"] = "definitely-not-base64-zlib!!!"
-        with pytest.raises(ProtocolError, match="corrupt packed"):
-            decode(frame)
 
 
 class TestFrameRejection:

@@ -60,8 +60,7 @@ def _all_leases(campaign, states, workers=1):
         lease = campaign._next_lease(states, workers)
         if lease is None:
             return leases
-        leases.append((lease.cell_index, lease.start, lease.stop,
-                       lease.exclude))
+        leases.append((lease.cell_index, lease.start, lease.stop))
 
 
 @pytest.mark.smoke
@@ -82,9 +81,9 @@ def test_fleet_leases_shrink_as_the_campaign_drains():
     # ceil(R / 6) of the R iterations still unleased, from the cell with
     # the most of them (lowest index on ties).
     assert _all_leases(campaign, _ledger(campaign), workers=3) == [
-        (0, 1, 4, ()), (1, 1, 4, ()), (2, 1, 3, ()), (3, 1, 3, ()),
-        (2, 4, 5, ()), (3, 4, 5, ()), (0, 5, 5, ()), (1, 5, 5, ()),
-        (0, 6, 6, ()), (1, 6, 6, ()), (2, 6, 6, ()), (3, 6, 6, ())]
+        (0, 1, 4), (1, 1, 4), (2, 1, 3), (3, 1, 3),
+        (2, 4, 5), (3, 4, 5), (0, 5, 5), (1, 5, 5),
+        (0, 6, 6), (1, 6, 6), (2, 6, 6), (3, 6, 6)]
 
 
 def test_shards_of_one_combination_are_leased_whole_to_a_fleet():
@@ -93,7 +92,7 @@ def test_shards_of_one_combination_are_leased_whole_to_a_fleet():
         n_shards=3)
     # Cells that differ only in their shard cost alike: whole leases.
     assert _all_leases(campaign, _ledger(campaign), workers=3) == [
-        (0, 1, 4, ()), (1, 1, 4, ()), (2, 1, 4, ())]
+        (0, 1, 4), (1, 1, 4), (2, 1, 4)]
 
 
 def test_requeued_runs_are_leased_whole_to_a_fleet():
@@ -104,12 +103,12 @@ def test_requeued_runs_are_leased_whole_to_a_fleet():
     first = campaign._next_lease(states)  # cell 0 whole, to one worker
     # That worker dies after folding iteration 1; the fleet has grown to 3.
     states[0].completed = {1}
-    campaign._requeue_lease(states, first, "w0")
+    campaign._requeue_lease(states, first)
     # Recovery work keeps its run whole; the fresh leases after it are
     # capped by the iterations still unleased (ceil(18 / 6) = 3, then
     # ceil(15 / 6) = 3).
     assert _all_leases(campaign, states, workers=3)[:3] == [
-        (0, 2, 6, ("w0",)), (1, 1, 3, ()), (2, 1, 3, ())]
+        (0, 2, 6), (1, 1, 3), (2, 1, 3)]
 
 
 def test_pool_sizes_leases_for_its_live_workers():
@@ -135,10 +134,9 @@ def test_requeued_runs_are_leased_before_fresh_cells():
     first = campaign._next_lease(states)
     # The worker holding cell 0 dies after folding iterations 1, 2 and 4.
     states[0].completed = {1, 2, 4}
-    campaign._requeue_lease(states, first, "w0")
+    campaign._requeue_lease(states, first)
     assert _all_leases(campaign, states) == [
-        (0, 3, 3, ("w0",)), (0, 5, 6, ("w0",)),
-        (1, 1, 6, ()), (2, 1, 6, ()), (3, 1, 6, ())]
+        (0, 3, 3), (0, 5, 6), (1, 1, 6), (2, 1, 6), (3, 1, 6)]
 
 
 def test_resumed_cell_is_leased_one_run_at_a_time():
@@ -149,7 +147,7 @@ def test_resumed_cell_is_leased_one_run_at_a_time():
     states = _ledger(campaign, completed={1: range(1, 7), 2: {1, 2, 5}})
     assert states[1].done
     assert _all_leases(campaign, states) == [
-        (0, 1, 6, ()), (2, 3, 4, ()), (2, 6, 6, ()), (3, 1, 6, ())]
+        (0, 1, 6), (2, 3, 4), (2, 6, 6), (3, 1, 6)]
 
 
 def test_failed_lease_retires_the_inline_worker():

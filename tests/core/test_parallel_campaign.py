@@ -11,6 +11,7 @@ from repro.core.generator import GeneratorConfig
 from repro.core.parallel import (
     ParallelCampaign,
     _CellState,
+    _matrix_worker,
     campaign_result_from_dict,
     campaign_result_to_dict,
     default_compiler_factory,
@@ -370,8 +371,6 @@ def _claim_eating_worker(worker_index, tasks, factory, task_queue,
     chunk is orphaned (gone from the queue, no claim on record)."""
     import os
 
-    from repro.core.parallel import _matrix_worker
-
     if worker_index == 0:
         task_queue.get()
         os._exit(41)
@@ -417,7 +416,23 @@ class TestWorkerFailure:
         monkeypatch.setattr(parallel_module, "_matrix_worker",
                             _claim_eating_worker)
         monkeypatch.setattr(parallel_module, "POLL_TIMEOUT", 0.05)
-        monkeypatch.setattr(parallel_module, "ORPHAN_QUIET_POLLS", 5)
         config = _campaign_config(2, seed=0)
         with pytest.raises(ReproError, match="died with exit code"):
             run_parallel_campaign(config=config, n_workers=2)
+
+    def test_chunk_lost_with_claimless_dead_worker_is_requeued(
+            self, monkeypatch):
+        """The coordinator knows which worker it sent each lease to, so a
+        lease that died unclaimed goes to the survivor like any other."""
+        import repro.core.parallel as parallel_module
+        from repro.testing import campaign_signature
+
+        config = _campaign_config(2, seed=0)
+        baseline = run_parallel_campaign(config=config, n_workers=1,
+                                         n_shards=2)
+        monkeypatch.setattr(parallel_module, "_matrix_worker",
+                            _claim_eating_worker)
+        monkeypatch.setattr(parallel_module, "POLL_TIMEOUT", 0.05)
+        survived = run_parallel_campaign(config=config, n_workers=2,
+                                         fault_tolerance="requeue")
+        assert campaign_signature(survived) == campaign_signature(baseline)

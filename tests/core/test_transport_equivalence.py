@@ -11,6 +11,7 @@ is resumed under another.
 import json
 import multiprocessing
 import os
+import socket
 import threading
 import time
 
@@ -22,7 +23,8 @@ from repro.core.fabric.service import (
     query_status,
     run_fabric_worker,
 )
-from repro.core.fabric.transport import SocketTransport
+from repro.core.fabric.protocol import Hello, IterationResult
+from repro.core.fabric.transport import SocketTransport, read_frame, send_frame
 from repro.core.parallel import (
     ParallelCampaign,
     default_compiler_factory,
@@ -101,6 +103,43 @@ def _run_socket_campaign(config, *, n_workers=2, die_after=None,
                 process.terminate()
                 process.join(timeout=5)
     return campaign, (result if error is None else error)
+
+
+def _start_worker(port, name, **kwargs):
+    """Fork one socket worker that joins the coordinator on ``port``."""
+    process = multiprocessing.get_context("fork").Process(
+        target=run_fabric_worker,
+        kwargs={"host": "127.0.0.1", "port": port, "name": name,
+                "log": _silent, **kwargs},
+        daemon=True)
+    process.start()
+    return process
+
+
+def _within(seconds, body):
+    """Run ``body()`` on a daemon thread and return its value, failing the
+    test if it is still running after ``seconds`` — a hung coordinator
+    fails its test instead of stalling the suite."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = body()
+        except BaseException as exc:  # re-raised on the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def _until(predicate):
+    while not predicate():
+        time.sleep(0.05)
 
 
 @pytest.fixture
@@ -257,6 +296,117 @@ class TestCrossTransportResume:
 
 
 # --------------------------------------------------------------------------- #
+# Worker identity: rejoins, taken names, death while others stream
+# --------------------------------------------------------------------------- #
+@pytest.mark.campaign
+class TestWorkerIdentity:
+    def _rejoin(self, early):
+        """A one-worker fleet whose worker dies after 2 of 12 iterations
+        and rejoins under its ``--name``: before the coordinator declares
+        it dead, or after.  Checks the findings against the in-process
+        run and returns the order of joins and losses."""
+        config = tiny_campaign_config(iterations=12, seed=13)
+        baseline = run_parallel_campaign(config=config, n_workers=1,
+                                         n_shards=1)
+        transport = SocketTransport(host="127.0.0.1", port=0)
+        transport.start([], default_compiler_factory)
+        events = []
+        lost = threading.Event()
+
+        def on_event(kind, _key, payload):
+            if kind in ("worker_joined", "worker_lost"):
+                events.append((kind, payload["worker"]))
+            if kind == "worker_lost":
+                lost.set()
+
+        campaign = ParallelCampaign(
+            config=config, n_workers=1, n_shards=1, transport=transport,
+            fault_tolerance="requeue", on_event=on_event)
+        workers = [_start_worker(transport.port, "w0",
+                                 die_after_iterations=2)]
+        outcome = {}
+        runner = threading.Thread(
+            target=lambda: outcome.update(result=campaign.run()), daemon=True)
+        runner.start()
+        try:
+            if early:
+                workers[0].join(timeout=60)
+            else:
+                assert lost.wait(60)
+            workers.append(_start_worker(transport.port, "w0"))
+            runner.join(60)
+            assert not runner.is_alive(), "campaign still running after 60 s"
+        finally:
+            transport.stop()
+            for process in workers:
+                process.join(timeout=20)
+                if process.is_alive():
+                    process.terminate()
+        assert campaign_signature(outcome["result"]) == \
+            campaign_signature(baseline)
+        return events
+
+    def test_worker_rejoining_before_it_is_declared_dead(self):
+        # The rejoin is a new worker, so the dead one still goes dead and
+        # its lease moves to the rejoin.
+        assert self._rejoin(early=True) == [
+            ("worker_joined", "w0"), ("worker_joined", "w0~1"),
+            ("worker_lost", "w0")]
+
+    def test_worker_rejoining_after_it_is_declared_dead(
+            self, fast_death_detection):
+        # A dead worker's id is retired, not excluded: the requeued lease
+        # goes to whichever worker is idle, the rejoin included.
+        assert self._rejoin(early=False) == [
+            ("worker_joined", "w0"), ("worker_lost", "w0"),
+            ("worker_joined", "w0~1")]
+
+    def test_second_live_worker_under_a_taken_name(self):
+        config = tiny_campaign_config(iterations=8, seed=13)
+        baseline = run_parallel_campaign(config=config, n_workers=1,
+                                         n_shards=2)
+        transport = SocketTransport(host="127.0.0.1", port=0)
+        transport.start([], default_compiler_factory)
+        workers = [_start_worker(transport.port, "w0")]
+        try:
+            _within(30, lambda: _until(
+                lambda: transport.live_worker_count() == 1))
+            workers.append(_start_worker(transport.port, "w0"))
+            _within(30, lambda: _until(
+                lambda: transport.live_worker_count() == 2))
+            assert query_status("127.0.0.1", transport.port,
+                                timeout=10) == {}
+            campaign = ParallelCampaign(config=config, n_workers=2,
+                                        n_shards=2, transport=transport)
+            result = _within(60, campaign.run)
+        finally:
+            transport.stop()
+            for process in workers:
+                process.join(timeout=20)
+                if process.is_alive():
+                    process.terminate()
+        assert campaign_signature(result) == campaign_signature(baseline)
+        assert set(campaign.last_status["workers"]) == {"w0", "w0~1"}
+
+    def test_dead_worker_is_released_while_another_streams(
+            self, fast_death_detection):
+        # w0 dies two iterations in; w1 streams 200 iterations of its own
+        # cell.  Liveness is checked on every pass, so w0's lease is
+        # released while w1 streams, not after its cell is done.
+        config = tiny_campaign_config(iterations=400, seed=13)
+        events = []
+        _campaign, result = _run_socket_campaign(
+            config, n_workers=2, n_shards=2, die_after=2,
+            fault_tolerance="requeue",
+            on_event=lambda kind, _key, _payload: events.append(kind))
+        assert not isinstance(result, ReproError), result
+        assert result.iterations == 400
+        assert [kind for kind in events
+                if kind in ("worker_lost", "cell_done")] == [
+            "worker_lost", "cell_done", "cell_done"]
+
+
+# --------------------------------------------------------------------------- #
 # Status streaming + fabric CLI plumbing
 # --------------------------------------------------------------------------- #
 @pytest.mark.campaign
@@ -325,3 +475,28 @@ class TestStatusEndpoint:
             transport.stop()
         assert code == 0
         assert json.loads(capsys.readouterr().out) == {"findings": 1}
+
+
+def test_service_reads_frames_longer_than_asyncio_default_limit():
+    # A traced cell's first iteration frame carries every arc it covered
+    # (33 KB on a CLI-default campaign); asyncio's default line limit is
+    # 64 KiB, past which the connection would be dropped.
+    arcs = [f"graphrt/passes/fold.py|{line}|{line + 1}"
+            for line in range(4000)]
+    transport = SocketTransport(host="127.0.0.1", port=0)
+    transport.start([], default_compiler_factory)
+    try:
+        with socket.create_connection(("127.0.0.1", transport.port),
+                                      timeout=10) as sock:
+            rfile = sock.makefile("r", encoding="utf-8")
+            wfile = sock.makefile("w", encoding="utf-8")
+            send_frame(wfile, Hello(worker="w0"))
+            assert read_frame(rfile).kind == "welcome"
+            send_frame(wfile, IterationResult(
+                worker="w0", iteration=1, payload={"coverage_arcs": arcs}))
+            received = [transport.recv(timeout=10) for _ in range(2)]
+    finally:
+        transport.stop()
+    assert len(json.dumps(arcs)) > 1 << 16
+    assert [item[1].kind for item in received if item] == ["hello", "iter"]
+    assert received[1][1].payload["coverage_arcs"] == arcs

@@ -127,6 +127,38 @@ class TestCountsAreValidated:
         assert message in err
 
 
+#: --opt-levels values no campaign can run: the pass registry tells only
+#: O0, O1 and O2 apart.
+_BAD_OPT_LEVELS = ["x", "7", "0,7", "-1", ""]
+_BAD_OPT_LEVEL_IDS = ["word", "seven", "zero-seven", "negative", "empty"]
+
+
+class TestOptLevelsAreValidated:
+    @pytest.mark.parametrize("value", _BAD_OPT_LEVELS, ids=_BAD_OPT_LEVEL_IDS)
+    def test_campaign_rejects_opt_levels(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--compilers", "graphrt", "--opt-levels", value,
+                  "--iterations", "1", "--workers", "1", "--nodes", "2",
+                  "--quiet"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.campaign ")
+        assert ("argument --opt-levels: expected comma-separated levels "
+                "0, 1 or 2") in err
+
+    @pytest.mark.parametrize("value", _BAD_OPT_LEVELS, ids=_BAD_OPT_LEVEL_IDS)
+    def test_serve_rejects_opt_levels(self, value, capsys):
+        # Rejected while parsing, before the coordinator binds a port.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--compilers", "graphrt", "--opt-levels", value,
+                  "--iterations", "1", "--worker-wait", "0.1", "--quiet"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.campaign serve ")
+        assert ("argument --opt-levels: expected comma-separated levels "
+                "0, 1 or 2") in err
+
+
 class TestSerialModeErrorsLoudly:
     def test_serial_with_checkpoint_is_an_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -206,6 +238,20 @@ class TestCampaignRuns:
                      "--checkpoint", str(path)]) == 0
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert all(entry["done"] for entry in payload["cells"].values())
+
+    def test_expected_error_prints_a_message_not_a_traceback(
+            self, tmp_path, capsys):
+        # A checkpoint of another campaign is a user error: main reports it
+        # on one line and returns 1.
+        flags = ["--iterations", "2", "--workers", "1", "--nodes", "4",
+                 "--quiet", "--checkpoint", str(tmp_path / "ck.json")]
+        assert main(flags) == 0
+        capsys.readouterr()
+        assert main([*flags, "--seed", "9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint ")
+        assert "seed" in err
+        assert "Traceback" not in err
 
     def test_matrix_cli_prints_per_subset_venn(self, capsys):
         assert main(["--workers", "1", "--iterations", "2", "--nodes", "4",

@@ -5,7 +5,7 @@ Runs the same seeded campaign twice — once on the multiprocessing
 ``LocalTransport`` pool, once as a real coordinator service draining a
 2-worker ``SocketTransport`` fleet over localhost TCP — and writes a
 ``BENCH_8.json`` trajectory point: iterations/sec per transport, mean
-lease offer→claim round-trip latency, and the socket/local wall-clock
+lease send→claim round-trip latency, and the socket/local wall-clock
 overhead ratio.  The fabric's design target is ≤1.2× (socket framing and
 heartbeats must never dominate real fuzzing compute); CI validates only
 the schema (``tests/test_bench_transport.py``), never the timings —
