@@ -106,6 +106,7 @@ from typing import Callable, List, Optional, Sequence
 from repro.compilers.base import registered_compilers
 from repro.compilers.bugs import bug_spec
 from repro.compilers.coverage import is_pass_arc
+from repro.compilers.pipeline import expand_pipeline_tokens
 from repro.core.difftest import first_line
 from repro.core.fuzzer import CampaignResult, FuzzerConfig
 from repro.core.generator import GeneratorConfig
@@ -144,6 +145,46 @@ def opt_level_list(text: str) -> List[int]:
     return [int(token) for token in tokens]
 
 
+def registered_name(registry: Callable[[], Sequence[str]],
+                    what: str) -> Callable[[str], str]:
+    """An argparse ``type`` for one name that ``registry()`` lists when the
+    command line is parsed (so names registered before ``main`` count)."""
+
+    def name(text: str) -> str:
+        known = registry()
+        if text not in known:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {text!r}; registered: {', '.join(known)}")
+        return text
+
+    return name
+
+
+def registered_names(registry: Callable[[], Sequence[str]],
+                     what: str) -> Callable[[str], List[str]]:
+    """An argparse ``type`` for comma-separated registered names."""
+    check = registered_name(registry, what)
+
+    def names(text: str) -> List[str]:
+        return [check(name.strip()) for name in text.split(",")
+                if name.strip()]
+
+    return names
+
+
+def pipeline_tokens(text: str) -> List[str]:
+    """An argparse ``type`` for ``--pipelines``: comma-separated tokens that
+    :func:`~repro.compilers.pipeline.resolve_pipeline` accepts, or samplers
+    drawing at least one pipeline."""
+    tokens = [token.strip() for token in text.split(",") if token.strip()]
+    try:
+        # The campaign seed only picks which pipelines a sampler draws.
+        expand_pipeline_tokens(tokens, campaign_seed=0)
+    except (KeyError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return tokens
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign",
@@ -162,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the serial reference path: one Fuzzer "
                              "per shard, merged")
     parser.add_argument("--compilers", action="append", default=None,
+                        type=registered_names(registered_compilers,
+                                              "compiler"),
                         metavar="NAME[,NAME...]",
                         help="a compiler subset to race as matrix columns; "
                              "repeat for several subsets "
@@ -174,20 +217,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="optimization levels 0-2 crossed with "
                              "--compilers (default 2)")
     parser.add_argument("--generators", default=None, metavar="NAME[,NAME...]",
+                        type=registered_names(registered_strategies,
+                                              "generation strategy"),
                         help="generation strategies raced as a matrix axis "
                              "(e.g. nnsmith,graphfuzzer,lemon); "
                              f"registered: {', '.join(registered_strategies())}")
     parser.add_argument("--oracle", default=DEFAULT_ORACLE,
+                        type=registered_name(registered_oracles, "oracle"),
                         help="test oracle judging every case; registered: "
                              f"{', '.join(registered_oracles())} "
                              f"(default {DEFAULT_ORACLE})")
     parser.add_argument("--oracles", default=None, metavar="NAME[,NAME...]",
+                        type=registered_names(registered_oracles, "oracle"),
                         help="test oracles raced as a matrix axis (e.g. "
                              "difftest,perf,gradcheck): every oracle judges "
                              "the same shard seed streams and the summary "
                              "slices found bugs per oracle; registered: "
                              f"{', '.join(registered_oracles())}")
     parser.add_argument("--pipelines", default=None, metavar="TOK[,TOK...]",
+                        type=pipeline_tokens,
                         help="pass pipelines raced as a matrix axis: 'O0'/"
                              "'O1'/'O2' name the canonical opt-level "
                              "pipelines, 'random:<k>@<seed>' expands to k "
@@ -255,40 +303,26 @@ def make_config(args: argparse.Namespace) -> FuzzerConfig:
 
 
 def parse_generators(args: argparse.Namespace) -> Optional[List[str]]:
-    """The generator-axis strategies requested on the command line."""
-    if not args.generators:
-        return None
-    names = [name.strip() for name in args.generators.split(",")
-             if name.strip()]
-    return names or None
+    """The generator-axis strategies requested on the command line
+    (checked by argparse)."""
+    return args.generators or None
 
 
 def parse_oracles(args: argparse.Namespace) -> Optional[List[str]]:
-    """The oracle-axis oracles requested on the command line."""
-    if not getattr(args, "oracles", None):
-        return None
-    names = [name.strip() for name in args.oracles.split(",")
-             if name.strip()]
-    return names or None
+    """The oracle-axis oracles requested on the command line (checked by
+    argparse)."""
+    return args.oracles or None
 
 
 def parse_pipelines(args: argparse.Namespace) -> Optional[List[str]]:
-    """The pipeline-axis tokens requested on the command line."""
-    if not getattr(args, "pipelines", None):
-        return None
-    names = [name.strip() for name in args.pipelines.split(",")
-             if name.strip()]
-    return names or None
+    """The pipeline-axis tokens requested on the command line (checked by
+    argparse)."""
+    return args.pipelines or None
 
 
 def parse_compiler_sets(args: argparse.Namespace) -> Optional[List[List[str]]]:
     """The matrix columns requested on the command line, or None (flat)."""
-    sets: List[List[str]] = []
-    if args.compilers:
-        for spec in args.compilers:
-            names = [name.strip() for name in spec.split(",") if name.strip()]
-            if names:
-                sets.append(names)
+    sets = [names for names in args.compilers or () if names]
     if args.matrix and not sets:
         sets = [[name] for name in registered_compilers()]
     return sets or None

@@ -312,9 +312,11 @@ def _cmd_serve(argv: Sequence[str]) -> int:
         elif kind == "worker_joined":
             print(f"  worker joined: {payload['worker']}", flush=True)
         elif kind == "worker_lost":
+            runs = ", ".join(str(first) if first == last
+                             else f"{first}-{last}"
+                             for first, last in payload["requeued"])
             print(f"  worker lost: {payload['worker']} — requeued "
-                  f"iterations {payload['requeued']} of [{cell_key}]",
-                  flush=True)
+                  f"iterations {runs or 'none'} of [{cell_key}]", flush=True)
 
     campaign = ParallelCampaign(
         config=config,

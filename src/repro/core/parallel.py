@@ -75,8 +75,8 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, FrozenSet, Iterator, List,
-                    Optional, Sequence, Set, Tuple)
+from typing import (AbstractSet, Any, Callable, Deque, Dict, FrozenSet,
+                    Iterator, List, Optional, Sequence, Set, Tuple)
 
 import numpy as np
 
@@ -450,7 +450,8 @@ def _differences(saved: Dict[str, Any], current: Dict[str, Any],
     return lines
 
 
-def _ranges_from_iterations(iterations: Set[int]) -> List[List[int]]:
+def _ranges_from_iterations(iterations: AbstractSet[int]
+                            ) -> List[List[int]]:
     """Compact a set of iteration indices into inclusive [start, end] runs."""
     runs: List[List[int]] = []
     for value in sorted(iterations):
@@ -1007,8 +1008,10 @@ class ParallelCampaign:
             self.on_event(kind, cell_key, payload)
 
     # ------------------------------------------------------------------ #
-    def _requeue_lease(self, states: List[_CellState], lease: Lease) -> None:
-        """Return a dead worker's lease to the ledger.
+    def _requeue_lease(self, states: List[_CellState],
+                       lease: Lease) -> FrozenSet[int]:
+        """Return a dead worker's lease to the ledger; returns the
+        iterations requeued.
 
         Iterations the lease already folded stay folded (`_fold_iteration`
         deduplicates replays, so nothing is double-counted).
@@ -1019,6 +1022,7 @@ class ParallelCampaign:
         if remaining:
             self._requeued.append((lease.cell_index, remaining))
         self._finish_chunk(states, lease.cell_index)
+        return remaining
 
     def _drain(self, states: List[_CellState],
                transport: CoordinatorTransport) -> None:
@@ -1054,10 +1058,10 @@ class ParallelCampaign:
             if not requeue:
                 fail(lease.cell_index, f"worker {worker_id} {description}")
                 return
-            self._requeue_lease(states, lease)
+            requeued = self._requeue_lease(states, lease)
             self._emit("worker_lost", states[lease.cell_index].task.cell.key,
                        {"worker": worker_id,
-                        "requeued": [lease.start, lease.stop]})
+                        "requeued": _ranges_from_iterations(requeued)})
 
         while True:
             # One clock read per pass: lease latency, send times and the

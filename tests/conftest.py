@@ -1,11 +1,14 @@
 """Shared fixtures for the test suite.
 
 Marker registration and the reference model builders live in
-:mod:`repro.testing`, shared with ``benchmarks/conftest.py``; this file only
-binds them to pytest fixtures.
+:mod:`repro.testing`, shared with ``benchmarks/conftest.py``; this file
+binds them to pytest fixtures and adds ``within``, which bounds a call that
+could hang.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -42,3 +45,30 @@ def no_bugs() -> BugConfig:
 @pytest.fixture
 def all_bugs_config() -> BugConfig:
     return BugConfig.all()
+
+
+@pytest.fixture
+def within():
+    """``within(seconds, body)`` runs ``body()`` on a daemon thread and
+    returns its value (re-raising what it raised), failing the test if it
+    is still running after ``seconds`` — a hung coordinator fails its test
+    instead of stalling the suite."""
+
+    def run(seconds, body):
+        outcome = {}
+
+        def target():
+            try:
+                outcome["value"] = body()
+            except BaseException as exc:  # re-raised on the test's thread
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(seconds)
+        assert not thread.is_alive(), f"still running after {seconds} s"
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["value"]
+
+    return run

@@ -4,12 +4,13 @@ The perf oracle judges counted kernel calls, not wall time, so its verdicts
 are deterministic: a scripted fake compiler pins the threshold, the verdict
 shape and the per-node slow-node attribution, and the seeded repack bug is
 checked end to end on its exact call counts.  Gradcheck's finite-difference
-probes run by run through the reference interpreter.  Also pins the
-``BaseOracle.run_case`` satellite fixes: the optional ``rng`` threads
-through to random-input generation and ``numerically_valid=None`` is
-preserved instead of being coerced to False.
+probe is one run pair per system, checked through the reference
+interpreter.  Also pins the ``BaseOracle.run_case`` satellite fixes: the
+optional ``rng`` threads through to random-input generation and
+``numerically_valid=None`` is preserved instead of being coerced to False.
 """
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -271,15 +272,23 @@ class TestGradcheckOracle:
         # Small activations keep the buggy and true derivatives far apart
         # (both bugs degenerate to the truth as the activation saturates).
         inputs = {"x1": np.full((2, 3), 0.5, dtype=np.float32)}
-        case = oracle.run_case(model_builder(), inputs=inputs)
+        model = model_builder()
+        case = oracle.run_case(model, inputs=inputs)
         (verdict,) = case.verdicts
         assert verdict.compiler == "autodiff"
         assert verdict.status == "gradient"
         assert verdict.phase == "backward"
         assert bug_id in verdict.triggered_bugs
-        # per-output max-error provenance
-        assert "max |analytic-numeric|" in verdict.message
-        assert "analytic" in verdict.message and "numeric" in verdict.message
+        # directional provenance: the elements the probe moved, then the
+        # output with its analytic and numeric directional derivatives
+        (out,) = model.outputs
+        match = re.fullmatch(
+            rf"wrong gradient along x1\[0, 2, 5\]: output '{out}': "
+            r"analytic (\S+), numeric (\S+)", verdict.message)
+        assert match, verdict.message
+        analytic, numeric = (float(value) for value in match.groups())
+        assert abs(analytic - numeric) > oracle.RTOL * max(
+            1.0, abs(analytic), abs(numeric))
 
     def test_wrong_vjp_observed_through_backends_too(self):
         bugs = BugConfig.only("autodiff-tanh-grad-linear")
@@ -354,33 +363,36 @@ def _spy_reference_runs(monkeypatch):
 
 
 class TestGradcheckProbes:
-    """Finite-difference probes run one at a time through the reference
-    interpreter: a +step run, then a -step run, per sampled element."""
+    """The finite-difference probe is one run pair per system: a run with
+    every sampled element moved up, then a run with them all moved down,
+    each by ``FD_STEP·max(1, |x|)``."""
 
-    def test_each_sampled_element_gets_one_run_pair(self, mlp_model,
-                                                    monkeypatch):
+    def test_sampled_elements_move_together_in_one_run_pair(self, mlp_model,
+                                                            monkeypatch):
         from repro.runtime.interpreter import random_inputs
 
         inputs = random_inputs(mlp_model, np.random.default_rng(3))
         oracle = GradientCheckOracle([], bugs=BugConfig.none())
+        targets = dict(oracle._sampled_targets(mlp_model, inputs))
+        assert sum(len(indices) for indices in targets.values()) == 3
         seen = _spy_reference_runs(monkeypatch)
         (verdict,) = oracle.evaluate(mlp_model, inputs)
         assert verdict.status == "ok"
-        expected = [(name, index, sign)
-                    for name, indices in oracle._sampled_targets(mlp_model,
-                                                                 inputs)
-                    for index in indices for sign in (1.0, -1.0)]
-        assert len(expected) == 6
         probes = seen[1:]  # seen[0] is the recorded forward run
-        assert len(probes) == len(expected)
-        for probe, (name, index, sign) in zip(probes, expected):
-            delta = (probe[name].astype(np.float64).reshape(-1)
-                     - np.asarray(inputs[name], np.float64).reshape(-1))
-            assert list(np.flatnonzero(delta)) == [index]
-            assert np.sign(delta[index]) == sign
-            for other in inputs:
-                if other != name:
-                    np.testing.assert_array_equal(probe[other], inputs[other])
+        assert len(probes) == 2
+        for probe, sign in zip(probes, (1.0, -1.0)):
+            for name, value in inputs.items():
+                if name not in targets:
+                    np.testing.assert_array_equal(probe[name], value)
+                    continue
+                base = np.asarray(value).reshape(-1)
+                moved = probe[name].reshape(-1)
+                indices = targets[name]
+                assert list(np.flatnonzero(moved != base)) == indices
+                expected = base[indices] + sign * oracle.FD_STEP * \
+                    np.maximum(1.0, np.abs(base[indices].astype(np.float64)))
+                np.testing.assert_array_equal(
+                    moved[indices], expected.astype(base.dtype))
 
     def test_probes_leave_the_case_inputs_untouched(self, mlp_model):
         from repro.runtime.interpreter import random_inputs

@@ -116,27 +116,6 @@ def _start_worker(port, name, **kwargs):
     return process
 
 
-def _within(seconds, body):
-    """Run ``body()`` on a daemon thread and return its value, failing the
-    test if it is still running after ``seconds`` — a hung coordinator
-    fails its test instead of stalling the suite."""
-    outcome = {}
-
-    def run():
-        try:
-            outcome["value"] = body()
-        except BaseException as exc:  # re-raised on the test's thread
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(seconds)
-    assert not thread.is_alive(), f"still running after {seconds} s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
 def _until(predicate):
     while not predicate():
         time.sleep(0.05)
@@ -191,11 +170,20 @@ class TestTransportEquivalence:
         assert traced.coverage_arcs and not untraced.coverage_arcs
 
     def test_worker_death_requeue_preserves_findings(
-            self, fast_death_detection):
+            self, fast_death_detection, monkeypatch):
         config = tiny_campaign_config(iterations=6, seed=13)
         baseline = run_parallel_campaign(config=config, n_workers=1,
                                          n_shards=2)
 
+        leases = []
+        send = SocketTransport.send
+
+        def spy(transport, worker_id, message):
+            if message.kind == "lease":
+                leases.append((worker_id, message))
+            send(transport, worker_id, message)
+
+        monkeypatch.setattr(SocketTransport, "send", spy)
         events = []
         _campaign, survived = _run_socket_campaign(
             config, n_workers=2, n_shards=2, die_after=2,
@@ -206,7 +194,12 @@ class TestTransportEquivalence:
         assert campaign_signature(survived) == campaign_signature(baseline)
         lost = [payload for kind, payload in events
                 if kind == "worker_lost"]
-        assert lost and lost[0]["worker"] == "w0"
+        assert [payload["worker"] for payload in lost] == ["w0"]
+        # w0 streamed its lease's first two iterations, then died: only the
+        # rest of that lease was requeued, as sorted [first, last] runs.
+        (lease,) = [lease for worker, lease in leases if worker == "w0"]
+        assert lease.stop - lease.start >= 2
+        assert lost[0]["requeued"] == [[lease.start + 2, lease.stop]]
 
     def test_requeued_chunk_keeps_cell_clock_monotone(
             self, fast_death_detection):
@@ -361,7 +354,7 @@ class TestWorkerIdentity:
             ("worker_joined", "w0"), ("worker_lost", "w0"),
             ("worker_joined", "w0~1")]
 
-    def test_second_live_worker_under_a_taken_name(self):
+    def test_second_live_worker_under_a_taken_name(self, within):
         config = tiny_campaign_config(iterations=8, seed=13)
         baseline = run_parallel_campaign(config=config, n_workers=1,
                                          n_shards=2)
@@ -369,16 +362,16 @@ class TestWorkerIdentity:
         transport.start([], default_compiler_factory)
         workers = [_start_worker(transport.port, "w0")]
         try:
-            _within(30, lambda: _until(
+            within(30, lambda: _until(
                 lambda: transport.live_worker_count() == 1))
             workers.append(_start_worker(transport.port, "w0"))
-            _within(30, lambda: _until(
+            within(30, lambda: _until(
                 lambda: transport.live_worker_count() == 2))
             assert query_status("127.0.0.1", transport.port,
                                 timeout=10) == {}
             campaign = ParallelCampaign(config=config, n_workers=2,
                                         n_shards=2, transport=transport)
-            result = _within(60, campaign.run)
+            result = within(60, campaign.run)
         finally:
             transport.stop()
             for process in workers:

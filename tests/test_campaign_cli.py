@@ -14,7 +14,10 @@ from repro.campaign import (
     parse_opt_levels,
     parse_oracles,
 )
+from repro.compilers.base import registered_compilers
+from repro.core.oracle import registered_oracles
 from repro.core.parallel import run_parallel_campaign
+from repro.core.strategy import registered_strategies
 from repro.testing import campaign_signature
 
 
@@ -92,6 +95,65 @@ class TestArgumentParsing:
         assert _parse("--coverage").coverage is True
         assert _parse().coverage is False
         assert _serve_parser().parse_args(["--coverage"]).coverage is True
+
+
+#: Axis flags naming something no registry holds, and the usage error
+#: each gets (built from the live registries, as argparse checks them).
+_UNKNOWN_NAMES = [
+    (["--oracle", "nosuch"],
+     "argument --oracle: unknown oracle 'nosuch'; registered: "
+     + ", ".join(registered_oracles())),
+    (["--oracles", "difftest,nosuch"],
+     "argument --oracles: unknown oracle 'nosuch'; registered: "
+     + ", ".join(registered_oracles())),
+    (["--generators", "nosuch"],
+     "argument --generators: unknown generation strategy 'nosuch'; "
+     "registered: " + ", ".join(registered_strategies())),
+    (["--compilers", "graphrt,nosuch"],
+     "argument --compilers: unknown compiler 'nosuch'; registered: "
+     + ", ".join(registered_compilers())),
+    (["--pipelines", "O2,bogus"],
+     "argument --pipelines: unknown pipeline token 'bogus'; expected "
+     "'O<k>', 'rand:<seed>:<index>' or 'random:<k>@<seed>'"),
+]
+_UNKNOWN_NAME_IDS = ["oracle", "oracles", "generators", "compilers",
+                     "pipelines"]
+
+
+class TestAxisNamesAreValidated:
+    @pytest.mark.parametrize("argv,message", _UNKNOWN_NAMES,
+                             ids=_UNKNOWN_NAME_IDS)
+    def test_campaign_rejects_unknown_name(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--iterations", "1", "--workers", "1",
+                  "--nodes", "2", "--quiet"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.campaign ")
+        assert message in err
+
+    @pytest.mark.parametrize("argv,message", _UNKNOWN_NAMES,
+                             ids=_UNKNOWN_NAME_IDS)
+    def test_serve_rejects_unknown_name(self, argv, message, capsys,
+                                        within):
+        # Rejected while parsing: never a campaign waiting for workers
+        # (bounded, since one that started would wait for them forever).
+        with pytest.raises(SystemExit) as excinfo:
+            within(60, lambda: main(["serve", *argv, "--min-workers", "0",
+                                     "--iterations", "1", "--nodes", "2",
+                                     "--quiet"]))
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.campaign serve ")
+        assert message in err
+
+    def test_names_registered_before_parsing_count(self, monkeypatch):
+        import repro.core.strategy as strategy_module
+
+        monkeypatch.setitem(strategy_module._STRATEGY_REGISTRY, "mine",
+                            strategy_module._STRATEGY_REGISTRY["nnsmith"])
+        args = _parse("--generators", "nnsmith,mine")
+        assert parse_generators(args) == ["nnsmith", "mine"]
 
 
 #: Counts a campaign cannot run, and the usage error each gets.
