@@ -26,8 +26,9 @@ SERVE_PID=$!
 sleep 1
 
 # 2. The fleet: each worker connects, handshakes (protocol-versioned),
-#    imports the campaign's compiler factory by name, and executes leases,
-#    streaming per-iteration results and heartbeats back.
+#    and executes leases, building each cell's compilers from the registry
+#    names its lease carries, streaming per-iteration results and
+#    heartbeats back.
 python -m repro.campaign worker --connect "127.0.0.1:$PORT" --name worker-a &
 python -m repro.campaign worker --connect "127.0.0.1:$PORT" --name worker-b &
 

@@ -35,12 +35,12 @@ Run with:  python examples/fuzz_campaign.py [iterations] [workers] [--matrix]
 
 import sys
 
+from repro.compilers.base import DEFAULT_COMPILERS, build_compiler_set
 from repro.compilers.bugs import BugConfig, bug_spec
 from repro.core import (
     Fuzzer,
     FuzzerConfig,
     GeneratorConfig,
-    default_compiler_factory,
     first_line,
     run_parallel_campaign,
 )
@@ -70,11 +70,11 @@ def main(iterations: int = 150, workers: int = 1, matrix: bool = False) -> None:
             opt_levels=[0, 2],
         )
     elif workers > 1:
-        print(f"Fuzzing graphrt, deepc, turbo for {iterations} iterations "
-              f"across {workers} worker processes ...")
+        print(f"Fuzzing {', '.join(DEFAULT_COMPILERS)} for {iterations} "
+              f"iterations across {workers} worker processes ...")
         result = run_parallel_campaign(config=config, n_workers=workers)
     else:
-        compilers = default_compiler_factory(bugs)
+        compilers = build_compiler_set(DEFAULT_COMPILERS, bugs=bugs)
         fuzzer = Fuzzer(compilers, config)
         print(f"Fuzzing {', '.join(c.name for c in compilers)} "
               f"for {iterations} iterations ...")

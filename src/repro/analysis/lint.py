@@ -6,9 +6,11 @@ interpreter's value environment, an unseeded global random draw breaks
 bit-identical finding replay, a raw wall-clock read lets machine load
 decide what an iteration computes, and iterating an unordered ``set`` into
 a wire frame or finding makes coordinator/worker runs diverge.  The clock
-reads that remain only time the campaign ``--time-budget``, lease and
-heartbeat bookkeeping, and value search's ``SearchResult.elapsed``; none
-of them bounds work inside an iteration.  This module walks the Python AST
+reads that remain feed telemetry (iteration durations, timeline and
+coverage stamps), lease latency, heartbeat liveness, the ``serve`` waits
+(for its ``--min-workers`` quorum and its ``--linger`` status window) and
+value search's ``SearchResult.elapsed``; none of them bounds work inside
+an iteration.  This module walks the Python AST
 of the engine's sources and reports violations of those contracts:
 
 ``kernel-input-mutation``

@@ -1,6 +1,7 @@
 """Command-line front end for sharded and matrix fuzzing campaigns.
 
-Run a flat parallel campaign against the three in-repo compilers::
+Run a flat parallel campaign against the three in-repo compilers (deepc,
+graphrt and turbo at O2)::
 
     python -m repro.campaign --iterations 200 --workers 4
 
@@ -12,7 +13,8 @@ Venn-style per-backend/per-opt-level analysis::
         --compilers graphrt,deepc --compilers turbo --opt-levels 0,2
 
 ``--matrix`` is shorthand for "every registered compiler on its own"
-(crossed with ``--opt-levels``).
+(crossed with ``--opt-levels``); ``--opt-levels`` alone crosses the three
+in-repo compilers with those levels.
 
 Race several *generation strategies* (NNSmith vs the baselines, or the
 ``targeted`` motif strategy) through the same engine with ``--generators``
@@ -101,21 +103,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
-from repro.compilers.base import registered_compilers
+from repro.compilers.base import DEFAULT_COMPILERS, registered_compilers
 from repro.compilers.bugs import bug_spec
 from repro.compilers.coverage import is_pass_arc
-from repro.compilers.pipeline import expand_pipeline_tokens
+from repro.compilers.pipeline import OPT_LEVELS, expand_pipeline_tokens
 from repro.core.difftest import first_line
 from repro.core.fuzzer import CampaignResult, FuzzerConfig
 from repro.core.generator import GeneratorConfig
 from repro.core.oracle import DEFAULT_ORACLE, registered_oracles
-from repro.core.parallel import (
-    default_compiler_factory,
-    run_parallel_campaign,
-    run_sharded_serial,
-)
+from repro.core.parallel import ParallelCampaign, run_sharded_serial
 from repro.core.strategy import DEFAULT_STRATEGY, registered_strategies
 from repro.errors import ReproError
 from repro.experiments.venn import campaign_cell_sets, format_venn_table
@@ -135,13 +133,14 @@ def count_at_least(minimum: int) -> Callable[[str], int]:
 
 
 def opt_level_list(text: str) -> List[int]:
-    """An argparse ``type`` for ``--opt-levels``: comma-separated levels 0,
-    1 or 2, the only levels the passes' ``min_opt_level`` gates tell apart
-    (a higher level would build exactly like O2)."""
+    """An argparse ``type`` for ``--opt-levels``: comma-separated levels of
+    :data:`~repro.compilers.pipeline.OPT_LEVELS`."""
     tokens = [token.strip() for token in text.split(",") if token.strip()]
-    if not tokens or any(token not in ("0", "1", "2") for token in tokens):
+    levels = [str(level) for level in OPT_LEVELS]
+    if not tokens or any(token not in levels for token in tokens):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated levels 0, 1 or 2, got {text!r}")
+            f"expected comma-separated levels {', '.join(levels[:-1])} or "
+            f"{levels[-1]}, got {text!r}")
     return [int(token) for token in tokens]
 
 
@@ -215,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--opt-levels", type=opt_level_list, default=None,
                         metavar="N[,N...]",
                         help="optimization levels 0-2 crossed with "
-                             "--compilers (default 2)")
+                             "--compilers, or with deepc,graphrt,turbo "
+                             "without it (default 2)")
     parser.add_argument("--generators", default=None, metavar="NAME[,NAME...]",
                         type=registered_names(registered_strategies,
                                               "generation strategy"),
@@ -302,35 +302,36 @@ def make_config(args: argparse.Namespace) -> FuzzerConfig:
     )
 
 
-def parse_generators(args: argparse.Namespace) -> Optional[List[str]]:
-    """The generator-axis strategies requested on the command line
-    (checked by argparse)."""
-    return args.generators or None
-
-
-def parse_oracles(args: argparse.Namespace) -> Optional[List[str]]:
-    """The oracle-axis oracles requested on the command line (checked by
-    argparse)."""
-    return args.oracles or None
-
-
-def parse_pipelines(args: argparse.Namespace) -> Optional[List[str]]:
-    """The pipeline-axis tokens requested on the command line (checked by
-    argparse)."""
-    return args.pipelines or None
-
-
 def parse_compiler_sets(args: argparse.Namespace) -> Optional[List[List[str]]]:
-    """The matrix columns requested on the command line, or None (flat)."""
+    """The matrix columns requested on the command line, or None (the
+    default compilers)."""
     sets = [names for names in args.compilers or () if names]
     if args.matrix and not sets:
         sets = [[name] for name in registered_compilers()]
     return sets or None
 
 
-def parse_opt_levels(args: argparse.Namespace) -> Optional[List[int]]:
-    """The opt levels requested on the command line (checked by argparse)."""
-    return args.opt_levels
+def campaign_from_args(args: argparse.Namespace,
+                       **fields: Any) -> ParallelCampaign:
+    """The campaign a parsed command line asks for, shared by the campaign
+    command and ``serve``; ``fields`` are the caller's own
+    :class:`~repro.core.parallel.ParallelCampaign` fields (its event
+    printer, ``serve``'s transport).  Every name was checked by argparse."""
+    return ParallelCampaign(
+        config=make_config(args),
+        n_workers=max(args.workers, 1),
+        compiler_sets=parse_compiler_sets(args),
+        opt_levels=args.opt_levels,
+        generators=args.generators or None,
+        oracles=args.oracles or None,
+        pipelines=args.pipelines or None,
+        pool_mode=args.pool_mode,
+        n_shards=args.shards,
+        checkpoint_path=args.checkpoint,
+        checkpoint_every=args.checkpoint_every,
+        trace_coverage=args.coverage,
+        fault_tolerance=args.fault_tolerance,
+        **fields)
 
 
 def print_summary(result: CampaignResult) -> None:
@@ -359,15 +360,15 @@ def print_summary(result: CampaignResult) -> None:
                 cell = result.cells[key]
                 if cell.coverage_arcs:
                     print(f"  [{key}] {len(cell.coverage_arcs)} arcs")
-    if result.cells and any(cell.compilers for cell in result.cells.values()):
+    by_subset = campaign_cell_sets(result, by="compiler_set")
+    if len(by_subset) > 1:
         print()
-        print(format_venn_table(campaign_cell_sets(result, by="compiler_set"),
+        print(format_venn_table(by_subset,
                                 title="Seeded bugs by compiler subset:"))
-        by_opt = campaign_cell_sets(result, by="opt_level")
-        if len(by_opt) > 1:
-            print()
-            print(format_venn_table(by_opt,
-                                    title="Seeded bugs by opt level:"))
+    by_opt = campaign_cell_sets(result, by="opt_level")
+    if len(by_opt) > 1:
+        print()
+        print(format_venn_table(by_opt, title="Seeded bugs by opt level:"))
     if result.cells and any(cell.generator for cell in result.cells.values()):
         print()
         print(format_venn_table(campaign_cell_sets(result, by="generator"),
@@ -409,82 +410,62 @@ def _main(argv: List[str]) -> int:
         from repro.compilers.pipeline import describe_pass_registry
         print(describe_pass_registry())
         return 0
-    config = make_config(args)
-    serial = args.serial or args.workers == 0
-    n_workers = max(args.workers, 1)
-    compiler_sets = parse_compiler_sets(args)
-    opt_levels = parse_opt_levels(args)
-    generators = parse_generators(args)
-    oracles = parse_oracles(args)
-    pipelines = parse_pipelines(args)
-    if opt_levels is not None and compiler_sets is None:
-        # Factory mode fixes its own opt levels; silently ignoring the flag
-        # would hand the user an O2 campaign labeled as whatever they asked.
-        parser.error("--opt-levels requires --compilers or --matrix")
-
-    if serial:
-        if args.checkpoint:
-            # The reference path has no checkpoint pipeline; silently
-            # ignoring the flag would look like resume support.  Refuse.
-            parser.error("--checkpoint requires the parallel engine; "
-                         "use --workers 1 for an in-process run with "
-                         "checkpoint support")
-        if compiler_sets or generators or oracles or pipelines:
-            parser.error("--compilers/--matrix/--generators/--oracles/"
-                         "--pipelines require the parallel engine; use "
-                         "--workers 1 for an in-process matrix run")
-        if args.coverage:
-            # The reference path traces nothing; silently ignoring the flag
-            # would hand the user a campaign without its coverage.
-            parser.error("--coverage requires the parallel engine; use "
-                         "--workers 1 for an in-process run")
-        print(f"Fuzzing graphrt, deepc, turbo for {args.iterations} "
-              f"iterations serially ...")
-        result = run_sharded_serial(config, args.shards or n_workers)
-        print_summary(result)
-        return 0
-
-    if compiler_sets:
-        columns = " | ".join(",".join(subset) for subset in compiler_sets)
-        levels = ",".join(str(level) for level in (opt_levels or [2]))
-        mode = f"matrix [{columns}] x O[{levels}]"
-    else:
-        mode = "graphrt, deepc, turbo"
-    if generators:
-        mode += f" x gen[{','.join(generators)}]"
-    if oracles:
-        mode += f" x oracle[{','.join(oracles)}]"
-    if pipelines:
-        mode += f" x pipe[{','.join(pipelines)}]"
-    how = "in-process" if n_workers == 1 else \
-        f"across {n_workers} worker processes"
-    traced = ", tracing coverage" if args.coverage else ""
-    print(f"Fuzzing {mode} for {args.iterations} iterations {how}"
-          f"{traced} ...")
 
     def on_event(kind, cell_key, payload):
         if kind == "progress" and not args.quiet:
             print(f"  [{cell_key}] iteration {payload['iteration']} "
                   f"{payload['status']} in {payload['compiler']}")
 
-    result = run_parallel_campaign(
-        config=config,
-        n_workers=n_workers,
-        compiler_factory=default_compiler_factory,
-        compiler_sets=compiler_sets,
-        opt_levels=opt_levels,
-        generators=generators,
-        oracles=oracles,
-        pipelines=pipelines,
-        pool_mode=args.pool_mode,
-        n_shards=args.shards,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        trace_coverage=args.coverage,
-        on_event=on_event,
-        fault_tolerance=args.fault_tolerance,
-    )
-    print_summary(result)
+    campaign = campaign_from_args(args, on_event=on_event)
+    axes = (campaign.compiler_sets, campaign.opt_levels, campaign.generators,
+            campaign.oracles, campaign.pipelines)
+    if args.serial or args.workers == 0:
+        if args.checkpoint:
+            # The reference path has no checkpoint pipeline; silently
+            # ignoring the flag would look like resume support.  Refuse.
+            parser.error("--checkpoint requires the parallel engine; "
+                         "use --workers 1 for an in-process run with "
+                         "checkpoint support")
+        if any(axes):
+            # The reference path runs the config alone against the default
+            # compilers at O2; silently ignoring an axis would hand the
+            # user an O2 campaign labeled as whatever they asked for.
+            parser.error("--compilers/--matrix/--opt-levels/--generators/"
+                         "--oracles/--pipelines require the parallel "
+                         "engine; use --workers 1 for an in-process matrix "
+                         "run")
+        if args.coverage:
+            # The reference path traces nothing; silently ignoring the flag
+            # would hand the user a campaign without its coverage.
+            parser.error("--coverage requires the parallel engine; use "
+                         "--workers 1 for an in-process run")
+        print(f"Fuzzing {', '.join(DEFAULT_COMPILERS)} for {args.iterations} "
+              f"iterations serially ...")
+        result = run_sharded_serial(campaign.config,
+                                    args.shards or campaign.n_workers)
+        print_summary(result)
+        return 0
+
+    compiler_sets, opt_levels, generators, oracles, pipelines = axes
+    if compiler_sets or opt_levels:
+        columns = " | ".join(",".join(subset) for subset
+                             in compiler_sets or [DEFAULT_COMPILERS])
+        levels = ",".join(str(level) for level in (opt_levels or [2]))
+        mode = f"matrix [{columns}] x O[{levels}]"
+    else:
+        mode = ", ".join(DEFAULT_COMPILERS)
+    if generators:
+        mode += f" x gen[{','.join(generators)}]"
+    if oracles:
+        mode += f" x oracle[{','.join(oracles)}]"
+    if pipelines:
+        mode += f" x pipe[{','.join(pipelines)}]"
+    how = "in-process" if campaign.n_workers == 1 else \
+        f"across {campaign.n_workers} worker processes"
+    traced = ", tracing coverage" if args.coverage else ""
+    print(f"Fuzzing {mode} for {args.iterations} iterations {how}"
+          f"{traced} ...")
+    print_summary(campaign.run())
     return 0
 
 

@@ -105,10 +105,14 @@ class Compiler(abc.ABC):
 # Named factory registry
 # --------------------------------------------------------------------------- #
 # The matrix campaign engine schedules work units over *compiler subsets*
-# identified by name.  Names (unlike compiler instances or factory callables)
-# are trivially picklable and diffable, so they travel through worker
-# processes and checkpoint fingerprints unchanged.
+# identified by name.  Names (unlike compiler instances) are trivially
+# picklable and diffable, so they travel through worker processes, the
+# fabric's wire and checkpoint fingerprints unchanged.
 _COMPILER_REGISTRY: Dict[str, Type["Compiler"]] = {}
+
+#: The in-repo systems under test, sorted like a matrix cell's subset: the
+#: compilers of a campaign without a compiler axis.
+DEFAULT_COMPILERS: Tuple[str, ...] = ("deepc", "graphrt", "turbo")
 
 
 def register_compiler(cls: Type["Compiler"]) -> Type["Compiler"]:

@@ -48,6 +48,10 @@ STAGES: Tuple[str, ...] = ("graphrt", "deepc-graph", "deepc-low")
 #: sequences, low enough that subsets vary.
 SAMPLE_KEEP_PROBABILITY = 0.75
 
+#: The optimization levels the passes' ``min_opt_level`` gates tell apart:
+#: a higher level would build exactly like O2, so none is accepted.
+OPT_LEVELS: Tuple[int, ...] = (0, 1, 2)
+
 
 @dataclass
 class PipelineContext:
@@ -298,14 +302,20 @@ def sample_spec(seed: int, index: int) -> PipelineSpec:
 def resolve_pipeline(token: str) -> PipelineSpec:
     """Turn a self-contained pipeline token into its spec.
 
-    Accepts ``"O<k>"`` (canonical spec of that opt level) and
-    ``"rand:<seed>:<index>"`` (deterministic sample).  The sampler syntax
-    ``"random:<k>@<seed>"`` is *not* self-contained (it needs the campaign
-    seed) — run it through :func:`expand_pipeline_tokens` first.
+    Accepts ``"O<k>"`` (canonical spec of that opt level, ``k`` one of
+    :data:`OPT_LEVELS`) and ``"rand:<seed>:<index>"`` (deterministic
+    sample).  The sampler syntax ``"random:<k>@<seed>"`` is *not*
+    self-contained (it needs the campaign seed) — run it through
+    :func:`expand_pipeline_tokens` first.
     """
     match = _OPT_TOKEN.fullmatch(token)
     if match:
-        return canonical_spec(int(match.group(1)))
+        level = int(match.group(1))
+        if level not in OPT_LEVELS:
+            known = ", ".join(f"O{known}" for known in OPT_LEVELS)
+            raise KeyError(f"unknown opt level in pipeline token {token!r}; "
+                           f"expected one of {known}")
+        return canonical_spec(level)
     match = _RAND_TOKEN.fullmatch(token)
     if match:
         return sample_spec(int(match.group(1)), int(match.group(2)))

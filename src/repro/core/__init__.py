@@ -50,7 +50,6 @@ from repro.core.parallel import (
     build_matrix,
     campaign_result_from_dict,
     campaign_result_to_dict,
-    default_compiler_factory,
     run_parallel_campaign,
     run_sharded_serial,
     shard_configs,
@@ -107,7 +106,6 @@ __all__ = [
     "campaign_result_to_dict",
     "compare_outputs",
     "concretize",
-    "default_compiler_factory",
     "first_line",
     "generate_model",
     "gradient_search",

@@ -9,6 +9,9 @@ fleet to one host.  The fabric splits that conversation into three layers:
   schema (``lease``/``claim``/``iter``/``chunk_done``/``heartbeat``/
   ``checkpoint_ack``/``shutdown`` …) plus JSON round-trips for the campaign
   objects a remote worker needs rebuilt (``FuzzerConfig``, ``CellTask``).
+  Only names and data cross the wire: a worker rebuilds each cell's
+  compilers, generator and oracle from the registry names its lease
+  carries, and imports no code the coordinator names.
 * :mod:`repro.core.fabric.transport` — the :class:`CoordinatorTransport`
   contract and its three implementations: :class:`InlineTransport` (the
   one worker of a ``--workers 1`` run, inside the coordinator's process),

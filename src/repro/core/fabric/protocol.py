@@ -44,7 +44,9 @@ from repro.errors import ReproError
 #: v5: the coordinator addresses every lease to one worker, so a lease
 #: carries no ``exclude`` list, and an iteration's arcs ride in its ``iter``
 #: frame's payload: the ``coverage_delta`` frame is gone.
-PROTOCOL_VERSION = 5
+#: v6: every cell names its compilers and opt level, so ``welcome`` carries
+#: no compiler-factory path: only names and data go over the wire.
+PROTOCOL_VERSION = 6
 
 
 class ProtocolError(ReproError):
@@ -73,15 +75,11 @@ class Hello(Message):
 
 @dataclass(frozen=True)
 class Welcome(Message):
-    """Coordinator → worker handshake reply.
-
-    ``factory`` is the dotted path of the campaign's compiler factory —
-    remote workers import it by name (factory-mode cells only; named-subset
-    cells rebuild their compilers from the registry).
-    """
+    """Coordinator → worker handshake reply.  A remote worker rebuilds each
+    cell's compilers from the names in its lease's task, so the handshake
+    carries only the protocol version."""
 
     kind = "welcome"
-    factory: str = ""
     protocol: int = PROTOCOL_VERSION
 
 
@@ -366,8 +364,8 @@ def task_from_dict(payload: Dict[str, Any]):
     entry = payload.get("cell", {})
     cell = MatrixCell(
         shard=entry.get("shard", 0),
-        compilers=tuple(entry.get("compilers", [])),
-        opt_level=entry.get("opt_level"),
+        compilers=tuple(entry["compilers"]),
+        opt_level=entry["opt_level"],
         generator=entry.get("generator"),
         oracle=entry.get("oracle"),
         pipeline=entry.get("pipeline"),

@@ -18,10 +18,10 @@ Three subcommands hang off ``python -m repro.campaign``:
 
       python -m repro.campaign worker --connect host:7777
 
-  The worker handshakes (``hello``/``welcome``), imports the campaign's
-  compiler factory by dotted path, heartbeats every
+  The worker handshakes (``hello``/``welcome``), heartbeats every
   :data:`~repro.core.fabric.transport.HEARTBEAT_INTERVAL` seconds and runs
-  leases until told to shut down.  A worker that rejoins under a name the
+  leases until told to shut down, building each cell's compilers from the
+  registry names its lease carries.  A worker that rejoins under a name the
   coordinator has seen is a new worker, ``name~N``.
 
 * ``status`` — fetch the coordinator's live JSON snapshot::
@@ -35,7 +35,6 @@ Three subcommands hang off ``python -m repro.campaign``:
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import socket
@@ -69,21 +68,6 @@ EXIT_LEASE_FAILED = 1
 EXIT_CONNECTION_LOST = 3
 
 
-def import_factory(dotted: str) -> Callable:
-    """Import a compiler factory by its dotted path (the ``welcome`` frame)."""
-    module_name, _, attr = dotted.rpartition(".")
-    if not module_name:
-        raise ProtocolError(f"not a dotted factory path: {dotted!r}")
-    try:
-        module = importlib.import_module(module_name)
-        return getattr(module, attr)
-    except (ImportError, AttributeError) as exc:
-        raise ProtocolError(
-            f"cannot import compiler factory {dotted!r}: {exc} — workers "
-            "must have the same repro engine importable as the "
-            "coordinator.") from exc
-
-
 # --------------------------------------------------------------------------- #
 # Worker
 # --------------------------------------------------------------------------- #
@@ -98,14 +82,12 @@ class FabricWorker:
     """
 
     def __init__(self, host: str, port: int, name: Optional[str] = None,
-                 factory: Optional[Callable] = None,
                  die_after_iterations: Optional[int] = None,
                  log: Callable[[str], None] = print,
                  clock: Callable[[], float] = time.time) -> None:
         self.host = host
         self.port = port
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
-        self.factory = factory
         self.die_after_iterations = die_after_iterations
         self.log = log
         #: Injectable wall-clock seam: heartbeat timestamps go on the wire,
@@ -151,9 +133,7 @@ class FabricWorker:
                     f"expected a welcome frame, got "
                     f"{getattr(welcome, 'kind', None)!r} — is "
                     f"{self.host}:{self.port} a fabric coordinator?")
-            factory = self.factory or import_factory(welcome.factory)
-            self.log(f"[{self.name}] joined {self.host}:{self.port} "
-                     f"(factory {welcome.factory})")
+            self.log(f"[{self.name}] joined {self.host}:{self.port}")
             beat.start()
             runtimes: Dict[int, Any] = {}
             while True:
@@ -172,8 +152,7 @@ class FabricWorker:
                     continue
                 if not isinstance(message, Lease):
                     continue
-                for frame in lease_frames(self.name, message, factory,
-                                          runtimes):
+                for frame in lease_frames(self.name, message, runtimes):
                     self._send(frame)
                     if frame.kind == "error":
                         self.log(f"[{self.name}] lease failed: "
@@ -188,11 +167,10 @@ class FabricWorker:
 
 
 def run_fabric_worker(host: str, port: int, name: Optional[str] = None,
-                      factory: Optional[Callable] = None,
                       die_after_iterations: Optional[int] = None,
                       log: Callable[[str], None] = print) -> int:
     """Run one fleet worker until the coordinator shuts it down."""
-    return FabricWorker(host, port, name=name, factory=factory,
+    return FabricWorker(host, port, name=name,
                         die_after_iterations=die_after_iterations,
                         log=log).run()
 
@@ -286,22 +264,12 @@ def _serve_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_serve(argv: Sequence[str]) -> int:
-    from repro.campaign import (
-        make_config,
-        parse_compiler_sets,
-        parse_generators,
-        parse_opt_levels,
-        parse_oracles,
-        parse_pipelines,
-        print_summary,
-    )
-    from repro.core.parallel import ParallelCampaign, default_compiler_factory
+    from repro.campaign import campaign_from_args, print_summary
 
     parser = _serve_parser()
     args = parser.parse_args(argv)
-    config = make_config(args)
     transport = SocketTransport(args.host, args.port)
-    transport.start([], default_compiler_factory)  # bind early; run() rebinds
+    transport.start([])  # bind early; run() hands it the tasks
     print(f"fabric coordinator listening on {transport.host}:"
           f"{transport.port}", flush=True)
 
@@ -318,24 +286,8 @@ def _cmd_serve(argv: Sequence[str]) -> int:
             print(f"  worker lost: {payload['worker']} — requeued "
                   f"iterations {runs or 'none'} of [{cell_key}]", flush=True)
 
-    campaign = ParallelCampaign(
-        config=config,
-        compiler_factory=default_compiler_factory,
-        compiler_sets=parse_compiler_sets(args),
-        opt_levels=parse_opt_levels(args),
-        generators=parse_generators(args),
-        oracles=parse_oracles(args),
-        pipelines=parse_pipelines(args),
-        pool_mode=args.pool_mode,
-        n_shards=args.shards if args.shards is not None
-        else max(args.workers, 1),
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        trace_coverage=args.coverage,
-        on_event=on_event,
-        transport=transport,
-        fault_tolerance=args.fault_tolerance,
-    )
+    campaign = campaign_from_args(args, on_event=on_event,
+                                  transport=transport)
     if args.min_workers > 0:
         deadline = time.monotonic() + args.worker_wait
         while transport.live_worker_count() < args.min_workers:
@@ -408,7 +360,6 @@ __all__ = [
     "EXIT_LEASE_FAILED",
     "FabricWorker",
     "fabric_main",
-    "import_factory",
     "query_status",
     "run_fabric_worker",
 ]

@@ -69,11 +69,6 @@ HEARTBEAT_INTERVAL = 1.0
 MAX_FRAME_BYTES = 1 << 24
 
 
-def factory_path(factory: Callable) -> str:
-    """Dotted import path of a compiler factory (what travels the wire)."""
-    return f"{factory.__module__}.{factory.__qualname__}"
-
-
 def send_frame(sock_file, message: Message) -> None:
     """Write one line-delimited JSON frame to a socket file object."""
     sock_file.write(json.dumps(encode(message)) + "\n")
@@ -101,7 +96,7 @@ class CoordinatorTransport(abc.ABC):
     elastic = False
 
     @abc.abstractmethod
-    def start(self, tasks: List[Any], factory: Callable) -> None:
+    def start(self, tasks: List[Any]) -> None:
         """Bring the fleet up for a campaign over ``tasks``."""
 
     @abc.abstractmethod
@@ -164,16 +159,14 @@ class InlineTransport(CoordinatorTransport):
         self._frames: Optional[Iterator[Message]] = None
         self._runtimes: Dict[int, Any] = {}
         self._tasks: List[Any] = []
-        self._factory: Optional[Callable] = None
         self._retired = False
 
-    def start(self, tasks: List[Any], factory: Callable) -> None:
+    def start(self, tasks: List[Any]) -> None:
         self._tasks = list(tasks)
-        self._factory = factory
 
     def send(self, worker_id: str, message: Message) -> None:
         if isinstance(message, Lease):
-            self._frames = self.run_lease(self.WORKER, message, self._factory,
+            self._frames = self.run_lease(self.WORKER, message,
                                           self._runtimes, self._tasks)
 
     def recv(self, timeout: float) -> Optional[Tuple[str, Message]]:
@@ -205,7 +198,7 @@ class LocalTransport(CoordinatorTransport):
 
     ``worker_target`` is the process entry point (the engine passes
     :func:`repro.core.parallel._matrix_worker`); it receives
-    ``(worker_index, tasks, factory, task_queue, result_queue)``: its own
+    ``(worker_index, tasks, task_queue, result_queue)``: its own
     task queue, which carries the encoded leases :meth:`send` addresses to
     it and its shutdown frame, and the result queue all workers share.
     """
@@ -217,14 +210,14 @@ class LocalTransport(CoordinatorTransport):
         self._task_queues: Dict[str, Any] = {}
         self.result_queue = None
 
-    def start(self, tasks: List[Any], factory: Callable) -> None:
+    def start(self, tasks: List[Any]) -> None:
         self.result_queue = multiprocessing.Queue()
         self._task_queues = {worker: multiprocessing.Queue()
                              for worker in self._worker_ids}
         self._processes = {
             worker: multiprocessing.Process(
                 target=self.worker_target,
-                args=(index, tasks, factory, self._task_queues[worker],
+                args=(index, tasks, self._task_queues[worker],
                       self.result_queue),
                 daemon=True)
             for index, worker in enumerate(self._worker_ids)
@@ -301,7 +294,6 @@ class SocketTransport(CoordinatorTransport):
         self.port = port
         self.heartbeat_timeout = heartbeat_timeout
         self._tasks: List[Any] = []
-        self._factory_path = ""
         self._inbox: "queue_module.Queue[Tuple[str, Message]]" = \
             queue_module.Queue()
         self._peers: Dict[str, _Peer] = {}
@@ -315,11 +307,10 @@ class SocketTransport(CoordinatorTransport):
         self._stopping = False
 
     # ------------------------------------------------------------------ #
-    def start(self, tasks: List[Any], factory: Callable) -> None:
+    def start(self, tasks: List[Any]) -> None:
         import asyncio
 
         self._tasks = list(tasks)
-        self._factory_path = factory_path(factory)
         if self._thread is not None and self._thread.is_alive():
             return  # pre-started (serve binds early so workers can join)
 
@@ -382,7 +373,7 @@ class SocketTransport(CoordinatorTransport):
                     suffix += 1
                     worker_id = f"{name}~{suffix}"
                 peer = self._peers[worker_id] = _Peer(worker_id, writer)
-            self._write(peer, Welcome(factory=self._factory_path))
+            self._write(peer, Welcome())
             self._inbox.put((peer.name, first))
             while True:
                 line = await reader.readline()
@@ -490,7 +481,6 @@ __all__ = [
     "InlineTransport",
     "LocalTransport",
     "SocketTransport",
-    "factory_path",
     "read_frame",
     "send_frame",
 ]

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.compilers.base import Compiler
+from repro.compilers.base import DEFAULT_COMPILERS, Compiler
 from repro.compilers.bugs import BugConfig
 from repro.compilers.coverage import CoverageFeedback
 from repro.core.concretize import GeneratedModel
@@ -114,19 +114,17 @@ class CellOutcome:
     """
 
     shard: int
-    #: Compiler subset names; empty means "the campaign's default factory".
-    compilers: Tuple[str, ...] = ()
-    #: Optimization level; None means "whatever the factory chose".
-    opt_level: Optional[int] = None
+    #: Compiler subset names, sorted.
+    compilers: Tuple[str, ...] = DEFAULT_COMPILERS
+    #: Optimization level the subset was built at.
+    opt_level: int = 2
     iterations: int = 0
     seeded_bugs_found: Set[str] = field(default_factory=set)
     #: Deduplicated report keys observed in this cell.
     report_keys: Set[str] = field(default_factory=set)
-    #: Generation strategy of this cell; None means "the campaign default"
-    #: (campaigns without a generator axis keep their PR-2 cell keys).
+    #: Generation strategy of this cell; None means "the campaign default".
     generator: Optional[str] = None
-    #: Test oracle of this cell; None means "the campaign config's oracle"
-    #: (campaigns without an oracle axis keep their pre-v5 cell keys).
+    #: Test oracle of this cell; None means "the campaign config's oracle".
     oracle: Optional[str] = None
     #: Compiler branch arcs this cell covered, as encoded strings
     #: (:func:`repro.compilers.coverage.arc_to_str`).  Empty unless the
@@ -135,21 +133,18 @@ class CellOutcome:
     #: along any matrix axis exactly like bugs.
     coverage_arcs: Set[str] = field(default_factory=set)
     #: Pipeline token of this cell; None means "the canonical pipeline of
-    #: the cell's opt level" (campaigns without a pipeline axis keep their
-    #: pre-v6 cell keys).
+    #: the cell's opt level".
     pipeline: Optional[str] = None
 
     def key(self) -> str:
         """Stable identifier of the matrix cell this outcome belongs to.
 
-        Axis components are appended only when the axis is in use, so
-        campaigns without a generator/oracle/pipeline axis keep their
-        historical keys (and therefore their checkpoint cell entries)
-        unchanged.
+        ``shard<s>|<compilers joined by +>|O<level>``, then one component
+        per generator/oracle/pipeline axis in use: an absent axis adds no
+        key component.
         """
-        names = "+".join(self.compilers) if self.compilers else "<default>"
-        opt = "O?" if self.opt_level is None else f"O{self.opt_level}"
-        base = f"shard{self.shard}|{names}|{opt}"
+        base = (f"shard{self.shard}|{'+'.join(self.compilers)}"
+                f"|O{self.opt_level}")
         if self.generator is not None:
             base = f"{base}|{self.generator}"
         if self.oracle is not None:

@@ -5,13 +5,15 @@ one core no matter how many are available.  The search is embarrassingly
 parallel, so this module schedules it over a fleet of workers.  The unit
 of work is a **matrix cell** — one shard's seed stream produced by one
 *generation strategy*, run against one *compiler subset* at one
-*optimization level* (:class:`MatrixCell`).  A classic PR-1-style
-campaign is the degenerate 1×1 matrix: N shards against the single compiler
-set built by ``compiler_factory``, generated by the config's strategy.
-Generators and oracles are registry names (:mod:`repro.core.strategy`,
-:mod:`repro.core.oracle`) rebuilt inside workers, exactly like compiler
-subsets — which is what lets NNSmith-vs-baseline comparisons run as *one*
-sharded, checkpointed campaign with a generator axis
+*optimization level* (:class:`MatrixCell`).  A campaign without a
+compiler axis is the degenerate 1×1 matrix: N shards against
+:data:`~repro.compilers.base.DEFAULT_COMPILERS` at O2, generated by the
+config's strategy.  Compilers, generators and oracles are registry names
+(:mod:`repro.compilers.base`, :mod:`repro.core.strategy`,
+:mod:`repro.core.oracle`) rebuilt inside workers — only names and data
+cross a process boundary or reach a checkpoint — which is what lets
+NNSmith-vs-baseline comparisons run as *one* sharded, checkpointed
+campaign with a generator axis
 (``generators=("nnsmith", "graphfuzzer", "lemon")``).
 
 One coordinator loop serves three transports
@@ -35,7 +37,7 @@ Three properties distinguish the matrix engine from a flat shard list:
   generates from the same pool.
 * **Intra-cell checkpointing.**  Workers stream every completed iteration's
   folded result back to the coordinator, which persists an incremental JSON
-  checkpoint (``format_version`` 8): per cell, the accumulated
+  checkpoint (``format_version`` 9): per cell, the accumulated
   :class:`CampaignResult` (including cumulative coverage arcs) and the
   exact set of completed iterations.  An
   interrupted cell resumes *mid-stream* — only the missing iterations are
@@ -80,9 +82,11 @@ from typing import (AbstractSet, Any, Callable, Deque, Dict, FrozenSet,
 
 import numpy as np
 
-from repro.compilers.base import Compiler, registered_compilers
-from repro.compilers.bugs import BugConfig
+from repro.compilers.base import (DEFAULT_COMPILERS, build_compiler_set,
+                                  registered_compilers)
 from repro.compilers.coverage import CoverageFeedback, is_pass_arc
+from repro.compilers.pipeline import (OPT_LEVELS, expand_pipeline_tokens,
+                                      resolve_pipeline)
 from repro.core.difftest import DifferentialTester
 from repro.core.fabric.protocol import (PROTOCOL_VERSION, CheckpointAck,
                                         Claim, ChunkDone, IterationResult,
@@ -104,16 +108,19 @@ from repro.graph.serialize import to_jsonable
 #: the fingerprint, the early-termination flag left the cell entries, and
 #: the fingerprint's config part is the fabric's
 #: :func:`~repro.core.fabric.protocol.config_to_dict`, so the wire and the
-#: checkpoint share one serialization.  Deliberately *not* in the
+#: checkpoint share one serialization.  v9: every cell names its compilers
+#: and opt level (a campaign without a compiler axis has cells
+#: ``shard<s>|deepc+graphrt+turbo|O2``), and the fingerprint names no
+#: compiler factory.  Deliberately *not* in the
 #: fingerprint: the transport, the worker count and the fault-tolerance
 #: mode — a campaign checkpointed on local queues resumes over sockets (and
 #: vice versa) because what a cell computes is seeded purely from
-#: ``(config, iteration)``.  Older checkpoints, and v8 checkpoints of another
+#: ``(config, iteration)``.  Older checkpoints, and v9 checkpoints of another
 #: campaign, are *rejected with an error* rather than silently discarded: an
 #: old file is a real mid-campaign state the user cared about, and quietly
 #: restarting from scratch would look like resume while throwing that state
-#: away.  The ``scheduler`` entry that v8 files once carried is ignored.
-CHECKPOINT_FORMAT_VERSION = 8
+#: away.
+CHECKPOINT_FORMAT_VERSION = 9
 
 #: Accepted ``ParallelCampaign.fault_tolerance`` modes.  ``"fail"`` is the
 #: historical behavior: a dead worker's lease fails the campaign loudly.
@@ -130,22 +137,6 @@ POLL_TIMEOUT = 1.0
 #: and retired for good (its final messages can still be in flight right
 #: after exit).
 DEAD_WORKER_POLLS = 3
-
-#: A picklable callable building the compilers under test inside a worker.
-CompilerFactory = Callable[[BugConfig], List[Compiler]]
-
-
-def default_compiler_factory(bugs: BugConfig) -> List[Compiler]:
-    """The three in-repo systems under test at full optimization level."""
-    from repro.compilers import (CompileOptions, DeepCCompiler, GraphRTCompiler,
-                                 TurboCompiler)
-
-    return [
-        GraphRTCompiler(CompileOptions(opt_level=2, bugs=bugs)),
-        DeepCCompiler(CompileOptions(opt_level=2, bugs=bugs)),
-        TurboCompiler(CompileOptions(opt_level=2, bugs=bugs)),
-    ]
-
 
 # --------------------------------------------------------------------------- #
 # Shard seeding
@@ -201,26 +192,21 @@ def deterministic_config(config: FuzzerConfig,
 class MatrixCell:
     """One work unit of a matrix campaign.
 
-    ``compilers`` is a sorted tuple of registered compiler names; the empty
-    tuple means "whatever the campaign's ``compiler_factory`` builds"
-    (the flat, PR-1-compatible mode).  ``opt_level`` is None in factory
-    mode (the factory fixes its own levels).  ``generator`` names the cell's
-    generation strategy; None means "the campaign config's strategy"
-    (campaigns without a generator axis keep their PR-2 cell keys and
-    checkpoints).
+    ``compilers`` is a sorted tuple of registered compiler names, built at
+    ``opt_level``.  ``generator`` names the cell's generation strategy;
+    None means "the campaign config's strategy", and an absent axis adds
+    no component to the cell key.
     """
 
     shard: int
-    compilers: Tuple[str, ...] = ()
-    opt_level: Optional[int] = None
+    compilers: Tuple[str, ...] = DEFAULT_COMPILERS
+    opt_level: int = 2
     generator: Optional[str] = None
-    #: The cell's test oracle; None means "the campaign config's oracle"
-    #: (campaigns without an oracle axis keep their pre-v5 cell keys).
+    #: The cell's test oracle; None means "the campaign config's oracle".
     oracle: Optional[str] = None
     #: The cell's pipeline token (``"O<k>"`` / ``"rand:<seed>:<index>"``,
     #: see :mod:`repro.compilers.pipeline`); None means "the canonical
-    #: pipeline of the cell's opt level" (campaigns without a pipeline axis
-    #: keep their pre-v6 cell keys).
+    #: pipeline of the cell's opt level".
     pipeline: Optional[str] = None
 
     def outcome(self) -> CellOutcome:
@@ -264,12 +250,14 @@ def build_matrix(config: FuzzerConfig, n_shards: int,
     receives the *full* campaign iteration budget, split over ``n_shards``
     shards exactly like a flat campaign — so each combination explores
     comparable model streams and results slice cell-by-cell.  With
-    ``compiler_sets=None`` the compiler axis degenerates to the
-    factory-built combo; with ``generators=None`` the generator axis
-    degenerates to the config's own strategy (keeping PR-2 cell keys); with
-    ``oracles=None`` the oracle axis degenerates to the config's own oracle
-    (keeping pre-v5 cell keys).  Cells with an explicit generator/oracle
-    carry it in their shard config (``config.strategy`` /
+    ``compiler_sets=None`` the compiler axis is
+    :data:`~repro.compilers.base.DEFAULT_COMPILERS`, crossed with
+    ``opt_levels`` (default ``[2]``, each one of
+    :data:`~repro.compilers.pipeline.OPT_LEVELS`); with ``generators=None``
+    the generator axis degenerates to the config's own strategy, with
+    ``oracles=None`` the oracle axis to the config's own oracle, and
+    neither adds a cell-key component.  Cells with an explicit
+    generator/oracle carry it in their shard config (``config.strategy`` /
     ``config.oracle``) so workers rebuild the right component by name.
     Oracle cells share the same shard seed streams as every other axis
     (iteration seeds never mix the oracle in), so per-oracle Venn slices
@@ -277,12 +265,10 @@ def build_matrix(config: FuzzerConfig, n_shards: int,
     *tokens* (``"O<k>"``, ``"rand:<seed>:<index>"`` or the sampler syntax
     ``"random:<k>@<seed>"``, expanded here against the campaign seed so the
     draw is a pure function of the config); with ``pipelines=None`` the
-    axis degenerates to "each compiler's canonical pipeline" and pre-v6
-    cell keys are kept.
+    axis degenerates to "each compiler's canonical pipeline", again
+    without a key component.
     """
     if pipelines is not None:
-        from repro.compilers.pipeline import expand_pipeline_tokens
-
         pipeline_axis: List[Optional[str]] = list(
             expand_pipeline_tokens(pipelines, config.seed))
         if not pipeline_axis:
@@ -290,30 +276,32 @@ def build_matrix(config: FuzzerConfig, n_shards: int,
     else:
         pipeline_axis = [None]
     shards = shard_configs(config, n_shards)
-    if compiler_sets is None:
-        combos: List[Tuple[Tuple[str, ...], Optional[int]]] = [((), None)]
-    else:
-        known = set(registered_compilers())
-        subsets: List[Tuple[str, ...]] = []
-        for subset in compiler_sets:
-            names = tuple(sorted(subset))
-            if not names:
-                raise ValueError("empty compiler subset in compiler_sets")
-            unknown = [name for name in names if name not in known]
-            if unknown:
-                raise KeyError(f"unknown compiler(s) {unknown}; "
-                               f"registered: {sorted(known)}")
-            subsets.append(names)
-        if not subsets:
-            raise ValueError("compiler_sets must name at least one subset")
-        levels = list(opt_levels) if opt_levels else [2]
-        # Dedupe: repeated subsets/levels would produce cells with identical
-        # keys, which collide in the checkpoint and double-count provenance.
-        combos = []
-        for subset in subsets:
-            for level in levels:
-                if (subset, level) not in combos:
-                    combos.append((subset, level))
+    known = set(registered_compilers())
+    subsets: List[Tuple[str, ...]] = []
+    for subset in (compiler_sets if compiler_sets is not None
+                   else [DEFAULT_COMPILERS]):
+        names = tuple(sorted(subset))
+        if not names:
+            raise ValueError("empty compiler subset in compiler_sets")
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise KeyError(f"unknown compiler(s) {unknown}; "
+                           f"registered: {sorted(known)}")
+        subsets.append(names)
+    if not subsets:
+        raise ValueError("compiler_sets must name at least one subset")
+    levels = list(opt_levels) if opt_levels else [2]
+    unknown_levels = [level for level in levels if level not in OPT_LEVELS]
+    if unknown_levels:
+        raise ValueError(f"unknown opt level(s) {unknown_levels}; "
+                         f"expected levels in {list(OPT_LEVELS)}")
+    # Dedupe: repeated subsets/levels would produce cells with identical
+    # keys, which collide in the checkpoint and double-count provenance.
+    combos: List[Tuple[Tuple[str, ...], int]] = []
+    for subset in subsets:
+        for level in levels:
+            if (subset, level) not in combos:
+                combos.append((subset, level))
     if generators is None:
         generator_axis: List[Optional[str]] = [None]
     else:
@@ -407,8 +395,8 @@ def campaign_result_from_dict(payload: Dict[str, Any]) -> CampaignResult:
     cells = {
         key: CellOutcome(
             shard=entry["shard"],
-            compilers=tuple(entry.get("compilers", [])),
-            opt_level=entry.get("opt_level"),
+            compilers=tuple(entry["compilers"]),
+            opt_level=entry["opt_level"],
             iterations=entry.get("iterations", 0),
             seeded_bugs_found=set(entry.get("seeded_bugs_found", [])),
             report_keys=set(entry.get("report_keys", [])),
@@ -477,43 +465,26 @@ CellRuntime = Tuple[DifferentialTester, FuzzerConfig, GenerationStrategy,
                     Optional[CoverageFeedback]]
 
 
-def _cell_tester(task: CellTask, factory: CompilerFactory) -> CellRuntime:
+def _cell_tester(task: CellTask) -> CellRuntime:
     """Build a cell's oracle, effective config, strategy and coverage channel.
 
-    Named subsets come from the compiler registry at the cell's opt level;
-    the empty subset falls back to the campaign's ``compiler_factory``.  The
-    oracle and strategy are rebuilt from their registry names in the cell
-    config — names travel through process boundaries and checkpoint
+    The cell's compilers come from the compiler registry at its opt level;
+    the oracle and strategy are rebuilt from their registry names in the
+    cell config — names travel through process boundaries and checkpoint
     fingerprints, instances are built on arrival.  Cells whose config still
-    asks for probing (factory cells, and named cells in ``per-subset`` pool
-    mode) probe the operator pool locally over their own compilers; in the
-    default ``union`` mode named cells arrive with the pool already probed
-    and baked in by the coordinator.  Probing is skipped for strategies that
-    do not consume the operator pool.
+    asks for probing (``per-subset`` pool mode) probe the operator pool
+    locally over their own compilers; in the default ``union`` mode cells
+    arrive with the pool already probed and baked in by the coordinator.
+    Probing is skipped for strategies that do not consume the operator
+    pool.
     """
     cell, config = task.cell, task.config
     spec = None
     if config.pipeline is not None:
-        from repro.compilers.pipeline import resolve_pipeline
-
         spec = resolve_pipeline(config.pipeline)
-    if cell.compilers:
-        opt_level = 2 if cell.opt_level is None else cell.opt_level
-        from repro.compilers.base import build_compiler_set
-
-        compilers = build_compiler_set(cell.compilers, opt_level=opt_level,
-                                       bugs=config.bugs, pipeline=spec,
-                                       verify_passes=config.verify_passes)
-    else:
-        compilers = factory(config.bugs)
-        if spec is not None:
-            # Factory-built compilers pick their own opt levels; the
-            # pipeline axis overrides their pass sequences uniformly.
-            for compiler in compilers:
-                compiler.options.pipeline = spec
-        if config.verify_passes:
-            for compiler in compilers:
-                compiler.options.verify_passes = True
+    compilers = build_compiler_set(cell.compilers, opt_level=cell.opt_level,
+                                   bugs=config.bugs, pipeline=spec,
+                                   verify_passes=config.verify_passes)
     tester = build_oracle(config.oracle, compilers, bugs=config.bugs)
     strategy = build_strategy(config.strategy, config)
     if config.probe_operator_support and \
@@ -535,7 +506,7 @@ def _cell_tester(task: CellTask, factory: CompilerFactory) -> CellRuntime:
     return tester, config, strategy, coverage
 
 
-def lease_frames(worker: str, lease: Lease, factory: CompilerFactory,
+def lease_frames(worker: str, lease: Lease,
                  runtimes: Dict[int, CellRuntime],
                  tasks: Optional[List[CellTask]] = None
                  ) -> Iterator[Message]:
@@ -568,7 +539,7 @@ def lease_frames(worker: str, lease: Lease, factory: CompilerFactory,
                     f"lease {lease.chunk_id} names cell {cell_index} but "
                     "carries no task payload and this worker holds no task "
                     "list")
-            runtimes[cell_index] = _cell_tester(task, factory)
+            runtimes[cell_index] = _cell_tester(task)
         tester, config, strategy, coverage = runtimes[cell_index]
         for iteration in range(lease.start, lease.stop + 1):
             iter_start = time.monotonic()
@@ -591,8 +562,8 @@ def lease_frames(worker: str, lease: Lease, factory: CompilerFactory,
                     cell_index=cell_index)
 
 
-def _matrix_worker(worker_index: int, tasks: List[CellTask],
-                   factory: CompilerFactory, task_queue, result_queue) -> None:
+def _matrix_worker(worker_index: int, tasks: List[CellTask], task_queue,
+                   result_queue) -> None:
     """Pool worker: run the leases sent to it until told to stop.
 
     Both queues carry encoded fabric frames (:mod:`repro.core.fabric`):
@@ -608,7 +579,7 @@ def _matrix_worker(worker_index: int, tasks: List[CellTask],
         message = decode(task_queue.get())
         if message.kind == "shutdown":
             return
-        for frame in lease_frames(worker, message, factory, runtimes, tasks):
+        for frame in lease_frames(worker, message, runtimes, tasks):
             result_queue.put(encode(frame))
             if frame.kind == "error":
                 return
@@ -648,36 +619,36 @@ class _CellState:
 class ParallelCampaign:
     """Coordinator for a (possibly matrix-shaped) sharded fuzzing campaign.
 
-    With only the PR-1 parameters (``config``, ``n_workers``,
-    ``compiler_factory``) this schedules a flat 1×1 matrix: N shards against
-    the factory-built compiler trio.  Passing ``compiler_sets`` (and
-    optionally ``opt_levels``) expands the campaign into the full
-    shard × compiler-set × opt-level matrix; every combination runs the
-    same shard seed streams and the merged :class:`CampaignResult` carries
-    per-cell provenance for Venn-style analysis.
+    With only ``config`` and ``n_workers`` this schedules a flat 1×1
+    matrix: N shards against
+    :data:`~repro.compilers.base.DEFAULT_COMPILERS` at O2.  Passing
+    ``compiler_sets`` and/or ``opt_levels`` expands the campaign into the
+    full shard × compiler-set × opt-level matrix; every combination runs
+    the same shard seed streams and the merged :class:`CampaignResult`
+    carries per-cell provenance for Venn-style analysis.
     """
 
     config: FuzzerConfig = field(default_factory=FuzzerConfig)
     n_workers: int = 2
-    compiler_factory: CompilerFactory = default_compiler_factory
-    #: Named compiler subsets forming the matrix columns (None = factory mode).
+    #: Named compiler subsets forming the matrix columns (None =
+    #: ``[DEFAULT_COMPILERS]``).
     compiler_sets: Optional[Sequence[Sequence[str]]] = None
     #: Optimization levels crossed with ``compiler_sets`` (default: [2]).
     opt_levels: Optional[Sequence[int]] = None
     #: Generation strategies forming the generator axis (None = the config's
-    #: own ``strategy``, keeping PR-2 cell keys and checkpoints).
+    #: own ``strategy``, with no generator component in the cell keys).
     generators: Optional[Sequence[str]] = None
     #: Test oracles forming the oracle axis (None = the config's own
-    #: ``oracle``, keeping pre-v5 cell keys).  Every oracle judges the same
-    #: shard seed streams, so ``campaign_cell_sets(by="oracle")`` slices an
-    #: apples-to-apples per-oracle bug Venn out of one campaign.
+    #: ``oracle``).  Every oracle judges the same shard seed streams, so
+    #: ``campaign_cell_sets(by="oracle")`` slices an apples-to-apples
+    #: per-oracle bug Venn out of one campaign.
     oracles: Optional[Sequence[str]] = None
     #: Pipeline tokens forming the pipeline axis (None = each compiler's
-    #: canonical pipeline, keeping pre-v6 cell keys).  Tokens are ``"O<k>"``,
+    #: canonical pipeline).  Tokens are ``"O<k>"``,
     #: ``"rand:<seed>:<index>"`` or the sampler ``"random:<k>@<seed>"``
     #: (expanded against the campaign seed in :func:`build_matrix`).
     pipelines: Optional[Sequence[str]] = None
-    #: Operator-pool probing mode for named-subset matrices: ``"union"``
+    #: Operator-pool probing mode: ``"union"``
     #: probes once over every compiler in the matrix so all cells generate
     #: from one shared pool (apples-to-apples streams, the PR-2 behaviour);
     #: ``"per-subset"`` lets every cell probe its own compiler subset, also
@@ -759,8 +730,7 @@ class ParallelCampaign:
                               sum(1 for state in states if state.unleased))
                 transport = (LocalTransport(workers, _matrix_worker)
                              if workers > 1 else InlineTransport(lease_frames))
-            transport.start([state.task for state in states],
-                            self.compiler_factory)
+            transport.start([state.task for state in states])
             try:
                 self._drain(states, transport)
             finally:
@@ -787,8 +757,7 @@ class ParallelCampaign:
                              generators=self.generators,
                              oracles=self.oracles,
                              pipelines=self.pipelines)
-        if self.compiler_sets is not None and \
-                self.config.probe_operator_support and \
+        if self.config.probe_operator_support and \
                 self.pool_mode == "union" and \
                 self._any_strategy_uses_pool():
             # Probe once over the union of every compiler in the matrix and
@@ -797,8 +766,6 @@ class ParallelCampaign:
             # probes its own compiler subset in _cell_tester.
             names = sorted({name for task in tasks
                             for name in task.cell.compilers})
-            from repro.compilers.base import build_compiler_set
-
             pool = probe_supported_pool(
                 build_compiler_set(names, bugs=self.config.bugs),
                 self.config.generator.op_pool)
@@ -1205,17 +1172,14 @@ class ParallelCampaign:
         compute, so a local checkpoint resumes under a socket fleet and
         back.  ``n_shards`` is present, and defaults to ``n_workers``: a
         resume on another worker count must pin it."""
-        factory = self.compiler_factory
         n_shards = self.n_shards if self.n_shards is not None else self.n_workers
         return {
             "n_cells": n_cells,
             "n_shards": n_shards,
-            "compiler_factory": f"{factory.__module__}.{factory.__qualname__}",
-            "compiler_sets": (None if self.compiler_sets is None
-                              else sorted(sorted(subset)
-                                          for subset in self.compiler_sets)),
-            "opt_levels": (None if self.compiler_sets is None
-                           else list(self.opt_levels or [2])),
+            "compiler_sets": sorted(sorted(subset) for subset in (
+                self.compiler_sets if self.compiler_sets is not None
+                else [DEFAULT_COMPILERS])),
+            "opt_levels": list(self.opt_levels or [2]),
             "generators": (None if self.generators is None
                            else list(self.generators)),
             "oracles": (None if self.oracles is None
@@ -1245,10 +1209,10 @@ class ParallelCampaign:
             # delete or move the file deliberately.
             raise ReproError(
                 f"checkpoint {path} has format_version {version!r}; this "
-                f"engine reads v{CHECKPOINT_FORMAT_VERSION} only (v8 bounds "
-                "every cell by iterations alone and fingerprints the whole "
-                "campaign config; older checkpoints may hold cells cut short "
-                "by a wall-clock budget).  Delete the file to start "
+                f"engine reads v{CHECKPOINT_FORMAT_VERSION} only (v9 names "
+                "every cell's compilers and opt level, v8 bounded every cell "
+                "by iterations alone; older checkpoints may hold cells cut "
+                "short by a wall-clock budget).  Delete the file to start "
                 "fresh, or finish the campaign with the engine version that "
                 "wrote it.")
         fingerprint = self._checkpoint_fingerprint(len(states))
@@ -1353,9 +1317,8 @@ def run_parallel_campaign(config: Optional[FuzzerConfig] = None,
     return ParallelCampaign(config=config or FuzzerConfig(), **fields).run()
 
 
-def run_sharded_serial(config: FuzzerConfig, n_workers: int,
-                       compiler_factory: CompilerFactory = default_compiler_factory
-                       ) -> CampaignResult:
+def run_sharded_serial(config: FuzzerConfig,
+                       n_workers: int) -> CampaignResult:
     """Run the same shard configs in-process, serially, and merge them.
 
     This is the reference implementation the parallel engine is equivalent
@@ -1364,10 +1327,8 @@ def run_sharded_serial(config: FuzzerConfig, n_workers: int,
     """
     results = []
     for shard in shard_configs(config, n_workers):
-        compilers = compiler_factory(shard.bugs)
-        if shard.verify_passes:
-            for compiler in compilers:
-                compiler.options.verify_passes = True
+        compilers = build_compiler_set(DEFAULT_COMPILERS, bugs=shard.bugs,
+                                       verify_passes=shard.verify_passes)
         fuzzer = Fuzzer(compilers, shard)
         results.append(fuzzer.run())
     merged = CampaignResult.merge_all(results)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
-from repro.compilers import CompileOptions, DeepCCompiler, GraphRTCompiler, TurboCompiler
+from repro.compilers.base import DEFAULT_COMPILERS, build_compiler_set
 from repro.compilers.bugs import (
     FEATURE_ATTR_DIVERSITY,
     FEATURE_BROADCAST,
@@ -57,15 +57,6 @@ GENERATOR_FEATURES: Dict[str, FrozenSet[str]] = {
     # LEMON only mutates shape-preserving unary layers of float32 seed models.
     "lemon": frozenset({FEATURE_MULTI_OP, FEATURE_MULTI_INPUT}),
 }
-
-
-def make_compilers(bugs: BugConfig):
-    """The three systems under test with a shared bug configuration."""
-    return [
-        GraphRTCompiler(CompileOptions(opt_level=2, bugs=bugs)),
-        DeepCCompiler(CompileOptions(opt_level=2, bugs=bugs)),
-        TurboCompiler(CompileOptions(opt_level=2, bugs=bugs)),
-    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -124,7 +115,8 @@ def run_bug_study(max_iterations: int = 120, n_nodes: int = 10,
                   seed: int = 0) -> BugTable:
     """Fuzz all three compilers with every seeded bug enabled."""
     bugs = BugConfig.all()
-    fuzzer = Fuzzer(make_compilers(bugs), FuzzerConfig(
+    compilers = build_compiler_set(DEFAULT_COMPILERS, bugs=bugs)
+    fuzzer = Fuzzer(compilers, FuzzerConfig(
         generator=GeneratorConfig(n_nodes=n_nodes),
         max_iterations=max_iterations,
         bugs=bugs,
@@ -187,7 +179,7 @@ def crash_comparison(max_iterations: int = 40, seed: int = 0,
 
     Instead of three bespoke serial loops, the comparison is a single
     generator-axis matrix campaign: every strategy in ``fuzzers`` runs the
-    full budget against the factory compiler trio through the registry-
+    full budget against the three default compilers through the registry-
     backed engine, and the per-cell provenance is sliced into per-fuzzer
     unique-crash counts and seeded-bug sets.  Strategies that declare
     ``needs_value_search`` (NNSmith) go through the full pipeline, the

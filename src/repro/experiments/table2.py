@@ -1,7 +1,7 @@
 """The fuzzer-comparison summary (the paper's Table 2 / §5.4 head-to-head).
 
 Runs one generator-axis matrix campaign — every registered fuzzing strategy
-against the factory compiler trio over identical budgets — and renders the
+against the three default compilers over identical budgets — and renders the
 per-fuzzer comparison the paper tabulates: unique crashes per compiler,
 distinct seeded bugs found, and the design-level reachability bound from
 :func:`repro.experiments.bug_study.reachability_analysis`.

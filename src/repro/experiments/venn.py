@@ -86,9 +86,9 @@ def campaign_cell_sets(result, by: str = "compiler_set",
         if by == "cell":
             label = key
         elif by == "compiler_set":
-            label = "+".join(cell.compilers) if cell.compilers else "<default>"
+            label = "+".join(cell.compilers)
         elif by == "opt_level":
-            label = "O?" if cell.opt_level is None else f"O{cell.opt_level}"
+            label = f"O{cell.opt_level}"
         elif by == "generator":
             label = cell.generator if cell.generator else "<default>"
         elif by == "oracle":

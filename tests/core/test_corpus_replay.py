@@ -29,12 +29,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.compilers.base import build_compiler_set, registered_compilers
+from repro.compilers.base import (DEFAULT_COMPILERS, build_compiler_set,
+                                  registered_compilers)
 from repro.compilers.bugs import SYSTEMS, BugConfig, bug_spec
 from repro.compilers.pipeline import resolve_pipeline
 from repro.core.difftest import DifferentialTester
 from repro.core.oracle import build_oracle
-from repro.core.parallel import default_compiler_factory
 from repro.dtypes import DType
 from repro.graph.serialize import model_from_dict
 
@@ -63,8 +63,9 @@ def oracles():
 
     def get(name):
         if name not in cache:
-            cache[name] = build_oracle(name, default_compiler_factory(bugs),
-                                       bugs=bugs)
+            cache[name] = build_oracle(
+                name, build_compiler_set(DEFAULT_COMPILERS, bugs=bugs),
+                bugs=bugs)
         return cache[name]
 
     return get

@@ -123,7 +123,7 @@ class TestCheckpointPersistence:
             interrupted.run()
 
         payload = json.loads(open(path, encoding="utf-8").read())
-        assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION == 8
+        assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION == 9
         assert payload["coverage_feedback"] is True
         assert "scheduler" not in payload
         # per-cell cumulative coverage is in the checkpoint
@@ -212,15 +212,17 @@ class TestCheckpointPersistence:
         assert not resumed.coverage_arcs
         assert not resumed.coverage_timeline
 
-    @pytest.mark.parametrize("version", [3, 7])
+    @pytest.mark.parametrize("version", [3, 7, 8])
     def test_v3_checkpoints_are_rejected_loudly(self, tmp_path, version):
         config = tiny_campaign_config(iterations=4, seed=3)
         path = tmp_path / "old.ckpt.json"
         path.write_text(json.dumps({"format_version": version, "cells": {}}),
                         encoding="utf-8")
+        written = path.read_bytes()
         with pytest.raises(ReproError, match=f"format_version {version}"):
             run_parallel_campaign(config=config, n_workers=1,
                                   checkpoint_path=str(path))
+        assert path.read_bytes() == written  # another engine's state
 
     def test_corrupt_checkpoint_still_starts_fresh(self, tmp_path):
         config = tiny_campaign_config(iterations=2, seed=3)

@@ -33,7 +33,7 @@ from repro.testing import tiny_campaign_config
 #: One non-default instance of every message kind in the schema.
 ALL_MESSAGES = (
     Hello(worker="w-1", pid=4242),
-    Welcome(factory="repro.core.parallel.default_compiler_factory"),
+    Welcome(),
     Lease(chunk_id=7, cell_index=2, start=3, stop=9, task=None),
     # a one-iteration lease
     Lease(chunk_id=8, cell_index=0, start=5, stop=5),
@@ -62,6 +62,14 @@ class TestFrameRoundTrips:
         # The actual wire path: encode → json line → decode.
         frame = json.loads(json.dumps(encode(message)))
         assert decode(frame) == message
+
+    def test_welcome_names_no_code(self):
+        # Only names and data cross the wire: the handshake carries the
+        # protocol version and nothing a worker would import.
+        frame = json.loads(json.dumps(encode(Welcome())))
+        assert frame == {"kind": "welcome", "v": PROTOCOL_VERSION,
+                         "protocol": PROTOCOL_VERSION}
+        assert decode(frame) == Welcome()
 
     def test_encode_tags_kind_and_version(self):
         frame = encode(Heartbeat(worker="w", sent_at=1.0))

@@ -17,6 +17,8 @@ no-spawn check is
 import pytest
 
 import repro.core.parallel as parallel_module
+from repro.compilers import base
+from repro.compilers.graphrt.compiler import GraphRTCompiler
 from repro.core.parallel import (ParallelCampaign, _CellState,
                                  run_parallel_campaign)
 from repro.errors import ReproError
@@ -150,22 +152,26 @@ def test_resumed_cell_is_leased_one_run_at_a_time():
         (0, 1, 6), (2, 3, 4), (2, 6, 6), (3, 1, 6)]
 
 
-def test_failed_lease_retires_the_inline_worker():
+def test_failed_lease_retires_the_inline_worker(monkeypatch):
     calls = []
 
-    def failing_factory(bugs):
-        calls.append(bugs)
-        raise ValueError("factory exploded")
+    class FailingCompiler(GraphRTCompiler):
+        name = "failing"
 
+        def compile_model(self, model):
+            calls.append(model)
+            raise ValueError("compile exploded")
+
+    monkeypatch.setitem(base._COMPILER_REGISTRY, "failing", FailingCompiler)
     with pytest.raises(ReproError) as failure:
         run_parallel_campaign(tiny_campaign_config(iterations=4),
                               n_workers=1, n_shards=2,
-                              compiler_factory=failing_factory)
+                              compiler_sets=[["failing"]])
     # The failing cell is named; the worker retired after its error frame,
     # so the second cell never ran and is reported as unserved.
-    assert "cell shard0|<default>|O?: ValueError: factory exploded" \
+    assert "cell shard0|failing|O2: ValueError: compile exploded" \
         in str(failure.value)
-    assert "cell shard1|<default>|O?: no live worker left" \
+    assert "cell shard1|failing|O2: no live worker left" \
         in str(failure.value)
     assert len(calls) == 1
 

@@ -97,6 +97,13 @@ class TestBuildMatrix:
         with pytest.raises(ValueError):
             build_matrix(FuzzerConfig(), 1, compiler_sets=[[]])
 
+    def test_opt_levels_the_passes_cannot_tell_apart_rejected(self):
+        # O7 would build exactly like O2 and O-1 like O0: cells named for
+        # levels that do not exist.
+        with pytest.raises(ValueError, match=r"\[7, -1\]"):
+            build_matrix(FuzzerConfig(max_iterations=4), 1,
+                         compiler_sets=[["graphrt"]], opt_levels=[2, 7, -1])
+
 
 @pytest.mark.campaign
 class TestMatrixCampaign:
@@ -120,14 +127,14 @@ class TestMatrixCampaign:
         assert sum(regions.values()) == len(by_opt["O0"] | by_opt["O2"])
 
     def test_full_subset_matrix_equals_flat_campaign(self):
-        """A 1×1 matrix naming all three compilers reproduces the flat
-        factory campaign exactly (same probe pool, same streams)."""
+        """A 1×1 matrix naming all three compilers is the flat campaign:
+        the same cells, so the same findings down to cell provenance."""
         config = _config(6, seed=9)
         flat = run_parallel_campaign(config=config, n_workers=2)
         matrix = run_parallel_campaign(
             config=config, n_workers=2, n_shards=2,
             compiler_sets=[["graphrt", "deepc", "turbo"]], opt_levels=[2])
-        assert _signature(flat)[:7] == _signature(matrix)[:7]
+        assert _signature(flat) == _signature(matrix)
 
 
 @pytest.mark.campaign

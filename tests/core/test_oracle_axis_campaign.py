@@ -55,8 +55,8 @@ class TestBuildMatrixOracleAxis:
                              oracles=["difftest", "perf"])
         assert len(tasks) == 4
         keys = {task.cell.key for task in tasks}
-        assert "shard0|<default>|O?|oracle:difftest" in keys
-        assert "shard1|<default>|O?|oracle:perf" in keys
+        assert "shard0|deepc+graphrt+turbo|O2|oracle:difftest" in keys
+        assert "shard1|deepc+graphrt+turbo|O2|oracle:perf" in keys
         # every cell's shard config rebuilds the right oracle by name
         assert {task.config.oracle for task in tasks} == {"difftest", "perf"}
 
@@ -83,14 +83,13 @@ class TestBuildMatrixOracleAxis:
                              oracles=["perf", "perf"])
         assert len(tasks) == 1
 
-    def test_no_axis_keeps_pre_v5_cell_keys(self):
-        """Campaigns without an oracle axis keep their historical keys —
-        difftest-only campaigns stay bit-identical to the previous
-        engine."""
+    def test_absent_oracle_axis_adds_no_key_component(self):
+        """A campaign without an oracle axis judges with its config's
+        oracle, and its cell keys name no oracle."""
         tasks = build_matrix(FuzzerConfig(max_iterations=4), 2)
         assert [task.cell.key for task in tasks] == \
-            ["shard0|<default>|O?", "shard1|<default>|O?"]
-        assert MatrixCell(shard=0).key == "shard0|<default>|O?"
+            ["shard0|deepc+graphrt+turbo|O2", "shard1|deepc+graphrt+turbo|O2"]
+        assert MatrixCell(shard=0).key == "shard0|deepc+graphrt+turbo|O2"
 
     def test_oracle_axis_composes_with_generator_axis(self):
         tasks = build_matrix(FuzzerConfig(max_iterations=4), 1,
@@ -98,7 +97,7 @@ class TestBuildMatrixOracleAxis:
                              oracles=["difftest", "crash"])
         keys = {task.cell.key for task in tasks}
         assert len(tasks) == 4
-        assert "shard0|<default>|O?|targeted|oracle:crash" in keys
+        assert "shard0|deepc+graphrt+turbo|O2|targeted|oracle:crash" in keys
         for task in tasks:
             assert task.config.strategy == task.cell.generator
             assert task.config.oracle == task.cell.oracle
@@ -177,7 +176,7 @@ class TestCheckpointV5:
             interrupted.run()
 
         payload = json.loads(open(path, encoding="utf-8").read())
-        assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION == 8
+        assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION == 9
         completed_before = {
             key: sum(end - start + 1 for start, end in entry["completed"])
             for key, entry in payload["cells"].items()

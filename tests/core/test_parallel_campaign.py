@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import os
 
 import pytest
 
+from repro.compilers import base
+from repro.compilers.base import DEFAULT_COMPILERS
 from repro.compilers.bugs import BugConfig
+from repro.compilers.graphrt.compiler import GraphRTCompiler
 from repro.core.fuzzer import BugReport, CampaignResult, Fuzzer, FuzzerConfig
 from repro.core.generator import GeneratorConfig
 from repro.core.parallel import (
@@ -14,14 +18,14 @@ from repro.core.parallel import (
     _matrix_worker,
     campaign_result_from_dict,
     campaign_result_to_dict,
-    default_compiler_factory,
     run_parallel_campaign,
     run_sharded_serial,
     shard_configs,
     shard_seed,
 )
 from repro.errors import ReproError
-from repro.testing import FoldCounter, tiny_campaign_config
+from repro.testing import (FoldCounter, InterruptAfter, campaign_signature,
+                           tiny_campaign_config)
 
 
 def _loaded_states(campaign):
@@ -188,34 +192,26 @@ class TestSerialParallelEquivalence:
 
 @pytest.mark.campaign
 class TestCheckpointResume:
-    def test_completed_shards_are_not_rerun(self, tmp_path, monkeypatch):
+    def test_completed_shards_are_not_rerun(self, tmp_path):
         config = _campaign_config(6, seed=11)
         path = str(tmp_path / "campaign.ckpt.json")
-        count_path = tmp_path / "factory-invocations"
-        monkeypatch.setenv("REPRO_TEST_FACTORY_COUNT_PATH", str(count_path))
 
         first = run_parallel_campaign(config=config, n_workers=2,
-                                      compiler_factory=_counting_factory,
                                       checkpoint_path=path)
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        assert set(payload["cells"]) == {"shard0|<default>|O?",
-                                         "shard1|<default>|O?"}
+        assert set(payload["cells"]) == {"shard0|deepc+graphrt+turbo|O2",
+                                         "shard1|deepc+graphrt+turbo|O2"}
         assert all(entry["done"] for entry in payload["cells"].values())
-        assert count_path.read_text() == "xx"  # one factory call per shard
 
         # Resuming must load both shards from the checkpoint without
-        # spawning any new shard work.
-        count_path.write_text("")
-        campaign = ParallelCampaign(config=config, n_workers=2,
-                                    compiler_factory=_counting_factory,
-                                    checkpoint_path=path)
-        resumed = campaign.run()
-        assert _signature(resumed) == _signature(first)
-        assert count_path.read_text() == ""
+        # running any iteration again.
+        resumed = FoldCounter(config=config, n_workers=2,
+                              checkpoint_path=path)
+        assert _signature(resumed.run()) == _signature(first)
+        assert resumed.folds == {}
 
     @pytest.mark.parametrize("mismatch", ["seed", "n_nodes",
-                                          "compiler_factory",
                                           "matrix_shape", "n_workers"])
     def test_checkpoint_of_another_campaign_is_rejected(self, tmp_path,
                                                         mismatch):
@@ -233,16 +229,13 @@ class TestCheckpointResume:
             "n_nodes": (dict(config=_campaign_config(4, seed=1, n_nodes=5)),
                         "config.generator.n_nodes: 8 in the checkpoint, "
                         "5 now"),
-            # ... as does the compiler factory
-            "compiler_factory": (dict(config=_campaign_config(4, seed=1),
-                                      compiler_factory=_explosive_factory),
-                                 "compiler_factory: "),
-            # ... and the matrix shape: the same config run as a matrix
-            # campaign must never cross-load the flat campaign's cells
+            # ... and the matrix shape: the same config run on another
+            # compiler subset must never cross-load the default cells
             "matrix_shape": (dict(config=_campaign_config(4, seed=1),
                                   compiler_sets=[["graphrt", "deepc"]],
                                   opt_levels=[2]),
-                             "compiler_sets: null in the checkpoint"),
+                             'compiler_sets: [["deepc", "graphrt", "turbo"]] '
+                             "in the checkpoint"),
             # ... and the shard count, which defaults to the worker count
             "n_workers": (dict(config=_campaign_config(4, seed=1),
                                n_workers=4),
@@ -259,6 +252,34 @@ class TestCheckpointResume:
         assert ("--shards 2" in str(error.value)) == (mismatch == "n_workers")
         assert path.read_bytes() == written
 
+    def test_no_axis_campaign_is_the_default_subset_campaign(self,
+                                                             tmp_path):
+        # Without a compiler axis a campaign runs DEFAULT_COMPILERS at O2:
+        # the same cells and fingerprint as naming them, so a checkpoint of
+        # one resumes the other.
+        config = tiny_campaign_config(iterations=6, seed=3)
+        path = str(tmp_path / "campaign.ckpt.json")
+        fields = dict(config=config, n_workers=1, n_shards=2,
+                      checkpoint_path=path)
+        plain = ParallelCampaign(**fields)
+        named = ParallelCampaign(compiler_sets=[DEFAULT_COMPILERS],
+                                 opt_levels=[2], **fields)
+        assert [task.cell.key for task in plain._build_tasks()] == \
+            [task.cell.key for task in named._build_tasks()] == \
+            ["shard0|deepc+graphrt+turbo|O2", "shard1|deepc+graphrt+turbo|O2"]
+        assert plain._checkpoint_fingerprint(2) == \
+            named._checkpoint_fingerprint(2)
+
+        reference = run_parallel_campaign(config=config, n_workers=1,
+                                          n_shards=2)
+        with pytest.raises(KeyboardInterrupt):
+            InterruptAfter(4, **fields).run()
+        resumed = FoldCounter(
+            compiler_sets=[list(reversed(DEFAULT_COMPILERS))], **fields)
+        result = resumed.run()
+        assert sum(map(len, resumed.folds.values())) == 6 - 4
+        assert campaign_signature(result) == campaign_signature(reference)
+
     def test_resume_with_nothing_left_records_done_cells(self, tmp_path):
         # A lease that died after its last fold but before its chunk_done
         # leaves a complete cell on disk marked not done.
@@ -267,7 +288,7 @@ class TestCheckpointResume:
         run_parallel_campaign(config=config, n_workers=1, n_shards=2,
                               checkpoint_path=str(path))
         payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["cells"]["shard0|<default>|O?"]["done"] = False
+        payload["cells"]["shard0|deepc+graphrt+turbo|O2"]["done"] = False
         path.write_text(json.dumps(payload), encoding="utf-8")
 
         resumed = FoldCounter(config=config, n_workers=1, n_shards=2,
@@ -321,7 +342,7 @@ class TestCheckpointResume:
         run_parallel_campaign(config=config, n_workers=2, checkpoint_path=path)
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        first_key = "shard0|<default>|O?"
+        first_key = "shard0|deepc+graphrt+turbo|O2"
         payload["cells"][first_key]["result"]["reports"] = [{"bogus": 1}]
         payload["cells"]["not-a-cell"] = {}  # unknown key is ignored
         with open(path, "w", encoding="utf-8") as handle:
@@ -343,68 +364,64 @@ class TestCheckpointResume:
                    for state in _loaded_states(campaign))
 
 
-def _explosive_factory(bugs):
-    raise AssertionError("shard should have been resumed from checkpoint")
+class _ExplosiveCompiler(GraphRTCompiler):
+    """GraphRT whose every compile raises: a bug inside a worker."""
+
+    name = "explosive"
+
+    def compile_model(self, model):
+        raise AssertionError("compile exploded")
 
 
-def _counting_factory(bugs):
-    """Real compilers, but record each invocation (workers inherit the env)."""
-    import os
+class _SuicidalCompiler(GraphRTCompiler):
+    """GraphRT whose first compile kills its process."""
 
-    path = os.environ.get("REPRO_TEST_FACTORY_COUNT_PATH")
-    if path:
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("x")
-    return default_compiler_factory(bugs)
+    name = "suicidal"
+
+    def compile_model(self, model):
+        os._exit(42)  # die without reporting back, like an OOM kill
 
 
-def _suicidal_factory(bugs):
-    import os
+@pytest.fixture
+def fake_compilers(monkeypatch):
+    """Register the failing fakes; pool workers are forked, so they inherit
+    the patched registry."""
+    for fake in (_ExplosiveCompiler, _SuicidalCompiler):
+        monkeypatch.setitem(base._COMPILER_REGISTRY, fake.name, fake)
 
-    os._exit(42)  # die without reporting back, like an OOM kill
 
-
-def _claim_eating_worker(worker_index, tasks, factory, task_queue,
-                         result_queue):
+def _claim_eating_worker(worker_index, tasks, task_queue, result_queue):
     """Worker 0 pops a chunk and dies before its claim flushes; the rest
     behave normally — so the coordinator keeps a healthy survivor while one
     chunk is orphaned (gone from the queue, no claim on record)."""
-    import os
-
     if worker_index == 0:
         task_queue.get()
         os._exit(41)
-    _matrix_worker(worker_index, tasks, factory, task_queue, result_queue)
+    _matrix_worker(worker_index, tasks, task_queue, result_queue)
 
 
 @pytest.mark.campaign
 class TestWorkerFailure:
-    def test_inprocess_worker_error_is_surfaced(self):
+    def test_inprocess_worker_error_is_surfaced(self, fake_compilers):
         # --workers 1 runs in-process; the failure is wrapped, not swallowed.
-        from repro.errors import ReproError
-
         config = _campaign_config(2, seed=0)
-        with pytest.raises(ReproError, match="worker"):
+        with pytest.raises(ReproError, match="worker.*compile exploded"):
             run_parallel_campaign(config=config, n_workers=1,
-                                  compiler_factory=_explosive_factory)
+                                  compiler_sets=[["explosive"]])
 
-    def test_pool_worker_error_is_surfaced(self):
-        from repro.errors import ReproError
-
+    def test_pool_worker_error_is_surfaced(self, fake_compilers):
         config = _campaign_config(2, seed=0)
-        with pytest.raises(ReproError, match="worker"):
+        with pytest.raises(ReproError, match="worker.*compile exploded"):
             run_parallel_campaign(config=config, n_workers=2,
-                                  compiler_factory=_explosive_factory)
+                                  compiler_sets=[["explosive"]])
 
-    def test_silent_worker_death_is_detected(self):
+    def test_silent_worker_death_is_detected(self, fake_compilers):
         # os._exit in a pool worker (n_workers >= 2 so real processes are
         # used; a single worker runs in-process and cannot die silently).
-        from repro.errors import ReproError
-
         config = _campaign_config(2, seed=0)
-        with pytest.raises(ReproError, match="died with exit code"):
+        with pytest.raises(ReproError, match="died with exit code 42"):
             run_parallel_campaign(config=config, n_workers=2,
-                                  compiler_factory=_suicidal_factory)
+                                  compiler_sets=[["suicidal"]])
 
     def test_chunk_lost_with_claimless_dead_worker_terminates(self, monkeypatch):
         """A worker that pops a chunk and dies before its claim message

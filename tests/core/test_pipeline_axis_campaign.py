@@ -53,8 +53,8 @@ class TestBuildMatrixPipelineAxis:
                              pipelines=["O0", "O2"])
         assert len(tasks) == 4
         keys = {task.cell.key for task in tasks}
-        assert "shard0|<default>|O?|pipe:O0" in keys
-        assert "shard1|<default>|O?|pipe:O2" in keys
+        assert "shard0|deepc+graphrt+turbo|O2|pipe:O0" in keys
+        assert "shard1|deepc+graphrt+turbo|O2|pipe:O2" in keys
         # every cell's shard config carries its pipeline token to the worker
         assert {task.config.pipeline for task in tasks} == {"O0", "O2"}
 
@@ -94,10 +94,10 @@ class TestBuildMatrixPipelineAxis:
                              pipelines=["O2", "O2"])
         assert len(tasks) == 1
 
-    def test_no_axis_keeps_pre_v6_cell_keys(self):
+    def test_absent_pipeline_axis_adds_no_key_component(self):
         tasks = build_matrix(FuzzerConfig(max_iterations=4), 2)
         assert [task.cell.key for task in tasks] == \
-            ["shard0|<default>|O?", "shard1|<default>|O?"]
+            ["shard0|deepc+graphrt+turbo|O2", "shard1|deepc+graphrt+turbo|O2"]
 
     def test_pipeline_axis_composes_with_other_axes(self):
         tasks = build_matrix(FuzzerConfig(max_iterations=4), 1,
@@ -105,7 +105,7 @@ class TestBuildMatrixPipelineAxis:
                              pipelines=["O0", "O2"])
         assert len(tasks) == 4
         keys = {task.cell.key for task in tasks}
-        assert "shard0|<default>|O?|oracle:crash|pipe:O2" in keys
+        assert "shard0|deepc+graphrt+turbo|O2|oracle:crash|pipe:O2" in keys
         for task in tasks:
             assert task.config.pipeline == task.cell.pipeline
 
@@ -181,7 +181,7 @@ class TestCheckpointV6:
             interrupted.run()
 
         payload = json.loads(open(path, encoding="utf-8").read())
-        assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION == 8
+        assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION == 9
         completed_before = {
             key: sum(end - start + 1 for start, end in entry["completed"])
             for key, entry in payload["cells"].items()

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import repro.autodiff.backprop as backprop
+from repro.compilers.base import DEFAULT_COMPILERS, build_compiler_set
 from repro.compilers.bugs import BugConfig
 from repro.core.fuzzer import Fuzzer
 from repro.core.generator import GeneratorConfig, generate_model
-from repro.core.parallel import ParallelCampaign, default_compiler_factory
+from repro.core.parallel import ParallelCampaign
 from repro.core.value_search import gradient_search
 from repro.runtime import interpreter
 from repro.runtime.interpreter import Interpreter
@@ -57,7 +58,7 @@ def counts(monkeypatch):
 
 
 def _fuzz(config, coverage=None):
-    return Fuzzer(default_compiler_factory(BugConfig.all()),
+    return Fuzzer(build_compiler_set(DEFAULT_COMPILERS, bugs=BugConfig.all()),
                   config).run(coverage=coverage)
 
 

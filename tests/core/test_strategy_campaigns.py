@@ -35,16 +35,16 @@ class TestGeneratorAxisMatrix:
                              generators=GENERATORS)
         assert len(tasks) == len(GENERATORS) * 2
         keys = {task.cell.key for task in tasks}
-        assert "shard0|<default>|O?|targeted" in keys
-        assert "shard1|<default>|O?|nnsmith" in keys
+        assert "shard0|deepc+graphrt+turbo|O2|targeted" in keys
+        assert "shard1|deepc+graphrt+turbo|O2|nnsmith" in keys
         # cells carry their strategy in the shard config for the workers
         for task in tasks:
             assert task.config.strategy == task.cell.generator
 
-    def test_no_generator_axis_keeps_pr2_cell_keys(self):
+    def test_absent_generator_axis_adds_no_key_component(self):
         tasks = build_matrix(tiny_campaign_config(iterations=4), 2)
         assert {task.cell.key for task in tasks} == \
-            {"shard0|<default>|O?", "shard1|<default>|O?"}
+            {"shard0|deepc+graphrt+turbo|O2", "shard1|deepc+graphrt+turbo|O2"}
 
     def test_unknown_generator_rejected(self):
         with pytest.raises(KeyError, match="csmith"):
@@ -140,8 +140,7 @@ class TestPoolModes:
         # ... where each cell derives its own subset's pool
         pools = {}
         for task in tasks:
-            _tester, config, _strategy, _coverage = _cell_tester(
-                task, campaign.compiler_factory)
+            _tester, config, _strategy, _coverage = _cell_tester(task)
             pools[task.cell.compilers] = {spec.op_kind
                                           for spec in config.generator.op_pool}
         assert pools[("deepc",)] < pools[("graphrt",)]

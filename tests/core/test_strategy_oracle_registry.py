@@ -14,6 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.compilers.base import DEFAULT_COMPILERS, build_compiler_set
 from repro.compilers.bugs import BugConfig
 from repro.core.concretize import GeneratedModel
 from repro.core.difftest import DifferentialTester
@@ -26,7 +27,6 @@ from repro.core.oracle import (
     register_oracle,
     registered_oracles,
 )
-from repro.core.parallel import default_compiler_factory
 from repro.core.strategy import (
     DEFAULT_STRATEGY,
     GenerationStrategy,
@@ -112,9 +112,10 @@ class TestStrategyRegistry:
         assert clone.oracle == "crash"
         # ... and the worker-side rebuild yields the named implementations
         assert build_strategy(clone.strategy, clone).name == "targeted"
-        oracle = build_oracle(clone.oracle,
-                              default_compiler_factory(clone.bugs),
-                              bugs=clone.bugs)
+        oracle = build_oracle(
+            clone.oracle,
+            build_compiler_set(DEFAULT_COMPILERS, bugs=clone.bugs),
+            bugs=clone.bugs)
         assert oracle.name == "crash"
 
     def test_targeted_round_robins_every_motif(self):
@@ -199,8 +200,9 @@ class TestOracleRegistry:
 
         register_oracle("crash-alias-test", factory)
         try:
-            oracle = build_oracle("crash-alias-test",
-                                  default_compiler_factory(BugConfig.all()))
+            oracle = build_oracle(
+                "crash-alias-test",
+                build_compiler_set(DEFAULT_COMPILERS, bugs=BugConfig.all()))
             assert isinstance(oracle, CrashOnlyOracle)
             with pytest.raises(ValueError, match="already registered"):
                 register_oracle("crash-alias-test", lambda c, b: None)
@@ -210,15 +212,17 @@ class TestOracleRegistry:
             oracle_module._ORACLE_REGISTRY.pop("crash-alias-test", None)
 
     def test_default_oracle_is_the_differential_tester(self):
-        oracle = build_oracle(DEFAULT_ORACLE,
-                              default_compiler_factory(BugConfig.all()))
+        oracle = build_oracle(
+            DEFAULT_ORACLE,
+            build_compiler_set(DEFAULT_COMPILERS, bugs=BugConfig.all()))
         assert isinstance(oracle, DifferentialTester)
         assert oracle.name == DEFAULT_ORACLE
 
     def test_difftest_evaluate_matches_run_case(self, rng):
-        oracle = build_oracle(DEFAULT_ORACLE,
-                              default_compiler_factory(BugConfig.none()),
-                              bugs=BugConfig.none())
+        oracle = build_oracle(
+            DEFAULT_ORACLE,
+            build_compiler_set(DEFAULT_COMPILERS, bugs=BugConfig.none()),
+            bugs=BugConfig.none())
         model = build_mlp_model()
         from repro.runtime.interpreter import random_inputs
 
@@ -228,7 +232,8 @@ class TestOracleRegistry:
 
     def test_crash_oracle_sees_crashes_not_semantics(self):
         bugs = BugConfig.all()
-        oracle = CrashOnlyOracle(default_compiler_factory(bugs), bugs)
+        oracle = CrashOnlyOracle(
+            build_compiler_set(DEFAULT_COMPILERS, bugs=bugs), bugs)
         from pathlib import Path
 
         corpus = Path(__file__).resolve().parent.parent / "corpus"
@@ -301,7 +306,8 @@ class TestStrategyCaseGenerator:
 class TestDeprecationShims:
     def test_direct_differential_tester_construction(self):
         # The pre-registry spelling keeps working for library users.
-        tester = DifferentialTester(default_compiler_factory(BugConfig.none()),
-                                    bugs=BugConfig.none())
+        tester = DifferentialTester(
+            build_compiler_set(DEFAULT_COMPILERS, bugs=BugConfig.none()),
+            bugs=BugConfig.none())
         case = tester.run_case(build_mlp_model())
         assert [v.status for v in case.verdicts] == ["ok", "ok", "ok"]

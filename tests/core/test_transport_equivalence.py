@@ -10,7 +10,6 @@ is resumed under another.
 
 import json
 import multiprocessing
-import os
 import socket
 import threading
 import time
@@ -25,13 +24,10 @@ from repro.core.fabric.service import (
 )
 from repro.core.fabric.protocol import Hello, IterationResult
 from repro.core.fabric.transport import SocketTransport, read_frame, send_frame
-from repro.core.parallel import (
-    ParallelCampaign,
-    default_compiler_factory,
-    run_parallel_campaign,
-)
+from repro.core.parallel import ParallelCampaign, run_parallel_campaign
 from repro.errors import ReproError
 from repro.testing import (
+    InterruptAfter,
     campaign_signature,
     checkpoint_signature,
     tiny_campaign_config,
@@ -42,27 +38,7 @@ def _silent(_message):
     """Worker log sink: fleet chatter stays out of pytest output."""
 
 
-#: Env fuse for :func:`_fused_factory`: when set to N, the factory raises
-#: on its (N+1)-th call *in this process*, interrupting a campaign mid-run
-#: with a consistent partial checkpoint on disk.  Unset (the resume run,
-#: and forked socket workers, which each start a fresh count), it behaves
-#: exactly like :func:`default_compiler_factory` — same qualname both
-#: times, so the checkpoint fingerprint matches across the interruption.
-_FUSE_ENV = "REPRO_TEST_FABRIC_FACTORY_FUSE"
-_fuse_calls = {"count": 0}
-
-
-def _fused_factory(bugs):
-    fuse = os.environ.get(_FUSE_ENV)
-    if fuse:
-        _fuse_calls["count"] += 1
-        if _fuse_calls["count"] > int(fuse):
-            raise ReproError("factory fuse blew (test interruption)")
-    return default_compiler_factory(bugs)
-
-
 def _run_socket_campaign(config, *, n_workers=2, die_after=None,
-                         compiler_factory=default_compiler_factory,
                          **campaign_kwargs):
     """Run one campaign over a real localhost socket fleet.
 
@@ -74,7 +50,7 @@ def _run_socket_campaign(config, *, n_workers=2, die_after=None,
     result_or_error)`` — the error path is used by the fail-mode tests.
     """
     transport = SocketTransport(host="127.0.0.1", port=0)
-    transport.start([], compiler_factory)
+    transport.start([])
     context = multiprocessing.get_context("fork")
     workers = []
     for index in range(n_workers):
@@ -87,7 +63,6 @@ def _run_socket_campaign(config, *, n_workers=2, die_after=None,
     for process in workers:
         process.start()
     campaign = ParallelCampaign(config=config, n_workers=n_workers,
-                                compiler_factory=compiler_factory,
                                 transport=transport, **campaign_kwargs)
     error = None
     result = None
@@ -258,22 +233,17 @@ class TestCrossTransportResume:
             completed = json.load(handle)
         assert all(entry["done"] for entry in completed["cells"].values())
 
-    def test_local_partial_resumes_under_socket_fleet(self, tmp_path,
-                                                      monkeypatch):
+    def test_local_partial_resumes_under_socket_fleet(self, tmp_path):
         config = tiny_campaign_config(iterations=6, seed=13)
         baseline = run_parallel_campaign(config=config, n_workers=1,
                                          n_shards=2)
         path = str(tmp_path / "crossed.ckpt.json")
 
-        # Blow the factory fuse on its second cell: the in-process run
-        # dies mid-campaign with the first cell's folds checkpointed.
-        _fuse_calls["count"] = 0
-        monkeypatch.setenv(_FUSE_ENV, "1")
-        with pytest.raises(ReproError, match="factory fuse"):
-            run_parallel_campaign(config=config, n_workers=1, n_shards=2,
-                                  compiler_factory=_fused_factory,
-                                  checkpoint_path=path)
-        monkeypatch.delenv(_FUSE_ENV)
+        # Kill the in-process run at its fourth fold: the first cell's
+        # three folds and one of the second's are checkpointed.
+        with pytest.raises(KeyboardInterrupt):
+            InterruptAfter(4, config=config, n_workers=1, n_shards=2,
+                           checkpoint_path=path).run()
         with open(path, encoding="utf-8") as handle:
             partial = json.load(handle)
         assert partial["cells"], "interruption left no progress behind"
@@ -282,8 +252,7 @@ class TestCrossTransportResume:
             or len(partial["cells"]) < 2
 
         _campaign, resumed = _run_socket_campaign(
-            config, n_workers=2, n_shards=2,
-            compiler_factory=_fused_factory, checkpoint_path=path)
+            config, n_workers=2, n_shards=2, checkpoint_path=path)
         assert not isinstance(resumed, ReproError), resumed
         assert campaign_signature(resumed) == campaign_signature(baseline)
 
@@ -302,7 +271,7 @@ class TestWorkerIdentity:
         baseline = run_parallel_campaign(config=config, n_workers=1,
                                          n_shards=1)
         transport = SocketTransport(host="127.0.0.1", port=0)
-        transport.start([], default_compiler_factory)
+        transport.start([])
         events = []
         lost = threading.Event()
 
@@ -359,7 +328,7 @@ class TestWorkerIdentity:
         baseline = run_parallel_campaign(config=config, n_workers=1,
                                          n_shards=2)
         transport = SocketTransport(host="127.0.0.1", port=0)
-        transport.start([], default_compiler_factory)
+        transport.start([])
         workers = [_start_worker(transport.port, "w0")]
         try:
             within(30, lambda: _until(
@@ -431,7 +400,7 @@ class TestStatusStreaming:
 class TestStatusEndpoint:
     def test_query_status_round_trips_snapshot(self):
         transport = SocketTransport(host="127.0.0.1", port=0)
-        transport.start([], default_compiler_factory)
+        transport.start([])
         try:
             snapshot = {"iterations": 7, "findings": 2, "cells": {}}
             transport.publish_status(snapshot)
@@ -441,7 +410,7 @@ class TestStatusEndpoint:
 
     def test_status_subcommand_prints_snapshot(self, capsys):
         transport = SocketTransport(host="127.0.0.1", port=0)
-        transport.start([], default_compiler_factory)
+        transport.start([])
         try:
             transport.publish_status({"findings": 5})
             code = fabric_main(
@@ -459,7 +428,7 @@ class TestStatusEndpoint:
         from repro.campaign import main
 
         transport = SocketTransport(host="127.0.0.1", port=0)
-        transport.start([], default_compiler_factory)
+        transport.start([])
         try:
             transport.publish_status({"findings": 1})
             code = main(["status", "--connect",
@@ -477,7 +446,7 @@ def test_service_reads_frames_longer_than_asyncio_default_limit():
     arcs = [f"graphrt/passes/fold.py|{line}|{line + 1}"
             for line in range(4000)]
     transport = SocketTransport(host="127.0.0.1", port=0)
-    transport.start([], default_compiler_factory)
+    transport.start([])
     try:
         with socket.create_connection(("127.0.0.1", transport.port),
                                       timeout=10) as sock:

@@ -7,12 +7,10 @@ import pytest
 import repro.campaign as campaign_module
 from repro.campaign import (
     build_parser,
+    campaign_from_args,
     main,
     make_config,
     parse_compiler_sets,
-    parse_generators,
-    parse_opt_levels,
-    parse_oracles,
 )
 from repro.compilers.base import registered_compilers
 from repro.core.oracle import registered_oracles
@@ -40,15 +38,19 @@ class TestArgumentParsing:
 
     def test_no_matrix_flags_means_flat_mode(self):
         assert parse_compiler_sets(_parse()) is None
-        assert parse_opt_levels(_parse()) is None
+        campaign = campaign_from_args(_parse())
+        assert campaign.compiler_sets is None
+        assert campaign.opt_levels is None
 
     def test_opt_levels_parsed(self):
-        assert parse_opt_levels(_parse("--opt-levels", "0,2")) == [0, 2]
+        assert campaign_from_args(
+            _parse("--opt-levels", "0,2")).opt_levels == [0, 2]
 
     def test_generators_parsed(self):
         args = _parse("--generators", "nnsmith,graphfuzzer, lemon")
-        assert parse_generators(args) == ["nnsmith", "graphfuzzer", "lemon"]
-        assert parse_generators(_parse()) is None
+        assert campaign_from_args(args).generators == \
+            ["nnsmith", "graphfuzzer", "lemon"]
+        assert campaign_from_args(_parse()).generators is None
 
     def test_oracle_and_pool_mode_defaults(self):
         args = _parse()
@@ -58,8 +60,25 @@ class TestArgumentParsing:
 
     def test_oracles_axis_parsed(self):
         args = _parse("--oracles", "difftest,perf, gradcheck")
-        assert parse_oracles(args) == ["difftest", "perf", "gradcheck"]
-        assert parse_oracles(_parse()) is None
+        assert campaign_from_args(args).oracles == \
+            ["difftest", "perf", "gradcheck"]
+        assert campaign_from_args(_parse()).oracles is None
+
+    def test_campaign_and_serve_build_the_same_campaign(self):
+        # One builder serves both commands; serve only defaults to
+        # surviving worker death and adds its transport.
+        from repro.core.fabric.service import _serve_parser
+
+        argv = ["--iterations", "6", "--workers", "3", "--compilers",
+                "turbo", "--opt-levels", "0,2", "--oracles", "difftest,perf",
+                "--pipelines", "O0", "--seed", "4", "--coverage"]
+        local = campaign_from_args(_parse(*argv))
+        served = campaign_from_args(_serve_parser().parse_args(argv))
+        assert (local.fault_tolerance, served.fault_tolerance) == \
+            ("fail", "requeue")
+        assert served._checkpoint_fingerprint(1) == \
+            local._checkpoint_fingerprint(1)
+        assert served.trace_coverage and local.trace_coverage
 
     @pytest.mark.parametrize("argv", [
         ["--time-budget", "1"],
@@ -115,9 +134,13 @@ _UNKNOWN_NAMES = [
     (["--pipelines", "O2,bogus"],
      "argument --pipelines: unknown pipeline token 'bogus'; expected "
      "'O<k>', 'rand:<seed>:<index>' or 'random:<k>@<seed>'"),
+    # O7 would build exactly like O2: two cell keys, one pipeline.
+    (["--pipelines", "O2,O7"],
+     "argument --pipelines: unknown opt level in pipeline token 'O7'; "
+     "expected one of O0, O1, O2"),
 ]
 _UNKNOWN_NAME_IDS = ["oracle", "oracles", "generators", "compilers",
-                     "pipelines"]
+                     "pipelines", "pipelines-opt-level"]
 
 
 class TestAxisNamesAreValidated:
@@ -153,7 +176,7 @@ class TestAxisNamesAreValidated:
         monkeypatch.setitem(strategy_module._STRATEGY_REGISTRY, "mine",
                             strategy_module._STRATEGY_REGISTRY["nnsmith"])
         args = _parse("--generators", "nnsmith,mine")
-        assert parse_generators(args) == ["nnsmith", "mine"]
+        assert campaign_from_args(args).generators == ["nnsmith", "mine"]
 
 
 #: Counts a campaign cannot run, and the usage error each gets.
@@ -255,12 +278,13 @@ class TestSerialModeErrorsLoudly:
         assert "--coverage requires the parallel engine" in \
             capsys.readouterr().err
 
-    def test_opt_levels_without_compilers_is_an_error(self, capsys):
-        # factory mode fixes its own opt levels; ignoring the flag silently
-        # would hand the user an O2 campaign labeled as what they asked for
-        with pytest.raises(SystemExit):
-            main(["--iterations", "2", "--opt-levels", "0"])
-        assert "--opt-levels requires" in capsys.readouterr().err
+    def test_serial_with_opt_levels_is_an_error(self, capsys):
+        # The reference path runs O2 only; ignoring the flag silently would
+        # hand the user an O2 campaign labeled as what they asked for.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--serial", "--iterations", "2", "--opt-levels", "0"])
+        assert excinfo.value.code == 2
+        assert "--opt-levels/" in capsys.readouterr().err
 
 
 @pytest.mark.campaign
@@ -324,6 +348,25 @@ class TestCampaignRuns:
         assert "matrix [turbo | graphrt] x O[0,2]" in out
         assert "Seeded bugs by compiler subset:" in out
         assert "Seeded bugs by opt level:" in out
+
+    def test_opt_levels_without_compilers_cross_the_default_subset(
+            self, tmp_path, capsys):
+        path = tmp_path / "o0.ckpt.json"
+        assert main(["--workers", "1", "--iterations", "2", "--nodes", "4",
+                     "--opt-levels", "0", "--quiet",
+                     "--checkpoint", str(path)]) == 0
+        assert "matrix [deepc,graphrt,turbo] x O[0]" in \
+            capsys.readouterr().out
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert set(payload["cells"]) == {"shard0|deepc+graphrt+turbo|O0"}
+
+    def test_default_campaign_prints_no_venn_table(self, capsys):
+        # One compiler subset at one opt level: nothing to compare.
+        assert main(["--workers", "1", "--iterations", "2", "--nodes", "4",
+                     "--quiet"]) == 0
+        out = capsys.readouterr().out
+        assert "Fuzzing deepc, graphrt, turbo for 2 iterations" in out
+        assert "Seeded bugs by" not in out
 
     def test_generator_axis_cli_prints_per_generator_venn(self, capsys):
         assert main(["--workers", "1", "--iterations", "3", "--nodes", "4",

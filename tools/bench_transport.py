@@ -62,7 +62,7 @@ def run_benchmark(iterations: int = 24, seed: int = 13, n_nodes: int = 5,
     """Run the campaign on both transports and return the BENCH payload."""
     from repro.core.fabric.service import run_fabric_worker
     from repro.core.fabric.transport import SocketTransport
-    from repro.core.parallel import ParallelCampaign, default_compiler_factory
+    from repro.core.parallel import ParallelCampaign
     from repro.testing import campaign_signature, tiny_campaign_config
 
     config = tiny_campaign_config(iterations=iterations, seed=seed,
@@ -77,7 +77,7 @@ def run_benchmark(iterations: int = 24, seed: int = 13, n_nodes: int = 5,
 
     # -- socket fleet ------------------------------------------------------
     transport = SocketTransport(host="127.0.0.1", port=0)
-    transport.start([], default_compiler_factory)
+    transport.start([])
     context = multiprocessing.get_context("fork")
     workers = [
         context.Process(target=run_fabric_worker,

@@ -58,13 +58,13 @@ import os
 
 import numpy as np
 
-from repro.compilers.base import build_compiler_set, registered_compilers
+from repro.compilers.base import (DEFAULT_COMPILERS, build_compiler_set,
+                                  registered_compilers)
 from repro.compilers.bugs import BugConfig, all_bugs, bug_spec
 from repro.compilers.pipeline import expand_pipeline_tokens, resolve_pipeline
 from repro.core.difftest import DifferentialTester
 from repro.core.fuzzer import FuzzerConfig, generate_for_iteration
 from repro.core.oracle import build_oracle
-from repro.core.parallel import default_compiler_factory
 from repro.core.generator import GeneratorConfig
 from repro.core.strategy import DEFAULT_STRATEGY, registered_strategies
 from repro.dtypes import DType
@@ -106,7 +106,8 @@ def build_corpus(max_iterations: int = 4000, n_nodes: int = 8,
     from repro.core.strategy import build_strategy
 
     bugs = BugConfig.all()
-    tester = DifferentialTester(default_compiler_factory(bugs), bugs=bugs)
+    tester = DifferentialTester(
+        build_compiler_set(DEFAULT_COMPILERS, bugs=bugs), bugs=bugs)
     config = FuzzerConfig(
         generator=GeneratorConfig(n_nodes=n_nodes, max_dim=max_dim),
         bugs=bugs,
@@ -129,7 +130,8 @@ def build_corpus(max_iterations: int = 4000, n_nodes: int = 8,
         oracle_name = _SYMPTOM_ORACLES.get(bug_spec(bug).symptom)
         if oracle_name and oracle_name not in extra_oracles:
             extra_oracles[oracle_name] = build_oracle(
-                oracle_name, default_compiler_factory(bugs), bugs=bugs)
+                oracle_name, build_compiler_set(DEFAULT_COMPILERS, bugs=bugs),
+                bugs=bugs)
     # Ordering-dependent bugs: one extra differential tester per sampled
     # pipeline, its compilers locked to that pass sequence.
     pipeline_testers = {}
