@@ -25,8 +25,11 @@ class FiniteOutputsOracle(BaseOracle):
 
     def evaluate(self, model, inputs, numerically_valid=None):
         def check(compiler, compiled, exported):
-            # judge_compilers exported and compiled the model; a crash here
-            # or there is classified and credited like the built-ins'.
+            # judge_compilers exported and compiled the model — sharing the
+            # export and the builds with the other oracles that judge this
+            # model in the same campaign iteration — and a crash here or
+            # there is classified and credited like the built-ins'.  The
+            # run below is this oracle's own.
             outputs = compiled.run(inputs)
             bad = [name for name, value in outputs.items()
                    if np.asarray(value).dtype.kind == "f"

@@ -20,7 +20,8 @@ levels (:mod:`repro.core.parallel`):
   (``n_shards`` splits a campaign into more, smaller cells); cells of
   different combinations differ in cost, so a matrix campaign leases them
   in pieces that shrink as it drains, and a worker that finishes early
-  takes the rest of a slower cell;
+  takes the rest of a slower cell (cells that differ only in their oracle
+  go out together, as one lease that judges each case once);
 * every completed iteration is streamed to the coordinator, which folds it
   into per-cell results (global report dedup via ``CampaignResult.merge``)
   and, when a checkpoint path is set, persists it — a campaign killed

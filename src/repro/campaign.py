@@ -71,9 +71,11 @@ defaults to the worker count, so otherwise the checkpoint is refused.
 each iteration's result carries its new arcs to the coordinator, which records
 per-cell arc sets and per-cell and global coverage-over-time series (the
 Figure 4/5-style curves).  Tracing never changes *which* iterations run,
-so the merged findings are bit-identical with and without it.  Every cell
-is one lease (``--shards`` splits finer); only cells of unlike cost, across
-a matrix axis, are split across a pool or fleet.
+so the merged findings are bit-identical with and without it.  Every
+oracle group — the cells that differ only in their oracle — is one lease
+(``--shards`` splits finer), whose cells share each case's export, builds
+and runs; groups of unlike cost, across a matrix axis, or fewer unfinished
+groups than workers, are split across a pool or fleet.
 
 ``--workers 1`` runs the campaign in-process: the one worker is an inline
 transport whose lease frames the coordinator pulls one at a time, through
@@ -161,21 +163,29 @@ def registered_name(registry: Callable[[], Sequence[str]],
 
 def registered_names(registry: Callable[[], Sequence[str]],
                      what: str) -> Callable[[str], List[str]]:
-    """An argparse ``type`` for comma-separated registered names."""
+    """An argparse ``type`` for comma-separated registered names, at least
+    one: a list naming nothing would silently drop the user's axis."""
     check = registered_name(registry, what)
 
     def names(text: str) -> List[str]:
-        return [check(name.strip()) for name in text.split(",")
-                if name.strip()]
+        listed = [check(name.strip()) for name in text.split(",")
+                  if name.strip()]
+        if not listed:
+            raise argparse.ArgumentTypeError(
+                f"expected at least one {what} name, got {text!r}")
+        return listed
 
     return names
 
 
 def pipeline_tokens(text: str) -> List[str]:
-    """An argparse ``type`` for ``--pipelines``: comma-separated tokens that
-    :func:`~repro.compilers.pipeline.resolve_pipeline` accepts, or samplers
-    drawing at least one pipeline."""
+    """An argparse ``type`` for ``--pipelines``: at least one comma-separated
+    token that :func:`~repro.compilers.pipeline.resolve_pipeline` accepts,
+    or a sampler drawing at least one pipeline."""
     tokens = [token.strip() for token in text.split(",") if token.strip()]
+    if not tokens:
+        raise argparse.ArgumentTypeError(
+            f"expected at least one pipeline token, got {text!r}")
     try:
         # The campaign seed only picks which pipelines a sampler draws.
         expand_pipeline_tokens(tokens, campaign_seed=0)
@@ -305,7 +315,7 @@ def make_config(args: argparse.Namespace) -> FuzzerConfig:
 def parse_compiler_sets(args: argparse.Namespace) -> Optional[List[List[str]]]:
     """The matrix columns requested on the command line, or None (the
     default compilers)."""
-    sets = [names for names in args.compilers or () if names]
+    sets = list(args.compilers or ())
     if args.matrix and not sets:
         sets = [[name] for name in registered_compilers()]
     return sets or None
@@ -322,9 +332,9 @@ def campaign_from_args(args: argparse.Namespace,
         n_workers=max(args.workers, 1),
         compiler_sets=parse_compiler_sets(args),
         opt_levels=args.opt_levels,
-        generators=args.generators or None,
-        oracles=args.oracles or None,
-        pipelines=args.pipelines or None,
+        generators=args.generators,
+        oracles=args.oracles,
+        pipelines=args.pipelines,
         pool_mode=args.pool_mode,
         n_shards=args.shards,
         checkpoint_path=args.checkpoint,

@@ -271,9 +271,12 @@ def run_pass_pipeline(stage: str, ir, ctx: PipelineContext,
 # --------------------------------------------------------------------------- #
 # Pipeline tokens: the matrix-axis vocabulary
 # --------------------------------------------------------------------------- #
-_OPT_TOKEN = re.compile(r"O(\d+)")
-_RAND_TOKEN = re.compile(r"rand:(\d+):(\d+)")
-_SAMPLER_TOKEN = re.compile(r"random:(\d+)@(\d+)")
+#: A canonical decimal: no sign and no leading zero, so every pipeline has
+#: exactly one token (``O02`` or ``rand:05:1`` would name a second cell).
+_NUMBER = r"(0|[1-9][0-9]*)"
+_OPT_TOKEN = re.compile(rf"O{_NUMBER}")
+_RAND_TOKEN = re.compile(rf"rand:{_NUMBER}:{_NUMBER}")
+_SAMPLER_TOKEN = re.compile(rf"random:{_NUMBER}@{_NUMBER}")
 
 
 def sample_spec(seed: int, index: int) -> PipelineSpec:
@@ -304,9 +307,9 @@ def resolve_pipeline(token: str) -> PipelineSpec:
 
     Accepts ``"O<k>"`` (canonical spec of that opt level, ``k`` one of
     :data:`OPT_LEVELS`) and ``"rand:<seed>:<index>"`` (deterministic
-    sample).  The sampler syntax ``"random:<k>@<seed>"`` is *not*
-    self-contained (it needs the campaign seed) — run it through
-    :func:`expand_pipeline_tokens` first.
+    sample), every number written without leading zeros.  The sampler
+    syntax ``"random:<k>@<seed>"`` is *not* self-contained (it needs the
+    campaign seed) — run it through :func:`expand_pipeline_tokens` first.
     """
     match = _OPT_TOKEN.fullmatch(token)
     if match:
@@ -324,7 +327,8 @@ def resolve_pipeline(token: str) -> PipelineSpec:
             f"pipeline token {token!r} is a sampler, not a pipeline; expand "
             f"it with expand_pipeline_tokens(tokens, campaign_seed) first")
     raise KeyError(f"unknown pipeline token {token!r}; expected 'O<k>', "
-                   f"'rand:<seed>:<index>' or 'random:<k>@<seed>'")
+                   f"'rand:<seed>:<index>' or 'random:<k>@<seed>', numbers "
+                   f"without leading zeros")
 
 
 def expand_pipeline_tokens(tokens: Sequence[str],

@@ -13,14 +13,21 @@ Follows §4 of the paper:
   mismatch is attributed to the optimizer (transformation phase).
 
 The crash classification and bug attribution are :func:`judge_compilers`,
-the judging step every oracle of :mod:`repro.core.oracle` shares.
+the judging step every oracle of :mod:`repro.core.oracle` shares.  It judges
+through a :class:`JudgingMemo`, which exports a case once, builds it once
+per compiler configuration and runs each build once on the case's inputs;
+oracle cells that judge an equal case in one campaign iteration share it
+(:func:`sharing`).
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -29,6 +36,7 @@ from repro.compilers.bugs import BugConfig
 from repro.errors import (CompilerError, ConversionError,
                           IRVerificationError, ReproError)
 from repro.graph.model import Model
+from repro.ops.semantics import counting_kernel_calls
 from repro.runtime.exporter import ExportReport, export_model
 from repro.runtime.interpreter import Interpreter, random_inputs
 
@@ -196,10 +204,11 @@ class DifferentialTester:
         oracle = self._interpreter.run_detailed(model, inputs)
         if numerically_valid is None:
             numerically_valid = oracle.numerically_valid
+        memo = case_memo(model, inputs, self.bugs)
 
         def compare(compiler: Compiler, compiled: CompiledModel,
                     exported: Model) -> CompilerVerdict:
-            outputs = compiled.run(inputs)
+            outputs = memo.run(compiler).result()
             if not numerically_valid:
                 # NaN/Inf reached some operator: results are not comparable
                 # (§2.3, challenge #3) — never raise a semantic alarm here.
@@ -208,20 +217,18 @@ class DifferentialTester:
                                        self.atol)
             if mismatch is None:
                 return CompilerVerdict(compiler.name, "ok")
-            phase = self._localize_fault(compiler, exported, inputs,
-                                         oracle.outputs)
+            phase = self._localize_fault(memo, compiler, oracle.outputs)
             if getattr(compiler.options, "pipeline", None) is not None:
-                mismatch += self._canonical_pipeline_note(
-                    compiler, exported, inputs, oracle.outputs)
+                mismatch += self._canonical_pipeline_note(memo, compiler,
+                                                          oracle.outputs)
             return CompilerVerdict(compiler.name, "semantic", phase, mismatch)
 
-        export_report = ExportReport()
         verdicts = judge_compilers(model, self.compilers, self.bugs, compare,
-                                   export_report)
+                                   memo=memo)
         return CaseResult(model=model,
                           numerically_valid=numerically_valid,
                           verdicts=verdicts,
-                          exporter_bugs=list(export_report.triggered_bugs))
+                          exporter_bugs=list(memo.export()[1]))
 
     def evaluate(self, model: Model, inputs: Dict[str, np.ndarray],
                  numerically_valid: Optional[bool] = None
@@ -231,22 +238,18 @@ class DifferentialTester:
                              numerically_valid=numerically_valid).verdicts
 
     # ------------------------------------------------------------------ #
-    def _localize_fault(self, compiler: Compiler, exported: Model,
-                        inputs: Dict[str, np.ndarray],
+    def _localize_fault(self, memo: JudgingMemo, compiler: Compiler,
                         oracle_outputs: Dict[str, np.ndarray]) -> str:
         """Recompile at O0: if it agrees with the oracle the optimizer is wrong."""
-        unoptimized = type(compiler)(CompileOptions(opt_level=0, bugs=self.bugs))
         try:
-            compiled = unoptimized.compile_model(exported)
-            outputs = compiled.run(inputs)
+            outputs = memo.run(memo.reference(compiler, 0)).result()
         except ReproError:
             return "conversion"
         if compare_outputs(oracle_outputs, outputs, self.rtol, self.atol) is None:
             return "transformation"
         return "conversion"
 
-    def _canonical_pipeline_note(self, compiler: Compiler, exported: Model,
-                                 inputs: Dict[str, np.ndarray],
+    def _canonical_pipeline_note(self, memo: JudgingMemo, compiler: Compiler,
                                  oracle_outputs: Dict[str, np.ndarray]) -> str:
         """Equivalence-modulo-passes, second reference point.
 
@@ -258,10 +261,9 @@ class DifferentialTester:
         dedup key.
         """
         token = compiler.options.pipeline.name
-        canonical = type(compiler)(CompileOptions(
-            opt_level=compiler.options.opt_level, bugs=self.bugs))
+        canonical = memo.reference(compiler, compiler.options.opt_level)
         try:
-            outputs = canonical.compile_model(exported).run(inputs)
+            outputs = memo.run(canonical).result()
         except ReproError as exc:
             return (f" [pipeline {token}: canonical pipeline also fails: "
                     f"{first_line(str(exc))}]")
@@ -271,31 +273,234 @@ class DifferentialTester:
         return f" [pipeline {token}: canonical pipeline disagrees too]"
 
 
+@dataclass
+class CaseRun:
+    """One build's run on a case's inputs: its outputs, or the
+    :class:`~repro.errors.ReproError` it raised, and the kernel calls it
+    made (:func:`~repro.ops.semantics.counting_kernel_calls`)."""
+
+    outputs: Optional[Dict[str, np.ndarray]] = None
+    error: Optional[ReproError] = None
+    kernel_calls: Counter = field(default_factory=Counter)
+
+    def result(self) -> Dict[str, np.ndarray]:
+        """The outputs; raises the run's error again if it failed."""
+        if self.error is not None:
+            raise self.error
+        return self.outputs
+
+
+class JudgingMemo:
+    """The judging work of one case, done once for every oracle judging it.
+
+    It holds the exported model and its exporter bugs; every build, keyed
+    by compiler, opt level, pipeline, ``verify_passes`` and bugs, or the
+    :class:`~repro.errors.ReproError` its compile raised; and each build's
+    one run on the case's ``inputs`` (:class:`CaseRun`).  Builds and runs
+    are made on first request, so an oracle pays only for what it reads.
+
+    Sharing is sound because the case is compared exactly: a memo serves
+    another oracle only when that oracle's model and inputs equal its own
+    (:meth:`holds`).  Oracles read the outputs and must not change them.
+    """
+
+    def __init__(self, model: Model,
+                 inputs: Optional[Mapping[str, np.ndarray]],
+                 bugs: BugConfig) -> None:
+        self.model = model
+        #: None for a memo made by a caller that named no inputs; it then
+        #: exports and builds, but runs nothing.
+        self.inputs = inputs
+        self.bugs = bugs
+        self._export: Optional[Tuple[Model, List[str]]] = None
+        self._builds: Dict[Tuple, Any] = {}
+        self._runs: Dict[Tuple, CaseRun] = {}
+
+    def holds(self, model: Model, inputs: Optional[Mapping[str, np.ndarray]],
+              bugs: BugConfig) -> bool:
+        """Whether this memo judges exactly the case ``(model, inputs)``
+        under ``bugs``; ``inputs=None`` compares the model alone."""
+        if bugs.enabled_ids() != self.bugs.enabled_ids():
+            return False
+        if inputs is not None and inputs is not self.inputs and (
+                self.inputs is None or
+                not _same(dict(inputs), dict(self.inputs))):
+            return False
+        return model is self.model or _same_model(model, self.model)
+
+    def export(self) -> Tuple[Model, List[str]]:
+        """The exported model and the seeded exporter bugs it triggered."""
+        if self._export is None:
+            report = ExportReport()
+            # Looked up as this module's global at call time: the benchmark
+            # harness rebinds it to time the exporter.
+            exported = export_model(self.model, bugs=self.bugs, report=report)
+            self._export = exported, list(report.triggered_bugs)
+        return self._export
+
+    def build(self, compiler: Compiler) -> CompiledModel:
+        """``compiler``'s build of the exported model; raises its compile
+        error again on every call."""
+        key = _build_key(compiler)
+        if key not in self._builds:
+            try:
+                self._builds[key] = compiler.compile_model(self.export()[0])
+            except ReproError as exc:
+                self._builds[key] = exc
+        built = self._builds[key]
+        if isinstance(built, ReproError):
+            raise built
+        return built
+
+    def run(self, compiler: Compiler) -> CaseRun:
+        """The run of ``compiler``'s build on the case's inputs; raises the
+        build's compile error."""
+        key = _build_key(compiler)
+        run = self._runs.get(key)
+        if run is None:
+            compiled = self.build(compiler)
+            run = self._runs[key] = CaseRun()
+            with counting_kernel_calls() as run.kernel_calls:
+                try:
+                    run.outputs = compiled.run(self.inputs)
+                except ReproError as exc:
+                    run.error = exc
+        return run
+
+    def reference(self, compiler: Compiler, opt_level: int) -> Compiler:
+        """``compiler``'s system at ``opt_level``, with that level's
+        canonical pipeline and no pass verification: the build that
+        localizes a fault (O0) or checks a sampled pipeline."""
+        return type(compiler)(CompileOptions(opt_level=opt_level,
+                                             bugs=self.bugs))
+
+
+class SharedJudging:
+    """The memo the oracle cells of one campaign iteration share: the memo
+    of the case judged last (see :func:`sharing`)."""
+
+    def __init__(self) -> None:
+        self.memo: Optional[JudgingMemo] = None
+
+
+#: The :class:`SharedJudging` of the iteration being judged, or None.  An
+#: oracle's ``run_case(model, inputs, ...)`` carries no memo, so the engine
+#: hands the iteration's to the oracles through :func:`sharing`.
+_shared: Optional[SharedJudging] = None
+
+
+@contextmanager
+def sharing(shared: Optional[SharedJudging]) -> Iterator[None]:
+    """Judge the block's cases through ``shared`` (None shares nothing).
+
+    The campaign engine opens one :class:`SharedJudging` per iteration of
+    an oracle group and judges each of the group's cells inside this block
+    (:func:`repro.core.parallel.lease_frames`).
+    """
+    global _shared
+    previous, _shared = _shared, shared
+    try:
+        yield
+    finally:
+        _shared = previous
+
+
+def case_memo(model: Model, inputs: Optional[Mapping[str, np.ndarray]],
+              bugs: BugConfig) -> JudgingMemo:
+    """The memo that judges ``(model, inputs)`` under ``bugs``.
+
+    Inside :func:`sharing`, the shared memo when it holds this exact case,
+    or else a fresh memo that is shared from then on; outside, a fresh
+    memo per call.  ``inputs=None`` matches the model alone.
+    """
+    shared = _shared
+    if shared is not None and shared.memo is not None and \
+            shared.memo.holds(model, inputs, bugs):
+        return shared.memo
+    memo = JudgingMemo(model, inputs, bugs)
+    if shared is not None:
+        shared.memo = memo
+    return memo
+
+
+def _build_key(compiler: Compiler) -> Tuple:
+    """What a build depends on; a compiler without options is its own key."""
+    options = getattr(compiler, "options", None)
+    if not isinstance(options, CompileOptions):
+        return (id(compiler),)
+    return (type(compiler), options.opt_level, options.pipeline,
+            options.verify_passes, options.bugs.enabled_ids())
+
+
+#: Types whose values compare exactly with ``==``.
+_PLAIN = frozenset({int, str, bool, type(None)})
+
+
+def _same(a: Any, b: Any) -> bool:
+    """Exact equality: the same types all the way down, dict keys in the
+    same order, arrays of the same dtype, shape and strides, bit for bit."""
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind in _PLAIN:
+        return a == b
+    if kind is list or kind is tuple:
+        if len(a) != len(b) or list(map(type, a)) != list(map(type, b)):
+            return False
+        if _PLAIN.issuperset(map(type, a)):
+            return a == b  # same types, compared by value in one step
+        return all(map(_same, a, b))
+    if kind is dict:
+        return list(a) == list(b) and all(map(_same, a.values(), b.values()))
+    if kind is float:
+        return a.hex() == b.hex()  # tells -0.0 from 0.0
+    if kind is np.ndarray:
+        return (a.dtype == b.dtype and a.shape == b.shape and
+                a.strides == b.strides and a.tobytes() == b.tobytes())
+    return bool(a == b)
+
+
+def _same_model(a: Model, b: Model) -> bool:
+    # Names are strings and value types (shape, dtype) compare exactly by
+    # value; weights and node attributes need the strict comparison.
+    return (a.name == b.name and a.inputs == b.inputs and
+            a.outputs == b.outputs and
+            list(a.value_types.items()) == list(b.value_types.items()) and
+            _same(a.initializers, b.initializers) and
+            len(a.nodes) == len(b.nodes) and
+            all(x.op == y.op and x.name == y.name and x.inputs == y.inputs and
+                x.outputs == y.outputs and _same(x.attrs, y.attrs)
+                for x, y in zip(a.nodes, b.nodes)))
+
+
 def judge_compilers(model: Model, compilers: Sequence[Compiler],
                     bugs: BugConfig,
                     check: Callable[[Compiler, CompiledModel, Model],
                                     CompilerVerdict],
-                    report: Optional[ExportReport] = None
+                    *, memo: Optional[JudgingMemo] = None
                     ) -> List[CompilerVerdict]:
     """The judging step every oracle shares: export, compile, run, attribute.
 
-    ``model`` is exported once (seeded exporter bugs land in ``report``)
-    and every compiler compiles the exported model.  A compile failure is
-    the verdict: :class:`~repro.errors.IRVerificationError` is ``verifier``,
-    :class:`~repro.errors.ConversionError` a ``conversion`` crash and any
-    other :class:`~repro.errors.CompilerError` a ``transformation`` crash.
-    Otherwise ``check(compiler, compiled, exported)`` runs the executable
-    and returns the oracle's verdict; a :class:`~repro.errors.ReproError`
-    it raises is an ``execution`` crash.  Every verdict then lists the seeded bugs the
-    compile recorded (after any the check listed) and the exporter's, and
-    the passes that modified the IR.
+    ``model`` is exported and every compiler builds the exported model,
+    both through ``memo`` (default: :func:`case_memo` of the model alone,
+    so an oracle judging the model another oracle of its campaign
+    iteration judged reuses that export and those builds).  A compile
+    failure is the verdict: :class:`~repro.errors.IRVerificationError` is
+    ``verifier``, :class:`~repro.errors.ConversionError` a ``conversion``
+    crash and any other :class:`~repro.errors.CompilerError` a
+    ``transformation`` crash.  Otherwise ``check(compiler, compiled,
+    exported)`` runs the executable and returns the oracle's verdict; a
+    :class:`~repro.errors.ReproError` it raises is an ``execution`` crash.
+    Every verdict then lists the seeded bugs the compile recorded (after
+    any the check listed) and the exporter's, and the passes that modified
+    the IR.
     """
-    report = report if report is not None else ExportReport()
-    exported = export_model(model, bugs=bugs, report=report)
+    memo = memo if memo is not None else case_memo(model, None, bugs)
+    exported, exporter_bugs = memo.export()
     verdicts = []
     for compiler in compilers:
         try:
-            compiled = compiler.compile_model(exported)
+            compiled = memo.build(compiler)
         except IRVerificationError as exc:
             # The pass-boundary verifier refused an executing-but-ill-formed
             # IR: a dedicated symptom, not a crash (the compiler would have
@@ -325,8 +530,7 @@ def judge_compilers(model: Model, compilers: Sequence[Compiler],
                     if bug not in verdict.triggered_bugs)
                 verdict.modified_by = modified
         verdict.triggered_bugs.extend(
-            bug for bug in report.triggered_bugs
-            if bug not in verdict.triggered_bugs)
+            bug for bug in exporter_bugs if bug not in verdict.triggered_bugs)
         verdicts.append(verdict)
     return verdicts
 

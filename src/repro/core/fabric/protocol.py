@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Type
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.errors import ReproError
 
@@ -46,7 +46,9 @@ from repro.errors import ReproError
 #: frame's payload: the ``coverage_delta`` frame is gone.
 #: v6: every cell names its compilers and opt level, so ``welcome`` carries
 #: no compiler-factory path: only names and data go over the wire.
-PROTOCOL_VERSION = 6
+#: v7: a lease names the cells of one oracle group (``cells``, each cell's
+#: task in ``tasks``), and ``claim`` and ``chunk_done`` name no cell.
+PROTOCOL_VERSION = 7
 
 
 class ProtocolError(ReproError):
@@ -85,20 +87,29 @@ class Welcome(Message):
 
 @dataclass(frozen=True)
 class Lease(Message):
-    """Coordinator → worker: one chunk of a matrix cell to execute.
+    """Coordinator → worker: iterations of one oracle group to execute.
 
-    The lease runs iterations ``start`` to ``stop``, both inclusive.
-    ``task`` carries the serialized
-    :class:`~repro.core.parallel.CellTask` for remote workers (local pool
-    workers already hold the task list and receive ``task=None``).
+    An oracle group is the set of matrix cells that differ only in their
+    oracle (a campaign without an oracle axis has groups of one).
+    ``cells`` names, in cell order, the group's cells that have all of
+    iterations ``start`` to ``stop`` (both inclusive) left to run; the
+    worker runs each iteration for every one of them, so the oracles
+    judging one case share its export, builds and runs
+    (:class:`~repro.core.difftest.JudgingMemo`).  ``tasks`` carries each
+    cell's serialized :class:`~repro.core.parallel.CellTask` for remote
+    workers (local pool workers already hold the task list and receive
+    ``tasks=None``).
     """
 
     kind = "lease"
     chunk_id: int = 0
-    cell_index: int = 0
+    cells: Tuple[int, ...] = (0,)
     start: int = 1
     stop: int = 1
-    task: Optional[Dict[str, Any]] = None
+    tasks: Optional[List[Dict[str, Any]]] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", tuple(self.cells))
 
 
 @dataclass(frozen=True)
@@ -108,12 +119,11 @@ class Claim(Message):
     kind = "claim"
     worker: str = ""
     chunk_id: int = 0
-    cell_index: int = 0
 
 
 @dataclass(frozen=True)
 class IterationResult(Message):
-    """Worker → coordinator: one completed iteration's folded result.
+    """Worker → coordinator: one cell's completed iteration, folded.
 
     ``payload`` is :func:`~repro.core.parallel.campaign_result_to_dict` of
     the iteration's partial result, whose ``coverage_arcs`` are the arcs
@@ -139,13 +149,12 @@ class ChunkDone(Message):
     kind = "chunk_done"
     worker: str = ""
     chunk_id: int = 0
-    cell_index: int = 0
 
 
 @dataclass(frozen=True)
 class WorkerError(Message):
     """Worker → coordinator: the lease failed with a worker-side exception
-    (after which the worker retires)."""
+    in cell ``cell_index`` (after which the worker retires)."""
 
     kind = "error"
     worker: str = ""

@@ -410,10 +410,11 @@ class SocketTransport(CoordinatorTransport):
     def send(self, worker_id: str, message: Message) -> None:
         if self._loop is None:
             raise ProtocolError("transport not started")
-        if isinstance(message, Lease) and message.task is None:
-            # Remote workers rebuild the cell task from the wire.
+        if isinstance(message, Lease) and message.tasks is None:
+            # Remote workers rebuild the cell tasks from the wire.
             message = dataclasses.replace(
-                message, task=task_to_dict(self._tasks[message.cell_index]))
+                message, tasks=[task_to_dict(self._tasks[index])
+                                for index in message.cells])
 
         def write() -> None:
             with self._peers_lock:

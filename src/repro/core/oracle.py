@@ -14,8 +14,10 @@ executable.  Registered here:
 * ``shape`` — shape-infer vs executed output shapes (pipeline smoke);
 * ``perf`` — performance regression: the cell's optimized build and an O0
   build of the same model each run once while their kernel calls are
-  counted; an optimized build making more than 4x the O0 build's calls is
-  a ``perf`` verdict (:class:`PerfRegressionOracle`);
+  counted (the runs every built-in reads from the case's
+  :class:`~repro.core.difftest.JudgingMemo`); an optimized build making
+  more than 4x the O0 build's calls is a ``perf`` verdict
+  (:class:`PerfRegressionOracle`);
 * ``gradcheck`` — autodiff gradient check: reverse-mode backprop through
   :mod:`repro.autodiff` is compared against one central finite difference
   (a ``+`` and a ``-`` run moving the sampled input elements together) of
@@ -36,13 +38,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compilers.base import CompileOptions, Compiler
+from repro.compilers.base import Compiler
 from repro.compilers.bugs import BugConfig
 from repro.core.difftest import (CaseResult, CompilerVerdict,
-                                 DifferentialTester, first_line,
+                                 DifferentialTester, case_memo, first_line,
                                  judge_compilers)
 from repro.errors import ReproError
-from repro.ops.semantics import counting_kernel_calls
 from repro.runtime.interpreter import Interpreter, random_inputs
 
 #: The oracle assumed when a config predates the registry.
@@ -69,7 +70,11 @@ class BaseOracle:
     this base.  An ``evaluate`` that returns
     ``judge_compilers(model, self.compilers, self.bugs, check)`` inherits
     the built-ins' crash classification and bug attribution and supplies
-    only ``check(compiler, compiled, exported) -> CompilerVerdict``.
+    only ``check(compiler, compiled, exported) -> CompilerVerdict``; it
+    shares the export and the builds with every oracle judging the same
+    model in its campaign iteration, and the built-ins also share each
+    build's run on the case's inputs
+    (:func:`~repro.core.difftest.case_memo`).
     """
 
     name: str = "oracle"
@@ -176,9 +181,10 @@ class ShapeOnlyOracle(BaseOracle):
                  ) -> List[CompilerVerdict]:
         expected = {name: tuple(model.type_of(name).shape)
                     for name in model.outputs}
+        memo = case_memo(model, inputs, self.bugs)
 
         def compare_shapes(compiler, compiled, exported) -> CompilerVerdict:
-            outputs = compiled.run(inputs)
+            outputs = memo.run(compiler).result()
             for name, shape in expected.items():
                 if name not in outputs:
                     return CompilerVerdict(
@@ -193,7 +199,7 @@ class ShapeOnlyOracle(BaseOracle):
             return CompilerVerdict(compiler.name, "ok")
 
         return judge_compilers(model, self.compilers, self.bugs,
-                               compare_shapes)
+                               compare_shapes, memo=memo)
 
 
 # --------------------------------------------------------------------------- #
@@ -214,11 +220,14 @@ class CrashOnlyOracle(BaseOracle):
     def evaluate(self, model, inputs,
                  numerically_valid: Optional[bool] = None
                  ) -> List[CompilerVerdict]:
+        memo = case_memo(model, inputs, self.bugs)
+
         def run(compiler, compiled, exported) -> CompilerVerdict:
-            compiled.run(inputs)
+            memo.run(compiler).result()
             return CompilerVerdict(compiler.name, "ok")
 
-        return judge_compilers(model, self.compilers, self.bugs, run)
+        return judge_compilers(model, self.compilers, self.bugs, run,
+                               memo=memo)
 
 
 # --------------------------------------------------------------------------- #
@@ -228,9 +237,12 @@ class CrashOnlyOracle(BaseOracle):
 class PerfRegressionOracle(BaseOracle):
     """Optimized-vs-O0 kernel-call comparison (Tzer-style pass-level hunting).
 
-    For every compiler the model is compiled twice — at the compiler's own
-    optimization level and at O0 — and each executable runs once under
-    :func:`repro.ops.semantics.counting_kernel_calls`.  An optimized build
+    For every compiler the model is built twice — at the compiler's own
+    optimization level and at O0 — and each build's one run on the case's
+    inputs counts its kernel calls
+    (:func:`repro.ops.semantics.counting_kernel_calls`); both come from the
+    case's :class:`~repro.core.difftest.JudgingMemo`, where ``difftest``
+    finds the same O0 build when it localizes a fault.  An optimized build
     that dispatches more than :data:`THRESHOLD` times the O0 build's
     kernel calls is reported as a ``perf`` verdict: optimizations are
     allowed to be useless, not to pessimize.  The verdict's ``slow_nodes``
@@ -257,15 +269,15 @@ class PerfRegressionOracle(BaseOracle):
     def evaluate(self, model, inputs,
                  numerically_valid: Optional[bool] = None
                  ) -> List[CompilerVerdict]:
+        memo = case_memo(model, inputs, self.bugs)
         return judge_compilers(
             model, self.compilers, self.bugs,
             lambda compiler, optimized, exported: self._count_against_o0(
-                compiler, optimized, exported, inputs))
+                memo, compiler), memo=memo)
 
-    def _count_against_o0(self, compiler, optimized, exported,
-                          inputs) -> CompilerVerdict:
-        with counting_kernel_calls() as optimized_calls:
-            optimized.run(inputs)
+    def _count_against_o0(self, memo, compiler) -> CompilerVerdict:
+        optimized = memo.run(compiler)
+        optimized.result()
         opt_level = getattr(getattr(compiler, "options", None),
                             "opt_level", None)
         if not opt_level:
@@ -273,17 +285,14 @@ class PerfRegressionOracle(BaseOracle):
             # contrast exists for this cell.
             return CompilerVerdict(compiler.name, "ok")
         try:
-            baseline = type(compiler)(
-                CompileOptions(opt_level=0, bugs=self.bugs)
-            ).compile_model(exported)
-            with counting_kernel_calls() as baseline_calls:
-                baseline.run(inputs)
+            baseline = memo.run(memo.reference(compiler, 0))
+            baseline.result()
         except ReproError:
             # The unoptimized build itself fails; crash-class oracles own
             # that case — there is no baseline to regress against.
             return CompilerVerdict(compiler.name, "ok")
-        optimized_total = sum(optimized_calls.values())
-        baseline_total = sum(baseline_calls.values())
+        optimized_total = sum(optimized.kernel_calls.values())
+        baseline_total = sum(baseline.kernel_calls.values())
         ratio = optimized_total / max(baseline_total, 1)
         if ratio <= self.THRESHOLD:
             return CompilerVerdict(compiler.name, "ok")
@@ -292,8 +301,8 @@ class PerfRegressionOracle(BaseOracle):
                    f"{baseline_total}; threshold {self.THRESHOLD:.1f}x)")
         return CompilerVerdict(compiler.name, "perf", "transformation",
                                message,
-                               slow_nodes=_slow_nodes(optimized_calls,
-                                                      baseline_calls))
+                               slow_nodes=_slow_nodes(optimized.kernel_calls,
+                                                      baseline.kernel_calls))
 
 
 def _slow_nodes(optimized: Counter, baseline: Counter

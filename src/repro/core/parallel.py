@@ -47,14 +47,25 @@ Three properties distinguish the matrix engine from a flat shard list:
   can be re-executed in any order on any worker.  Every cell is bounded by
   its iteration count alone, so no wall clock decides which iterations
   run; a campaign stopped with Ctrl-C resumes from its checkpoint.
-* **Whole-cell leases.**  Requeued work goes out first, then each cell
-  whole, in cell order (``n_shards`` splits finer); only cells of unlike
-  cost are split across live workers (:meth:`ParallelCampaign._next_lease`).
+* **Oracle-group leases.**  The cells that differ only in their oracle
+  form an *oracle group* (a campaign without an oracle axis has groups of
+  one), and a lease is a run of iterations of one group: each iteration
+  runs for every cell of the lease in cell order, still one
+  :func:`~repro.core.fuzzer.single_iteration_result` and one
+  :class:`~repro.core.fabric.protocol.IterationResult` per cell.  The
+  cells judge the same case, so they share its export, its builds and
+  each build's run on the case's inputs
+  (:class:`~repro.core.difftest.JudgingMemo`); generation and value
+  search stay per cell.  Requeued work goes out first, then each group
+  whole, in cell order (``n_shards`` splits finer); groups of unlike cost,
+  or fewer unfinished groups than live workers, are split across them
+  (:meth:`ParallelCampaign._next_lease`).
   With ``trace_coverage`` on, workers trace compiler branch arcs per
   iteration and each iteration's result carries the arcs new to its
   worker (:class:`repro.compilers.coverage.CoverageFeedback`), and the
   coordinator keeps per-cell arc sets, the campaign-wide union and the
-  coverage-over-time series behind Figures 4–8.  Tracing records arcs
+  coverage-over-time series behind Figures 4–8.  A traced cell judges
+  with its own builds, so its arcs stay its own.  Tracing records arcs
   and never changes which ``(config, iteration)`` pairs run or their
   seeds.
 
@@ -87,7 +98,7 @@ from repro.compilers.base import (DEFAULT_COMPILERS, build_compiler_set,
 from repro.compilers.coverage import CoverageFeedback, is_pass_arc
 from repro.compilers.pipeline import (OPT_LEVELS, expand_pipeline_tokens,
                                       resolve_pipeline)
-from repro.core.difftest import DifferentialTester
+from repro.core.difftest import DifferentialTester, SharedJudging, sharing
 from repro.core.fabric.protocol import (PROTOCOL_VERSION, CheckpointAck,
                                         Claim, ChunkDone, IterationResult,
                                         Lease, Message, ProtocolError,
@@ -513,53 +524,65 @@ def lease_frames(worker: str, lease: Lease,
     """Run one lease, yielding its protocol frames as they happen.
 
     The worker core of every transport: a :class:`Claim`, then one
-    :class:`IterationResult` per iteration (its payload's
-    ``coverage_arcs`` are the arcs new to this worker's view of the cell),
-    then :class:`ChunkDone` — or a single :class:`WorkerError`, after which
+    :class:`IterationResult` per (cell, iteration) — each iteration for
+    every cell of the lease, in cell order; its payload's
+    ``coverage_arcs`` are the arcs new to this worker's view of the cell —
+    then :class:`ChunkDone`, or a single :class:`WorkerError`, after which
     the worker retires.  Only ``Exception`` becomes a ``WorkerError``:
     ``GeneratorExit`` and Ctrl-C pass through.
 
+    The lease's cells form one oracle group, so they judge the same case
+    each iteration, and one :class:`~repro.core.difftest.SharedJudging`
+    per iteration lets them share its export, its builds and each build's
+    run on the case's inputs.  A cell whose case differs judges through a
+    memo of its own, and a cell that traces coverage shares nothing, so
+    its arcs stay its own.  Generation and value search stay per cell.
+
     Pool workers pass the task list they were forked with; socket workers
-    pass ``tasks=None`` and rebuild the cell task from the lease's payload.
-    ``runtimes`` caches each cell's built tester across a worker's leases.
-    ``lease.stop`` is inclusive.  Each iteration's wall-clock ``duration``
-    is telemetry only: it feeds the cell's compute-time axis, never which
-    iterations run.
+    pass ``tasks=None`` and rebuild each cell's task from the lease's
+    payload.  ``runtimes`` caches each cell's built tester across a
+    worker's leases.  ``lease.stop`` is inclusive.  Each iteration's
+    wall-clock ``duration`` is telemetry only: it feeds the cell's
+    compute-time axis, never which iterations run.
     """
-    cell_index = lease.cell_index
-    yield Claim(worker=worker, chunk_id=lease.chunk_id, cell_index=cell_index)
+    yield Claim(worker=worker, chunk_id=lease.chunk_id)
+    cell_index = lease.cells[0]
     try:
-        if cell_index not in runtimes:
+        for position, cell_index in enumerate(lease.cells):
+            if cell_index in runtimes:
+                continue
             if tasks is not None:
                 task = tasks[cell_index]
-            elif lease.task is not None:
-                task = task_from_dict(lease.task)
+            elif lease.tasks is not None:
+                task = task_from_dict(lease.tasks[position])
             else:
                 raise ProtocolError(
                     f"lease {lease.chunk_id} names cell {cell_index} but "
                     "carries no task payload and this worker holds no task "
                     "list")
             runtimes[cell_index] = _cell_tester(task)
-        tester, config, strategy, coverage = runtimes[cell_index]
         for iteration in range(lease.start, lease.stop + 1):
-            iter_start = time.monotonic()
-            # Looked up as this module's global at call time: the
-            # benchmark harness rebinds it to time each iteration.
-            partial = single_iteration_result(
-                tester, config, iteration, strategy=strategy,
-                coverage=coverage)
-            duration = time.monotonic() - iter_start
-            yield IterationResult(worker=worker, chunk_id=lease.chunk_id,
-                                  cell_index=cell_index, iteration=iteration,
-                                  duration=duration,
-                                  payload=campaign_result_to_dict(partial))
+            siblings = SharedJudging()
+            for cell_index in lease.cells:
+                tester, config, strategy, coverage = runtimes[cell_index]
+                iter_start = time.monotonic()
+                with sharing(siblings if coverage is None else None):
+                    # Looked up as this module's global at call time: the
+                    # benchmark harness rebinds it to time each iteration.
+                    partial = single_iteration_result(
+                        tester, config, iteration, strategy=strategy,
+                        coverage=coverage)
+                duration = time.monotonic() - iter_start
+                yield IterationResult(worker=worker, chunk_id=lease.chunk_id,
+                                      cell_index=cell_index,
+                                      iteration=iteration, duration=duration,
+                                      payload=campaign_result_to_dict(partial))
     except Exception as exc:
         yield WorkerError(worker=worker, chunk_id=lease.chunk_id,
                           cell_index=cell_index,
                           message=f"{type(exc).__name__}: {exc}")
         return
-    yield ChunkDone(worker=worker, chunk_id=lease.chunk_id,
-                    cell_index=cell_index)
+    yield ChunkDone(worker=worker, chunk_id=lease.chunk_id)
 
 
 def _matrix_worker(worker_index: int, tasks: List[CellTask], task_queue,
@@ -641,7 +664,9 @@ class ParallelCampaign:
     #: Test oracles forming the oracle axis (None = the config's own
     #: ``oracle``).  Every oracle judges the same shard seed streams, so
     #: ``campaign_cell_sets(by="oracle")`` slices an apples-to-apples
-    #: per-oracle bug Venn out of one campaign.
+    #: per-oracle bug Venn out of one campaign.  The cells that differ only
+    #: in their oracle are leased together and share each case's export,
+    #: builds and runs.
     oracles: Optional[Sequence[str]] = None
     #: Pipeline tokens forming the pipeline axis (None = each compiler's
     #: canonical pipeline).  Tokens are ``"O<k>"``,
@@ -793,14 +818,22 @@ class ParallelCampaign:
     def _init_ledger(self, states: List[_CellState]) -> None:
         """Seed each cell's dynamic lease ledger — the exact set of
         unleased iterations — from its (possibly checkpoint-restored)
-        completion state."""
-        #: Requeued iteration sets awaiting redispatch (recovery work:
-        #: served before fresh leases).
-        self._requeued: Deque[Tuple[int, FrozenSet[int]]] = deque()
+        completion state, and group the cells that differ only in their
+        oracle."""
+        #: Each dead lease's requeued iterations per cell, awaiting
+        #: redispatch (recovery work: served before fresh leases).
+        self._requeued: Deque[Dict[int, FrozenSet[int]]] = deque()
         self._next_chunk_id = 0
-        #: Whether the cells differ only in their shard, and so cost alike.
-        self._cells_alike = len({dataclasses.replace(state.task.cell, shard=0)
-                                 for state in states}) <= 1
+        groups: Dict[MatrixCell, List[int]] = {}
+        for index, state in enumerate(states):
+            groups.setdefault(dataclasses.replace(state.task.cell,
+                                                  oracle=None),
+                              []).append(index)
+        #: Oracle groups, each in cell order, ordered by their first cell.
+        self._groups: List[List[int]] = list(groups.values())
+        #: Whether the groups differ only in their shard, and so cost alike.
+        self._groups_alike = len({dataclasses.replace(cell, shard=0)
+                                  for cell in groups}) <= 1
         for state in states:
             state.unleased = set()
             state.outstanding = 0
@@ -824,50 +857,77 @@ class ParallelCampaign:
         """Carve the next lease out of the ledger, or None when no cell has
         dispatchable work.
 
-        Requeued recovery work is served first, FIFO.  Otherwise the lease
-        is the first contiguous run of unleased iterations of the
-        lowest-index cell that has any: a fresh cell goes out whole, and a
-        resumed cell one run between its completed iterations at a time.
+        A lease is a run of iterations of one oracle group, for the
+        group's cells that have all of it left (a campaign without an
+        oracle axis has groups of one).  Requeued recovery work is served
+        first, FIFO.  Otherwise the lease is the first contiguous run of
+        unleased iterations of the lowest-index group that has any: a
+        fresh group goes out whole, and a resumed one a run at a time,
+        each run ending where the set of its cells that still need the
+        next iteration changes.
 
-        Cells that differ in more than their shard (a generator,
-        compiler-set, opt-level, oracle or pipeline axis) differ in cost.
-        With ``workers`` > 1 live, the cell with the most unleased
-        iterations goes first (every cell is started before any is
-        continued), and a lease takes at most ``ceil(R / (2 * workers))``
-        of them, R counted over every cell (factoring): leases shrink as
-        the campaign drains, and a worker that finishes early takes the
-        rest of a slower cell.
+        Groups that differ in more than their shard (a generator,
+        compiler-set, opt-level or pipeline axis) differ in cost, and
+        fewer unfinished groups than live workers would leave some idle.
+        In either case, with ``workers`` > 1 live, the group with the most
+        unleased iterations goes first (every group is started before any
+        is continued), and a lease takes at most ``ceil(R / (2 *
+        workers))`` of them, R counting each group iteration once
+        (factoring): leases shrink as the campaign drains, and a worker
+        that finishes early takes the rest of a slower group.
         """
         # Iterations folded before their worker died are not re-run.
-        requeued: Set[int] = set()
+        requeued: Dict[int, Set[int]] = {}
         while self._requeued and not requeued:
-            cell_index, iterations = self._requeued.popleft()
-            requeued = set(iterations) - states[cell_index].completed
+            entry = self._requeued.popleft()
+            requeued = {index: set(iterations) - states[index].completed
+                        for index, iterations in entry.items()}
+            requeued = {index: pending for index, pending in requeued.items()
+                        if pending}
         size = None  # the whole run
         if requeued:
             pending = requeued
         else:
-            wanting = [index for index, state in enumerate(states)
-                       if self._cell_wants_lease(state)]
-            if not wanting:
+            unleased = {}
+            for number, group in enumerate(self._groups):
+                wanting = [index for index in group
+                           if self._cell_wants_lease(states[index])]
+                if wanting:
+                    unleased[number] = len(set().union(
+                        *(states[index].unleased for index in wanting)))
+            if not unleased:
                 return None
-            cell_index = wanting[0]
-            if workers > 1 and not self._cells_alike:
-                cell_index = max(wanting, key=lambda index: (
-                    len(states[index].unleased), -index))
-                unleased = sum(len(states[index].unleased)
-                               for index in wanting)
-                size = -(-unleased // (2 * workers))
-            pending = states[cell_index].unleased
-        start = stop = min(pending)
-        while stop + 1 in pending and stop - start + 1 != size:
+            number = min(unleased)
+            unfinished = sum(1 for group in self._groups
+                             if any(not states[index].done and
+                                    not states[index].failed
+                                    for index in group))
+            if workers > 1 and (not self._groups_alike or
+                                unfinished < workers):
+                number = max(unleased, key=lambda key: (unleased[key], -key))
+                size = -(-sum(unleased.values()) // (2 * workers))
+            pending = {index: states[index].unleased
+                       for index in self._groups[number]
+                       if self._cell_wants_lease(states[index])}
+        start = stop = min(min(iterations) for iterations in pending.values())
+        cells = tuple(index for index in sorted(pending)
+                      if start in pending[index])
+        # Extend the run while exactly the same cells need the next
+        # iteration, so every iteration goes out with all of its cells.
+        while stop - start + 1 != size and \
+                all((stop + 1 in pending[index]) == (index in cells)
+                    for index in pending):
             stop += 1
-        pending.difference_update(range(start, stop + 1))
-        if requeued:  # the rest of a requeued set keeps its place in line
-            self._requeued.appendleft((cell_index, frozenset(requeued)))
-        states[cell_index].outstanding += 1
+        for index in cells:
+            pending[index].difference_update(range(start, stop + 1))
+            states[index].outstanding += 1
+        if requeued:  # the rest of a requeued entry keeps its place in line
+            rest = {index: frozenset(iterations)
+                    for index, iterations in pending.items() if iterations}
+            if rest:
+                self._requeued.appendleft(rest)
         self._next_chunk_id += 1
-        return Lease(chunk_id=self._next_chunk_id - 1, cell_index=cell_index,
+        return Lease(chunk_id=self._next_chunk_id - 1, cells=cells,
                      start=start, stop=stop)
 
     # ------------------------------------------------------------------ #
@@ -951,7 +1011,7 @@ class ParallelCampaign:
         if state.done or state.failed or state.outstanding > 0 or \
                 state.unleased:
             return
-        if any(entry[0] == cell_index for entry in self._requeued):
+        if any(cell_index in entry for entry in self._requeued):
             return  # recovery work for this cell awaits redispatch
         state.done = True
         self._emit("cell_done", state.task.cell.key,
@@ -976,19 +1036,25 @@ class ParallelCampaign:
 
     # ------------------------------------------------------------------ #
     def _requeue_lease(self, states: List[_CellState],
-                       lease: Lease) -> FrozenSet[int]:
+                       lease: Lease) -> Dict[int, FrozenSet[int]]:
         """Return a dead worker's lease to the ledger; returns the
-        iterations requeued.
+        iterations requeued, per cell of the lease.
 
         Iterations the lease already folded stay folded (`_fold_iteration`
         deduplicates replays, so nothing is double-counted).
         """
-        completed = states[lease.cell_index].completed
-        remaining = frozenset(i for i in range(lease.start, lease.stop + 1)
-                              if i not in completed)
-        if remaining:
-            self._requeued.append((lease.cell_index, remaining))
-        self._finish_chunk(states, lease.cell_index)
+        remaining = {}
+        for index in lease.cells:
+            completed = states[index].completed
+            remaining[index] = frozenset(
+                i for i in range(lease.start, lease.stop + 1)
+                if i not in completed)
+        requeued = {index: iterations for index, iterations
+                    in remaining.items() if iterations}
+        if requeued:
+            self._requeued.append(requeued)
+        for index in lease.cells:
+            self._finish_chunk(states, index)
         return remaining
 
     def _drain(self, states: List[_CellState],
@@ -1023,12 +1089,15 @@ class ParallelCampaign:
             if lease is None:
                 return
             if not requeue:
-                fail(lease.cell_index, f"worker {worker_id} {description}")
+                for index in lease.cells:
+                    fail(index, f"worker {worker_id} {description}")
                 return
             requeued = self._requeue_lease(states, lease)
-            self._emit("worker_lost", states[lease.cell_index].task.cell.key,
-                       {"worker": worker_id,
-                        "requeued": _ranges_from_iterations(requeued)})
+            for index in lease.cells:
+                self._emit("worker_lost", states[index].task.cell.key,
+                           {"worker": worker_id,
+                            "requeued": _ranges_from_iterations(
+                                requeued[index])})
 
         while True:
             # One clock read per pass: lease latency, send times and the
@@ -1060,7 +1129,8 @@ class ParallelCampaign:
                     if lease is not None and \
                             lease.chunk_id == message.chunk_id:
                         del assigned[worker_id]
-                        self._finish_chunk(states, lease.cell_index)
+                        for index in lease.cells:
+                            self._finish_chunk(states, index)
                 elif kind == "error":
                     retired.add(worker_id)
                     assigned.pop(worker_id, None)

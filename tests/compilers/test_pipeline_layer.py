@@ -130,6 +130,19 @@ class TestTokens:
         with pytest.raises(ValueError):
             expand_pipeline_tokens(["random:0@1"], 0)
 
+    @pytest.mark.parametrize("token", [
+        "O02", "O00", "O+2", "O\u0662", "rand:05:1", "rand:5:01", "rand:00:0",
+        "random:02@7", "random:2@07"])
+    def test_every_pipeline_has_one_spelling(self, token):
+        # A second spelling of a pipeline would name a second cell for it
+        # (``--pipelines O2,O02``): numbers carry no sign and no leading
+        # zero, in ASCII digits.
+        with pytest.raises(KeyError, match="unknown pipeline token"):
+            resolve_pipeline(token)
+        with pytest.raises(KeyError, match="unknown pipeline token"):
+            expand_pipeline_tokens(["O2", token], campaign_seed=0)
+        assert resolve_pipeline("rand:0:0") == sample_spec(0, 0)
+
 
 class _UppercaseNames(PipelinePass):
     """Toy user pass: rename every node to uppercase (idempotent-ish)."""

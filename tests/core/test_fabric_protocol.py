@@ -34,13 +34,13 @@ from repro.testing import tiny_campaign_config
 ALL_MESSAGES = (
     Hello(worker="w-1", pid=4242),
     Welcome(),
-    Lease(chunk_id=7, cell_index=2, start=3, stop=9, task=None),
-    # a one-iteration lease
-    Lease(chunk_id=8, cell_index=0, start=5, stop=5),
-    Claim(worker="w-1", chunk_id=7, cell_index=2),
+    Lease(chunk_id=7, cells=(2,), start=3, stop=9, tasks=None),
+    # a one-iteration lease of an oracle group's three cells
+    Lease(chunk_id=8, cells=(0, 4, 8), start=5, stop=5),
+    Claim(worker="w-1", chunk_id=7),
     IterationResult(worker="w-1", chunk_id=7, cell_index=2, iteration=5,
                     duration=0.125, payload={"iterations": 1}),
-    ChunkDone(worker="w-1", chunk_id=7, cell_index=2),
+    ChunkDone(worker="w-1", chunk_id=7),
     WorkerError(worker="w-1", chunk_id=7, cell_index=2, message="boom"),
     Heartbeat(worker="w-1", sent_at=12.5),
     CheckpointAck(worker="w-1", folded=10, persisted=True),
@@ -105,9 +105,9 @@ class TestFrameRejection:
     def test_unknown_fields_dropped(self):
         # Additive same-version peers interoperate: extra fields are noise,
         # not an error.
-        frame = encode(Claim(worker="w", chunk_id=3, cell_index=1))
+        frame = encode(Claim(worker="w", chunk_id=3))
         frame["shiny_new_field"] = "ignored"
-        assert decode(frame) == Claim(worker="w", chunk_id=3, cell_index=1)
+        assert decode(frame) == Claim(worker="w", chunk_id=3)
 
 
 class TestCampaignObjectRoundTrips:

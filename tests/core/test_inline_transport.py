@@ -40,7 +40,7 @@ class _LeaseLog(ParallelCampaign):
     def _next_lease(self, states, workers=1):
         lease = super()._next_lease(states, workers)
         if lease is not None:
-            self.leases.append((lease.cell_index, lease.start, lease.stop))
+            self.leases.append((*lease.cells, lease.start, lease.stop))
             self.sized_for.append(workers)
         return lease
 
@@ -62,7 +62,7 @@ def _all_leases(campaign, states, workers=1):
         lease = campaign._next_lease(states, workers)
         if lease is None:
             return leases
-        leases.append((lease.cell_index, lease.start, lease.stop))
+        leases.append((*lease.cells, lease.start, lease.stop))
 
 
 @pytest.mark.smoke

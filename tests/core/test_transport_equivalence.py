@@ -132,6 +132,20 @@ class TestTransportEquivalence:
         assert (checkpoint_signature(ck["socket"])
                 == checkpoint_signature(ck["inprocess"]))
 
+    def test_oracle_axis_campaign_matches_across_transports(self):
+        # Each oracle group goes out as one lease whose cells share their
+        # judging; the per-cell findings must not depend on the wire.
+        config = tiny_campaign_config(iterations=6, seed=13)
+        axis = dict(n_shards=2, oracles=["difftest", "perf", "crash"])
+        inprocess = run_parallel_campaign(config=config, n_workers=1, **axis)
+        local = run_parallel_campaign(config=config, n_workers=2, **axis)
+        _campaign, socketed = _run_socket_campaign(config, n_workers=2,
+                                                   **axis)
+        assert not isinstance(socketed, ReproError), socketed
+        assert len(inprocess.cells) == 6
+        assert campaign_signature(local) == campaign_signature(inprocess)
+        assert campaign_signature(socketed) == campaign_signature(inprocess)
+
     def test_tracing_leaves_socket_fleet_findings_unchanged(self):
         config = tiny_campaign_config(iterations=6, seed=13)
         _campaign, untraced = _run_socket_campaign(config, n_workers=2,

@@ -179,6 +179,33 @@ class TestAxisNamesAreValidated:
         assert campaign_from_args(args).generators == ["nnsmith", "mine"]
 
 
+#: Axis flags whose comma list names nothing, and the usage error each gets:
+#: an empty list must not quietly run the campaign without the axis.
+_EMPTY_AXES = [
+    (["--oracles", ","], "argument --oracles: expected at least one oracle "
+     "name, got ','"),
+    (["--generators", " , "], "argument --generators: expected at least one "
+     "generation strategy name, got ' , '"),
+    (["--compilers", ","], "argument --compilers: expected at least one "
+     "compiler name, got ','"),
+    (["--pipelines", ","], "argument --pipelines: expected at least one "
+     "pipeline token, got ','"),
+]
+
+
+class TestEmptyAxisListsAreRejected:
+    @pytest.mark.parametrize("argv,message", _EMPTY_AXES,
+                             ids=["oracles", "generators", "compilers",
+                                  "pipelines"])
+    def test_campaign_rejects_empty_axis(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--iterations", "1", "--workers", "1", "--quiet"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.campaign ")
+        assert message in err
+
+
 #: Counts a campaign cannot run, and the usage error each gets.
 _BAD_COUNTS = [
     (["--iterations", "-3"], "argument --iterations: must be at least 1"),
