@@ -27,6 +27,7 @@ import numpy as np
 from repro.dtypes import DType
 from repro.errors import UnsupportedOperatorError
 from repro.graph.node import Node
+from repro.ops.semantics import pad_spatial
 from repro.autodiff.proxy import DEFAULT_PROXY, ProxyConfig
 
 Arrays = Sequence[np.ndarray]
@@ -430,7 +431,7 @@ def _conv2d_vjp(node, inputs, outputs, grads, proxy):
     out_ch, _, k_h, k_w = weight.shape
     _, _, out_h, out_w = g.shape
 
-    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    padded = pad_spatial(x, padding)
     grad_padded = np.zeros_like(padded)
     grad_weight = np.zeros_like(weight)
     for i in range(k_h):
@@ -459,8 +460,7 @@ def _pool_windows(x: np.ndarray, k_h: int, k_w: int, stride: int, padding: int,
     batch, channels, in_h, in_w = x.shape
     out_h = (in_h + 2 * padding - k_h) // stride + 1
     out_w = (in_w + 2 * padding - k_w) // stride + 1
-    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                    constant_values=fill)
+    padded = pad_spatial(x, padding, fill)
     windows = np.zeros((batch, channels, k_h * k_w, out_h, out_w), dtype=np.float64)
     for i in range(k_h):
         for j in range(k_w):

@@ -15,9 +15,9 @@ Follows §4 of the paper:
 The crash classification and bug attribution are :func:`judge_compilers`,
 the judging step every oracle of :mod:`repro.core.oracle` shares.  It judges
 through a :class:`JudgingMemo`, which exports a case once, builds it once
-per compiler configuration and runs each build once on the case's inputs;
-oracle cells that judge an equal case in one campaign iteration share it
-(:func:`sharing`).
+per compiler configuration and runs each build once on the case's inputs.
+The oracle cells of one campaign iteration judge the very same case
+objects, made once for all of them, and share its memo (:func:`sharing`).
 """
 
 from __future__ import annotations
@@ -299,9 +299,11 @@ class JudgingMemo:
     one run on the case's ``inputs`` (:class:`CaseRun`).  Builds and runs
     are made on first request, so an oracle pays only for what it reads.
 
-    Sharing is sound because the case is compared exactly: a memo serves
-    another oracle only when that oracle's model and inputs equal its own
-    (:meth:`holds`).  Oracles read the outputs and must not change them.
+    A memo serves another oracle only for the same model and input
+    objects (:meth:`holds`): the cells of an oracle group judge the one
+    case their group made this iteration (:func:`searched_case`), so they
+    share its memo, while an equal copy gets a memo of its own.  Oracles
+    read the case and the outputs and must not change them.
     """
 
     def __init__(self, model: Model,
@@ -318,15 +320,12 @@ class JudgingMemo:
 
     def holds(self, model: Model, inputs: Optional[Mapping[str, np.ndarray]],
               bugs: BugConfig) -> bool:
-        """Whether this memo judges exactly the case ``(model, inputs)``
-        under ``bugs``; ``inputs=None`` compares the model alone."""
-        if bugs.enabled_ids() != self.bugs.enabled_ids():
-            return False
-        if inputs is not None and inputs is not self.inputs and (
-                self.inputs is None or
-                not _same(dict(inputs), dict(self.inputs))):
-            return False
-        return model is self.model or _same_model(model, self.model)
+        """Whether this memo judges the case ``(model, inputs)`` under
+        ``bugs``: the same objects (``inputs=None`` names the model alone)
+        and the same enabled bugs."""
+        return (model is self.model and
+                (inputs is None or inputs is self.inputs) and
+                bugs.enabled_ids() == self.bugs.enabled_ids())
 
     def export(self) -> Tuple[Model, List[str]]:
         """The exported model and the seeded exporter bugs it triggered."""
@@ -375,11 +374,20 @@ class JudgingMemo:
                                              bugs=self.bugs))
 
 
+#: A case ready to judge: the model, its inputs and its numeric validity
+#: (None when unknown).
+Case = Tuple[Model, Dict[str, np.ndarray], Optional[bool]]
+
+
 class SharedJudging:
-    """The memo the oracle cells of one campaign iteration share: the memo
-    of the case judged last (see :func:`sharing`)."""
+    """What the oracle cells of one campaign iteration share (see
+    :func:`sharing`): the case made from the generated model, with its
+    inputs and validity (:func:`searched_case`), and the memo of the case
+    judged last."""
 
     def __init__(self) -> None:
+        self.generated: Any = None
+        self.case: Optional[Case] = None
         self.memo: Optional[JudgingMemo] = None
 
 
@@ -394,7 +402,7 @@ def sharing(shared: Optional[SharedJudging]) -> Iterator[None]:
     """Judge the block's cases through ``shared`` (None shares nothing).
 
     The campaign engine opens one :class:`SharedJudging` per iteration of
-    an oracle group and judges each of the group's cells inside this block
+    an oracle group and runs each of the group's cells inside this block
     (:func:`repro.core.parallel.lease_frames`).
     """
     global _shared
@@ -405,13 +413,31 @@ def sharing(shared: Optional[SharedJudging]) -> Iterator[None]:
         _shared = previous
 
 
+def searched_case(generated: Any,
+                  search: Callable[[], Optional[Case]]) -> Optional[Case]:
+    """The case ``(model, inputs, numerically_valid)`` that ``search()``
+    makes from the generated model ``generated`` (None: no case to judge).
+
+    Inside :func:`sharing`, ``search`` runs once per generated model and
+    every later call for the same object returns the same case objects,
+    so the oracles judging it share its memo; outside, it runs per call.
+    """
+    shared = _shared
+    if shared is None:
+        return search()
+    if shared.generated is not generated:
+        shared.generated, shared.case = generated, search()
+    return shared.case
+
+
 def case_memo(model: Model, inputs: Optional[Mapping[str, np.ndarray]],
               bugs: BugConfig) -> JudgingMemo:
     """The memo that judges ``(model, inputs)`` under ``bugs``.
 
-    Inside :func:`sharing`, the shared memo when it holds this exact case,
-    or else a fresh memo that is shared from then on; outside, a fresh
-    memo per call.  ``inputs=None`` matches the model alone.
+    Inside :func:`sharing`, the shared memo when it holds these objects
+    (:meth:`JudgingMemo.holds`), or else a fresh memo that is shared from
+    then on; outside, a fresh memo per call.  ``inputs=None`` matches the
+    model alone.
     """
     shared = _shared
     if shared is not None and shared.memo is not None and \
@@ -432,47 +458,6 @@ def _build_key(compiler: Compiler) -> Tuple:
             options.verify_passes, options.bugs.enabled_ids())
 
 
-#: Types whose values compare exactly with ``==``.
-_PLAIN = frozenset({int, str, bool, type(None)})
-
-
-def _same(a: Any, b: Any) -> bool:
-    """Exact equality: the same types all the way down, dict keys in the
-    same order, arrays of the same dtype, shape and strides, bit for bit."""
-    kind = type(a)
-    if kind is not type(b):
-        return False
-    if kind in _PLAIN:
-        return a == b
-    if kind is list or kind is tuple:
-        if len(a) != len(b) or list(map(type, a)) != list(map(type, b)):
-            return False
-        if _PLAIN.issuperset(map(type, a)):
-            return a == b  # same types, compared by value in one step
-        return all(map(_same, a, b))
-    if kind is dict:
-        return list(a) == list(b) and all(map(_same, a.values(), b.values()))
-    if kind is float:
-        return a.hex() == b.hex()  # tells -0.0 from 0.0
-    if kind is np.ndarray:
-        return (a.dtype == b.dtype and a.shape == b.shape and
-                a.strides == b.strides and a.tobytes() == b.tobytes())
-    return bool(a == b)
-
-
-def _same_model(a: Model, b: Model) -> bool:
-    # Names are strings and value types (shape, dtype) compare exactly by
-    # value; weights and node attributes need the strict comparison.
-    return (a.name == b.name and a.inputs == b.inputs and
-            a.outputs == b.outputs and
-            list(a.value_types.items()) == list(b.value_types.items()) and
-            _same(a.initializers, b.initializers) and
-            len(a.nodes) == len(b.nodes) and
-            all(x.op == y.op and x.name == y.name and x.inputs == y.inputs and
-                x.outputs == y.outputs and _same(x.attrs, y.attrs)
-                for x, y in zip(a.nodes, b.nodes)))
-
-
 def judge_compilers(model: Model, compilers: Sequence[Compiler],
                     bugs: BugConfig,
                     check: Callable[[Compiler, CompiledModel, Model],
@@ -483,7 +468,7 @@ def judge_compilers(model: Model, compilers: Sequence[Compiler],
 
     ``model`` is exported and every compiler builds the exported model,
     both through ``memo`` (default: :func:`case_memo` of the model alone,
-    so an oracle judging the model another oracle of its campaign
+    so an oracle judging the model object another oracle of its campaign
     iteration judged reuses that export and those builds).  A compile
     failure is the verdict: :class:`~repro.errors.IRVerificationError` is
     ``verifier``, :class:`~repro.errors.ConversionError` a ``conversion``

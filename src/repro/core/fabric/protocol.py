@@ -94,11 +94,11 @@ class Lease(Message):
     ``cells`` names, in cell order, the group's cells that have all of
     iterations ``start`` to ``stop`` (both inclusive) left to run; the
     worker runs each iteration for every one of them, so the oracles
-    judging one case share its export, builds and runs
-    (:class:`~repro.core.difftest.JudgingMemo`).  ``tasks`` carries each
-    cell's serialized :class:`~repro.core.parallel.CellTask` for remote
-    workers (local pool workers already hold the task list and receive
-    ``tasks=None``).
+    share one generated case, its value search and its export, builds
+    and runs (:class:`~repro.core.difftest.JudgingMemo`).  ``tasks``
+    carries each cell's serialized :class:`~repro.core.parallel.CellTask`
+    for remote workers (local pool workers already hold the task list and
+    receive ``tasks=None``).
     """
 
     kind = "lease"

@@ -31,7 +31,7 @@ from repro.compilers.bugs import BugConfig
 from repro.compilers.coverage import CoverageFeedback
 from repro.core.concretize import GeneratedModel
 from repro.core.difftest import (CaseResult, DifferentialTester, finding_key,
-                                 first_line)
+                                 first_line, searched_case)
 from repro.core.generator import GeneratorConfig, generate_model
 from repro.core.oracle import DEFAULT_ORACLE, build_oracle
 from repro.core.strategy import (DEFAULT_STRATEGY, GenerationStrategy,
@@ -347,6 +347,12 @@ def search_and_difftest(tester: DifferentialTester, config: FuzzerConfig,
     baselines) skip Algorithm 3 entirely and are tested on plain random
     inputs, like the paper's head-to-head comparison.
 
+    The cells of an oracle group run this with one generated model per
+    iteration, inside the iteration's
+    :func:`~repro.core.difftest.sharing` block: the search (or the random
+    draw) runs for the first cell, and every cell judges the same model and
+    input objects (:func:`~repro.core.difftest.searched_case`).
+
     ``coverage`` is the optional per-iteration feedback channel: the oracle
     call (compile + run, the only part that executes compiler code) runs
     under its tracer, so every campaign iteration can report branch arcs —
@@ -355,33 +361,36 @@ def search_and_difftest(tester: DifferentialTester, config: FuzzerConfig,
     ``sys.settrace`` overhead there would be pure cost.
     """
 
-    def judged(model, inputs, validity):
+    def search():
+        if strategy is not None and \
+                not strategy.capabilities.needs_value_search:
+            try:
+                return (generated.model, random_inputs(generated.model, rng),
+                        None)
+            except ReproError:
+                return None  # the case is dropped, for every cell
+        found = search_values(generated.model,
+                              method=config.value_search_method,
+                              rng=rng,
+                              max_steps=config.value_search_max_steps)
+        if not found.success:
+            return (generated.model, random_inputs(generated.model, rng),
+                    None)
+        model = found.apply_weights(generated.model) if found.weights \
+            else generated.model
+        return model, found.inputs, True
+
+    case = searched_case(generated, search)
+    if case is None:
+        return None
+    model, inputs, validity = case
+    try:
         if coverage is None:
             return tester.run_case(model, inputs=inputs,
                                    numerically_valid=validity)
         with coverage.tracer:
             return tester.run_case(model, inputs=inputs,
                                    numerically_valid=validity)
-
-    if strategy is not None and not strategy.capabilities.needs_value_search:
-        try:
-            return judged(generated.model,
-                          random_inputs(generated.model, rng), None)
-        except ReproError:
-            return None
-    search = search_values(generated.model,
-                           method=config.value_search_method,
-                           rng=rng,
-                           max_steps=config.value_search_max_steps)
-    if search.success:
-        model = search.apply_weights(generated.model) if search.weights \
-            else generated.model
-        inputs, validity = search.inputs, True
-    else:
-        model = generated.model
-        inputs, validity = random_inputs(model, rng), None
-    try:
-        return judged(model, inputs, validity)
     except ReproError:
         return None
 

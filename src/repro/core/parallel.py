@@ -53,26 +53,28 @@ Three properties distinguish the matrix engine from a flat shard list:
   runs for every cell of the lease in cell order, still one
   :func:`~repro.core.fuzzer.single_iteration_result` and one
   :class:`~repro.core.fabric.protocol.IterationResult` per cell.  The
-  cells judge the same case, so they share its export, its builds and
-  each build's run on the case's inputs
-  (:class:`~repro.core.difftest.JudgingMemo`); generation and value
-  search stay per cell.  Requeued work goes out first, then each group
-  whole, in cell order (``n_shards`` splits finer); groups of unlike cost,
-  or fewer unfinished groups than live workers, are split across them
+  cells make each case once: one strategy generates it, one value search
+  (or random draw) finds its inputs, and every cell judges those same
+  objects, sharing the case's export, its builds and each build's run on
+  its inputs (:class:`~repro.core.difftest.JudgingMemo`).  Requeued
+  work goes out first, then each group whole, in cell order
+  (``n_shards`` splits finer); groups of unlike cost, or fewer
+  unfinished groups than live workers, are split across them
   (:meth:`ParallelCampaign._next_lease`).
   With ``trace_coverage`` on, workers trace compiler branch arcs per
   iteration and each iteration's result carries the arcs new to its
   worker (:class:`repro.compilers.coverage.CoverageFeedback`), and the
   coordinator keeps per-cell arc sets, the campaign-wide union and the
-  coverage-over-time series behind Figures 4–8.  A traced cell judges
-  with its own builds, so its arcs stay its own.  Tracing records arcs
+  coverage-over-time series behind Figures 4–8.  A traced cell searches
+  and judges on its own, so its arcs stay its own.  Tracing records arcs
   and never changes which ``(config, iteration)`` pairs run or their
   seeds.
 
 Determinism: the merged found-bug sets, per-cell iteration counts and
-deduplicated report keys depend only on the campaign config and matrix
-shape — not on worker count, lease order, interruption or coverage
-tracing.
+deduplicated reports (a cell keeps each key's report from its lowest
+iteration: key, message and iteration) depend only on the campaign config
+and matrix shape — not on worker count, lease order, interruption or
+coverage tracing.
 
 Checkpoints are fingerprinted by everything that changes what a cell
 computes — including the compiler subsets and opt levels of the matrix —
@@ -531,12 +533,15 @@ def lease_frames(worker: str, lease: Lease,
     the worker retires.  Only ``Exception`` becomes a ``WorkerError``:
     ``GeneratorExit`` and Ctrl-C pass through.
 
-    The lease's cells form one oracle group, so they judge the same case
-    each iteration, and one :class:`~repro.core.difftest.SharedJudging`
-    per iteration lets them share its export, its builds and each build's
-    run on the case's inputs.  A cell whose case differs judges through a
-    memo of its own, and a cell that traces coverage shares nothing, so
-    its arcs stay its own.  Generation and value search stay per cell.
+    The lease's cells form one oracle group, so they make the same case
+    each iteration: every cell calls the first cell's strategy, which
+    answers the repeated ``(seed, iteration)`` with the model it made for
+    the first (:meth:`~repro.core.strategy.GenerationStrategy.generate`),
+    and one :class:`~repro.core.difftest.SharedJudging` per iteration
+    gives every cell the same searched model and inputs and lets them
+    share its export, its builds and each build's run on the case's
+    inputs.  A cell that traces coverage searches and judges on its own,
+    so its arcs stay its own.
 
     Pool workers pass the task list they were forked with; socket workers
     pass ``tasks=None`` and rebuild each cell's task from the lease's
@@ -561,10 +566,11 @@ def lease_frames(worker: str, lease: Lease,
                     "carries no task payload and this worker holds no task "
                     "list")
             runtimes[cell_index] = _cell_tester(task)
+        strategy = runtimes[lease.cells[0]][2]
         for iteration in range(lease.start, lease.stop + 1):
             siblings = SharedJudging()
             for cell_index in lease.cells:
-                tester, config, strategy, coverage = runtimes[cell_index]
+                tester, config, _, coverage = runtimes[cell_index]
                 iter_start = time.monotonic()
                 with sharing(siblings if coverage is None else None):
                     # Looked up as this module's global at call time: the
@@ -619,9 +625,9 @@ class _CellState:
     result: Optional[CampaignResult] = None
     completed: Set[int] = field(default_factory=set)
     done: bool = False
-    #: Persistent dedup-key set of ``result.reports`` so per-iteration folds
-    #: stay O(new reports) instead of rebuilding the set every fold.
-    seen_keys: Set[str] = field(default_factory=set)
+    #: ``result.reports`` by dedup key, so per-iteration folds stay
+    #: O(new reports) instead of rebuilding the map every fold.
+    reports_by_key: Dict[str, BugReport] = field(default_factory=dict)
     #: Wall-clock seconds of completed iterations: telemetry only (the
     #: per-cell coverage time axis and the status snapshot).
     time_used: float = 0.0
@@ -940,8 +946,11 @@ class ParallelCampaign:
         A hand-rolled fold rather than ``CampaignResult.merge``: merge
         rebuilds the report dedup set and re-sorts the whole timeline on
         every call, which would make the coordinator quadratic in cell
-        size.  The observable outcome is identical (the property tests pin
-        merge's semantics; this fold mirrors them with persistent state).
+        size.  Unlike merge it keeps, per dedup key, the report of the
+        lowest iteration, replacing one folded earlier from a later
+        iteration, and keeps the cell's reports in iteration order: what a
+        serial loop over the cell's iterations reports, whatever order
+        the iterations fold in.
         """
         state = states[cell_index]
         if iteration in state.completed:
@@ -964,9 +973,17 @@ class ParallelCampaign:
         result.elapsed = max(result.elapsed, now)
         for report in partial.reports:
             key = report.dedup_key()
-            if key not in state.seen_keys:
-                state.seen_keys.add(key)
-                result.reports.append(report)
+            kept = state.reports_by_key.get(key)
+            if kept is not None:
+                if kept.iteration <= report.iteration:
+                    continue
+                result.reports.remove(kept)
+            state.reports_by_key[key] = report
+            position = len(result.reports)
+            while position and \
+                    result.reports[position - 1].iteration > report.iteration:
+                position -= 1
+            result.reports.insert(position, report)
         result.operator_instances.update(partial.operator_instances)
         result.seeded_bugs_found.update(partial.seeded_bugs_found)
         result.timeline.extend(partial.timeline)
@@ -1339,8 +1356,12 @@ class ParallelCampaign:
             state.completed = completed
             state.done = done
             state.time_used = time_used
-            state.seen_keys = (set() if result is None else
-                               {report.dedup_key() for report in result.reports})
+            state.reports_by_key = {}
+            if result is not None:
+                result.reports.sort(key=lambda report: report.iteration)
+                for report in result.reports:
+                    state.reports_by_key.setdefault(report.dedup_key(),
+                                                    report)
 
     def _save_checkpoint(self, states: List[_CellState],
                          force: bool = False) -> None:

@@ -14,16 +14,20 @@ checkpoint fingerprints).
 The purity contract
 -------------------
 ``generate(seed, iteration)`` must depend only on its arguments and the
-strategy's construction-time config — never on call order.  This is the
-property that lets the matrix engine re-execute any subset of iterations on
-any worker (mid-cell checkpoint resume, adaptive chunk stealing) while
-still reproducing a serial run exactly.  Stateful designs are wrapped
-accordingly: the LEMON strategy re-derives its mutation chain from the
-iteration seed instead of carrying an evolving model pool across
-iterations, and Tzer — which mutates DeepC's *low-level IR*, not graphs —
-is represented at the graph level by its seed corpus (exactly the paper's
-point: Tzer never exercises graph-level structure; its own IR fuzzing stays
-in :func:`repro.experiments.coverage_experiment.run_tzer_campaign`).
+strategy's construction-time config — never on call order, and never on
+the config's oracle.  This is the property that lets the matrix engine
+re-execute any subset of iterations on any worker (mid-cell checkpoint
+resume, adaptive chunk stealing) while still reproducing a serial run
+exactly, and lets the cells of an oracle group share one strategy
+instance and one model per iteration (see
+:meth:`GenerationStrategy.generate`).  Stateful
+designs are wrapped accordingly: the LEMON strategy re-derives its
+mutation chain from the iteration seed instead of carrying an evolving
+model pool across iterations, and Tzer — which mutates DeepC's *low-level
+IR*, not graphs — is represented at the graph level by its seed corpus
+(exactly the paper's point: Tzer never exercises graph-level structure;
+its own IR fuzzing stays in
+:func:`repro.experiments.coverage_experiment.run_tzer_campaign`).
 
 Strategies registered here: ``nnsmith`` (the solver-guided generator),
 ``graphfuzzer``, ``lemon``, ``tzer`` and ``targeted`` — a motif library
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
 import random
 import zlib
 from dataclasses import dataclass
@@ -44,7 +49,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.concretize import GeneratedModel
-from repro.errors import GenerationError
+from repro.core.oracle import DEFAULT_ORACLE
+from repro.errors import GenerationError, ReproError
 from repro.graph.model import Model
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fuzzer imports us)
@@ -98,6 +104,11 @@ class GenerationStrategy(abc.ABC):
     name: str = "strategy"
     capabilities: StrategyCapabilities = StrategyCapabilities()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "generate" in vars(cls):
+            cls.generate = _remembering(cls, vars(cls)["generate"])
+
     @abc.abstractmethod
     def generate(self, seed: int, iteration: int) -> GeneratedModel:
         """Produce one model for this iteration.
@@ -108,7 +119,41 @@ class GenerationStrategy(abc.ABC):
         may round-robin deterministic structure (the ``targeted`` strategy
         cycles its motif library this way).  Raises
         :class:`~repro.errors.GenerationError` on failure.
+
+        Generation never reads the config's oracle (:func:`build_strategy`
+        hands the strategy its config with the default oracle): the cells
+        of an oracle group differ only in it, so they all call the first
+        cell's strategy instance (:func:`repro.core.parallel.lease_frames`).
+        A repeat of the last ``(seed, iteration)`` returns the same
+        :class:`~repro.core.concretize.GeneratedModel` object, or raises
+        the same :class:`~repro.errors.ReproError` again, without
+        generating twice, so those cells search and judge one case: every
+        subclass's ``generate`` gets this when its class is created.
         """
+
+
+def _remembering(owner: type, generate):
+    """``owner``'s ``generate``, answering a repeat of the instance's last
+    ``(seed, iteration)`` from memory (see
+    :meth:`GenerationStrategy.generate`).  The memory is keyed by
+    ``owner`` too, so a subclass that calls ``super().generate`` never
+    answers with the model its base made."""
+
+    @functools.wraps(generate)
+    def remembered(self, seed: int, iteration: int) -> GeneratedModel:
+        key = owner, seed, iteration
+        last = getattr(self, "_last_generated", None)
+        if last is None or last[0] != key:
+            try:
+                last = key, generate(self, seed, iteration), None
+            except ReproError as exc:
+                last = key, None, exc
+            self._last_generated = last
+        if last[2] is not None:
+            raise last[2]
+        return last[1]
+
+    return remembered
 
 
 # --------------------------------------------------------------------------- #
@@ -151,14 +196,17 @@ def build_strategy(name: str, config: "FuzzerConfig") -> GenerationStrategy:
 
     This is how workers materialize a cell's generator: the *name* travels
     through process boundaries and checkpoint fingerprints, the instance is
-    built on arrival.
+    built on arrival.  The strategy gets ``config`` with the default
+    oracle in place of its own, so every cell of an oracle group builds
+    the same strategy and generates the same models as its single-oracle
+    campaign.
     """
     try:
         factory = _STRATEGY_REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown generation strategy {name!r}; registered: "
                        f"{sorted(_STRATEGY_REGISTRY)}") from None
-    return factory(config)
+    return factory(dataclasses.replace(config, oracle=DEFAULT_ORACLE))
 
 
 # --------------------------------------------------------------------------- #

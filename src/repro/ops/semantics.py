@@ -383,6 +383,28 @@ def _conv2d(attrs: dict, inputs: List[np.ndarray]) -> List[np.ndarray]:
     return [out]
 
 
+def pad_spatial(x: np.ndarray, padding: int, fill=0) -> np.ndarray:
+    """``np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+    constant_values=fill)`` for an (N, C, H, W) ``x``, without its per-call
+    overhead: one ``np.full`` and one slice assignment.
+
+    The result keeps ``np.pad``'s memory layout (Fortran order for an input
+    that is Fortran- but not C-contiguous, else C order): ``np.einsum``
+    sums in an order that follows its operands' strides, and the Conv2d
+    VJP feeds windows of the result straight into it.  A zero ``padding``
+    returns ``x`` itself when it has that layout already, so callers must
+    not write to the result.
+    """
+    order = "F" if x.flags.fnc else "C"
+    if padding == 0:
+        return np.asarray(x, order=order)
+    batch, channels, height, width = x.shape
+    padded = np.full((batch, channels, height + 2 * padding,
+                      width + 2 * padding), fill, dtype=x.dtype, order=order)
+    padded[:, :, padding:padding + height, padding:padding + width] = x
+    return padded
+
+
 def conv2d_reference(x: np.ndarray, weight: np.ndarray, bias, stride: int,
                      padding: int, dilation: int = 1) -> np.ndarray:
     """Direct (im2col) 2-D convolution used by every backend in the repo."""
@@ -399,11 +421,7 @@ def conv2d_reference(x: np.ndarray, weight: np.ndarray, bias, stride: int,
     if out_h <= 0 or out_w <= 0:
         raise ExecutionError("Conv2d produces an empty output")
     target = _result_dtype([x, weight])
-    padded = np.pad(
-        x.astype(target),
-        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        mode="constant",
-    )
+    padded = pad_spatial(x.astype(target, copy=False), padding)
     columns = np.zeros((batch, in_ch, k_h, k_w, out_h, out_w), dtype=target)
     for i in range(k_h):
         for j in range(k_w):
@@ -435,10 +453,7 @@ def _pool2d(x: np.ndarray, k_h: int, k_w: int, stride: int, padding: int,
         fill = -np.inf if x.dtype.kind == "f" else np.iinfo(x.dtype).min
     else:
         fill = 0.0
-    padded = np.pad(
-        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        mode="constant", constant_values=fill,
-    )
+    padded = pad_spatial(x, padding, fill)
     windows = np.zeros((batch, channels, k_h * k_w, out_h, out_w), dtype=padded.dtype)
     for i in range(k_h):
         for j in range(k_w):

@@ -1,24 +1,33 @@
 """Oracle groups: the matrix cells that differ only in their oracle.
 
 A group is leased as one unit, and each of its iterations runs for every
-cell of the lease in cell order; the cells judge one case, so they share
-its export, its builds and each build's run on the case's inputs through
-one :class:`~repro.core.difftest.JudgingMemo`.  These tests pin the
-memo's exactness, the sharing (by counting exports and compiles), that
-every oracle cell still finds exactly what its single-oracle campaign
-finds, the group lease plan, and a pool worker dying mid group lease.
+cell of the lease in cell order.  The group makes each case once: every
+cell calls the first cell's strategy, which answers the repeat with the
+same model, value search or the random input draw runs once, and the cells
+judge those same objects, sharing the case's export, its builds and each
+build's run on its inputs through one
+:class:`~repro.core.difftest.JudgingMemo`.  These tests pin the memo's
+identity matching, the sharing (by counting generations, searches,
+exports and compiles, for a strategy written outside the package too),
+that a failed input draw drops the case for every cell, that judging
+leaves the shared case unchanged, that every oracle cell still finds
+exactly what its single-oracle campaign finds, that a cell's reports do
+not depend on fold order, the group lease plan, and a pool worker dying
+mid group lease.
 """
 
-import dataclasses
 import os
-import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import repro.core.difftest as difftest_module
+import repro.core.fuzzer as fuzzer_module
+import repro.core.generator as generator_module
 import repro.core.parallel as parallel_module
 import repro.core.strategy as strategy_module
+from repro.baselines.graphfuzzer import GraphFuzzerGenerator
 from repro.compilers.base import CompileOptions
 from repro.compilers.bugs import BugConfig
 from repro.compilers.deepc.compiler import DeepCCompiler
@@ -26,11 +35,15 @@ from repro.compilers.graphrt.compiler import GraphRTCompiler
 from repro.compilers.turbo.compiler import TurboCompiler
 from repro.core.difftest import (DifferentialTester, JudgingMemo,
                                  SharedJudging, case_memo, sharing)
+from repro.core.fabric.protocol import Lease
 from repro.core.fabric.transport import LocalTransport
-from repro.core.parallel import (ParallelCampaign, _CellState,
-                                 _matrix_worker, run_parallel_campaign)
-from repro.core.strategy import GraphFuzzerStrategy
-from repro.errors import ConversionError
+from repro.core.fuzzer import BugReport, CampaignResult
+from repro.core.parallel import (ParallelCampaign, _CellState, _cell_tester,
+                                 _matrix_worker, campaign_result_from_dict,
+                                 lease_frames, run_parallel_campaign)
+from repro.core.strategy import (GenerationStrategy, GraphFuzzerStrategy,
+                                 register_strategy, wrap_model)
+from repro.errors import ConversionError, GraphError
 from repro.testing import (build_mlp_model, campaign_signature,
                            tiny_campaign_config)
 
@@ -63,6 +76,30 @@ def _findings(config, oracles, **fields):
     return campaign.findings, campaign.result
 
 
+class _Stacks(GenerationStrategy):
+    """A strategy written outside the package, like
+    ``examples/custom_strategy.py``'s: random inputs, no value search."""
+
+    name = "stacks-test"
+    bodies = 0
+
+    def __init__(self, config):
+        del config
+
+    def generate(self, seed, iteration):
+        _Stacks.bodies += 1
+        return wrap_model(build_mlp_model(seed % 1000))
+
+
+@pytest.fixture
+def stacks():
+    """Registers :class:`_Stacks` for one test."""
+    register_strategy(_Stacks.name, _Stacks)
+    _Stacks.bodies = 0
+    yield _Stacks
+    strategy_module._STRATEGY_REGISTRY.pop(_Stacks.name, None)
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Counts ``export_model`` calls and each compiler's compiles."""
@@ -86,16 +123,37 @@ def calls(monkeypatch):
     return counted
 
 
-class _OracleDependent(GraphFuzzerStrategy):
-    """GraphFuzzer whose graphs depend on the cell's oracle, so the cells
-    of one oracle group judge different cases."""
+def _group_runtimes(config, oracles=ORACLES):
+    """The cell tasks of a one-shard oracle-axis campaign and each cell's
+    built runtime, as a worker holds them."""
+    campaign = ParallelCampaign(config=config, n_workers=1, n_shards=1,
+                                oracles=oracles)
+    tasks = campaign._build_tasks()
+    return tasks, {index: _cell_tester(task)
+                   for index, task in enumerate(tasks)}
 
-    def __init__(self, config):
-        super().__init__(config)
-        self._salt = zlib.crc32(config.oracle.encode("utf-8"))
 
-    def generate(self, seed, iteration):
-        return super().generate(seed ^ self._salt, iteration)
+def _record_judged(runtimes):
+    """Make every cell's oracle record ``(cell, model, inputs)`` and the
+    case's bytes at each ``run_case`` call, in call order."""
+    judged = []
+    for index, (tester, _config, _strategy, _coverage) in runtimes.items():
+        def recording(model, inputs=None, numerically_valid=None, rng=None,
+                      _index=index, _run_case=tester.run_case):
+            judged.append((_index, model, inputs, _case_bytes(model, inputs)))
+            return _run_case(model, inputs=inputs,
+                             numerically_valid=numerically_valid, rng=rng)
+
+        tester.run_case = recording
+    return judged
+
+
+def _case_bytes(model, inputs):
+    arrays = {**{("input", name): array for name, array in inputs.items()},
+              **{("weight", name): array
+                 for name, array in model.initializers.items()}}
+    return {key: (array.dtype.str, array.shape, array.tobytes())
+            for key, array in arrays.items()}
 
 
 # --------------------------------------------------------------------------- #
@@ -108,45 +166,34 @@ def _case():
 
 
 class TestJudgingMemo:
-    def test_equal_cases_share_one_memo_inside_sharing(self):
+    def test_the_same_case_shares_one_memo_inside_sharing(self):
         (model, inputs), (twin, twin_inputs) = _case(), _case()
         bugs = BugConfig.all()
-        assert model is not twin
         with sharing(SharedJudging()):
             first = case_memo(model, inputs, bugs)
-            assert case_memo(twin, twin_inputs, bugs) is first
+            assert case_memo(model, inputs, bugs) is first
             # A caller naming no inputs matches on the model alone.
-            assert case_memo(twin, None, bugs) is first
+            assert case_memo(model, None, bugs) is first
+            # An equal copy is another case, with a memo of its own that
+            # is shared from then on.
+            copy = case_memo(twin, twin_inputs, bugs)
+            assert copy is not first
+            assert case_memo(twin, twin_inputs, bugs) is copy
         # Outside a sharing block every call gets a fresh memo.
         assert case_memo(model, inputs, bugs) is not \
             case_memo(model, inputs, bugs)
 
-    @pytest.mark.parametrize("change", [
-        "input-value", "input-negative-zero", "input-dtype", "weight-bit",
-        "attr-type", "node-name", "bugs"])
+    @pytest.mark.parametrize("change", ["bugs", "model-copy", "inputs-copy"])
     def test_any_difference_is_another_case(self, change):
         model, inputs = _case()
-        other, other_inputs = _case()
-        bugs = other_bugs = BugConfig.all()
-        (name,) = model.inputs
-        if change == "input-value":
-            other_inputs[name][0, 0] += 1e-6
-        elif change == "input-negative-zero":
-            inputs[name][0, 1] = 0.0
-            other_inputs[name][0, 1] = -0.0
-        elif change == "input-dtype":
-            other_inputs[name] = other_inputs[name].astype(np.float64)
-        elif change == "weight-bit":
-            name = next(iter(other.initializers))
-            weights = other.initializers[name]
-            weights.view(np.uint32).reshape(-1)[0] ^= 1
-        elif change == "attr-type":
-            node = next(node for node in other.nodes if node.op == "Softmax")
-            node.attrs["axis"] = float(node.attrs["axis"])
-        elif change == "node-name":
-            other.nodes[0].name += "_"
-        else:
+        bugs = BugConfig.all()
+        other, other_inputs, other_bugs = model, inputs, bugs
+        if change == "bugs":
             other_bugs = BugConfig.none()
+        elif change == "model-copy":
+            other = model.clone()
+        else:
+            other_inputs = dict(inputs)
         memo = JudgingMemo(model, inputs, bugs)
         assert memo.holds(model, inputs, bugs)
         assert not memo.holds(other, other_inputs, other_bugs)
@@ -257,18 +304,173 @@ class TestGroupLeasePlan:
 
 
 # --------------------------------------------------------------------------- #
+# Report folds
+# --------------------------------------------------------------------------- #
+class TestReportFolds:
+    """A cell keeps, per dedup key, the report of its lowest iteration, in
+    iteration order, whatever order its iterations fold in."""
+
+    @staticmethod
+    def _campaign(**fields):
+        campaign = ParallelCampaign(config=_graphfuzzer_config(iterations=4),
+                                    n_workers=1, n_shards=1, **fields)
+        campaign._run_started = 0.0
+        campaign._unsaved_folds = 0
+        return campaign
+
+    @staticmethod
+    def _fold(campaign, states, iteration, *messages):
+        # Crashes key on their message's first line.
+        partial = CampaignResult(iterations=1, reports=[
+            BugReport("graphrt", "crash", "execution",
+                      f"{message}\nseen at iteration {iteration}", [],
+                      iteration) for message in messages])
+        campaign._fold_iteration(states, 0, iteration, partial, 0.0)
+
+    @staticmethod
+    def _reports(states):
+        return [(report.iteration, report.message.split("\n")[0])
+                for report in states[0].result.reports]
+
+    def test_the_lowest_iteration_wins_in_any_fold_order(self):
+        campaign = self._campaign()
+        states = [_CellState(task=task) for task in campaign._build_tasks()]
+        self._fold(campaign, states, 4, "late")
+        self._fold(campaign, states, 3, "boom", "late")
+        self._fold(campaign, states, 1, "other")
+        self._fold(campaign, states, 2, "boom")
+        assert self._reports(states) == [(1, "other"), (2, "boom"),
+                                         (3, "late")]
+        assert states[0].result.reports[1].message.endswith("iteration 2")
+
+    def test_a_resumed_cell_keeps_the_lowest_iteration(self, tmp_path):
+        path = str(tmp_path / "campaign.json")
+        campaign = self._campaign(checkpoint_path=path)
+        states = [_CellState(task=task) for task in campaign._build_tasks()]
+        self._fold(campaign, states, 3, "boom")
+        campaign._save_checkpoint(states, force=True)
+        resumed = self._campaign(checkpoint_path=path)
+        states = [_CellState(task=task) for task in resumed._build_tasks()]
+        resumed._load_checkpoint(states)
+        self._fold(resumed, states, 2, "boom")
+        self._fold(resumed, states, 4, "boom")
+        assert self._reports(states) == [(2, "boom")]
+
+
+# --------------------------------------------------------------------------- #
 # Campaigns
 # --------------------------------------------------------------------------- #
 @pytest.mark.campaign
 class TestOracleGroupCampaigns:
-    def test_sharing_is_pinned_by_counts(self, calls):
+    @pytest.mark.parametrize("strategy",
+                             ["graphfuzzer", "nnsmith", _Stacks.name])
+    def test_sharing_is_pinned_by_counts(self, calls, monkeypatch, stacks,
+                                         strategy):
+        made = Counter()
+
+        def counting(name, module, attribute):
+            original = getattr(module, attribute)
+
+            def counted(*args, **kwargs):
+                made[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, attribute, counted)
+
+        counting("generate", GraphFuzzerGenerator, "next_case")
+        counting("generate", generator_module, "generate_model")
+        counting("search", fuzzer_module, "search_values")
+        counting("draw", fuzzer_module, "random_inputs")
         iterations = 8
-        run_parallel_campaign(_graphfuzzer_config(iterations=iterations),
-                              n_workers=1, n_shards=1, oracles=ORACLES)
-        # One export per iteration, not one per oracle; each compiler
-        # builds the cell's build and the O0 reference once.
+        config = tiny_campaign_config(iterations=iterations, seed=5,
+                                      n_nodes=6, strategy=strategy)
+        result = run_parallel_campaign(config, n_workers=1, n_shards=1,
+                                       oracles=ORACLES)
+        assert result.iterations == len(ORACLES) * iterations
+        # One generation and one value search (or input draw) per
+        # iteration, not one per oracle.
+        assert made["generate"] + stacks.bodies == iterations
+        if strategy == "nnsmith":
+            assert made["search"] == iterations
+            assert made["draw"] <= iterations
+        else:
+            assert (made["search"], made["draw"]) == (0, iterations)
+        # One export per iteration; each compiler builds the cell's build
+        # and the O0 reference once.
         assert calls["export"] <= iterations
         assert all(calls[cls.name] <= 2 * iterations for cls in COMPILERS)
+
+    @pytest.mark.parametrize("strategy", ["graphfuzzer", "nnsmith"])
+    def test_judging_leaves_the_shared_case_unchanged(self, strategy):
+        config = tiny_campaign_config(iterations=3, seed=29, n_nodes=6,
+                                      strategy=strategy)
+        tasks, runtimes = _group_runtimes(config)
+        judged = _record_judged(runtimes)
+        lease = Lease(chunk_id=0, cells=tuple(runtimes), start=1, stop=3)
+        kinds = [frame.kind for frame in
+                 lease_frames("w", lease, runtimes, tasks)]
+        assert kinds == ["claim"] + ["iter"] * 15 + ["chunk_done"]
+        assert len(judged) == 15
+        for start in range(0, 15, len(ORACLES)):
+            group = judged[start:start + len(ORACLES)]
+            _, model, inputs, before = group[0]
+            assert [cell for cell, *_ in group] == list(range(len(ORACLES)))
+            # Every oracle judged the same objects, and none of the five
+            # (gradcheck's perturbed runs included) changed a byte.
+            assert all(entry[1] is model and entry[2] is inputs
+                       for entry in group)
+            assert all(entry[3] == before for entry in group)
+            assert _case_bytes(model, inputs) == before
+
+    def test_every_cell_judges_the_first_cells_case(self, monkeypatch):
+        tasks, runtimes = _group_runtimes(_graphfuzzer_config(iterations=4))
+        made = []
+        generate = GraphFuzzerStrategy.generate
+
+        def spying(self, seed, iteration):
+            generated = generate(self, seed, iteration)
+            made.append((self, iteration, generated))
+            return generated
+
+        monkeypatch.setattr(GraphFuzzerStrategy, "generate", spying)
+        judged = _record_judged(runtimes)
+        # A lease that does not start at cell 0, as after a resume.
+        cells = (2, 3, 4)
+        lease = Lease(chunk_id=0, cells=cells, start=2, stop=3)
+        list(lease_frames("w", lease, runtimes, tasks))
+        first = runtimes[cells[0]][2]
+        assert {runtime[2] for runtime in runtimes.values()} != {first}
+        # Every cell called the first cell's strategy, which made one model
+        # per iteration, and every cell judged that model.
+        assert [(strategy, iteration) for strategy, iteration, _ in made] \
+            == [(first, iteration) for iteration in (2, 3) for _ in cells]
+        models = [generated.model for _, _, generated in made]
+        assert models[0] is models[1] is models[2]
+        assert models[3] is models[4] is models[5] is not models[0]
+        assert [cell for cell, *_ in judged] == list(cells) * 2
+        assert all(model is made_model for (_, model, *_), made_model
+                   in zip(judged, models))
+
+    def test_a_failed_input_draw_drops_the_case_for_every_cell(
+            self, monkeypatch):
+        tasks, runtimes = _group_runtimes(_graphfuzzer_config(iterations=2))
+        draws = []
+
+        def failing(model, rng=None):
+            draws.append(model)
+            raise GraphError("an input without a value type")
+
+        monkeypatch.setattr(fuzzer_module, "random_inputs", failing)
+        lease = Lease(chunk_id=0, cells=tuple(runtimes), start=1, stop=2)
+        frames = list(lease_frames("w", lease, runtimes, tasks))
+        # The draw ran once per iteration, and every cell dropped the case
+        # instead of retiring the worker.
+        assert [frame.kind for frame in frames] == \
+            ["claim"] + ["iter"] * 10 + ["chunk_done"]
+        assert len(draws) == 2
+        for frame in frames[1:-1]:
+            partial = campaign_result_from_dict(frame.payload)
+            assert (partial.generated_models, partial.timeline) == (1, [])
 
     @pytest.mark.parametrize("strategy", ["graphfuzzer", "nnsmith"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -284,22 +486,17 @@ class TestOracleGroupCampaigns:
                                    n_shards=2)[0])
         assert together == alone
 
-    def test_siblings_with_different_cases_judge_apart(self, monkeypatch,
-                                                       calls):
-        monkeypatch.setitem(strategy_module._STRATEGY_REGISTRY,
-                            "oracle-dependent", _OracleDependent)
-        config = dataclasses.replace(_graphfuzzer_config(iterations=4),
-                                     strategy="oracle-dependent")
-        oracles = ["difftest", "perf", "crash"]
-        together, result = _findings(config, oracles, n_workers=1,
-                                     n_shards=1)
-        # Every cell judged its own case: one export per judged case.
-        assert calls["export"] == len(result.timeline) > 4
-        alone = {}
-        for oracle in oracles:
-            alone.update(_findings(config, [oracle], n_workers=1,
-                                   n_shards=1)[0])
-        assert together == alone
+    @pytest.mark.parametrize("seed, iterations", [(0, 24), (4, 40)])
+    def test_a_cells_reports_do_not_depend_on_worker_count(self, seed,
+                                                           iterations):
+        # One group leased in pieces to two workers folds its iterations
+        # out of order; each cell still keeps each key's report from its
+        # lowest iteration.
+        config = tiny_campaign_config(iterations=iterations, seed=seed,
+                                      n_nodes=6, strategy="graphfuzzer")
+        one, _ = _findings(config, ORACLES, n_workers=1, n_shards=1)
+        two, _ = _findings(config, ORACLES, n_workers=2, n_shards=1)
+        assert two == one
 
     def test_traced_cells_judge_with_their_own_builds(self, calls):
         config = _graphfuzzer_config(iterations=4)

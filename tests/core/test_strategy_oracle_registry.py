@@ -8,6 +8,7 @@ stream back-compat guarantee for the default strategy, the
 built-in oracle shares with ``difftest``.
 """
 
+import dataclasses
 import json
 import pickle
 
@@ -35,10 +36,11 @@ from repro.core.strategy import (
     register_strategy,
     registered_strategies,
     strategy_entropy,
+    wrap_model,
 )
 from repro.core.targeted import MOTIFS
 from repro.errors import (CompilerError, ConversionError, ExecutionError,
-                          IRVerificationError)
+                          GenerationError, IRVerificationError)
 from repro.graph.serialize import model_to_dict
 from repro.graph.validate import validation_errors
 from repro.testing import build_mlp_model
@@ -88,12 +90,96 @@ class TestStrategyRegistry:
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_generate_is_pure_and_valid(self, name):
         strategy = build_strategy(name, FuzzerConfig())
-        for iteration in (1, 7):
-            first = strategy.generate(99 + iteration, iteration)
-            again = strategy.generate(99 + iteration, iteration)
-            assert _model_fingerprint(first) == _model_fingerprint(again)
-            assert validation_errors(first.model) == []
-            assert first.op_instances
+        first = {iteration: strategy.generate(99 + iteration, iteration)
+                 for iteration in (1, 7)}
+        # Another instance, called in the other order.
+        other = build_strategy(name, FuzzerConfig())
+        for iteration in (7, 1):
+            again = other.generate(99 + iteration, iteration)
+            assert _model_fingerprint(first[iteration]) == \
+                _model_fingerprint(again)
+            assert validation_errors(again.model) == []
+            assert again.op_instances
+
+    @pytest.mark.parametrize("name", ALL_STRATEGIES)
+    def test_a_repeat_returns_the_same_model(self, name):
+        strategy = build_strategy(name, FuzzerConfig())
+        first = strategy.generate(100, 1)
+        assert strategy.generate(100, 1) is first
+        # Only the last (seed, iteration) is remembered.
+        assert strategy.generate(100, 2) is not first
+        assert strategy.generate(100, 1) is not first
+
+    def test_a_repeat_raises_the_same_error(self):
+        class Failing(GenerationStrategy):
+            name = "failing-test"
+            calls = 0
+
+            def generate(self, seed, iteration):
+                Failing.calls += 1
+                raise GenerationError(f"no model for seed {seed}")
+
+        strategy = Failing()
+        with pytest.raises(GenerationError) as first:
+            strategy.generate(5, 1)
+        with pytest.raises(GenerationError) as again:
+            strategy.generate(5, 1)
+        assert again.value is first.value
+        assert Failing.calls == 1
+
+    def test_every_subclass_remembers_its_own_last_model(self):
+        # A strategy written outside this package, with no decoration,
+        # gets the memo too, and a subclass calling super().generate keeps
+        # its own model apart from its base's.
+        class Stacks(GenerationStrategy):
+            name = "stacks-test"
+            bodies = 0
+
+            def generate(self, seed, iteration):
+                Stacks.bodies += 1
+                return wrap_model(build_mlp_model(seed))
+
+        class Wider(Stacks):
+            name = "wider-test"
+
+            def generate(self, seed, iteration):
+                base = super().generate(seed, iteration)
+                return wrap_model(base.model.clone())
+
+        stacks = Stacks()
+        first = stacks.generate(3, 1)
+        assert stacks.generate(3, 1) is first and Stacks.bodies == 1
+        wider = Wider()
+        made = wider.generate(3, 1)
+        assert wider.generate(3, 1) is made and Stacks.bodies == 2
+        # The base's generate, asked directly, answers with its own model,
+        # and then the subclass's generates anew rather than return it.
+        base = super(Wider, wider).generate(3, 1)
+        assert base.model is not made.model
+        assert wider.generate(3, 1).model is not base.model
+
+    def test_a_strategy_never_sees_the_oracle(self):
+        seen = []
+
+        class Echo(GenerationStrategy):
+            name = "echo-oracle-test"
+
+            def __init__(self, config):
+                seen.append(config)
+
+            def generate(self, seed, iteration):
+                raise NotImplementedError
+
+        register_strategy("echo-oracle-test", Echo)
+        try:
+            config = FuzzerConfig(strategy="echo-oracle-test",
+                                  oracle="gradcheck")
+            build_strategy(config.strategy, config)
+        finally:
+            from repro.core import strategy as strategy_module
+
+            strategy_module._STRATEGY_REGISTRY.pop("echo-oracle-test", None)
+        assert seen[0] == dataclasses.replace(config, oracle=DEFAULT_ORACLE)
 
     def test_capabilities_match_designs(self):
         config = FuzzerConfig()

@@ -17,7 +17,7 @@ from repro.graph.node import Node
 from repro.graph.tensor_type import TensorType
 from repro.ops.registry import all_ops, op_info
 from repro.ops.semantics import (counting_kernel_calls, execute_node,
-                                 has_kernel)
+                                 has_kernel, pad_spatial)
 from repro.ops.shape_infer import infer_output_types
 
 
@@ -241,6 +241,40 @@ class TestKernelCallCounter:
                     raise RuntimeError("kernel failed")
             self._relu()
         assert outer == {("r", "Relu"): 1}
+
+
+class TestPadSpatial:
+    """``pad_spatial`` is the conv and pool kernels' ``np.pad``: the same
+    dtype, bytes and memory layout for every fill they use."""
+
+    @staticmethod
+    def _layouts(array):
+        # C order, Fortran order, and a strided view that is neither.
+        yield array
+        yield np.asfortranarray(array)
+        yield np.concatenate([array, array], axis=3)[:, :, :, ::2]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64", "int32",
+                                       "int64"])
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
+    @pytest.mark.parametrize("fill", ["zero", "lowest"])
+    def test_matches_np_pad(self, dtype, padding, fill):
+        dtype = np.dtype(dtype)
+        value = 0
+        if fill == "lowest":
+            value = -np.inf if dtype.kind == "f" else np.iinfo(dtype).min
+        base = np.random.default_rng(padding).normal(
+            size=(2, 3, 4, 5)) * 100
+        for x in self._layouts(base.astype(dtype)):
+            expected = np.pad(x, ((0, 0), (0, 0), (padding, padding),
+                                  (padding, padding)), constant_values=value)
+            padded = pad_spatial(x, padding, value)
+            assert padded.dtype == expected.dtype
+            assert padded.shape == expected.shape
+            assert padded.strides == expected.strides
+            assert padded.tobytes("A") == expected.tobytes("A")
+            if padding == 0 and x.flags.c_contiguous:
+                assert padded is x
 
 
 class TestShapeInferenceErrors:
