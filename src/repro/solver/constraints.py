@@ -8,15 +8,19 @@ Broadcast compatibility, for example, is expressed as a disjunction:
 Like expressions, a constraint compiles on first use to a closure over its
 parts' closures (:attr:`Constraint.predicate`), memoised on the node
 together with :meth:`Constraint.variables`; the solver's search calls the
-predicates directly.
+predicates directly.  Bounds propagation compiles each constraint once, too,
+to its :attr:`Constraint.reviser` (:mod:`repro.solver.interval`).
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, FrozenSet, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Callable, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro.solver.expr import Assignment, Const, Expr, SymVar, missing_variable
+
+if TYPE_CHECKING:
+    from repro.solver.interval import Reviser
 
 Predicate = Callable[[Assignment], bool]
 
@@ -24,16 +28,30 @@ Predicate = Callable[[Assignment], bool]
 class Constraint:
     """Base class for all predicates."""
 
-    __slots__ = ("_predicate", "_variables")
+    __slots__ = ("_predicate", "_reviser", "_variables")
+
+    def __init__(self) -> None:
+        # Memos, each built on first use.
+        self._predicate: Optional[Predicate] = None
+        self._reviser: Optional["Reviser"] = None
+        self._variables: Optional[FrozenSet[str]] = None
 
     @property
     def predicate(self) -> Predicate:
         """This constraint compiled to a function of the assignment."""
-        try:
-            return self._predicate
-        except AttributeError:
+        predicate = self._predicate
+        if predicate is None:
             self._predicate = predicate = self._compile()
-            return predicate
+        return predicate
+
+    @property
+    def reviser(self) -> "Reviser":
+        """This constraint compiled to a function that narrows a box of
+        intervals (:func:`repro.solver.interval.propagate`)."""
+        reviser = self._reviser
+        if reviser is None:
+            self._reviser = reviser = _interval.compile_reviser(self)
+        return reviser
 
     def satisfied(self, assignment: Assignment) -> bool:
         try:
@@ -42,11 +60,10 @@ class Constraint:
             raise missing_variable(error) from None
 
     def variables(self) -> FrozenSet[str]:
-        try:
-            return self._variables
-        except AttributeError:
+        names = self._variables
+        if names is None:
             self._variables = names = self._collect_variables()
-            return names
+        return names
 
     def _compile(self) -> Predicate:
         raise NotImplementedError
@@ -81,6 +98,7 @@ class Comparison(Constraint):
     def __init__(self, op: str, lhs: Expr, rhs: Expr) -> None:
         if op not in self._OPS:
             raise ValueError(f"unsupported comparison {op!r}")
+        super().__init__()
         self.op = op
         self.lhs = lhs
         self.rhs = rhs
@@ -119,6 +137,7 @@ class And(Constraint):
     __slots__ = ("parts",)
 
     def __init__(self, parts: Sequence[Constraint]) -> None:
+        super().__init__()
         self.parts: List[Constraint] = list(parts)
 
     def _compile(self) -> Predicate:
@@ -144,6 +163,7 @@ class Or(Constraint):
     __slots__ = ("parts",)
 
     def __init__(self, parts: Sequence[Constraint]) -> None:
+        super().__init__()
         self.parts: List[Constraint] = list(parts)
 
     def _compile(self) -> Predicate:
@@ -169,6 +189,7 @@ class Not(Constraint):
     __slots__ = ("inner",)
 
     def __init__(self, inner: Constraint) -> None:
+        super().__init__()
         self.inner = inner
 
     def _compile(self) -> Predicate:
@@ -203,3 +224,7 @@ def conjunction(parts: Iterable[Constraint]) -> Constraint:
 def all_satisfied(constraints: Iterable[Constraint], assignment: Assignment) -> bool:
     """Evaluate a collection of constraints under an assignment."""
     return all(c.satisfied(assignment) for c in constraints)
+
+
+# Revisers compile over the classes above: imported last, as it imports them.
+from repro.solver import interval as _interval  # noqa: E402

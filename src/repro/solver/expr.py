@@ -19,7 +19,7 @@ mutates a node after construction.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, FrozenSet, Iterable, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Union
 
 Assignment = Dict[str, int]
 ExprLike = Union["Expr", int]
@@ -36,14 +36,18 @@ class Expr:
 
     __slots__ = ("_evaluator", "_variables")
 
+    def __init__(self) -> None:
+        # Memos, each built on first use.
+        self._evaluator: Optional[Evaluator] = None
+        self._variables: Optional[FrozenSet[str]] = None
+
     @property
     def evaluator(self) -> Evaluator:
         """This expression compiled to a function of the assignment."""
-        try:
-            return self._evaluator
-        except AttributeError:
+        evaluator = self._evaluator
+        if evaluator is None:
             self._evaluator = evaluator = self._compile()
-            return evaluator
+        return evaluator
 
     def evaluate(self, assignment: Assignment) -> int:
         try:
@@ -52,11 +56,10 @@ class Expr:
             raise missing_variable(error) from None
 
     def variables(self) -> FrozenSet[str]:
-        try:
-            return self._variables
-        except AttributeError:
+        names = self._variables
+        if names is None:
             self._variables = names = self._collect_variables()
-            return names
+        return names
 
     def _compile(self) -> Evaluator:
         raise NotImplementedError
@@ -130,6 +133,7 @@ class SymVar(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
+        super().__init__()
         self.name = name
 
     def _compile(self) -> Evaluator:
@@ -151,6 +155,7 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: int) -> None:
+        super().__init__()
         self.value = int(value)
 
     def _compile(self) -> Evaluator:
@@ -199,6 +204,7 @@ class BinOp(Expr):
     def __init__(self, op: str, lhs: Expr, rhs: Expr) -> None:
         if op not in self._OPS:
             raise ValueError(f"unsupported operator {op!r}")
+        super().__init__()
         self.op = op
         self.lhs = lhs
         self.rhs = rhs

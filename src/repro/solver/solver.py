@@ -6,16 +6,23 @@ which bounds propagation (:mod:`repro.solver.interval`) and a complete
 propagate-and-branch search over the bounded domains answer.
 
 A query propagates its new constraints from the bounds the asserted ones
-imply; an empty interval *refutes* it without search.  Otherwise each
-variable keeps its previous value (phase saving) or, lacking one in its
-interval, takes the low end.  When that breaks a constraint, the search
-branches over the variables connected to the broken constraints, nearest
-first: the saved value, then the low end, then the two halves of the rest,
-propagating after each decision.  Every model is checked with
-:func:`~repro.solver.constraints.all_satisfied`.  Budgets count decisions
-(``stats["nodes"]``), not time, and only sorted names and insertion-ordered
-constraints are iterated, so the generated stream is a pure function of the
-seed (``tests/solver/test_stream_pin.py`` pins it).
+imply, each through the reviser it compiled on its first revision; an empty
+interval *refutes* the query without search.  Otherwise each variable keeps
+its previous value (phase saving) or, lacking one in its interval, takes
+the low end.  The previous model satisfies every constraint up to a mark
+(``_settled``, lowered when :meth:`Solver.pop` removes constraints below
+it), so ``_solve`` evaluates only the constraints added since and the
+watchers of variables whose value moved, in insertion order.
+When that finds a broken constraint, the search branches over the variables
+connected to the broken constraints, nearest first: the saved value, then
+the low end, then the two halves of the rest, propagating after each
+decision.  Each search leaf, and :meth:`Solver.model`, checks every
+constraint with :func:`~repro.solver.constraints.all_satisfied`.  Budgets
+count decisions (``stats["nodes"]``), not time, and only sorted names and
+insertion-ordered constraints are iterated, so the generated stream is a
+pure function of the seed (``tests/solver/test_stream_pin.py`` pins it).
+A search that exhausts its budget is not a refutation: ``model()`` and
+:func:`solve` name the node budget when they raise for it.
 
 The public surface mirrors how Algorithm 1 in the paper uses Z3:
 
@@ -50,6 +57,7 @@ class Solver:
         self._watchers: Dict[str, List[int]] = {}
         #: ``_domains`` narrowed by ``_constraints[:_settled]`` (None: rebuild).
         self._box: Optional[Box] = None
+        #: ``_model`` satisfies ``_constraints[:_settled]``.
         self._settled = 0
         self._model: Dict[str, int] = {}
         self._scopes: List[int] = []
@@ -102,17 +110,23 @@ class Solver:
         return False
 
     def check(self) -> bool:
-        """Is the currently asserted system satisfiable?"""
+        """Is a model of the currently asserted system found within
+        ``max_nodes`` branching decisions?"""
         return bool(self._solve(self.max_nodes))
 
     def model(self) -> Dict[str, int]:
-        """The satisfying assignment found by the last successful check
-        (raises :class:`UnsatisfiableError` if there is none and solving fails)."""
+        """The satisfying assignment found by the last successful check;
+        solves first when there is none or it breaks a constraint, and
+        raises :class:`UnsatisfiableError` when that search fails."""
         padded = {name: self._model.get(name, low)
                   for name, (low, _) in self._domains.items()}
         if not self._model or not all_satisfied(self._constraints, padded):
-            if not self.check():
-                raise UnsatisfiableError("constraint system is unsatisfiable")
+            outcome = self._solve(self.max_nodes)
+            if not outcome:
+                raise UnsatisfiableError(
+                    "constraint system is unsatisfiable" if outcome is False else
+                    f"no model found within the node budget of {self.max_nodes} "
+                    f"branching decisions (max_nodes); the system may be satisfiable")
             padded = dict(self._model)
         return padded
 
@@ -139,34 +153,46 @@ class Solver:
                     watchers.pop()
         del self._constraints[marker:]
         if self._settled > marker:
-            self._box = None  # the bounds rest on constraints that are gone
+            # The bounds rest on constraints that are gone; the model still
+            # satisfies the ones left.
+            self._box, self._settled = None, marker
 
     def _solve(self, budget: int) -> Optional[bool]:
         """Propagate, then search where the previous model breaks: True for a
         model (cached), False for proved infeasible, None for out of budget."""
         self.stats["checks"] += 1
+        constraints, settled = self._constraints, self._settled
         if self._box is None:
-            self._box = dict(self._domains)
-            self._settled = 0
-        box = dict(self._box)
-        pending = range(self._settled, len(self._constraints))
-        if not propagate(box, self._constraints, self._watchers, pending):
+            box, pending = dict(self._domains), range(len(constraints))
+        else:
+            box, pending = dict(self._box), range(settled, len(constraints))
+        # Propagation takes every interval to be non-empty (the hull rules
+        # divide by their ends), and keeps it so: an empty declared domain
+        # refutes here.
+        if any(low > high for low, high in box.values()):
             return False
-        saved = self._model if self.phase_saving else {}
+        if not propagate(box, constraints, self._watchers, pending):
+            return False
+        previous, saving, watchers = self._model, self.phase_saving, self._watchers
         model: Dict[str, int] = {}
+        # The previous model satisfies constraints[:settled]: only those added
+        # since and the watchers of a variable whose value moves can break.
+        suspects = set(range(settled, len(constraints)))
         for name, (low, high) in box.items():
-            if low > high:
-                return False
-            value = saved.get(name, low)
-            model[name] = value if low <= value <= high else low
-        violated = [c for c in self._constraints if not c.predicate(model)]
+            old = previous.get(name)
+            value = old if saving and old is not None and low <= old <= high else low
+            model[name] = value
+            if value != old:
+                suspects.update(watchers[name])
+        violated = [constraints[index] for index in sorted(suspects)
+                    if not constraints[index].predicate(model)]
         if violated:
             order = self._connected(violated)
             found = self._search({name: box[name] for name in order}, order,
-                                 saved, model, budget)
+                                 previous if saving else {}, model, budget)
             if not found:
                 return found
-        self._box, self._settled, self._model = box, len(self._constraints), model
+        self._box, self._settled, self._model = box, len(constraints), model
         return True
 
     def _connected(self, constraints: List[Constraint]) -> List[str]:
@@ -230,11 +256,10 @@ def solve(constraints: Sequence[Constraint],
           bounds: Optional[Dict[str, tuple]] = None) -> Dict[str, int]:
     """Solve ``constraints`` under optional per-variable (low, high)
     ``bounds`` in one shot; raises :class:`UnsatisfiableError` when they
-    are infeasible or no model is found within the default budget."""
+    are infeasible or no model is found within the default budget (the
+    message tells the two apart)."""
     solver = Solver()
     for name, (low, high) in (bounds or {}).items():
         solver.int_var(name, low, high)
     solver.add(constraints)
-    if not solver.check():
-        raise UnsatisfiableError("constraint system is unsatisfiable")
     return solver.model()

@@ -25,7 +25,7 @@ from repro.solver import (
 )
 from repro.core.binning import _BINNING_SOLVER_BUDGET
 from repro.solver.constraints import TRUE
-from repro.solver.interval import propagate
+from repro.solver.interval import _HULL, _PROJECT, _TARGETS, propagate
 
 
 # --------------------------------------------------------------------------- #
@@ -65,6 +65,98 @@ def reference_truth(constraint, assignment):
     return not reference_truth(constraint.inner, assignment)
 
 
+# --------------------------------------------------------------------------- #
+# The tree walk the compiled revisers replaced: the narrowing they keep.
+# --------------------------------------------------------------------------- #
+def reference_hull(expr, box):
+    """``(low, high, operand hulls or None)``, bottom-up from the box."""
+    if isinstance(expr, SymVar):
+        return (*box[expr.name], None)
+    if isinstance(expr, Const):
+        return expr.value, expr.value, None
+    lhs, rhs = reference_hull(expr.lhs, box), reference_hull(expr.rhs, box)
+    low, high = _HULL[expr.op](lhs[0], lhs[1], rhs[0], rhs[1])
+    return low, high, (lhs, rhs)
+
+
+def reference_narrow(expr, lo, hi, hull, box, changed):
+    """Confine ``expr`` to ``[lo, hi]`` through its (stale) hull."""
+    if isinstance(expr, SymVar):
+        low, high = box[expr.name]
+        if lo <= low and high <= hi:
+            return True
+        low, high = max(lo, low), min(hi, high)
+        if low > high:
+            return False
+        box[expr.name] = (low, high)
+        changed.append(expr.name)
+        return True
+    low, high, operands = hull
+    if lo <= low and high <= hi:
+        return True
+    low, high = max(lo, low), min(hi, high)
+    if low > high or operands is None:
+        return low <= high
+    (al, ah, _), (bl, bh, _) = operands
+    into_lhs, into_rhs = _PROJECT[expr.op](low, high, al, ah, bl, bh)
+    return (reference_narrow(expr.lhs, *into_lhs, operands[0], box, changed) and
+            reference_narrow(expr.rhs, *into_rhs, operands[1], box, changed))
+
+
+def reference_revise(constraint, box, changed):
+    if isinstance(constraint, Comparison):
+        lhs, rhs = reference_hull(constraint.lhs, box), reference_hull(constraint.rhs, box)
+        targets = _TARGETS[constraint.op](lhs[0], lhs[1], rhs[0], rhs[1])
+        return targets is not None and (
+            reference_narrow(constraint.lhs, *targets[0], lhs, box, changed) and
+            reference_narrow(constraint.rhs, *targets[1], rhs, box, changed))
+    if isinstance(constraint, And):
+        return all(reference_revise(part, box, changed) for part in constraint.parts)
+    if isinstance(constraint, Or):
+        live = [part for part in constraint.parts if reference_feasible(part, box)]
+        return len(live) > 1 or (len(live) == 1 and reference_revise(live[0], box, changed))
+    names = constraint.variables()  # a Not: checked once every variable is fixed
+    return (any(box[name][0] < box[name][1] for name in names) or
+            reference_truth(constraint, {name: box[name][0] for name in names}))
+
+
+def reference_feasible(constraint, box):
+    """Whether propagating ``constraint`` alone leaves ``box`` non-empty."""
+    scratch = {name: box[name] for name in constraint.variables()}
+    return reference_propagate(scratch, [constraint], dict.fromkeys(scratch, [0]), [0], [])
+
+
+def reference_propagate(box, constraints, watchers, queue, revised):
+    """:func:`propagate` over the tree walk, appending each revised index."""
+    queue = list(dict.fromkeys(queue))
+    queued = set(queue)
+    changed = []
+    for index in queue:
+        queued.discard(index)
+        revised.append(index)
+        if not reference_revise(constraints[index], box, changed):
+            return False
+        for name in changed:
+            for watcher in watchers[name]:
+                if watcher not in queued:
+                    queued.add(watcher)
+                    queue.append(watcher)
+        changed.clear()
+    return True
+
+
+class RecordingList(list):
+    """The constraints of a propagation, recording each index it revises."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.revised = []
+
+    def __getitem__(self, index):
+        self.revised.append(index)
+        return super().__getitem__(index)
+
+
 def leaf_variables(node):
     if isinstance(node, SymVar):
         return {node.name}
@@ -89,6 +181,13 @@ constraint_trees = st.recursive(st.one_of(_comparisons, st.just(TRUE)), lambda c
     st.lists(children, max_size=3).map(And),
     st.lists(children, max_size=3).map(Or),
     children.map(Not)), max_leaves=6)
+# Comparisons of leaves, alone and in disjunctions like broadcasting's
+# ``a == b | a == 1 | b == 1``: the forms with direct revisers.
+_leaf_comparisons = st.builds(Comparison, st.sampled_from(["==", "!=", "<=", "<", ">=", ">"]),
+                              _leaves, _leaves)
+propagated_constraints = st.one_of(
+    constraint_trees, _leaf_comparisons,
+    st.lists(_leaf_comparisons, min_size=2, max_size=3).map(Or))
 # Pad variables range over [-4, 8], so zero divisors and negatives occur.
 assignments = st.fixed_dictionaries(
     {name: st.integers(min_value=-4, max_value=8) for name in _NAMES})
@@ -220,6 +319,47 @@ class TestPropagation:
     def test_empty_interval_refutes(self):
         x, y = SymVar("x"), SymVar("y")
         assert propagated({"x": (1, 64), "y": (1, 64)}, [x == y, x <= 8, y >= 9]) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(propagated_constraints, min_size=1, max_size=4), st.fixed_dictionaries(
+        {name: st.tuples(st.integers(-6, 8), st.integers(-6, 8)) for name in _NAMES}),
+        st.integers(0, 3))
+    def test_compiled_revisers_match_the_tree_walk(self, constraints, ends, start):
+        """The compiled revisers narrow like the tree walk they replaced: the
+        same verdict, the same box (a rejected one too) and the same order of
+        revisions.  The boxes hold negative and zero-straddling intervals, so
+        ``//`` and ``%`` meet zero divisors, and ``x == x`` or ``x * x``
+        repeat a variable whose interval narrows mid-revision.  As in the
+        solver, only the constraints from ``start`` on are queued at first,
+        so the order in which a revision narrows names orders the queue."""
+        box = {name: (min(ends[name]), max(ends[name])) for name in _NAMES}
+        watchers = {name: [i for i, c in enumerate(constraints) if name in c.variables()]
+                    for name in box}
+        queue = range(min(start, len(constraints) - 1), len(constraints))
+        expected_box, expected_order = dict(box), []
+        expected = reference_propagate(expected_box, constraints, watchers, queue,
+                                       expected_order)
+        for _ in range(2):  # compiles on the first propagation, reuses it after
+            recording, compiled_box = RecordingList(constraints), dict(box)
+            verdict = propagate(compiled_box, recording, watchers, queue)
+            assert (verdict, compiled_box, recording.revised) == \
+                (expected, expected_box, expected_order)
+
+    def test_narrowed_names_queue_their_watchers_in_order(self):
+        """``a == b`` narrows a, then b: a's watchers are revised first."""
+        a, b = SymVar("a"), SymVar("b")
+        constraints = RecordingList([a <= 6, b >= 2, a == b])
+        box = {"a": (1, 8), "b": (3, 10)}
+        assert propagate(box, constraints, {"a": [0, 2], "b": [1, 2]}, [2])
+        assert box == {"a": (3, 6), "b": (3, 6)}
+        assert constraints.revised == [2, 0, 2, 1, 0, 2]
+
+    def test_a_disjunct_that_shrinks_forever_is_propagated(self):
+        """``a < a`` narrows a on every revision until it empties, so the Or
+        decides it by propagation, not by one revision, and ``a == 5`` is
+        its one live disjunct."""
+        a = SymVar("a")
+        assert propagated({"a": (1, 8)}, [Or([a < a, a == 5])]) == {"a": (5, 5)}
 
     @settings(max_examples=300, deadline=None)
     @given(constraint_trees, assignments, st.fixed_dictionaries(
@@ -391,12 +531,93 @@ class TestPropagatingSearch:
         assert solver.stats["nodes"] == nodes
         assert len(solver.constraints) == 2
 
+    def test_an_empty_declared_domain_is_refuted(self):
+        """The hull rules divide by interval ends (``10 // a`` with a in
+        [1, 0] would divide by zero), so a query over an empty declared
+        domain is refuted before it propagates: declared empty, emptied by a
+        re-declaration, or declared after the last model."""
+        solver = Solver()
+        a = solver.int_var("a", 1, 0)
+        solver.add([a == 1, Const(10) // a == 1])
+        assert not solver.check()
+        with pytest.raises(UnsatisfiableError, match="^constraint system is unsatisfiable$"):
+            solver.model()
+
+        for name in ("b", "c"):  # b re-declared empty, c declared after the last model
+            solver = Solver()
+            b = solver.int_var("b", 1, 4)
+            assert solver.try_add_constraints([b <= 3])
+            empty = solver.int_var(name, 1, 0)
+            assert not solver.try_add_constraints([Const(10) // empty <= 5])
+            assert solver.stats["refuted"] == solver.stats["rejected"] == 1
+
     def test_giving_up_is_not_a_refutation(self):
         solver = Solver()
         pigeons = [solver.int_var(f"x{i}", 1, 5) for i in range(6)]
         distinct = [a != b for i, a in enumerate(pigeons) for b in pigeons[i + 1:]]
         assert not solver.try_add_constraints(distinct, budget=5)
         assert solver.stats == {"checks": 1, "nodes": 5, "rejected": 1, "refuted": 0}
+
+    def test_a_model_beyond_the_node_budget_is_not_called_unsatisfiable(self):
+        x, y, z = SymVar("x"), SymVar("y"), SymVar("z")
+        system = [x % 7 == 3, y % 5 == 2, (x + y) % 11 == 4, z * 3 == x + y]
+        solver = Solver(max_nodes=3)
+        solver.add(system)
+        with pytest.raises(UnsatisfiableError, match="node budget of 3") as gave_up:
+            solver.model()
+        assert "unsatisfiable" not in str(gave_up.value)
+        assert solver.stats["nodes"] == 3
+        assert solve(system) == {"x": 3, "y": 12, "z": 5}
+        with pytest.raises(UnsatisfiableError, match="^constraint system is unsatisfiable$"):
+            solve(system + [z >= 6, x + y <= 17])
+
+
+@pytest.mark.smoke
+class TestIncrementalCheck:
+    """``_solve`` evaluates only what the saved model can break; a model it
+    accepts must satisfy every constraint, or ``model()`` solves again."""
+
+    @staticmethod
+    def assert_model_holds(solver):
+        checks = solver.stats["checks"]
+        model = solver.model()
+        assert solver.stats["checks"] == checks
+        assert all(constraint.satisfied(model) for constraint in solver.constraints)
+
+    def test_a_constraint_at_an_index_pop_freed_is_checked(self):
+        """``x % 2 == 0`` narrows nothing, so only the check sees that the
+        saved x = 3 breaks it: the mark must fall back to the popped index."""
+        solver = Solver()
+        x = solver.int_var("x", 1, 10)
+        solver.add([x >= 3])
+        solver.push()
+        solver.add([x <= 9])
+        assert solver.check() and solver.model()["x"] == 3
+        solver.pop()
+        solver.add([x % 2 == 0])
+        assert solver.check()
+        self.assert_model_holds(solver)
+        assert solver.model()["x"] == 4
+
+    def test_a_redeclared_variable_rechecks_its_sums(self):
+        """Re-declaring y below its saved value moves y, and so re-checks
+        the sum it appears in, though the sum is older than the mark."""
+        solver = Solver()
+        x, y = solver.int_var("x", 1, 10), solver.int_var("y", 1, 10)
+        assert solver.try_add_constraints([x + y >= 12])
+        assert solver.model() == {"x": 2, "y": 10}
+        solver.int_var("y", 1, 8)
+        assert solver.check()
+        self.assert_model_holds(solver)
+        assert solver.model()["y"] <= 8
+
+    def test_without_phase_saving(self):
+        solver = Solver(phase_saving=False)
+        x, y, z = (solver.int_var(name, 1, 20) for name in "xyz")
+        for constraints in ([x + y >= 9], [y * 2 <= x + z], [x % 3 == 2, z >= y + 4],
+                            [x <= 8]):
+            assert solver.try_add_constraints(constraints)
+            self.assert_model_holds(solver)
 
     @settings(max_examples=150, deadline=None)
     @given(constraint_trees)
