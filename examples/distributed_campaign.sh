@@ -11,10 +11,10 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 PORT=7333
-CKPT=$(mktemp -u /tmp/fabric-campaign-XXXX.ckpt.json)
+CKPT=$(mktemp -u /tmp/fabric-campaign-XXXX.ckpt.jsonl)
 
 # 1. The coordinator: binds the port, waits for 2 workers, leases matrix
-#    cells, folds results, streams checkpoints.  --fault-tolerance
+#    cells, folds results, journals each one.  --fault-tolerance
 #    defaults to `requeue` under serve: worker death mid-lease requeues
 #    the unfinished iterations on the survivors (findings unchanged —
 #    iterations are seeded purely from (config, iteration)).

@@ -24,8 +24,9 @@ levels (:mod:`repro.core.parallel`):
   go out together, as one lease that judges each case once);
 * every completed iteration is streamed to the coordinator, which folds it
   into per-cell results (global report dedup via ``CampaignResult.merge``)
-  and, when a checkpoint path is set, persists it — a campaign killed
-  mid-shard resumes from the exact iteration it reached
+  and, when a checkpoint path is set, appends it as one line to the
+  checkpoint journal — a campaign killed mid-shard replays its journal and
+  resumes from the exact iteration it reached
   (see ``python -m repro.campaign --checkpoint ...``);
 * the merged result carries per-cell provenance (``result.cells``), which
   ``repro.experiments.venn.campaign_cell_sets`` slices into per-backend /

@@ -55,14 +55,19 @@ pass subsequence via :mod:`repro.experiments.pass_bisect`::
 ``--list-passes`` dumps the registered pass pipelines per backend stage
 and exits.
 
-Checkpointing streams *per-iteration* progress: a campaign killed mid-shard
-resumes from the exact iteration it reached, re-executing only the missing
-iterations of each matrix cell.  ``--iterations`` is a campaign's only
-bound — no wall clock decides which iterations run — so to stop a long
-campaign early, press Ctrl-C and re-run the same command later::
+``--checkpoint`` names a journal: a header line naming the campaign, then
+one JSON line per iteration, appended as the coordinator folds it, so a
+fold costs one iteration's line on disk.  A campaign killed mid-shard
+resumes from the exact iteration it reached: the journal is replayed, and
+only the iterations missing from it run again (a line cut short by the
+kill is dropped, and its iteration re-runs).  A file that is no journal
+of this campaign is refused and left as it is.  ``--iterations`` is a
+campaign's only bound — no wall clock decides which iterations run — so
+to stop a long campaign early, press Ctrl-C and re-run the same command
+later::
 
     python -m repro.campaign --iterations 200 --workers 4 \\
-        --checkpoint campaign.ckpt.json
+        --checkpoint campaign.ckpt.jsonl
 
 Pin ``--shards`` to resume on another ``--workers``: the shard count
 defaults to the worker count, so otherwise the checkpoint is refused.
@@ -80,7 +85,7 @@ groups than workers, are split across a pool or fleet.
 ``--workers 1`` runs the campaign in-process: the one worker is an inline
 transport whose lease frames the coordinator pulls one at a time, through
 the same drain loop that serves process pools and socket fleets — no
-worker process, no queues, and each iteration is folded and checkpointed
+worker process, no queues, and each iteration is folded and journalled
 before the next one runs.  ``--serial`` runs the reference path instead:
 one ``Fuzzer`` per shard (``--shards``, default ``--workers``), merged, so
 its findings equal the engine's for the same flags.  ``--workers 0``
@@ -275,16 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("sampling", "gradient", "gradient_proxy"),
                         help="value-search method (default gradient_proxy)")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="JSON checkpoint path; streams per-iteration "
-                             "progress and resumes mid-cell")
-    parser.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
-                        help="persist the checkpoint every N folded "
-                             "iterations (default 1 = finest resume "
-                             "granularity; raise for long campaigns — the "
-                             "snapshot is rewritten in full on every save, "
-                             "and with --coverage it includes every cell's "
-                             "cumulative arc set, so per-iteration saves "
-                             "grow quadratic in coverage)")
+                        help="checkpoint journal (JSON lines): every folded "
+                             "iteration is appended as it completes, and a "
+                             "re-run of the same command resumes mid-cell")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress streamed per-finding progress")
     parser.add_argument("--verify-passes", action="store_true",
@@ -338,7 +336,6 @@ def campaign_from_args(args: argparse.Namespace,
         pool_mode=args.pool_mode,
         n_shards=args.shards,
         checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
         trace_coverage=args.coverage,
         fault_tolerance=args.fault_tolerance,
         **fields)

@@ -7,7 +7,7 @@ fleet to one host.  The fabric splits that conversation into three layers:
 
 * :mod:`repro.core.fabric.protocol` — the versioned, serializable message
   schema (``lease``/``claim``/``iter``/``chunk_done``/``heartbeat``/
-  ``checkpoint_ack``/``shutdown`` …) plus JSON round-trips for the campaign
+  ``shutdown`` …) plus JSON round-trips for the campaign
   objects a remote worker needs rebuilt (``FuzzerConfig``, ``CellTask``).
   Only names and data cross the wire: a worker rebuilds each cell's
   compilers, generator and oracle from the registry names its lease
@@ -36,7 +36,6 @@ produces bit-identical findings and checkpoints (pinned by
 from repro.core.fabric.protocol import (
     PROTOCOL_VERSION,
     Claim,
-    CheckpointAck,
     ChunkDone,
     Heartbeat,
     Hello,
@@ -62,7 +61,6 @@ from repro.core.fabric.transport import (
 __all__ = [
     "PROTOCOL_VERSION",
     "Claim",
-    "CheckpointAck",
     "ChunkDone",
     "CoordinatorTransport",
     "Heartbeat",

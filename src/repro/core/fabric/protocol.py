@@ -48,7 +48,9 @@ from repro.errors import ReproError
 #: no compiler-factory path: only names and data go over the wire.
 #: v7: a lease names the cells of one oracle group (``cells``, each cell's
 #: task in ``tasks``), and ``claim`` and ``chunk_done`` name no cell.
-PROTOCOL_VERSION = 7
+#: v8: the ``checkpoint_ack`` frame is gone: the coordinator journals every
+#: iteration as it folds it, so there is no durability lag to report.
+PROTOCOL_VERSION = 8
 
 
 class ProtocolError(ReproError):
@@ -174,19 +176,6 @@ class Heartbeat(Message):
 
 
 @dataclass(frozen=True)
-class CheckpointAck(Message):
-    """Coordinator → worker: progress through ``folded`` iterations has
-    been folded, and — when ``persisted`` — written to the checkpoint.
-    Informational: workers surface it in logs so fleet operators can see
-    their shard's durability lag."""
-
-    kind = "checkpoint_ack"
-    worker: str = ""
-    folded: int = 0
-    persisted: bool = False
-
-
-@dataclass(frozen=True)
 class Shutdown(Message):
     """Coordinator → worker: drain and exit."""
 
@@ -212,7 +201,7 @@ class StatusReply(Message):
 _MESSAGE_TYPES: Dict[str, Type[Message]] = {
     cls.kind: cls
     for cls in (Hello, Welcome, Lease, Claim, IterationResult, ChunkDone,
-                WorkerError, Heartbeat, CheckpointAck, Shutdown,
+                WorkerError, Heartbeat, Shutdown,
                 StatusRequest, StatusReply)
 }
 
@@ -386,7 +375,6 @@ def task_from_dict(payload: Dict[str, Any]):
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "CheckpointAck",
     "ChunkDone",
     "Claim",
     "Heartbeat",

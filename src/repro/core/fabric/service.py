@@ -145,11 +145,6 @@ class FabricWorker:
                     self.log(f"[{self.name}] shutdown: "
                              f"{message.reason or 'done'}")
                     return 0
-                if message.kind == "checkpoint_ack":
-                    if message.persisted:
-                        self.log(f"[{self.name}] coordinator persisted "
-                                 f"{message.folded} iterations")
-                    continue
                 if not isinstance(message, Lease):
                     continue
                 for frame in lease_frames(self.name, message, runtimes):

@@ -36,12 +36,14 @@ Three properties distinguish the matrix engine from a flat shard list:
   probed once over the *union* of all matrix compilers so every cell
   generates from the same pool.
 * **Intra-cell checkpointing.**  Workers stream every completed iteration's
-  folded result back to the coordinator, which persists an incremental JSON
-  checkpoint (``format_version`` 9): per cell, the accumulated
-  :class:`CampaignResult` (including cumulative coverage arcs) and the
-  exact set of completed iterations.  An
-  interrupted cell resumes *mid-stream* — only the missing iterations are
-  re-executed — instead of restarting at whole-shard granularity.  This is
+  result back to the coordinator, which folds it and, with a
+  ``checkpoint_path``, appends it to a JSON-lines journal
+  (``format_version`` 10): a header line naming the campaign, then one
+  line per folded (cell, iteration) holding its duration, its stamp on
+  the coordinator's clock and the iteration's payload.  A fold costs one
+  iteration's line on disk, and an interrupted cell resumes *mid-stream*:
+  the journal is replayed through the same fold, and only the iterations
+  missing from it are re-executed.  This is
   sound because every iteration is seeded purely from ``(config,
   iteration)`` (see :func:`repro.core.fuzzer.iteration_seed`), so iterations
   can be re-executed in any order on any worker.  Every cell is bounded by
@@ -91,7 +93,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (AbstractSet, Any, Callable, Deque, Dict, FrozenSet,
-                    Iterator, List, Optional, Sequence, Set, Tuple)
+                    Iterator, List, Optional, Sequence, Set, TextIO, Tuple)
 
 import numpy as np
 
@@ -101,11 +103,11 @@ from repro.compilers.coverage import CoverageFeedback, is_pass_arc
 from repro.compilers.pipeline import (OPT_LEVELS, expand_pipeline_tokens,
                                       resolve_pipeline)
 from repro.core.difftest import DifferentialTester, SharedJudging, sharing
-from repro.core.fabric.protocol import (PROTOCOL_VERSION, CheckpointAck,
-                                        Claim, ChunkDone, IterationResult,
-                                        Lease, Message, ProtocolError,
-                                        WorkerError, config_to_dict, decode,
-                                        encode, task_from_dict)
+from repro.core.fabric.protocol import (PROTOCOL_VERSION, Claim, ChunkDone,
+                                        IterationResult, Lease, Message,
+                                        ProtocolError, WorkerError,
+                                        config_to_dict, decode, encode,
+                                        task_from_dict)
 from repro.core.fabric.transport import (CoordinatorTransport,
                                          InlineTransport, LocalTransport)
 from repro.core.fuzzer import (BugReport, CampaignResult, CellOutcome, Fuzzer,
@@ -117,23 +119,21 @@ from repro.core.strategy import (GenerationStrategy, build_strategy,
 from repro.errors import ReproError
 from repro.graph.serialize import to_jsonable
 
-#: v8 bounds every cell by iterations alone: the wall-clock budgets left
-#: the fingerprint, the early-termination flag left the cell entries, and
-#: the fingerprint's config part is the fabric's
+#: v10 is an append-only journal: a header line (this version, the
+#: campaign fingerprint, ``coverage_feedback``), then one line per folded
+#: (cell, iteration).  v9 and older files were whole-campaign snapshots,
+#: rewritten on every fold.  The fingerprint's config part is the fabric's
 #: :func:`~repro.core.fabric.protocol.config_to_dict`, so the wire and the
-#: checkpoint share one serialization.  v9: every cell names its compilers
-#: and opt level (a campaign without a compiler axis has cells
-#: ``shard<s>|deepc+graphrt+turbo|O2``), and the fingerprint names no
-#: compiler factory.  Deliberately *not* in the
+#: checkpoint share one serialization.  Deliberately *not* in the
 #: fingerprint: the transport, the worker count and the fault-tolerance
 #: mode — a campaign checkpointed on local queues resumes over sockets (and
 #: vice versa) because what a cell computes is seeded purely from
-#: ``(config, iteration)``.  Older checkpoints, and v9 checkpoints of another
+#: ``(config, iteration)``.  Older checkpoints, and journals of another
 #: campaign, are *rejected with an error* rather than silently discarded: an
 #: old file is a real mid-campaign state the user cared about, and quietly
 #: restarting from scratch would look like resume while throwing that state
 #: away.
-CHECKPOINT_FORMAT_VERSION = 9
+CHECKPOINT_FORMAT_VERSION = 10
 
 #: Accepted ``ParallelCampaign.fault_tolerance`` modes.  ``"fail"`` is the
 #: historical behavior: a dead worker's lease fails the campaign loudly.
@@ -463,13 +463,6 @@ def _ranges_from_iterations(iterations: AbstractSet[int]
     return runs
 
 
-def _iterations_from_ranges(runs: Sequence[Sequence[int]]) -> Set[int]:
-    completed: Set[int] = set()
-    for start, end in runs:
-        completed.update(range(int(start), int(end) + 1))
-    return completed
-
-
 # --------------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------------- #
@@ -688,14 +681,12 @@ class ParallelCampaign:
     pool_mode: str = "union"
     #: Shards per combination (default: ``n_workers``).
     n_shards: Optional[int] = None
-    #: Persist per-iteration progress here and resume mid-cell on re-run.
+    #: Journal every folded iteration here and resume mid-cell on re-run.
     checkpoint_path: Optional[str] = None
     #: Trace compiler branch arcs around every oracle call: cells then carry
     #: their arc sets and coverage-over-time series (Figures 4–8).  Findings
     #: are identical with tracing on or off.
     trace_coverage: bool = False
-    #: Save the checkpoint every N folded iterations (1 = every iteration).
-    checkpoint_every: int = 1
     #: Optional observer for streamed events (kind, cell_key, payload).
     on_event: Optional[Callable[[str, str, Any], None]] = None
     #: Transport carrying the coordinator↔worker protocol.  None picks
@@ -716,32 +707,17 @@ class ParallelCampaign:
     def run(self) -> CampaignResult:
         """Run every matrix cell and return the merged campaign result."""
         started = time.monotonic()
-        self._run_started = started
         if self.fault_tolerance not in FAULT_TOLERANCE_MODES:
             raise ValueError(
                 f"unknown fault_tolerance {self.fault_tolerance!r}; "
                 f"expected one of {FAULT_TOLERANCE_MODES}")
         tasks = self._build_tasks()
         states = [_CellState(task=task) for task in tasks]
-        self._load_checkpoint(states)
         #: Campaign-wide arc union (the ``global_total`` coverage series).
-        #: Seeded from restored cell results so a resumed campaign doesn't
-        #: re-count already-known arcs.
         self._global_arcs: Set[str] = set()
-        #: Added to new coverage-sample timestamps so a resumed campaign's
-        #: samples sort *after* the restored run's — without it the merged
-        #: coverage-over-time series would mix two clock bases and go
-        #: backwards at the resume point.
-        self._coverage_clock_offset = 0.0
-        for state in states:
-            if state.result is not None:
-                self._global_arcs |= state.result.coverage_arcs
-                state.pass_arcs = sum(1 for arc in state.result.coverage_arcs
-                                      if is_pass_arc(arc))
-                for sample in state.result.coverage_timeline:
-                    self._coverage_clock_offset = max(
-                        self._coverage_clock_offset, sample["elapsed"])
-        self._unsaved_folds = 0
+        # A resumed campaign continues its journal's clock, so its stamps
+        # and coverage samples sort after the replayed ones.
+        self._run_started = started - self._open_journal(states)
         #: send→claim round-trip seconds per claimed lease (the
         #: coordinator-side lease latency the status endpoint and
         #: ``tools/bench_transport.py`` report).
@@ -751,25 +727,26 @@ class ParallelCampaign:
         #: status endpoint when it has one).
         self.last_status: Dict[str, Any] = {}
 
-        self._init_ledger(states)
-        if self._dispatchable(states):
-            transport = self.transport
-            if transport is None:
-                # Never spawn more workers than cells with work: n_shards
-                # is what spreads a campaign over more of them.
-                workers = min(self.n_workers,
-                              sum(1 for state in states if state.unleased))
-                transport = (LocalTransport(workers, _matrix_worker)
-                             if workers > 1 else InlineTransport(lease_frames))
-            transport.start([state.task for state in states])
-            try:
-                self._drain(states, transport)
-            finally:
-                transport.stop()
-        # Also when nothing was left to run: a cell whose last fold reached
-        # disk without its done flag is finished by _init_ledger, and only
-        # this save records that.
-        self._save_checkpoint(states, force=True)
+        try:
+            self._init_ledger(states)
+            if self._dispatchable(states):
+                transport = self.transport
+                if transport is None:
+                    # Never spawn more workers than cells with work:
+                    # n_shards is what spreads a campaign over more of them.
+                    workers = min(self.n_workers,
+                                  sum(1 for state in states if state.unleased))
+                    transport = (LocalTransport(workers, _matrix_worker)
+                                 if workers > 1
+                                 else InlineTransport(lease_frames))
+                transport.start([state.task for state in states])
+                try:
+                    self._drain(states, transport)
+                finally:
+                    transport.stop()
+        finally:
+            if self._journal is not None:
+                self._journal.close()
 
         merged = CampaignResult.merge_all(
             [self._provenanced_result(state) for state in states])
@@ -823,7 +800,7 @@ class ParallelCampaign:
 
     def _init_ledger(self, states: List[_CellState]) -> None:
         """Seed each cell's dynamic lease ledger — the exact set of
-        unleased iterations — from its (possibly checkpoint-restored)
+        unleased iterations — from its (possibly journal-restored)
         completion state, and group the cells that differ only in their
         oracle."""
         #: Each dead lease's requeued iterations per cell, awaiting
@@ -841,15 +818,11 @@ class ParallelCampaign:
         self._groups_alike = len({dataclasses.replace(cell, shard=0)
                                   for cell in groups}) <= 1
         for state in states:
-            state.unleased = set()
             state.outstanding = 0
-            if state.done:
-                continue
             state.unleased = {
                 i for i in range(1, state.task.config.max_iterations + 1)
                 if i not in state.completed}
-            if not state.unleased:
-                state.done = True
+            state.done = not state.unleased
 
     def _cell_wants_lease(self, state: _CellState) -> bool:
         return not state.done and not state.failed and bool(state.unleased)
@@ -938,10 +911,39 @@ class ParallelCampaign:
 
     # ------------------------------------------------------------------ #
     def _fold_iteration(self, states: List[_CellState], cell_index: int,
-                        iteration: int, partial: CampaignResult,
+                        iteration: int, payload: Dict[str, Any],
                         duration: float) -> None:
-        """Accumulate one iteration's result (and its wall-clock
-        ``duration``, the cell's compute time) into its cell.
+        """Fold one live iteration (its ``iter`` frame's ``payload`` and
+        wall-clock ``duration``) into its cell, after appending it to the
+        checkpoint journal when there is one.
+
+        Every iteration a worker runs passes here once, so a subclass that
+        overrides this sees exactly the executed iterations: a resume
+        replays its journal through :meth:`_fold` instead.
+        """
+        state = states[cell_index]
+        if iteration in state.completed:
+            return  # replayed message (e.g. duplicate after a worker retry)
+        stamp = time.monotonic() - self._run_started
+        if self._journal is not None:
+            self._journal.write(json.dumps({
+                "cell": state.task.cell.key, "iteration": iteration,
+                "duration": duration, "stamp": stamp,
+                "payload": payload}) + "\n")
+            self._journal.flush()
+        partial = campaign_result_from_dict(payload)
+        self._fold(state, iteration, partial, duration, stamp)
+        for report in partial.reports:
+            self._emit("progress", state.task.cell.key,
+                       {"iteration": iteration, "compiler": report.compiler,
+                        "status": report.status})
+
+    def _fold(self, state: _CellState, iteration: int,
+              partial: CampaignResult, duration: float,
+              stamp: float) -> None:
+        """Accumulate one iteration's result, its ``duration`` (the cell's
+        compute time) and its ``stamp`` on the campaign clock into its
+        cell: the fold of a live iteration and of a replayed journal line.
 
         A hand-rolled fold rather than ``CampaignResult.merge``: merge
         rebuilds the report dedup set and re-sorts the whole timeline on
@@ -952,25 +954,21 @@ class ParallelCampaign:
         serial loop over the cell's iterations reports, whatever order
         the iterations fold in.
         """
-        state = states[cell_index]
-        if iteration in state.completed:
-            return  # replayed message (e.g. duplicate after a worker retry)
         state.completed.add(iteration)
         state.time_used += duration
         if state.result is None:
             state.result = CampaignResult()
         result = state.result
-        # Stamp samples with the coordinator's campaign clock so merged
+        # Samples carry the coordinator's campaign clock so merged
         # throughput curves order iterations by when they actually
         # completed, whichever worker ran them.
-        now = time.monotonic() - self._run_started
         for sample in partial.timeline:
-            sample["elapsed"] = now
+            sample["elapsed"] = stamp
         result.iterations += partial.iterations
         result.generated_models += partial.generated_models
         result.generation_failures += partial.generation_failures
         result.numerically_valid_models += partial.numerically_valid_models
-        result.elapsed = max(result.elapsed, now)
+        result.elapsed = max(result.elapsed, stamp)
         for report in partial.reports:
             key = report.dedup_key()
             kept = state.reports_by_key.get(key)
@@ -1000,7 +998,7 @@ class ParallelCampaign:
             self._global_arcs |= new_cell
             result.coverage_timeline.append({
                 "cell": state.task.cell.key,
-                "elapsed": now + self._coverage_clock_offset,
+                "elapsed": stamp,
                 # The cell's *own* cumulative compute seconds — the time
                 # axis for per-cell/per-fuzzer coverage curves.  The shared
                 # coordinator clock ("elapsed") would charge a cell for the
@@ -1012,13 +1010,6 @@ class ParallelCampaign:
                 "pass_only": float(state.pass_arcs),
                 "global_total": float(len(self._global_arcs)),
             })
-        for report in partial.reports:
-            self._emit("progress", state.task.cell.key,
-                       {"iteration": iteration, "compiler": report.compiler,
-                        "status": report.status})
-        self._unsaved_folds += 1
-        if self._unsaved_folds >= max(1, self.checkpoint_every):
-            self._save_checkpoint(states)
 
     def _finish_chunk(self, states: List[_CellState], cell_index: int) -> None:
         """Account a lease's end (a clean ``chunk_done`` or a requeued
@@ -1033,9 +1024,6 @@ class ParallelCampaign:
         state.done = True
         self._emit("cell_done", state.task.cell.key,
                    {"iterations": len(state.completed)})
-        # Force: the done flag must reach disk even when every fold is
-        # already saved.
-        self._save_checkpoint(states, force=True)
 
     def _provenanced_result(self, state: _CellState) -> CampaignResult:
         result = state.result if state.result is not None else CampaignResult()
@@ -1132,13 +1120,7 @@ class ParallelCampaign:
                 elif kind == "iter":
                     self._fold_iteration(
                         states, message.cell_index, message.iteration,
-                        campaign_result_from_dict(message.payload),
-                        message.duration)
-                    if self.checkpoint_path and self._unsaved_folds == 0:
-                        transport.send(worker_id, CheckpointAck(
-                            worker=worker_id,
-                            folded=len(states[message.cell_index].completed),
-                            persisted=True))
+                        message.payload, message.duration)
                 elif kind == "chunk_done":
                     # A retired worker reporting a lease the coordinator
                     # already released must not finish it twice.
@@ -1277,18 +1259,86 @@ class ParallelCampaign:
             "config": config_to_dict(self.config),
         }
 
-    def _load_checkpoint(self, states: List[_CellState]) -> None:
+    def _open_journal(self, states: List[_CellState]) -> float:
+        """Replay the checkpoint journal into ``states`` and open it for
+        appending; returns its clock, the latest replayed stamp (0.0 when
+        nothing was replayed).
+
+        A missing or empty file starts fresh.  Otherwise the first line
+        must be the header of a v10 journal of this campaign, or the
+        campaign is refused with the file left as it is
+        (:meth:`_check_header`).  Every later line is folded through
+        :meth:`_fold`, the fold a live iteration takes; a line that does
+        not decode (a tail cut by a kill mid-append) is dropped, and its
+        iteration runs again.  The file is then rewritten, once, as this
+        run's header and the intact lines, and each fold appends one line
+        to it (:meth:`_fold_iteration`).
+        """
+        self._journal: Optional[TextIO] = None
         path = self.checkpoint_path
-        if not path or not os.path.exists(path):
-            return
+        if not path:
+            return 0.0
+        lines: List[str] = []
+        if os.path.exists(path):
+            # Undecodable bytes fail the line they are on, not the read.
+            with open(path, encoding="utf-8", errors="replace") as handle:
+                lines = handle.read().splitlines()
+        fingerprint = self._checkpoint_fingerprint(len(states))
+        kept: List[str] = []
+        clock = 0.0
+        if lines:
+            self._check_header(path, lines[0], fingerprint,
+                               has_folds=len(lines) > 1)
+            by_key = {state.task.cell.key: state for state in states}
+            for line in lines[1:]:
+                try:
+                    entry = json.loads(line)
+                    state = by_key[entry["cell"]]
+                    iteration = entry["iteration"]
+                    if iteration in state.completed or iteration not in \
+                            range(1, state.task.config.max_iterations + 1):
+                        continue
+                    partial = campaign_result_from_dict(entry["payload"])
+                    duration = float(entry["duration"])
+                    stamp = float(entry["stamp"])
+                except (ValueError, KeyError, TypeError, AttributeError):
+                    continue
+                self._fold(state, iteration, partial, duration, stamp)
+                clock = max(clock, stamp)
+                kept.append(line)
+        header = {
+            "format_version": CHECKPOINT_FORMAT_VERSION,
+            "campaign": fingerprint,
+            # Whether the folded iterations carry their arcs.  Deliberately
+            # outside the fingerprint: a traced journal resumes untraced,
+            # and a traced resume refuses an untraced one (_check_header).
+            "coverage_feedback": self.trace_coverage,
+        }
+        tmp_path = f"{path}.tmp"
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            handle.writelines(f"{line}\n"
+                              for line in [json.dumps(header), *kept])
+        os.replace(tmp_path, path)
+        self._journal = open(path, "a", encoding="utf-8")
+        return clock
+
+    def _check_header(self, path: str, line: str,
+                      fingerprint: Dict[str, Any], has_folds: bool) -> None:
+        """Refuse a journal this campaign must not resume: a file whose
+        first line is no journal header, another format version, another
+        campaign, or (for a traced campaign) an untraced journal with
+        folds."""
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return  # unreadable/corrupt checkpoint: start fresh
-        if not isinstance(payload, dict):
-            return
-        version = payload.get("format_version")
+            header = json.loads(line)
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or "format_version" not in header:
+            raise ReproError(
+                f"checkpoint {path} is not a campaign checkpoint journal: "
+                "its first line is no journal header.  Refusing to "
+                "overwrite it; pass another path, or delete the file to "
+                "start fresh.")
+        version = header["format_version"]
         if version != CHECKPOINT_FORMAT_VERSION:
             # A well-formed checkpoint of another format is real campaign
             # state; silently restarting from scratch would look like
@@ -1296,17 +1346,13 @@ class ParallelCampaign:
             # delete or move the file deliberately.
             raise ReproError(
                 f"checkpoint {path} has format_version {version!r}; this "
-                f"engine reads v{CHECKPOINT_FORMAT_VERSION} only (v9 names "
-                "every cell's compilers and opt level, v8 bounded every cell "
-                "by iterations alone; older checkpoints may hold cells cut "
-                "short by a wall-clock budget).  Delete the file to start "
-                "fresh, or finish the campaign with the engine version that "
-                "wrote it.")
-        fingerprint = self._checkpoint_fingerprint(len(states))
-        if payload.get("campaign") != fingerprint:
-            # Another campaign's state: starting over would overwrite it
-            # with this campaign's first save.
-            saved = payload.get("campaign")
+                f"engine reads v{CHECKPOINT_FORMAT_VERSION} journals only "
+                "(v9 and older files are whole-campaign snapshots).  Delete "
+                "the file to start fresh, or finish the campaign with the "
+                "engine version that wrote it.")
+        saved = header.get("campaign")
+        if saved != fingerprint:
+            # Another campaign's state: starting over would overwrite it.
             saved = saved if isinstance(saved, dict) else {}
             hint = ""
             if self.n_shards is None and saved.get("n_shards") not in (
@@ -1319,82 +1365,18 @@ class ParallelCampaign:
                 f"({'; '.join(_differences(saved, fingerprint)[:4])}).{hint}"
                 "  Delete or move the file to start this campaign fresh, or "
                 "re-run the command that wrote it to resume that campaign.")
-        if self.trace_coverage and \
-                not payload.get("coverage_feedback", False) and \
-                payload.get("cells"):
-            # The checkpoint's completed iterations were never traced: their
-            # arcs are unrecoverable, and resuming would silently present
-            # the remainder's arcs as the campaign's coverage.  The reverse
-            # direction is fine (see below), so this is directional.
+        if self.trace_coverage and has_folds and \
+                not header.get("coverage_feedback", False):
+            # The journal's iterations were never traced: their arcs are
+            # unrecoverable, and resuming would silently present the
+            # remainder's arcs as the campaign's coverage.  The reverse
+            # direction is fine (an untraced fold ignores arcs).
             raise ReproError(
                 f"checkpoint {path} was written without coverage tracing; "
-                "its completed iterations have no recorded arcs, so a "
+                "its folded iterations have no recorded arcs, so a "
                 "--coverage resume would report partial coverage as if it "
                 "were complete.  Resume without --coverage, or delete the "
                 "file to re-run traced.")
-        entries = payload.get("cells", {})
-        for state in states:
-            entry = entries.get(state.task.cell.key)
-            if not isinstance(entry, dict):
-                continue
-            try:
-                result = (campaign_result_from_dict(entry["result"])
-                          if entry.get("result") is not None else None)
-                completed = _iterations_from_ranges(entry.get("completed", []))
-                done = bool(entry.get("done", False))
-                time_used = float(entry.get("time_used", 0.0))
-            except (ValueError, TypeError, KeyError, AttributeError):
-                continue  # treat a corrupt cell entry as not started
-            if result is not None and not self.trace_coverage:
-                # Traced checkpoints resume fine untraced (findings do not
-                # depend on tracing), but the untraced remainder would make
-                # the restored arc data a partial set presented as the
-                # campaign's coverage — drop it rather than report it.
-                result.coverage_arcs = set()
-                result.coverage_timeline = []
-            state.result = result
-            state.completed = completed
-            state.done = done
-            state.time_used = time_used
-            state.reports_by_key = {}
-            if result is not None:
-                result.reports.sort(key=lambda report: report.iteration)
-                for report in result.reports:
-                    state.reports_by_key.setdefault(report.dedup_key(),
-                                                    report)
-
-    def _save_checkpoint(self, states: List[_CellState],
-                         force: bool = False) -> None:
-        path = self.checkpoint_path
-        if not path:
-            return
-        if not force and self._unsaved_folds == 0:
-            return
-        payload = {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "campaign": self._checkpoint_fingerprint(len(states)),
-            #: Whether completed iterations carry their arcs.  Deliberately
-            #: outside the fingerprint: resume compatibility is directional
-            #: (traced checkpoints resume anywhere; untraced ones are
-            #: rejected loudly by a traced resume in _load_checkpoint).
-            "coverage_feedback": self.trace_coverage,
-            "cells": {
-                state.task.cell.key: {
-                    "done": state.done,
-                    "completed": _ranges_from_iterations(state.completed),
-                    "time_used": state.time_used,
-                    "result": (campaign_result_to_dict(state.result)
-                               if state.result is not None else None),
-                }
-                for state in states
-                if state.result is not None or state.done
-            },
-        }
-        tmp_path = f"{path}.tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp_path, path)
-        self._unsaved_folds = 0
 
 
 def run_parallel_campaign(config: Optional[FuzzerConfig] = None,

@@ -259,7 +259,11 @@ def run_fuzzer_comparison(compiler_name: str,
     coordinator, and the per-fuzzer results are sliced from the merged
     per-cell coverage provenance.  ``workers=1`` runs in-process; the
     default races one worker per fuzzer.  Streams are deterministic
-    (step-bounded value search), so worker count never changes the arcs.
+    (step-bounded value search), so worker count never changes the
+    findings.  It does change the arcs: the tracer also counts module
+    bodies a process runs at import time, so a cell reports fewer arcs on
+    a worker that already imported what it runs (220 graphfuzzer arcs on
+    graphrt at ``workers=1``, 353 at ``workers=3``).
     """
     from repro.core.fuzzer import FuzzerConfig
 
@@ -277,8 +281,9 @@ def run_fuzzer_comparison(compiler_name: str,
         if n_workers <= 1:
             raise
         # No subprocess support here (sandboxes, restricted environments):
-        # the streams are deterministic, so the in-process path produces
-        # identical arcs — just slower.
+        # the streams are deterministic, so the in-process path finds the
+        # same bugs, more slowly; its arcs differ, as they depend on what
+        # the worker process imported first.
         result = _run_coverage_matrix(config, compiler_name,
                                       generators=fuzzers, n_workers=1)
     return {name: _slice_fuzzer_result(result, name, compiler_name,

@@ -116,11 +116,16 @@ class Solver:
 
     def model(self) -> Dict[str, int]:
         """The satisfying assignment found by the last successful check;
-        solves first when there is none or it breaks a constraint, and
-        raises :class:`UnsatisfiableError` when that search fails."""
+        solves first when there is none, or it puts a variable outside its
+        declared domain (an ``int_var`` re-declaration narrows it) or
+        breaks a constraint, and raises :class:`UnsatisfiableError` when
+        that search fails."""
         padded = {name: self._model.get(name, low)
                   for name, (low, _) in self._domains.items()}
-        if not self._model or not all_satisfied(self._constraints, padded):
+        if not self._model or \
+                any(not low <= padded[name] <= high
+                    for name, (low, high) in self._domains.items()) or \
+                not all_satisfied(self._constraints, padded):
             outcome = self._solve(self.max_nodes)
             if not outcome:
                 raise UnsatisfiableError(

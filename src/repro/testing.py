@@ -8,13 +8,17 @@ module so there is exactly one definition of:
 * the small reference models used across tests (:func:`build_mlp_model`,
   :func:`build_conv_model`);
 * the run-exactly-once pytest-benchmark adapter (:func:`run_once`);
-* the campaign fold harness (:class:`InterruptAfter`, :class:`FoldCounter`).
+* the campaign fold harness (:class:`InterruptAfter`, :class:`FoldCounter`)
+  and checkpoint journal readers (:func:`read_journal`,
+  :func:`checkpoint_signature`).
 
 Living under :mod:`repro` (rather than inside one of the two test roots)
 keeps it importable from both without ``sys.path`` games.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -114,42 +118,41 @@ def campaign_signature(result):
                 for key, cell in result.cells.items()))
 
 
-def checkpoint_signature(path):
-    """Clock-normalized content of a campaign checkpoint file.
-
-    Findings, completion sets and fingerprints are transport-independent
-    by construction, but wall-clock fields (``time_used``, per-result
-    ``elapsed``, timeline stamps) necessarily differ run-to-run.  This
-    helper strips them so transport-equivalence tests can assert the rest
-    is bit-identical.
-    """
-    import json
-
+def read_journal(path):
+    """A checkpoint journal's header and its fold lines, decoded."""
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    for entry in payload.get("cells", {}).values():
-        entry.pop("time_used", None)
-        result = entry.get("result")
-        if isinstance(result, dict):
-            result.pop("elapsed", None)
-            for sample in result.get("timeline", []):
-                sample.pop("elapsed", None)
-            for sample in result.get("coverage_timeline", []):
-                sample.pop("elapsed", None)
-                sample.pop("cell_elapsed", None)
-    return json.dumps(payload, sort_keys=True)
+        header, *folds = [json.loads(line) for line in handle]
+    return header, folds
+
+
+def checkpoint_signature(path):
+    """Clock-normalized content of a campaign checkpoint journal.
+
+    Findings, folded iterations and fingerprints are transport-independent
+    by construction, but the fold order and the wall-clock fields (each
+    line's ``duration`` and ``stamp``, each payload's ``elapsed``)
+    necessarily differ run-to-run.  This helper drops the clocks and sorts
+    the fold lines by cell and iteration so transport-equivalence tests
+    can assert the rest is bit-identical.
+    """
+    header, folds = read_journal(path)
+    for entry in folds:
+        del entry["duration"], entry["stamp"], entry["payload"]["elapsed"]
+    folds.sort(key=lambda entry: (entry["cell"], entry["iteration"]))
+    return json.dumps([header, *folds], sort_keys=True)
 
 
 class InterruptAfter(ParallelCampaign):
-    """Campaign that dies (after checkpointing) at the Nth folded iteration."""
+    """Campaign that dies at its Nth folded iteration, once that iteration
+    is in its checkpoint journal."""
 
     def __init__(self, interrupt_after, **kwargs):
         super().__init__(**kwargs)
         self._folds_left = interrupt_after
 
-    def _fold_iteration(self, states, cell_index, iteration, partial,
+    def _fold_iteration(self, states, cell_index, iteration, payload,
                         duration):
-        super()._fold_iteration(states, cell_index, iteration, partial,
+        super()._fold_iteration(states, cell_index, iteration, payload,
                                 duration)
         self._folds_left -= 1
         if self._folds_left <= 0:
@@ -164,9 +167,9 @@ class FoldCounter(ParallelCampaign):
         super().__init__(**kwargs)
         self.folds = {}
 
-    def _fold_iteration(self, states, cell_index, iteration, partial,
+    def _fold_iteration(self, states, cell_index, iteration, payload,
                         duration):
         key = states[cell_index].task.cell.key
         self.folds.setdefault(key, []).append(iteration)
-        super()._fold_iteration(states, cell_index, iteration, partial,
+        super()._fold_iteration(states, cell_index, iteration, payload,
                                 duration)

@@ -4,11 +4,10 @@ The contract under test: tracing records compiler branch arcs but never
 changes which ``(config, iteration)`` pairs run or their seeds — so for a
 fixed-iteration matrix and fixed campaign seed the merged findings (bug
 ids + dedup keys) are bit-identical with ``trace_coverage`` on and off;
-only the coverage telemetry itself differs.  Plus: the checkpoint
+only the coverage telemetry itself differs.  Plus: the checkpoint journal
 round-trips per-cell coverage across a mid-campaign kill, an untraced
-checkpoint is rejected by a traced resume, older checkpoint formats are
-rejected loudly, and a v8 checkpoint still carrying the ``scheduler``
-entry earlier engines wrote resumes normally.
+journal is rejected by a traced resume, and older checkpoint formats and
+files that are no journal are rejected loudly.
 """
 
 import json
@@ -20,7 +19,6 @@ from repro.compilers import CompileOptions, DeepCCompiler, GraphRTCompiler, \
 from repro.compilers.bugs import BugConfig
 from repro.core.parallel import (
     CHECKPOINT_FORMAT_VERSION,
-    ParallelCampaign,
     run_parallel_campaign,
 )
 from repro.errors import ReproError
@@ -29,6 +27,7 @@ from repro.testing import (
     FoldCounter,
     InterruptAfter,
     campaign_signature,
+    read_journal,
     tiny_campaign_config,
 )
 
@@ -122,22 +121,27 @@ class TestCheckpointPersistence:
         with pytest.raises((KeyboardInterrupt, ReproError)):
             interrupted.run()
 
-        payload = json.loads(open(path, encoding="utf-8").read())
-        assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION == 9
-        assert payload["coverage_feedback"] is True
-        assert "scheduler" not in payload
-        # per-cell cumulative coverage is in the checkpoint
-        assert any(entry.get("result", {}).get("coverage_arcs")
-                   for entry in payload["cells"].values()
-                   if entry.get("result"))
+        header, folds = read_journal(path)
+        assert header["format_version"] == CHECKPOINT_FORMAT_VERSION == 10
+        assert header["coverage_feedback"] is True
+        # each folded iteration's arcs are in the journal
+        assert len(folds) == 7
+        assert any(entry["payload"]["coverage_arcs"] for entry in folds)
 
-        resumed = ParallelCampaign(config=config, n_workers=1,
-                                   trace_coverage=True,
-                                   checkpoint_path=path, **MATRIX)
+        resumed = FoldCounter(config=config, n_workers=1,
+                              trace_coverage=True, checkpoint_path=path,
+                              **MATRIX)
         result = resumed.run()
-        # converges to the uninterrupted run: findings AND coverage
+        # only the missing iterations ran (4 cells x 3) ...
+        assert sum(map(len, resumed.folds.values())) == 12 - 7
+        # ... and the result converges to the uninterrupted run: findings
+        # AND coverage, cell by cell
         assert campaign_signature(result) == campaign_signature(reference)
         assert result.coverage_arcs == reference.coverage_arcs
+        assert {key: cell.coverage_arcs
+                for key, cell in result.cells.items()} == \
+            {key: cell.coverage_arcs
+             for key, cell in reference.cells.items()}
         # the stitched series stays on one clock: post-resume samples are
         # stamped after the restored run's, so the merged global curve
         # never goes backwards
@@ -145,58 +149,27 @@ class TestCheckpointPersistence:
                          for sample in result.coverage_timeline]
         assert global_series == sorted(global_series)
 
-    def test_checkpoint_with_a_scheduler_entry_resumes(self, tmp_path):
-        """Earlier engines saved their lease scheduler's state in every v8
-        checkpoint; the loader ignores that entry, so such a file resumes
-        and re-runs only its missing iterations."""
-        config = tiny_campaign_config(iterations=6, seed=29)  # 4 cells x 3
-        reference = run_parallel_campaign(config=config, n_workers=1,
-                                          trace_coverage=True, **MATRIX)
-        path = tmp_path / "older.ckpt.json"
-        with pytest.raises(KeyboardInterrupt):
-            InterruptAfter(interrupt_after=7, config=config, n_workers=1,
-                           trace_coverage=True, checkpoint_path=str(path),
-                           **MATRIX).run()
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["scheduler"] = {
-            "name": "coverage",
-            "state": {"window": 8,
-                      "recent": {"0": [[902, 0.0589], [32, 0.0128]],
-                                 "3": [[0, 0.0053]]}}}
-        path.write_text(json.dumps(payload), encoding="utf-8")
-
-        resumed = FoldCounter(config=config, n_workers=1,
-                              trace_coverage=True, checkpoint_path=str(path),
-                              **MATRIX)
-        result = resumed.run()
-        assert sum(map(len, resumed.folds.values())) == 12 - 7
-        assert campaign_signature(result) == campaign_signature(reference)
-        assert {key: cell.coverage_arcs
-                for key, cell in result.cells.items()} == \
-            {key: cell.coverage_arcs
-             for key, cell in reference.cells.items()}
-        assert "scheduler" not in json.loads(
-            path.read_text(encoding="utf-8"))
-
     def test_untraced_checkpoint_rejected_by_traced_resume(self, tmp_path):
         """An untraced checkpoint has no arcs for its completed iterations;
         resuming it with tracing on would silently present a partial arc
         set as the campaign's coverage — so it is rejected loudly (same
         principle as the old-format rejection), not silently restarted."""
         config = tiny_campaign_config(iterations=4, seed=31)
-        path = str(tmp_path / "untraced.ckpt.json")
+        path = tmp_path / "untraced.ckpt.jsonl"
         run_parallel_campaign(config=config, n_workers=1,
-                              checkpoint_path=path, **MATRIX)
+                              checkpoint_path=str(path), **MATRIX)
+        written = path.read_bytes()
         with pytest.raises(ReproError, match="without coverage tracing"):
             run_parallel_campaign(config=config, n_workers=1,
                                   trace_coverage=True,
-                                  checkpoint_path=path, **MATRIX)
+                                  checkpoint_path=str(path), **MATRIX)
+        assert path.read_bytes() == written
 
     def test_traced_checkpoint_resumes_untraced(self, tmp_path):
         """The reverse direction is fine: findings do not depend on
-        tracing, so a traced checkpoint resumes untraced — but the restored
+        tracing, so a traced checkpoint resumes untraced — but the replayed
         arc data is dropped rather than reported as a partial coverage
-        measurement."""
+        measurement, and the journal is then an untraced one."""
         config = tiny_campaign_config(iterations=6, seed=37)
         reference = run_parallel_campaign(config=config, n_workers=1,
                                           **MATRIX)
@@ -211,8 +184,15 @@ class TestCheckpointPersistence:
         assert campaign_signature(resumed) == campaign_signature(reference)
         assert not resumed.coverage_arcs
         assert not resumed.coverage_timeline
+        # Its iterations after the resume were never traced, so a traced
+        # resume now refuses the journal.
+        assert read_journal(path)[0]["coverage_feedback"] is False
+        with pytest.raises(ReproError, match="without coverage tracing"):
+            run_parallel_campaign(config=config, n_workers=1,
+                                  trace_coverage=True,
+                                  checkpoint_path=path, **MATRIX)
 
-    @pytest.mark.parametrize("version", [3, 7, 8])
+    @pytest.mark.parametrize("version", [3, 7, 8, 9])
     def test_v3_checkpoints_are_rejected_loudly(self, tmp_path, version):
         config = tiny_campaign_config(iterations=4, seed=3)
         path = tmp_path / "old.ckpt.json"
@@ -224,10 +204,15 @@ class TestCheckpointPersistence:
                                   checkpoint_path=str(path))
         assert path.read_bytes() == written  # another engine's state
 
-    def test_corrupt_checkpoint_still_starts_fresh(self, tmp_path):
+    def test_corrupt_checkpoint_is_refused(self, tmp_path):
+        # A first line that is no journal header is not this engine's file:
+        # it is left as it is rather than overwritten.
         config = tiny_campaign_config(iterations=2, seed=3)
         path = tmp_path / "corrupt.ckpt.json"
         path.write_text("not json {", encoding="utf-8")
-        result = run_parallel_campaign(config=config, n_workers=1,
-                                       checkpoint_path=str(path))
-        assert result.iterations == 2
+        with pytest.raises(ReproError, match="is not a campaign checkpoint "
+                                             "journal"):
+            run_parallel_campaign(config=config, n_workers=1,
+                                  trace_coverage=True,
+                                  checkpoint_path=str(path))
+        assert path.read_text(encoding="utf-8") == "not json {"

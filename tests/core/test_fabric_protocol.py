@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.fabric.protocol import (
     PROTOCOL_VERSION,
-    CheckpointAck,
     ChunkDone,
     Claim,
     Heartbeat,
@@ -43,7 +42,6 @@ ALL_MESSAGES = (
     ChunkDone(worker="w-1", chunk_id=7),
     WorkerError(worker="w-1", chunk_id=7, cell_index=2, message="boom"),
     Heartbeat(worker="w-1", sent_at=12.5),
-    CheckpointAck(worker="w-1", folded=10, persisted=True),
     Shutdown(reason="campaign complete"),
     StatusRequest(),
     StatusReply(snapshot={"iterations": 3}),
@@ -83,6 +81,17 @@ class TestFrameRejection:
         frame["v"] = PROTOCOL_VERSION + 1
         with pytest.raises(ProtocolError, match="protocol version"):
             decode(frame)
+
+    def test_protocol_v7_frames_are_rejected(self):
+        # v8 dropped the checkpoint_ack frame: a v7 peer still sends it,
+        # and every v7 frame is refused by its version alone.
+        for frame in (dict(encode(Claim(worker="w", chunk_id=3)), v=7),
+                      {"kind": "checkpoint_ack", "v": 7, "worker": "w",
+                       "folded": 10, "persisted": True}):
+            with pytest.raises(ProtocolError, match="protocol version"):
+                decode(frame)
+        with pytest.raises(ProtocolError, match="unknown fabric message"):
+            decode({"kind": "checkpoint_ack", "v": PROTOCOL_VERSION})
 
     def test_missing_version_rejected(self):
         frame = encode(Hello(worker="w", pid=1))

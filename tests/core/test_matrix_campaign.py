@@ -8,7 +8,7 @@ iterations of every cell, and its merged result equals an uninterrupted run
 with the same seeds.
 """
 
-import json
+from collections import Counter
 
 import pytest
 
@@ -22,7 +22,7 @@ from repro.core.parallel import (
 )
 from repro.errors import ReproError
 from repro.experiments.venn import campaign_cell_sets, campaign_venn
-from repro.testing import FoldCounter, InterruptAfter
+from repro.testing import FoldCounter, InterruptAfter, read_journal
 
 SUBSETS = [["graphrt", "deepc"], ["turbo"]]
 OPT_LEVELS = [0, 2]
@@ -154,12 +154,8 @@ class TestInterruptedResume:
         with pytest.raises((KeyboardInterrupt, ReproError)):
             interrupted.run()
 
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        completed_before = {
-            key: sum(end - start + 1 for start, end in entry["completed"])
-            for key, entry in payload["cells"].items()
-        }
+        _header, folds = read_journal(path)
+        completed_before = Counter(entry["cell"] for entry in folds)
         assert sum(completed_before.values()) == 5
         # ... and the interruption really was mid-cell, not on a boundary
         assert any(0 < count < budget_per_cell
@@ -211,9 +207,8 @@ class TestInProcessSingleWorker:
         result = run_parallel_campaign(config=_config(3, seed=4), n_workers=1,
                                        checkpoint_path=path)
         assert result.iterations == 3
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert all(entry["done"] for entry in payload["cells"].values())
+        _header, folds = read_journal(path)
+        assert [entry["iteration"] for entry in folds] == [1, 2, 3]
 
     def test_workers_one_resumes_from_own_checkpoint(self, tmp_path):
         config = _config(4, seed=6)

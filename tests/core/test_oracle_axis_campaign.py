@@ -12,6 +12,7 @@ differently-shaped oracle matrices from cross-loading cells.
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.testing import (
     FoldCounter,
     InterruptAfter,
     campaign_signature,
+    read_journal,
     tiny_campaign_config,
 )
 
@@ -175,20 +177,16 @@ class TestCheckpointV5:
         with pytest.raises((KeyboardInterrupt, ReproError)):
             interrupted.run()
 
-        payload = json.loads(open(path, encoding="utf-8").read())
-        assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION == 9
-        completed_before = {
-            key: sum(end - start + 1 for start, end in entry["completed"])
-            for key, entry in payload["cells"].items()
-        }
+        header, folds = read_journal(path)
+        assert header["format_version"] == CHECKPOINT_FORMAT_VERSION == 10
+        completed_before = Counter(entry["cell"] for entry in folds)
         assert sum(completed_before.values()) == 5
         assert any(0 < count < budget_per_cell
                    for count in completed_before.values())
         # per-oracle cells keep their oracle in the checkpoint cell keys,
         # so differently-judged cells can never collide
-        assert all("|oracle:" in key for key in payload["cells"])
-        assert any(key.endswith("|oracle:difftest")
-                   for key in payload["cells"])
+        assert all("|oracle:" in key for key in completed_before)
+        assert any(key.endswith("|oracle:difftest") for key in completed_before)
 
         resumed = FoldCounter(config=config, n_workers=1,
                               checkpoint_path=path, **axis)

@@ -40,7 +40,8 @@ from repro.core.fabric.transport import LocalTransport
 from repro.core.fuzzer import BugReport, CampaignResult
 from repro.core.parallel import (ParallelCampaign, _CellState, _cell_tester,
                                  _matrix_worker, campaign_result_from_dict,
-                                 lease_frames, run_parallel_campaign)
+                                 campaign_result_to_dict, lease_frames,
+                                 run_parallel_campaign)
 from repro.core.strategy import (GenerationStrategy, GraphFuzzerStrategy,
                                  register_strategy, wrap_model)
 from repro.errors import ConversionError, GraphError
@@ -315,7 +316,7 @@ class TestReportFolds:
         campaign = ParallelCampaign(config=_graphfuzzer_config(iterations=4),
                                     n_workers=1, n_shards=1, **fields)
         campaign._run_started = 0.0
-        campaign._unsaved_folds = 0
+        campaign._journal = None
         return campaign
 
     @staticmethod
@@ -325,7 +326,8 @@ class TestReportFolds:
             BugReport("graphrt", "crash", "execution",
                       f"{message}\nseen at iteration {iteration}", [],
                       iteration) for message in messages])
-        campaign._fold_iteration(states, 0, iteration, partial, 0.0)
+        campaign._fold_iteration(states, 0, iteration,
+                                 campaign_result_to_dict(partial), 0.0)
 
     @staticmethod
     def _reports(states):
@@ -344,16 +346,17 @@ class TestReportFolds:
         assert states[0].result.reports[1].message.endswith("iteration 2")
 
     def test_a_resumed_cell_keeps_the_lowest_iteration(self, tmp_path):
-        path = str(tmp_path / "campaign.json")
-        campaign = self._campaign(checkpoint_path=path)
-        states = [_CellState(task=task) for task in campaign._build_tasks()]
-        self._fold(campaign, states, 3, "boom")
-        campaign._save_checkpoint(states, force=True)
-        resumed = self._campaign(checkpoint_path=path)
-        states = [_CellState(task=task) for task in resumed._build_tasks()]
-        resumed._load_checkpoint(states)
-        self._fold(resumed, states, 2, "boom")
-        self._fold(resumed, states, 4, "boom")
+        # The second run replays iteration 3's report from the journal,
+        # then folds iterations 2 and 4 live.
+        path = str(tmp_path / "campaign.jsonl")
+        for iterations in ([3], [2, 4]):
+            campaign = self._campaign(checkpoint_path=path)
+            states = [_CellState(task=task)
+                      for task in campaign._build_tasks()]
+            campaign._open_journal(states)
+            for iteration in iterations:
+                self._fold(campaign, states, iteration, "boom")
+            campaign._journal.close()
         assert self._reports(states) == [(2, "boom")]
 
 

@@ -13,8 +13,8 @@ from repro.compilers.graphrt.compiler import GraphRTCompiler
 from repro.core.fuzzer import BugReport, CampaignResult, Fuzzer, FuzzerConfig
 from repro.core.generator import GeneratorConfig
 from repro.core.parallel import (
+    CHECKPOINT_FORMAT_VERSION,
     ParallelCampaign,
-    _CellState,
     _matrix_worker,
     campaign_result_from_dict,
     campaign_result_to_dict,
@@ -25,14 +25,7 @@ from repro.core.parallel import (
 )
 from repro.errors import ReproError
 from repro.testing import (FoldCounter, InterruptAfter, campaign_signature,
-                           tiny_campaign_config)
-
-
-def _loaded_states(campaign):
-    """Build the campaign's cell states and load its checkpoint into them."""
-    states = [_CellState(task=task) for task in campaign._build_tasks()]
-    campaign._load_checkpoint(states)
-    return states
+                           read_journal, tiny_campaign_config)
 
 
 def _campaign_config(iterations, seed=7, n_nodes=8):
@@ -194,22 +187,63 @@ class TestSerialParallelEquivalence:
 class TestCheckpointResume:
     def test_completed_shards_are_not_rerun(self, tmp_path):
         config = _campaign_config(6, seed=11)
-        path = str(tmp_path / "campaign.ckpt.json")
+        path = tmp_path / "campaign.ckpt.jsonl"
 
         first = run_parallel_campaign(config=config, n_workers=2,
-                                      checkpoint_path=path)
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        assert set(payload["cells"]) == {"shard0|deepc+graphrt+turbo|O2",
-                                         "shard1|deepc+graphrt+turbo|O2"}
-        assert all(entry["done"] for entry in payload["cells"].values())
+                                      checkpoint_path=str(path))
+        written = path.read_bytes()
 
-        # Resuming must load both shards from the checkpoint without
-        # running any iteration again.
+        # Resuming must replay both shards from the journal without
+        # running any iteration again, and leave the journal as it was.
         resumed = FoldCounter(config=config, n_workers=2,
-                              checkpoint_path=path)
+                              checkpoint_path=str(path))
         assert _signature(resumed.run()) == _signature(first)
         assert resumed.folds == {}
+        assert path.read_bytes() == written
+
+    def test_a_finished_journal_holds_each_fold_once(self, tmp_path):
+        # A header, then exactly one line per folded (cell, iteration):
+        # a fold appends its own iteration and rewrites nothing.
+        config = tiny_campaign_config(iterations=6, seed=3)
+        path = tmp_path / "campaign.ckpt.jsonl"
+        campaign = ParallelCampaign(config=config, n_workers=1, n_shards=2,
+                                    checkpoint_path=str(path))
+        campaign.run()
+        header, folds = read_journal(path)
+        assert header == {
+            "format_version": CHECKPOINT_FORMAT_VERSION,
+            "campaign": campaign._checkpoint_fingerprint(2),
+            "coverage_feedback": False}
+        assert CHECKPOINT_FORMAT_VERSION == 10
+        assert [(entry["cell"], entry["iteration"]) for entry in folds] == [
+            (f"shard{shard}|deepc+graphrt+turbo|O2", iteration)
+            for shard in range(2) for iteration in range(1, 4)]
+        stamps = [entry["stamp"] for entry in folds]
+        assert stamps == sorted(stamps)
+        assert all(entry["duration"] > 0 for entry in folds)
+
+    def test_a_cut_tail_reruns_exactly_its_iteration(self, tmp_path):
+        # A kill mid-append leaves the last line cut mid-JSON: the resume
+        # drops it, runs that iteration alone again, and ends where an
+        # uninterrupted run does.
+        config = tiny_campaign_config(iterations=6, seed=3)
+        fields = dict(config=config, n_workers=1, n_shards=2)
+        reference = run_parallel_campaign(**fields)
+        path = tmp_path / "campaign.ckpt.jsonl"
+        run_parallel_campaign(checkpoint_path=str(path), **fields)
+        whole = path.read_bytes()
+        last = whole.rstrip(b"\n").rsplit(b"\n", 1)[1]
+        path.write_bytes(whole[:len(whole) - len(last) // 2])
+
+        resumed = FoldCounter(checkpoint_path=str(path), **fields)
+        assert campaign_signature(resumed.run()) == \
+            campaign_signature(reference)
+        assert resumed.folds == {"shard1|deepc+graphrt+turbo|O2": [3]}
+        # The file holds only intact lines, the re-run one last.
+        _header, folds = read_journal(path)
+        assert [(entry["cell"], entry["iteration"]) for entry in folds] == [
+            (f"shard{shard}|deepc+graphrt+turbo|O2", iteration)
+            for shard in range(2) for iteration in range(1, 4)]
 
     @pytest.mark.parametrize("mismatch", ["seed", "n_nodes",
                                           "matrix_shape", "n_workers"])
@@ -280,25 +314,6 @@ class TestCheckpointResume:
         assert sum(map(len, resumed.folds.values())) == 6 - 4
         assert campaign_signature(result) == campaign_signature(reference)
 
-    def test_resume_with_nothing_left_records_done_cells(self, tmp_path):
-        # A lease that died after its last fold but before its chunk_done
-        # leaves a complete cell on disk marked not done.
-        config = tiny_campaign_config(iterations=4, seed=3)
-        path = tmp_path / "campaign.ckpt.json"
-        run_parallel_campaign(config=config, n_workers=1, n_shards=2,
-                              checkpoint_path=str(path))
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["cells"]["shard0|deepc+graphrt+turbo|O2"]["done"] = False
-        path.write_text(json.dumps(payload), encoding="utf-8")
-
-        resumed = FoldCounter(config=config, n_workers=1, n_shards=2,
-                              checkpoint_path=str(path))
-        resumed.run()
-        assert resumed.folds == {}  # nothing re-ran ...
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        # ... and the file now says what the resume found
-        assert all(entry["done"] for entry in payload["cells"].values())
-
     def test_pipeline_participates_in_the_fingerprint(self):
         # A campaign's pipeline changes what its cells find, so a
         # checkpoint of one pipeline must never resume the other.
@@ -336,32 +351,67 @@ class TestCheckpointResume:
         assert ParallelCampaign(config=config)._checkpoint_fingerprint(2) != \
             ParallelCampaign(config=changed)._checkpoint_fingerprint(2)
 
-    def test_malformed_cell_entries_are_skipped(self, tmp_path):
+    def test_malformed_journal_lines_are_dropped(self, tmp_path):
+        # A line that does not decode into a fold of this campaign is
+        # dropped (its iteration runs again); the intact lines replay.
         config = _campaign_config(4, seed=9)
-        path = str(tmp_path / "campaign.ckpt.json")
-        run_parallel_campaign(config=config, n_workers=2, checkpoint_path=path)
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        first_key = "shard0|deepc+graphrt+turbo|O2"
-        payload["cells"][first_key]["result"]["reports"] = [{"bogus": 1}]
-        payload["cells"]["not-a-cell"] = {}  # unknown key is ignored
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        campaign = ParallelCampaign(config=config, n_workers=2,
-                                    checkpoint_path=path)
-        loaded = _loaded_states(campaign)
-        assert loaded[0].result is None   # corrupt entry treated as missing
-        assert not loaded[0].done
-        assert loaded[1].result is not None  # intact cell still resumes
-        assert loaded[1].done
+        reference = run_parallel_campaign(config=config, n_workers=2)
+        path = tmp_path / "campaign.ckpt.jsonl"
+        run_parallel_campaign(config=config, n_workers=2,
+                              checkpoint_path=str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[1])
+        first["payload"]["reports"] = [{"bogus": 1}]
+        lines[1] = json.dumps(first)
+        lines.append(json.dumps({**first, "cell": "not-a-cell"}))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    def test_corrupt_checkpoint_file_starts_fresh(self, tmp_path):
-        path = tmp_path / "campaign.ckpt.json"
-        path.write_text("not json {")
+        resumed = FoldCounter(config=config, n_workers=2,
+                              checkpoint_path=str(path))
+        assert _signature(resumed.run()) == _signature(reference)
+        assert resumed.folds == {first["cell"]: [first["iteration"]]}
+        text = path.read_text(encoding="utf-8")
+        assert "bogus" not in text and "not-a-cell" not in text
+
+    def test_an_empty_file_starts_fresh(self, tmp_path):
+        path = tmp_path / "campaign.ckpt.jsonl"
+        path.write_bytes(b"")
+        campaign = FoldCounter(config=_campaign_config(4, seed=1),
+                               n_workers=1, n_shards=2,
+                               checkpoint_path=str(path))
+        campaign.run()
+        assert sum(map(len, campaign.folds.values())) == 4
+        assert len(read_journal(path)[1]) == 4
+
+    @pytest.mark.parametrize("content", [
+        b"not json {\n",
+        b"[1, 2, 3]\n",
+        b"\xff\xfe binary \x00\n",
+        b"\n" + json.dumps({"format_version": 10}).encode(),
+    ], ids=["text", "json-list", "binary", "blank-first-line"])
+    def test_a_file_that_is_no_journal_is_refused(self, tmp_path, content):
+        path = tmp_path / "campaign.ckpt.jsonl"
+        path.write_bytes(content)
         campaign = ParallelCampaign(config=_campaign_config(4, seed=1),
                                     n_workers=2, checkpoint_path=str(path))
-        assert all(state.result is None and not state.done
-                   for state in _loaded_states(campaign))
+        with pytest.raises(ReproError, match="is not a campaign checkpoint "
+                                             "journal") as error:
+            campaign.run()
+        assert str(path) in str(error.value)
+        assert path.read_bytes() == content
+
+    def test_a_snapshot_checkpoint_is_refused(self, tmp_path):
+        # v9 and older checkpoints were one JSON object, the whole campaign
+        # rewritten on every fold: real state this engine cannot resume.
+        path = tmp_path / "campaign.ckpt.json"
+        content = json.dumps({"format_version": 9, "campaign": {},
+                              "coverage_feedback": False, "cells": {}})
+        path.write_text(content, encoding="utf-8")
+        campaign = ParallelCampaign(config=_campaign_config(4, seed=1),
+                                    n_workers=2, checkpoint_path=str(path))
+        with pytest.raises(ReproError, match="format_version 9"):
+            campaign.run()
+        assert path.read_text(encoding="utf-8") == content
 
 
 class _ExplosiveCompiler(GraphRTCompiler):

@@ -13,6 +13,7 @@ differently-shaped pipeline matrices from cross-loading cells.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.testing import (
     FoldCounter,
     InterruptAfter,
     campaign_signature,
+    read_journal,
     tiny_campaign_config,
 )
 
@@ -180,19 +182,16 @@ class TestCheckpointV6:
         with pytest.raises((KeyboardInterrupt, ReproError)):
             interrupted.run()
 
-        payload = json.loads(open(path, encoding="utf-8").read())
-        assert payload["format_version"] == CHECKPOINT_FORMAT_VERSION == 9
-        completed_before = {
-            key: sum(end - start + 1 for start, end in entry["completed"])
-            for key, entry in payload["cells"].items()
-        }
+        header, folds = read_journal(path)
+        assert header["format_version"] == CHECKPOINT_FORMAT_VERSION == 10
+        completed_before = Counter(entry["cell"] for entry in folds)
         assert sum(completed_before.values()) == 5
         assert any(0 < count < budget_per_cell
                    for count in completed_before.values())
         # per-pipeline cells keep their token in the checkpoint cell keys,
         # so differently-compiled cells can never collide
-        assert all("|pipe:" in key for key in payload["cells"])
-        assert any(key.endswith("|pipe:O0") for key in payload["cells"])
+        assert all("|pipe:" in key for key in completed_before)
+        assert any(key.endswith("|pipe:O0") for key in completed_before)
 
         resumed = FoldCounter(config=config, n_workers=1,
                               checkpoint_path=path, **axis)

@@ -6,8 +6,6 @@ resume reproduces the uninterrupted result exactly, and opt-in per-subset
 operator pools.
 """
 
-import json
-
 import pytest
 
 from repro.core.parallel import (
@@ -23,6 +21,7 @@ from repro.testing import (
     FoldCounter,
     InterruptAfter,
     campaign_signature,
+    read_journal,
     tiny_campaign_config,
 )
 
@@ -100,12 +99,8 @@ class TestGeneratorAxisCampaign:
         with pytest.raises((KeyboardInterrupt, ReproError)):
             interrupted.run()
 
-        payload = json.loads(open(path, encoding="utf-8").read())
-        done_before = sum(
-            end - start + 1
-            for entry in payload["cells"].values()
-            for start, end in entry["completed"])
-        assert done_before == 5
+        _header, folds = read_journal(path)
+        assert len(folds) == 5
 
         resumed = FoldCounter(config=config, n_workers=2,
                               checkpoint_path=path, **matrix)

@@ -27,9 +27,11 @@ from repro.core.fabric.transport import SocketTransport, read_frame, send_frame
 from repro.core.parallel import ParallelCampaign, run_parallel_campaign
 from repro.errors import ReproError
 from repro.testing import (
+    FoldCounter,
     InterruptAfter,
     campaign_signature,
     checkpoint_signature,
+    read_journal,
     tiny_campaign_config,
 )
 
@@ -230,22 +232,26 @@ class TestCrossTransportResume:
         path = str(tmp_path / "crossed.ckpt.json")
 
         # fail-mode fleet: w0's death mid-lease fails its cell loudly, but
-        # every fold persisted before the failure stays in the checkpoint.
+        # every fold journalled before the failure stays in the checkpoint.
         _campaign, error = _run_socket_campaign(
             config, n_workers=2, n_shards=2, die_after=2,
             fault_tolerance="fail", checkpoint_path=path)
         assert isinstance(error, ReproError)
-        with open(path, encoding="utf-8") as handle:
-            partial = json.load(handle)
-        assert not all(entry["done"] for entry in partial["cells"].values())
+        journalled = len(read_journal(path)[1])
+        assert journalled < 6
 
-        resumed = run_parallel_campaign(config=config, n_workers=1,
-                                        n_shards=2,
-                                        checkpoint_path=path)
-        assert campaign_signature(resumed) == campaign_signature(baseline)
-        with open(path, encoding="utf-8") as handle:
-            completed = json.load(handle)
-        assert all(entry["done"] for entry in completed["cells"].values())
+        resumed = FoldCounter(config=config, n_workers=1, n_shards=2,
+                              checkpoint_path=path)
+        result = resumed.run()
+        assert campaign_signature(result) == campaign_signature(baseline)
+        # The resume ran exactly what the journal lacked, which now holds
+        # every iteration once.
+        assert sum(map(len, resumed.folds.values())) == 6 - journalled
+        _header, folds = read_journal(path)
+        assert sorted((entry["cell"], entry["iteration"])
+                      for entry in folds) == [
+            (f"shard{shard}|deepc+graphrt+turbo|O2", iteration)
+            for shard in range(2) for iteration in range(1, 4)]
 
     def test_local_partial_resumes_under_socket_fleet(self, tmp_path):
         config = tiny_campaign_config(iterations=6, seed=13)
@@ -258,12 +264,8 @@ class TestCrossTransportResume:
         with pytest.raises(KeyboardInterrupt):
             InterruptAfter(4, config=config, n_workers=1, n_shards=2,
                            checkpoint_path=path).run()
-        with open(path, encoding="utf-8") as handle:
-            partial = json.load(handle)
-        assert partial["cells"], "interruption left no progress behind"
-        assert not all(entry.get("done")
-                       for entry in partial["cells"].values()) \
-            or len(partial["cells"]) < 2
+        assert [entry["iteration"] for entry in read_journal(path)[1]] == \
+            [1, 2, 3, 1]
 
         _campaign, resumed = _run_socket_campaign(
             config, n_workers=2, n_shards=2, checkpoint_path=path)

@@ -611,6 +611,22 @@ class TestIncrementalCheck:
         self.assert_model_holds(solver)
         assert solver.model()["y"] <= 8
 
+    def test_a_redeclared_domain_invalidates_the_saved_model(self):
+        """``model()`` without a check between: the saved y = 10 satisfies
+        every constraint but lies outside y's new domain, so it solves
+        again instead of returning it."""
+        solver = Solver()
+        x, y = solver.int_var("x", 1, 10), solver.int_var("y", 1, 10)
+        assert solver.try_add_constraints([x + y >= 12])
+        assert solver.model() == {"x": 2, "y": 10}
+        solver.int_var("y", 1, 8)
+        model = solver.model()
+        assert 1 <= model["y"] <= 8 and model["x"] + model["y"] >= 12
+        self.assert_model_holds(solver)
+        solver.int_var("x", 1, 3)
+        with pytest.raises(UnsatisfiableError, match="unsatisfiable"):
+            solver.model()
+
     def test_without_phase_saving(self):
         solver = Solver(phase_saving=False)
         x, y, z = (solver.int_var(name, 1, 20) for name in "xyz")

@@ -1,9 +1,14 @@
 """Tests for the ``python -m repro.campaign`` command-line front end."""
 
-import json
+import dataclasses
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 import repro.campaign as campaign_module
 from repro.campaign import (
     build_parser,
@@ -16,7 +21,7 @@ from repro.compilers.base import registered_compilers
 from repro.core.oracle import registered_oracles
 from repro.core.parallel import run_parallel_campaign
 from repro.core.strategy import registered_strategies
-from repro.testing import campaign_signature
+from repro.testing import FoldCounter, campaign_signature, read_journal
 
 
 def _parse(*argv):
@@ -345,12 +350,73 @@ class TestCampaignRuns:
         # Every process start goes through BaseProcess.start, whatever the
         # start method or context.
         monkeypatch.setattr(BaseProcess, "start", _no_processes)
-        path = tmp_path / "solo.ckpt.json"
+        path = tmp_path / "solo.ckpt.jsonl"
         assert main(["--workers", "1", "--iterations", "2", "--nodes", "4",
-                     "--quiet", "--checkpoint-every", "2",
-                     "--checkpoint", str(path)]) == 0
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert all(entry["done"] for entry in payload["cells"].values())
+                     "--quiet", "--checkpoint", str(path)]) == 0
+        _header, folds = read_journal(path)
+        assert [(entry["cell"], entry["iteration"]) for entry in folds] == [
+            ("shard0|deepc+graphrt+turbo|O2", 1),
+            ("shard0|deepc+graphrt+turbo|O2", 2)]
+
+    @pytest.mark.smoke
+    def test_a_sigkilled_campaign_resumes_from_its_journal(self, tmp_path):
+        # One child process, killed outright once its journal holds a few
+        # folds (the kill may cut the line being appended); the resume in
+        # this process runs only what the journal lacks.
+        path = tmp_path / "killed.ckpt.jsonl"
+        argv = ["--workers", "1", "--iterations", "60", "--nodes", "6",
+                "--seed", "3", "--quiet"]
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.campaign", *argv,
+             "--checkpoint", str(path)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 120
+            while not path.exists() or \
+                    path.read_bytes().count(b"\n") < 4:  # header + 3 folds
+                assert child.poll() is None, "the campaign ended unkilled"
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            child.kill()  # SIGKILL: no handler, no flush, no cleanup
+            child.wait()
+        lines = path.read_bytes().splitlines()
+        assert 4 <= len(lines) < 61
+
+        reference = campaign_from_args(_parse(*argv)).run()
+        campaign = campaign_from_args(_parse(*argv, "--checkpoint",
+                                             str(path)))
+        resumed = FoldCounter(**{field.name: getattr(campaign, field.name)
+                                 for field in dataclasses.fields(campaign)})
+        assert campaign_signature(resumed.run()) == \
+            campaign_signature(reference)
+        replayed = len(read_journal(path)[1]) - \
+            sum(map(len, resumed.folds.values()))
+        assert replayed in (len(lines) - 1, len(lines) - 2)  # a cut tail
+        assert len(read_journal(path)[1]) == 60
+
+    def test_checkpoint_every_is_an_unknown_argument(self, capsys):
+        # Every fold is appended to the journal as it happens: there is no
+        # save interval left to choose.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--checkpoint-every", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --checkpoint-every 2" in \
+            capsys.readouterr().err
+
+    def test_a_file_that_is_no_journal_is_refused(self, tmp_path, capsys):
+        # A mistyped --checkpoint path must not overwrite the user's file.
+        path = tmp_path / "notes.txt"
+        path.write_text("remember the milk\n", encoding="utf-8")
+        assert main(["--workers", "1", "--iterations", "2", "--nodes", "4",
+                     "--quiet", "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {path} is not a campaign "
+                              "checkpoint journal")
+        assert path.read_text(encoding="utf-8") == "remember the milk\n"
 
     def test_expected_error_prints_a_message_not_a_traceback(
             self, tmp_path, capsys):
@@ -384,8 +450,9 @@ class TestCampaignRuns:
                      "--checkpoint", str(path)]) == 0
         assert "matrix [deepc,graphrt,turbo] x O[0]" in \
             capsys.readouterr().out
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert set(payload["cells"]) == {"shard0|deepc+graphrt+turbo|O0"}
+        _header, folds = read_journal(path)
+        assert {entry["cell"] for entry in folds} == \
+            {"shard0|deepc+graphrt+turbo|O0"}
 
     def test_default_campaign_prints_no_venn_table(self, capsys):
         # One compiler subset at one opt level: nothing to compare.
